@@ -2,7 +2,8 @@
 
 One subcommand per experiment. Options layer as: per-experiment defaults,
 then a JSON config file (--config), then explicit flags. Exit status is 0 on
-success, 2 for configuration problems, 1 for I/O failures.
+success, 2 for configuration problems, 1 for I/O failures and for a trial
+the simulator stops (a session stuck past its sweep bound).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from . import experiments as exp
 from . import netsim
 from .adversary import parse_behavior
+from .qsim import SimulationError
 
 EXPERIMENT_DEFAULTS = {
     "fig2_success": {"adversary": "intercept_random", "data_target": 150},
@@ -72,7 +74,7 @@ def load_config_file(path: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise exp.ConfigError(f"unknown config key {key!r}")
         if key == "t_values":
-            value = tuple(value) if isinstance(value, (list, tuple)) else (int(value),)
+            value = tuple(value) if isinstance(value, list) else (value,)
         out[key] = value
     return out
 
@@ -178,28 +180,51 @@ def dispatch(cfg: exp.ExperimentConfig, args: argparse.Namespace) -> str:
             exp.capacity_report(cfg.key_length, cfg.t_values), cfg.output_format
         )
     parse_behavior(cfg.adversary)  # fail fast on bad labels
-    trace_sink = [] if getattr(args, "trace", None) else None
-    intercept_sink = [] if getattr(args, "intercept_log", None) else None
-    result = exp.run_experiment(cfg, trace_sink=trace_sink, intercept_sink=intercept_sink)
-    if trace_sink is not None:
-        _write_jsonl(args.trace, _flatten(trace_sink, "records"))
-    if intercept_sink is not None:
-        _write_jsonl(args.intercept_log, _flatten(intercept_sink, "events"))
+    trace_path = getattr(args, "trace", None)
+    log_path = getattr(args, "intercept_log", None)
+    trace_sink = _JsonlSink(trace_path, "records") if trace_path else None
+    intercept_sink = _JsonlSink(log_path, "events") if log_path else None
+    try:
+        result = exp.run_experiment(
+            cfg, trace_sink=trace_sink, intercept_sink=intercept_sink
+        )
+    finally:
+        for sink in (trace_sink, intercept_sink):
+            if sink is not None:
+                sink.close()
     return exp.emit_campaign(result, cfg.output_format)
 
 
-def _flatten(sink: list[dict], key: str):
-    for entry in sink:
+class _JsonlSink:
+    """Campaign sink that writes and flushes each trial's records as JSON
+    lines as soon as the trial ends, each tagged with its transfer length
+    and trial index.
+
+    The file is opened at the first trial, so a campaign that fails before
+    it leaves no file behind.
+    """
+
+    def __init__(self, path: str, key: str):
+        self.path = path
+        self.key = key
+        self._fh = None
+
+    def append(self, entry: dict) -> None:
+        if self._fh is None:
+            self._fh = open(self.path, "w", encoding="utf-8")
         meta = {"transfer_length": entry["transfer_length"],
                 "trial_index": entry["trial_index"]}
-        for record in entry[key]:
-            yield {**meta, **record}
+        _write_jsonl(self._fh, ({**meta, **record} for record in entry[self.key]))
+        self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
 
 
-def _write_jsonl(path: str, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+def _write_jsonl(fh, records) -> None:
+    for record in records:
+        fh.write(json.dumps(record) + "\n")
 
 
 def main(argv=None) -> int:
@@ -218,7 +243,7 @@ def main(argv=None) -> int:
     except (exp.ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
+    except (OSError, SimulationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if cfg.out:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from . import adversary as adv
 from . import netsim
@@ -45,6 +45,35 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false is never a count or a seed.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: value check and its description, by ExperimentConfig field annotation
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+        "a list of integers",
+    ),
+}
+
+
+def _check_field_type(name: str, annotation: str, value) -> None:
+    if annotation.endswith(" | None"):
+        if value is None:
+            return
+        annotation = annotation[: -len(" | None")]
+    if annotation not in _FIELD_TYPES:
+        return  # the topology, which the program builds itself
+    ok, what = _FIELD_TYPES[annotation]
+    if not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = "custom"
@@ -66,6 +95,8 @@ class ExperimentConfig:
     analytic_rounds: int = 8
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_field_type(f.name, f.type, getattr(self, f.name))
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.t_values:
@@ -153,7 +184,12 @@ def run_experiment(
     trace_sink: list | None = None,
     intercept_sink: list | None = None,
 ) -> ExperimentResult:
-    """Run a trial campaign and aggregate per transfer length."""
+    """Run a trial campaign and aggregate per transfer length.
+
+    Each sink, when given, receives one ``append`` per trial as the trial
+    ends: a dict with ``transfer_length``, ``trial_index`` and that trial's
+    ``records`` (trace) or ``events`` (intercept log).
+    """
     if cfg.experiment not in TRIAL_EXPERIMENTS:
         raise ConfigError(f"{cfg.experiment} is not a trial campaign")
     behavior = adv.parse_behavior(cfg.adversary)
@@ -171,6 +207,9 @@ def run_experiment(
             payload=payload,
             key_length=cfg.key_length,
         )
+        max_sweeps = netsim.sweep_bound(
+            cfg.data_target, key.length if key else cfg.key_length, t
+        )
         batch: list[netsim.TrialRecord] = []
         for i in range(cfg.trials):
             trace = [] if trace_sink is not None else None
@@ -183,6 +222,7 @@ def run_experiment(
                 malicious_node=cfg.malicious_node,
                 trace=trace,
                 intercept_log=intercepts,
+                max_sweeps=max_sweeps,
             )
             batch.append(record)
             if trace_sink is not None:

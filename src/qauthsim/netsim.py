@@ -17,6 +17,7 @@ how the responder's wait resolves after the initiator terminates silently.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -268,6 +269,26 @@ def default_malicious_node(topology: Topology) -> str:
     return mids[len(mids) // 2]
 
 
+#: Scheduler sweeps one round takes beside its data sweeps, at most: the
+#: responder's auth send, the initiator's verification and, with reverse
+#: authentication, the second auth exchange (reached by 1-qubit windows).
+SWEEPS_PER_ROUND = 4
+
+
+def sweep_bound(data_target: int, key_length: int, transfer_length: int) -> int:
+    """Scheduler sweeps after which a session is taken to be stuck.
+
+    Data qubits cost at most one sweep each. The window cursor starts every
+    gcd(L, T)-th key bit within one cycle of L / gcd(L, T) rounds, so each
+    cycle reads every bit of the key and, the key being non-zero, delivers
+    at least one data qubit: no session runs more than data_target full
+    cycles plus the round that sees the target met. The bound is twice that
+    worst case.
+    """
+    rounds = data_target * (key_length // math.gcd(key_length, transfer_length)) + 1
+    return 2 * (data_target + SWEEPS_PER_ROUND * rounds)
+
+
 def run_trial(
     topology: Topology,
     behavior: adv.Behavior,
@@ -333,7 +354,7 @@ def run_trial(
                 truth = alice.payload_truth.pop(action.qubit.id, None)
                 if truth is not None:
                     data_delivered += 1
-                    if states_equal(sim.state_of(arrived), truth):
+                    if states_equal(sim.amplitudes(arrived), truth):
                         data_intact += 1
                 inboxes[peers[machine]].append(proto.QubitArrived(arrived))
         if not progressed:

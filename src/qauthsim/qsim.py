@@ -9,7 +9,14 @@ group, so state vectors stay as small as the live entanglement requires.
 Amplitudes are plain Python complex lists: the protocol never entangles more
 than a handful of qubits at once, and at 2..16 amplitudes scalar arithmetic
 beats array dispatch by a wide margin. Numpy appears only at the API edges
-(state inspection, equality checks, RNG).
+(state inspection and the RNG).
+
+A Bell measurement, the step behind every teleport and every entanglement
+swap, is one fused kernel: it reads the two groups in place, forms the four
+Bell-outcome branches of the rest of the state in one pass, draws the two
+outcomes, and keeps only the surviving branch. It computes what CNOT, H and
+two Z measurements compute, with the same two random draws, but builds
+neither the merged group nor the intermediate states.
 
 Measurement in the X basis is realised as H, Z-measure, H: outcome 0 maps to
 the |+> eigenstate and 1 to |->, and the qubit is left in that eigenstate so
@@ -91,12 +98,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def states_equal(a, b, tol: float = NORM_TOL) -> bool:
-    """Whether two normalized state vectors are equal up to global phase."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
+    """Whether two normalized state vectors are equal up to global phase.
+
+    Takes any 1-D sequences of amplitudes (lists, tuples, numpy vectors).
+    """
+    if len(a) != len(b):
         return False
-    return abs(abs(np.vdot(a, b)) - 1.0) <= tol
+    overlap = sum(x.conjugate() * y for x, y in zip(a, b))
+    return abs(abs(overlap) - 1.0) <= tol
 
 
 class _Group:
@@ -152,6 +161,10 @@ class Simulator:
     def group_members(self, q: QubitRef) -> tuple[int, ...]:
         return tuple(self._require(q).qubits)
 
+    def amplitudes(self, q: QubitRef) -> tuple[complex, ...]:
+        """Amplitudes of the group holding this qubit, as Python complex."""
+        return tuple(self._require(q).amps)
+
     def state_of(self, q: QubitRef) -> np.ndarray:
         """Copy of the amplitude vector of the group holding this qubit."""
         return np.array(self._require(q).amps, dtype=complex)
@@ -204,7 +217,6 @@ class Simulator:
                 a0, a1 = amps[i], amps[i | w]
                 amps[i] = (a0 + a1) * _SQRT2_INV
                 amps[i | w] = (a0 - a1) * _SQRT2_INV
-        self._check_norm(group)
 
     def apply_gate(self, name: str, *targets: QubitRef) -> None:
         """Apply a gate by name: X, Z, H (one target) or CNOT (control, target)."""
@@ -286,26 +298,102 @@ class Simulator:
 
     def make_bell_pair(self) -> tuple[QubitRef, QubitRef]:
         """Two fresh qubits in (|00> + |11>)/sqrt(2), one shared group."""
-        a = self.allocate_qubit()
-        b = self.allocate_qubit()
+        if len(self._groups) + 2 > self.max_qubits:
+            raise CapacityError(f"registry full ({self.max_qubits} live qubits)")
+        qid = self._next_id
+        self._next_id = qid + 2
         # Same result as H on a then CNOT(a, b); built directly for speed.
-        pair = _Group([a.id, b.id], [_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j])
-        self._groups[a.id] = pair
-        self._groups[b.id] = pair
-        return a, b
+        pair = _Group([qid, qid + 1], [_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j])
+        self._groups[qid] = self._groups[qid + 1] = pair
+        return QubitRef(qid), QubitRef(qid + 1)
 
     def bell_measure(
         self, a: QubitRef, b: QubitRef, rng: np.random.Generator
     ) -> tuple[int, int]:
-        """Bell-basis measurement of (a, b): CNOT(a->b), H on a, measure both
-        in Z. Returns (m_a, m_b); both qubits are consumed.
+        """Bell-basis measurement of (a, b). Returns (m_a, m_b); both qubits
+        are consumed.
+
+        One fused kernel with the outcome statistics, random draws and
+        post-state of CNOT(a->b), H on a, then Z measurements of a and b.
+        For every basis index r of the other qubits the four branches are
+
+            c[m_a][m_b](r) = (amp[r, a=0, b=m_b] + (-1)^m_a amp[r, a=1, b=1-m_b]) / sqrt(2)
+
+        read straight from the one or two groups holding a and b. m_a is
+        drawn with P(m_a = 1), then m_b with P(m_b = 1 | m_a): exactly two
+        ``rng.random()`` calls, against the same thresholds as the gate
+        sequence. The surviving branch, renormalised, becomes the group of
+        the remaining qubits, in the order the merged group would have had
+        (a's group, then b's, each without the measured qubit).
         """
-        self.apply_cnot(a, b)
-        self.apply_h(a)
-        m_a = self.measure(a, Basis.Z, rng)
-        m_b = self.measure(b, Basis.Z, rng)
-        self.release(a)
-        self.release(b)
+        if a.id == b.id:
+            raise ValueError("Bell measurement needs two distinct qubits")
+        ga = self._require(a)
+        gb = self._require(b)
+        if ga is gb:
+            wa = self._weight(ga, a)
+            wb = self._weight(ga, b)
+            both = wa | wb
+            amps = ga.amps
+            # (amp[a=0,b=0], amp[a=0,b=1], amp[a=1,b=0], amp[a=1,b=1]) per r
+            quads = [
+                (amps[i], amps[i | wb], amps[i | wa], amps[i | both])
+                for i in range(len(amps))
+                if not i & both
+            ]
+            rest = ga.qubits.copy()
+        else:
+            if len(ga.qubits) + len(gb.qubits) > MAX_GROUP_QUBITS:
+                raise CapacityError(f"group would exceed {MAX_GROUP_QUBITS} qubits")
+            wa = self._weight(ga, a)
+            wb = self._weight(gb, b)
+            xs = [(x, ga.amps[i | wa]) for i, x in enumerate(ga.amps) if not i & wa]
+            ys = [(y, gb.amps[i | wb]) for i, y in enumerate(gb.amps) if not i & wb]
+            quads = [(x0 * y0, x0 * y1, x1 * y0, x1 * y1) for x0, x1 in xs for y0, y1 in ys]
+            rest = ga.qubits + gb.qubits
+        rest.remove(a.id)
+        rest.remove(b.id)
+
+        # Branch weights times 2 (the 1/sqrt(2) is folded into the scale).
+        w00 = w01 = w10 = w11 = 0.0
+        for u, p, q, v in quads:
+            s, d, t, e = u + v, u - v, p + q, p - q
+            w00 += s.real * s.real + s.imag * s.imag
+            w01 += t.real * t.real + t.imag * t.imag
+            w10 += d.real * d.real + d.imag * d.imag
+            w11 += e.real * e.real + e.imag * e.imag
+
+        pa1 = 0.5 * (w10 + w11)
+        m_a = int(rng.random() < pa1)
+        pa = pa1 if m_a else 1.0 - pa1
+        pb1 = 0.5 * (w11 if m_a else w01) / pa
+        m_b = int(rng.random() < pb1)
+        pb = pb1 if m_b else 1.0 - pb1
+
+        # The renormalised branch has norm w_sel * scale^2 = w_sel / (2 pa pb).
+        # Complementary outcomes use 1 - p, as the sequential measurements
+        # did, so this is 1 up to rounding only if the input was normalised.
+        w_sel = (w11 if m_b else w10) if m_a else (w01 if m_b else w00)
+        norm = 0.5 * w_sel / (pa * pb)
+        if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
+            raise SimulationError(f"state norm drifted to {norm!r}")
+
+        groups = self._groups
+        del groups[a.id], groups[b.id]
+        if rest:
+            scale = _SQRT2_INV / math.sqrt(pa * pb)
+            if m_b:
+                if m_a:
+                    branch = [(p - q) * scale for _, p, q, _ in quads]
+                else:
+                    branch = [(p + q) * scale for _, p, q, _ in quads]
+            elif m_a:
+                branch = [(u - v) * scale for u, _, _, v in quads]
+            else:
+                branch = [(u + v) * scale for u, _, _, v in quads]
+            group = _Group(rest, branch)
+            for qid in rest:
+                groups[qid] = group
         return m_a, m_b
 
     def teleport(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qauthsim import netsim, protocol
 from qauthsim.cli import build_config, build_parser, load_config_file, main
 
 
@@ -149,12 +150,67 @@ def test_bad_flag_value_exits_2(capsys):
     assert "error" in err
 
 
-def test_fixed_key_shorter_than_transfer_length_exits_2(capsys):
+def test_fixed_key_shorter_than_transfer_length_exits_2(tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
     code, _, err = run(
-        ["custom", "--key", "1101", "-T", "5", "--trials", "1"], capsys
+        ["custom", "--key", "1101", "-T", "5", "--trials", "1",
+         "--trace", str(trace_path)],
+        capsys,
     )
     assert code == 2
     assert "key" in err
+    assert not trace_path.exists()  # failed before the first trial: no file
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"trials": 2.5}, {"trials": "3"}, {"reverse_auth": "no"}, {"T": [1, "2"]},
+     {"seed": True}, {"adversary": ["honest"]}, {"analytic_rounds": "8"}],
+)
+def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(setting))
+    code, out, err = run(["custom", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stuck_session_exits_1_instead_of_hanging(monkeypatch, capsys):
+    def busy_forever(self, event):
+        self.state.sent_count += 1  # always "progresses", never completes
+        return []
+
+    monkeypatch.setattr(protocol.Responder, "step", busy_forever)
+    code, out, err = run(
+        ["custom", "-T", "1", "--trials", "1", "--data-qubits", "3",
+         "--key-length", "8", "--adversary", "honest"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "sweeps" in err and err.count("\n") == 1
+
+
+def test_trace_is_written_as_each_trial_ends(tmp_path, monkeypatch, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    seen = []
+    inner = netsim.run_trial
+
+    def run_trial(*args, **kwargs):
+        lines = trace_path.read_text().splitlines() if trace_path.exists() else []
+        seen.append({json.loads(line)["trial_index"] for line in lines})
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, "run_trial", run_trial)
+    code, _, _ = run(
+        ["custom", "-T", "2", "--trials", "3", "--data-qubits", "4",
+         "--adversary", "honest", "--key-length", "16", "--format", "csv",
+         "--trace", str(trace_path)],
+        capsys,
+    )
+    assert code == 0
+    assert seen == [set(), {0}, {0, 1}]
 
 
 def test_missing_config_file_exits_2(capsys):

@@ -1,0 +1,97 @@
+"""Pinned campaign outputs for fixed seeds.
+
+Each command's emitted text, or the SHA-256 of it, was captured once and is
+compared byte for byte, so a change to the simulator's kernels, the
+scheduler or the emitters that alters any outcome, any random draw or any
+formatting shows here. A change that alters the random-number stream on
+purpose updates these values and says why.
+"""
+
+import hashlib
+import json
+
+from qauthsim.cli import main
+
+COMMON = ["-T", "1", "2", "3", "4", "5", "--seed", "7", "--key-length", "1024"]
+
+FIG5_CSV = """\
+T,trials,detection_rate,detection_rate_ci,mean_rounds,mean_rounds_ci,mean_leakage,mean_leakage_ci,overhead,overhead_ci,master_seed
+1,20,0,0,,,,,2.06,0.058714,7
+2,20,0,0,,,,,0.678,0.022284,7
+3,20,0,0,,,,,0.282,0.0138301,7
+4,20,0,0,,,,,0.1365,0.0110395,7
+5,20,0,0,,,,,0.06,0.00725047,7
+"""
+
+FIG2_CSV = """\
+T,trials,detection_rate,detection_rate_ci,mean_rounds,mean_rounds_ci,mean_leakage,mean_leakage_ci,overhead,overhead_ci,master_seed
+1,60,1,0,4.21667,0.800291,2.25,0.567957,,,7
+2,60,1,0,3.1,0.610456,4.66667,1.10312,,,7
+3,60,1,0,4.88333,0.859147,16.9,3.22489,,,7
+4,60,1,0,3.28333,0.619967,24.25,4.37566,,,7
+5,60,0.883333,0.0812299,2.79245,0.562158,43.4528,9.05058,0.0561905,0.00481971,7
+"""
+
+MITM_CSV = """\
+T,trials,detection_rate,detection_rate_ci,mean_rounds,mean_rounds_ci,mean_leakage,mean_leakage_ci,overhead,overhead_ci,master_seed
+1,3,1,0,2,1.96,0.666667,1.30667,,,7
+2,3,1,0,3.33333,3.63761,4.66667,7.27521,,,7
+3,3,1,0,2,1.13161,3.33333,3.26667,,,7
+4,3,1,0,3.33333,1.72856,28.6667,13.4053,,,7
+5,3,1,0,4.33333,2.84781,75.3333,40.4276,,,7
+"""
+
+CHAIN3_JSON_SHA256 = "f5fcd75e4e201033d4f272f269898856d8037f379e18ae5861e6de5205b4bf2a"
+CHAIN3_TRACE_SHA256 = "0074156a91479c11789a505b45f657078eff54d4d5f192a4f0c698b20d5fd89c"
+MITM_TRACE_SHA256 = "e5e825827fee20cf378aac8943398e6f32a870b93794ede239caa4d86ddbe720"
+MITM_INTERCEPT_SHA256 = "4e0dbaa742578cf2cfa12545131426de0a6dfad592f2a5a5cd4f1c9fc54460cf"
+
+CHAIN3 = {
+    "nodes": ["alice", "r1", "r2", "r3", "bob"],
+    "edges": [["alice", "r1"], ["r1", "r2"], ["r2", "r3"], ["r3", "bob"]],
+    "path": ["alice", "r1", "r2", "r3", "bob"],
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv, capsys) -> str:
+    assert main(argv + COMMON) == 0
+    return capsys.readouterr().out
+
+
+def test_fig5_honest_csv(capsys):
+    assert run(["fig5_overhead", "--trials", "20", "--format", "csv"], capsys) == FIG5_CSV
+
+
+def test_fig2_mitm_csv(capsys):
+    assert run(["fig2_success", "--trials", "60", "--format", "csv"], capsys) == FIG2_CSV
+
+
+def test_three_repeater_haar_reverse_auth_json_and_trace(tmp_path, capsys):
+    config = tmp_path / "chain3.json"
+    config.write_text(json.dumps(CHAIN3))
+    trace = tmp_path / "trace.jsonl"
+    out = run(
+        ["custom", "--config", str(config), "--adversary", "honest",
+         "--payload", "haar", "--reverse-auth", "--trials", "4",
+         "--format", "json", "--trace", str(trace)],
+        capsys,
+    )
+    assert sha256(out.encode()) == CHAIN3_JSON_SHA256
+    assert sha256(trace.read_bytes()) == CHAIN3_TRACE_SHA256
+
+
+def test_mitm_trace_and_intercept_log(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    log = tmp_path / "eve.jsonl"
+    out = run(
+        ["custom", "--adversary", "intercept_random", "--trials", "3",
+         "--format", "csv", "--trace", str(trace), "--intercept-log", str(log)],
+        capsys,
+    )
+    assert out == MITM_CSV
+    assert sha256(trace.read_bytes()) == MITM_TRACE_SHA256
+    assert sha256(log.read_bytes()) == MITM_INTERCEPT_SHA256

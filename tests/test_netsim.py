@@ -14,11 +14,12 @@ from qauthsim.netsim import (
     Topology,
     default_malicious_node,
     run_trial,
+    sweep_bound,
     topology_from_json,
     write_trace,
 )
 from qauthsim.protocol import SessionConfig
-from qauthsim.qsim import Simulator, make_rng
+from qauthsim.qsim import SimulationError, Simulator, make_rng
 
 CHAIN = Topology.chain(1)
 
@@ -242,6 +243,28 @@ def test_trial_with_malicious_node_choice():
 def test_sweep_cap_guard():
     with pytest.raises(Exception):
         run_trial(CHAIN, Honest(), config(target=500), seed=2, max_sweeps=10)
+
+
+@pytest.mark.parametrize(
+    "key, t, reverse",
+    [("01", 2, True), ("10", 1, True), ("1" + "0" * 15, 1, False),
+     ("0" * 15 + "1", 4, True)],
+)
+def test_sweep_bound_covers_sparse_keys(key, t, reverse):
+    # Half of sweep_bound is the derived worst case: these keys give one
+    # 1-qubit window per key cycle, or per round under reverse auth.
+    cfg = config(t=t, target=13, key=key, reverse_auth=reverse)
+    half = sweep_bound(13, len(key), t) // 2
+    assert run_trial(CHAIN, Honest(), cfg, seed=3, max_sweeps=half).completed
+
+
+def test_sweep_bound_worst_case_is_nearly_reached():
+    # 1-qubit windows with reverse authentication take 4 sweeps per round
+    # beside the data sweep, which the derivation assumes.
+    cfg = config(t=2, target=13, key="01", reverse_auth=True)
+    half = sweep_bound(13, 2, 2) // 2
+    with pytest.raises(SimulationError):
+        run_trial(CHAIN, Honest(), cfg, seed=3, max_sweeps=int(0.9 * half))
 
 
 # -- wire format ------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qauthsim.qsim import (
     Basis,
@@ -229,6 +231,82 @@ def _swap_chain(sim, rng, hops):
     return left, right
 
 
+# -- fused Bell measurement against the gate sequence ---------------------------
+
+
+def reference_bell_measure(sim, a, b, rng):
+    """The unfused Bell measurement: CNOT, H, two Z measurements, release."""
+    sim.apply_cnot(a, b)
+    sim.apply_h(a)
+    m_a = sim.measure(a, Basis.Z, rng)
+    m_b = sim.measure(b, Basis.Z, rng)
+    sim.release(a)
+    sim.release(b)
+    return m_a, m_b
+
+
+def load_groups(states):
+    """A simulator holding one entanglement group per amplitude vector."""
+    sim = Simulator()
+    groups = []
+    for amps in states:
+        qubits = [sim.allocate_qubit() for _ in range(len(amps).bit_length() - 1)]
+        for q in qubits[1:]:
+            sim.apply_cnot(qubits[0], q)  # leaves |0..0> as is, joins the group
+        sim._groups[qubits[0].id].amps[:] = amps  # test-only: arbitrary state
+        groups.append(qubits)
+    return sim, groups
+
+
+def random_state(draw, n_qubits):
+    part = st.floats(-1, 1, allow_nan=False, allow_subnormal=False)
+    amps = [complex(draw(part), draw(part)) for _ in range(2**n_qubits)]
+    norm = math.sqrt(sum(abs(x) ** 2 for x in amps))
+    assume(norm > 1e-3)
+    return [x / norm for x in amps]
+
+
+@st.composite
+def bell_measure_cases(draw):
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):  # a and b in one group
+        states = [random_state(draw, n)]
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        where = ((0, i), (0, j))
+    else:
+        k = draw(st.integers(1, n - 1))
+        states = [random_state(draw, k), random_state(draw, n - k)]
+        first = draw(st.integers(0, 1))  # which group holds a
+        sizes = (k, n - k)
+        where = (
+            (first, draw(st.integers(0, sizes[first] - 1))),
+            (1 - first, draw(st.integers(0, sizes[1 - first] - 1))),
+        )
+    return states, where, draw(st.integers(0, 2**64 - 1))
+
+
+@given(bell_measure_cases())
+@settings(max_examples=300, deadline=None)
+def test_fused_bell_measure_matches_gate_sequence(case):
+    states, ((ga, ia), (gb, ib)), seed = case
+    ref_sim, ref_groups = load_groups(states)
+    sim, groups = load_groups(states)
+    ref_rng, rng = make_rng(seed), make_rng(seed)
+
+    expected = reference_bell_measure(
+        ref_sim, ref_groups[ga][ia], ref_groups[gb][ib], ref_rng
+    )
+    a, b = groups[ga][ia], groups[gb][ib]
+    assert sim.bell_measure(a, b, rng) == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
+    assert not sim.is_live(a) and not sim.is_live(b)
+    for q in (q for qubits in groups for q in qubits if q not in (a, b)):
+        assert sim.group_members(q) == ref_sim.group_members(q)
+        np.testing.assert_allclose(
+            sim.state_of(q), ref_sim.state_of(q), rtol=0, atol=1e-12
+        )
+
+
 def test_swap_then_z_measurement_correlates():
     sim = Simulator()
     rng = make_rng(13)
@@ -364,6 +442,12 @@ def test_consumed_by_bell_measure_rejected():
     sim.bell_measure(a, b, rng)
     with pytest.raises(DeadQubitError):
         sim.apply_h(a)
+    c, d = sim.make_bell_pair()
+    with pytest.raises(DeadQubitError):
+        sim.bell_measure(a, c, rng)
+    with pytest.raises(DeadQubitError):
+        sim.bell_measure(c, b, rng)
+    assert sim.is_live(c) and sim.is_live(d)
 
 
 def test_registry_capacity():
@@ -381,6 +465,11 @@ def test_group_size_cap():
         sim.apply_cnot(qubits[0], q)  # 16-qubit group: at the cap
     with pytest.raises(CapacityError):
         sim.apply_cnot(qubits[0], qubits[16])
+    # a Bell measurement spanning the same 17 qubits is refused the same way
+    rng = make_rng(24)
+    with pytest.raises(CapacityError):
+        sim.bell_measure(qubits[3], qubits[16], rng)
+    assert sim.is_live(qubits[3]) and sim.is_live(qubits[16])
 
 
 def test_cnot_needs_distinct_qubits():
@@ -388,6 +477,8 @@ def test_cnot_needs_distinct_qubits():
     q = sim.allocate_qubit()
     with pytest.raises(ValueError):
         sim.apply_cnot(q, q)
+    with pytest.raises(ValueError):
+        sim.bell_measure(q, q, make_rng(25))
 
 
 def test_teleport_rejects_unentangled_pair():
