@@ -13,7 +13,6 @@ information ever reaches it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,9 +136,3 @@ def handle_arrival(
         sim.apply_h(fresh)
     return fresh
 
-
-def write_intercept_log(path, events: list[InterceptEvent]) -> None:
-    """Dump intercept events as JSON lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event.to_json()) + "\n")

@@ -17,14 +17,6 @@ from . import netsim
 from .adversary import parse_behavior
 from .qsim import SimulationError
 
-EXPERIMENT_DEFAULTS = {
-    "fig2_success": {"adversary": "intercept_random", "data_target": 150},
-    "fig3_rounds": {"adversary": "intercept_random", "data_target": 150},
-    "fig4_leakage": {"adversary": "intercept_random", "data_target": 150},
-    "fig5_overhead": {"adversary": "honest", "data_target": 100},
-    "custom": {},
-}
-
 _CONFIG_ALIASES = {
     "behavior": "adversary",
     "t": "t_values",
@@ -81,7 +73,7 @@ def load_config_file(path: str) -> dict:
 
 def _add_campaign_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--transfer-length", "-T", type=int, nargs="+", metavar="T",
-                     help="transfer lengths to sweep (default 1 2 3 4 5)")
+                     dest="t_values", help="transfer lengths to sweep (default 1 2 3 4 5)")
     sub.add_argument("--trials", type=int, help="trials per transfer length")
     sub.add_argument("--data-qubits", type=int, dest="data_target",
                      help="data qubits to deliver per trial")
@@ -111,17 +103,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
 
-    campaign_help = {
-        "fig2_success": "detection success rate per transfer length",
-        "fig3_rounds": "mean authentication rounds needed to detect",
-        "fig4_leakage": "mean data qubits leaked before detection",
-        "fig5_overhead": "auth/data qubit overhead of completed sessions",
-        "custom": "fully flag-driven campaign",
-    }
-    for name in ("fig2_success", "fig3_rounds", "fig4_leakage", "fig5_overhead", "custom"):
-        p = sub.add_parser(name, help=campaign_help[name])
-        _add_campaign_options(p)
-        _add_output_options(p)
+    for name, spec in exp.EXPERIMENT_SPECS.items():
+        p = sub.add_parser(name, help=spec.help)
+        if spec.campaign:
+            _add_campaign_options(p)
+        if name == "analytic":
+            p.add_argument("--rounds", type=int, dest="analytic_rounds",
+                           help="table rows 1..N (default 8)")
+        if name == "capacity":
+            p.add_argument("--key-length", type=int,
+                           help="key length in bits (default 1024)")
+            p.add_argument("--transfer-length", "-T", type=int, nargs="+",
+                           metavar="T", dest="t_values")
         if name == "custom":
             p.add_argument("--reverse-auth", action="store_true", default=None,
                            help="authenticate in both directions each round")
@@ -129,44 +122,18 @@ def build_parser() -> argparse.ArgumentParser:
                            "uniform4, haar, or fixed:<0|1|+|->")
             p.add_argument("--trace", help="write per-trial event traces (JSONL)")
             p.add_argument("--intercept-log", help="write intercepted-qubit log (JSONL)")
-
-    p = sub.add_parser("analytic", help="closed-form detection probability table")
-    p.add_argument("--rounds", type=int, dest="analytic_rounds",
-                   help="table rows 1..N (default 8)")
-    _add_output_options(p)
-
-    p = sub.add_parser("capacity", help="data-qubit capacity of one key pass")
-    p.add_argument("--key-length", type=int, help="key length in bits (default 1024)")
-    p.add_argument("--transfer-length", "-T", type=int, nargs="+", metavar="T")
-    _add_output_options(p)
+        _add_output_options(p)
 
     return parser
 
 
 def build_config(args: argparse.Namespace) -> exp.ExperimentConfig:
     settings: dict = {"experiment": args.experiment}
-    settings.update(EXPERIMENT_DEFAULTS.get(args.experiment, {}))
+    settings.update(exp.EXPERIMENT_SPECS[args.experiment].defaults)
     if getattr(args, "config", None):
         settings.update(load_config_file(args.config))
-    flag_map = {
-        "transfer_length": "t_values",
-        "trials": "trials",
-        "data_target": "data_target",
-        "adversary": "adversary",
-        "key_length": "key_length",
-        "key": "key",
-        "key_bits": "key_bits",
-        "malicious_node": "malicious_node",
-        "encoding_index": "encoding_index",
-        "master_seed": "master_seed",
-        "output_format": "output_format",
-        "out": "out",
-        "reverse_auth": "reverse_auth",
-        "payload": "payload",
-        "analytic_rounds": "analytic_rounds",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in _CONFIG_KEYS:  # every flag's dest is its config key
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = tuple(value) if key == "t_values" else value
     return exp.ExperimentConfig(**settings)
@@ -214,17 +181,13 @@ class _JsonlSink:
             self._fh = open(self.path, "w", encoding="utf-8")
         meta = {"transfer_length": entry["transfer_length"],
                 "trial_index": entry["trial_index"]}
-        _write_jsonl(self._fh, ({**meta, **record} for record in entry[self.key]))
+        for record in entry[self.key]:
+            self._fh.write(json.dumps({**meta, **record}) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
-
-
-def _write_jsonl(fh, records) -> None:
-    for record in records:
-        fh.write(json.dumps(record) + "\n")
 
 
 def main(argv=None) -> int:

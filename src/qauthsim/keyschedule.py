@@ -36,7 +36,7 @@ class KeyMaterial:
     def __post_init__(self):
         if len(self.bits) < 2:
             raise ValueError("key needs at least 2 bits")
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("key bits must be 0 or 1")
 
     @property
@@ -54,7 +54,7 @@ class KeyMaterial:
     def random(cls, length: int, rng: np.random.Generator) -> "KeyMaterial":
         if length < 2:
             raise ValueError("key length must be >= 2")
-        return cls(tuple(int(b) for b in rng.integers(0, 2, size=length)))
+        return cls(tuple(rng.integers(0, 2, size=length).tolist()))
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)

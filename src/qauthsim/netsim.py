@@ -16,7 +16,6 @@ how the responder's wait resolves after the initiator terminates silently.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -28,7 +27,6 @@ from .qsim import (
     QubitRef,
     SimulationError,
     Simulator,
-    apply_pauli_corrections,
     derive_seed,
     make_rng,
     states_equal,
@@ -90,24 +88,6 @@ def topology_from_json(obj: dict) -> Topology:
 
 
 @dataclass(frozen=True)
-class ClassicalMessage:
-    sender: str
-    receiver: str
-    kind: str  # teleport_correction | swap_correction | session_control
-    bits: tuple[int, int] | None
-    seq: int
-
-    def to_json(self) -> dict:
-        return {
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "kind": self.kind,
-            "bits": list(self.bits) if self.bits is not None else None,
-            "seq": self.seq,
-        }
-
-
-@dataclass(frozen=True)
 class _Segment:
     left_node: str
     left_q: QubitRef
@@ -116,7 +96,12 @@ class _Segment:
 
 
 class EntanglementFabric:
-    """Provisioning of end-to-end entanglement plus correction-bit routing."""
+    """Provisioning of end-to-end entanglement plus correction-bit routing.
+
+    Every swap and every hop is one ``Simulator.teleport``, whose two
+    correction bits are the classical message of that step. The trace
+    numbers those messages in order, swaps and teleports alike.
+    """
 
     def __init__(
         self,
@@ -131,18 +116,9 @@ class EntanglementFabric:
         self.repeater = repeater
         self.rng = rng_world
         self.trace = trace
-        self.messages: list[ClassicalMessage] = []
         self.pairs_created = 0
-        self.segments_consumed = 0
         self.teleports = 0
         self.swaps = 0
-        self._seq = 0
-
-    def _message(self, sender, receiver, kind, bits) -> ClassicalMessage:
-        msg = ClassicalMessage(sender, receiver, kind, bits, self._seq)
-        self._seq += 1
-        self.messages.append(msg)
-        return msg
 
     def provision(self) -> list[_Segment]:
         """Distribute one Bell pair per path edge and run the swap policy.
@@ -163,10 +139,8 @@ class EntanglementFabric:
                 continue
             node = path[i]
             if self.repeater.swaps_at(node):
-                bits = self.sim.entanglement_swap(right_q, a, self.rng)
+                bits = self.sim.teleport(right_q, a, b, self.rng)
                 self.swaps += 1
-                self._message(node, path[i + 1], "swap_correction", bits)
-                apply_pauli_corrections(self.sim, b, *bits)
                 if self.trace is not None:
                     self.trace.append(
                         {
@@ -174,7 +148,7 @@ class EntanglementFabric:
                             "node": node,
                             "applied_at": path[i + 1],
                             "bits": list(bits),
-                            "seq": self._seq - 1,
+                            "seq": self.swaps + self.teleports - 1,
                         }
                     )
                 right_q = b
@@ -187,10 +161,10 @@ class EntanglementFabric:
     def transfer(self, payload: QubitRef, direction: str) -> QubitRef:
         """Move one qubit end to end; returns the handle at the destination.
 
-        Each segment costs one teleport: a Bell measurement at its near end
-        and one correction message to its far end. At a non-swapping boundary
-        the qubit materializes on the repeater's own half and is handed to
-        the behavior, whose resend continues over the next segment.
+        Each segment costs one teleport from its near end to its far end. At
+        a non-swapping boundary the qubit materializes on the repeater's own
+        half and is handed to the behavior, whose resend continues over the
+        next segment.
         """
         segments = self.provision()
         if direction == "reverse":
@@ -205,10 +179,8 @@ class EntanglementFabric:
 
         qubit = payload
         for i, hop in enumerate(hops):
-            bits = self.sim.bell_measure(qubit, hop.left_q, self.rng)
+            bits = self.sim.teleport(qubit, hop.left_q, hop.right_q, self.rng)
             self.teleports += 1
-            self.segments_consumed += 1
-            self._message(hop.left_node, hop.right_node, "teleport_correction", bits)
             if self.trace is not None:
                 self.trace.append(
                     {
@@ -216,10 +188,9 @@ class EntanglementFabric:
                         "from": hop.left_node,
                         "to": hop.right_node,
                         "bits": list(bits),
-                        "seq": self._seq - 1,
+                        "seq": self.swaps + self.teleports - 1,
                     }
                 )
-            apply_pauli_corrections(self.sim, hop.right_q, *bits)
             qubit = hop.right_q
             if i + 1 < len(hops):
                 qubit = adv.handle_arrival(
@@ -243,23 +214,6 @@ class TrialRecord:
     bell_pairs_created: int
     teleports: int
     swap_corrections: int
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "transfer_length": self.transfer_length,
-            "behavior": self.behavior,
-            "detected": self.detected,
-            "rounds_to_detect": self.rounds_to_detect,
-            "data_qubits_delivered": self.data_qubits_delivered,
-            "auth_qubits_sent": self.auth_qubits_sent,
-            "data_qubit_target": self.data_qubit_target,
-            "completed": self.completed,
-            "data_qubits_intact": self.data_qubits_intact,
-            "bell_pairs_created": self.bell_pairs_created,
-            "teleports": self.teleports,
-            "swap_corrections": self.swap_corrections,
-        }
 
 
 def default_malicious_node(topology: Topology) -> str:
@@ -287,6 +241,9 @@ def sweep_bound(data_target: int, key_length: int, transfer_length: int) -> int:
     """
     rounds = data_target * (key_length // math.gcd(key_length, transfer_length)) + 1
     return 2 * (data_target + SWEEPS_PER_ROUND * rounds)
+
+
+_TICK = proto.Tick()
 
 
 def run_trial(
@@ -338,15 +295,12 @@ def run_trial(
                 while inbox:  # a terminated endpoint ignores late arrivals
                     sim.release(inbox.popleft().qubit)
                 continue
-            if inbox and machine.wants_qubit:
-                event = inbox.popleft()
-            else:
-                event = proto.Tick()
-            st = machine.state
-            before = (st.phase, st.sent_count, st.qubits_delivered, st.rounds_completed)
+            event = inbox.popleft() if inbox and machine.wants_qubit else _TICK
+            phase = machine.state.phase
             actions = machine.step(event)
-            after = (st.phase, st.sent_count, st.qubits_delivered, st.rounds_completed)
-            if actions or after != before or not isinstance(event, proto.Tick):
+            # A step changes the endpoint's counters only when it sends,
+            # changes phase or consumes an arrival.
+            if actions or machine.state.phase is not phase or event is not _TICK:
                 progressed = True
             for action in actions:
                 direction = "forward" if machine is alice else "reverse"
@@ -368,6 +322,8 @@ def run_trial(
         if max_sweeps is not None and sweeps > max_sweeps:
             raise SimulationError(f"trial exceeded {max_sweeps} scheduler sweeps")
 
+    if sim.live_count():
+        raise SimulationError(f"{sim.live_count()} qubits outlived the trial")
     if intercept_log is not None:
         intercept_log.extend(repeater.log)
     failing = next(
@@ -390,9 +346,3 @@ def run_trial(
         swap_corrections=fabric.swaps,
     )
 
-
-def write_trace(path, trace: list[dict]) -> None:
-    """Dump a trial trace as JSON lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in trace:
-            fh.write(json.dumps(record) + "\n")

@@ -210,6 +210,19 @@ class _Endpoint:
         self.state.phase = Phase.COMPLETE
         self._emit(event="complete")
 
+    def _open_window(self) -> bool:
+        """COMPUTE_R: complete once the delivery target is met, otherwise
+        read the next window R and enter DATA_TRANSFER. Returns whether a
+        window opened."""
+        st = self.state
+        if st.qubits_delivered >= self.config.data_qubit_target:
+            self._complete()
+            return False
+        st.current_r = self._next_r()
+        st.sent_count = 0
+        st.phase = Phase.DATA_TRANSFER
+        return True
+
     def _verify(self, qubit: QubitRef) -> AuthVerdict:
         """Measure an incoming auth qubit against the current plan."""
         self.state.phase = Phase.AUTH_VERIFY
@@ -253,12 +266,8 @@ class Initiator(_Endpoint):
             return []
 
         if st.phase is Phase.COMPUTE_R:
-            if st.qubits_delivered >= self.config.data_qubit_target:
-                self._complete()
+            if not self._open_window():
                 return []
-            st.current_r = self._next_r()
-            st.sent_count = 0
-            st.phase = Phase.DATA_TRANSFER
             self._emit(event="window", round=st.cursors.round_index + 1, r=st.current_r)
             # fall through to start sending this turn
 
@@ -317,13 +326,8 @@ class Responder(_Endpoint):
         if self.absorbing:
             return []
 
-        if st.phase is Phase.COMPUTE_R:
-            if st.qubits_delivered >= self.config.data_qubit_target:
-                self._complete()
-                return []
-            st.current_r = self._next_r()
-            st.sent_count = 0
-            st.phase = Phase.DATA_TRANSFER
+        if st.phase is Phase.COMPUTE_R and not self._open_window():
+            return []
 
         if st.phase is Phase.DATA_TRANSFER:
             if st.sent_count == st.current_r:

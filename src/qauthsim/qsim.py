@@ -9,14 +9,16 @@ group, so state vectors stay as small as the live entanglement requires.
 Amplitudes are plain Python complex lists: the protocol never entangles more
 than a handful of qubits at once, and at 2..16 amplitudes scalar arithmetic
 beats array dispatch by a wide margin. Numpy appears only at the API edges
-(state inspection and the RNG).
+(the named single-qubit states and the RNG).
 
-A Bell measurement, the step behind every teleport and every entanglement
-swap, is one fused kernel: it reads the two groups in place, forms the four
-Bell-outcome branches of the rest of the state in one pass, draws the two
-outcomes, and keeps only the surviving branch. It computes what CNOT, H and
-two Z measurements compute, with the same two random draws, but builds
-neither the merged group nor the intermediate states.
+``teleport`` is the one transport step: a Bell measurement plus the Pauli
+correction at the far end. An entanglement swap is a teleport of one pair's
+half over the next pair. The Bell measurement is one fused kernel: it reads
+the two groups in place, forms the four Bell-outcome branches of the rest of
+the state in one pass, draws the two outcomes, and keeps only the surviving
+branch. It computes what CNOT, H and two Z measurements compute, with the
+same two random draws, but builds neither the merged group nor the
+intermediate states.
 
 Measurement in the X basis is realised as H, Z-measure, H: outcome 0 maps to
 the |+> eigenstate and 1 to |->, and the qubit is left in that eigenstate so
@@ -50,10 +52,6 @@ class CapacityError(SimulationError):
     """Qubit registry or per-group size limit exceeded."""
 
 
-class EntanglementError(SimulationError):
-    """An operation's entanglement precondition does not hold."""
-
-
 class Basis(Enum):
     Z = "Z"
     X = "X"
@@ -71,12 +69,6 @@ NAMED_STATES = {
     "1": np.array([0, 1], dtype=complex),
     "+": np.array([_SQRT2_INV, _SQRT2_INV], dtype=complex),
     "-": np.array([_SQRT2_INV, -_SQRT2_INV], dtype=complex),
-}
-
-GATE_MATRICES = {
-    "X": ((0, 1), (1, 0)),
-    "Z": ((1, 0), (0, -1)),
-    "H": ((_SQRT2_INV, _SQRT2_INV), (_SQRT2_INV, -_SQRT2_INV)),
 }
 
 
@@ -145,11 +137,11 @@ class Simulator:
         self._groups[qid] = _Group([qid], amps)
         return QubitRef(qid)
 
-    def allocate_named(self, label: str) -> QubitRef:
-        return self.allocate_qubit(NAMED_STATES[label])
-
     def is_live(self, q: QubitRef) -> bool:
         return q.id in self._groups
+
+    def live_count(self) -> int:
+        return len(self._groups)
 
     def release(self, q: QubitRef) -> None:
         """Discard a qubit. Only unentangled (singleton-group) qubits qualify."""
@@ -164,18 +156,6 @@ class Simulator:
     def amplitudes(self, q: QubitRef) -> tuple[complex, ...]:
         """Amplitudes of the group holding this qubit, as Python complex."""
         return tuple(self._require(q).amps)
-
-    def state_of(self, q: QubitRef) -> np.ndarray:
-        """Copy of the amplitude vector of the group holding this qubit."""
-        return np.array(self._require(q).amps, dtype=complex)
-
-    def dump_state(self, q: QubitRef) -> dict:
-        """JSON-friendly debug dump: ordered qubit ids plus [re, im] pairs."""
-        group = self._require(q)
-        return {
-            "qubits": list(group.qubits),
-            "amplitudes": [[a.real, a.imag] for a in group.amps],
-        }
 
     def _require(self, q: QubitRef) -> _Group:
         group = self._groups.get(q.id)
@@ -217,19 +197,6 @@ class Simulator:
                 a0, a1 = amps[i], amps[i | w]
                 amps[i] = (a0 + a1) * _SQRT2_INV
                 amps[i | w] = (a0 - a1) * _SQRT2_INV
-
-    def apply_gate(self, name: str, *targets: QubitRef) -> None:
-        """Apply a gate by name: X, Z, H (one target) or CNOT (control, target)."""
-        if name == "CNOT":
-            if len(targets) != 2:
-                raise ValueError("CNOT takes (control, target)")
-            self.apply_cnot(*targets)
-            return
-        if len(targets) != 1:
-            raise ValueError(f"{name} takes exactly one target")
-        if name not in GATE_MATRICES:
-            raise ValueError(f"unknown gate {name!r}")
-        getattr(self, f"apply_{name.lower()}")(targets[0])
 
     def apply_cnot(self, control: QubitRef, target: QubitRef) -> None:
         if control.id == target.id:
@@ -397,67 +364,19 @@ class Simulator:
         return m_a, m_b
 
     def teleport(
-        self,
-        payload: QubitRef,
-        epr_local: QubitRef,
-        epr_remote: QubitRef,
-        rng: np.random.Generator,
-    ) -> "TeleportResult":
-        """One-shot teleportation of ``payload`` onto ``epr_remote``.
-
-        Bell-measures (payload, epr_local), then applies X^(m_b) Z^(m_a) to
-        epr_remote. The correction bits are returned so a classical channel
-        can carry them.
-        """
-        self.assert_bell_pair(epr_local, epr_remote)
-        self._require(payload)
-        m_a, m_b = self.bell_measure(payload, epr_local, rng)
-        apply_pauli_corrections(self, epr_remote, m_a, m_b)
-        return TeleportResult(epr_remote, (m_a, m_b))
-
-    def entanglement_swap(
-        self, left: QubitRef, right: QubitRef, rng: np.random.Generator
+        self, q: QubitRef, near: QubitRef, far: QubitRef, rng: np.random.Generator
     ) -> tuple[int, int]:
-        """Bell measurement joining two adjacent pairs into one longer pair.
+        """Move the state of ``q`` onto ``far``, the other half of (near, far).
 
-        ``left`` is this node's half of the pair toward one endpoint, ``right``
-        the half toward the other. The caller must apply X^(m_b) Z^(m_a) to the
-        surviving qubit at the designated far endpoint to land on
-        (|00> + |11>)/sqrt(2).
+        Bell-measures (q, near), then applies X^(m_b) Z^(m_a) at ``far``;
+        returns (m_a, m_b), the two correction bits a classical channel
+        carries. With ``q`` the half of a neighbouring pair this is an
+        entanglement swap: ``far`` ends up paired with q's old partner.
+        Whether (near, far) really is a Bell pair is the caller's concern.
         """
-        return self.bell_measure(left, right, rng)
-
-    def assert_bell_pair(self, a: QubitRef, b: QubitRef) -> None:
-        """Require that a and b form a maximally entangled two-qubit pair."""
-        ga = self._require(a)
-        gb = self._require(b)
-        if ga is not gb or len(ga.qubits) != 2:
-            raise EntanglementError(
-                f"qubits {a.id} and {b.id} are not an isolated entangled pair"
-            )
-        t = np.array(ga.amps, dtype=complex).reshape(2, 2)
-        if ga.qubits[0] != a.id:
-            t = t.T
-        rho = t @ t.conj().T
-        purity = float(np.trace(rho @ rho).real)
-        if abs(purity - 0.5) > 1e-9:
-            raise EntanglementError(
-                f"qubits {a.id} and {b.id} are not maximally entangled"
-                f" (reduced purity {purity:.6f})"
-            )
-
-
-@dataclass(frozen=True)
-class TeleportResult:
-    qubit: QubitRef
-    correction_bits: tuple[int, int]
-
-
-def apply_pauli_corrections(
-    sim: Simulator, q: QubitRef, m_a: int, m_b: int
-) -> None:
-    """Recovery step X^(m_b) Z^(m_a) for teleportation/swap correction bits."""
-    if m_b:
-        sim.apply_x(q)
-    if m_a:
-        sim.apply_z(q)
+        m_a, m_b = self.bell_measure(q, near, rng)
+        if m_b:
+            self.apply_x(far)
+        if m_a:
+            self.apply_z(far)
+        return m_a, m_b

@@ -20,7 +20,8 @@ from qauthsim.experiments import (
 )
 from qauthsim.keyschedule import ScheduleConfig, capacity
 from qauthsim.protocol import SessionConfig
-from qauthsim.qsim import Simulator, apply_pauli_corrections, make_rng, states_equal
+from helpers import assert_bell_pair
+from qauthsim.qsim import Simulator, make_rng, states_equal
 
 CHAIN = qa.Topology.chain(1)
 MISS = 0.75  # per-round miss probability of a basis-measuring interceptor
@@ -297,13 +298,13 @@ def test_criterion_8c_teleport_and_swap_fidelity():
             left, right = sim.make_bell_pair()
             for _ in range(hops - 1):
                 a, b = sim.make_bell_pair()
-                bits = sim.entanglement_swap(right, a, rng)
-                apply_pauli_corrections(sim, b, *bits)
+                sim.teleport(right, a, b, rng)  # swap: the far half moves on
                 right = b
             payload = sim.allocate_qubit(v)
-            res = sim.teleport(payload, left, right, rng)
-            assert states_equal(sim.state_of(res.qubit), v, tol=1e-9)
-            sim.release(res.qubit)
+            assert_bell_pair(sim, left, right)
+            sim.teleport(payload, left, right, rng)
+            assert states_equal(sim.amplitudes(right), v, tol=1e-9)
+            sim.release(right)
     print("ACCEPTANCE 8c: PASS teleport and chained-swap fidelity at 1e-9")
 
 

@@ -12,14 +12,15 @@ from qauthsim.adversary import (
     RepeaterState,
     handle_arrival,
     parse_behavior,
-    write_intercept_log,
 )
 from qauthsim.keyschedule import ScheduleConfig
 from qauthsim.netsim import EntanglementFabric
 from qauthsim.protocol import SessionConfig
+from helpers import assert_bell_pair
+from qauthsim.cli import main
+from qauthsim.experiments import trial_seed
 from qauthsim.qsim import (
     Basis,
-    EntanglementError,
     NAMED_STATES,
     Simulator,
     make_rng,
@@ -55,7 +56,7 @@ def test_matching_basis_forwarding_is_transparent():
     for _ in range(20):
         q = sim.allocate_qubit()  # |0>
         out = handle_arrival(state, sim, q, "forward", rng)
-        assert states_equal(sim.state_of(out), NAMED_STATES["0"])
+        assert states_equal(sim.amplitudes(out), NAMED_STATES["0"])
         sim.release(out)
 
 
@@ -66,11 +67,11 @@ def test_z_interceptor_smashes_minus_state():
     fails = 0
     n = 10_000
     for _ in range(n):
-        q = sim.allocate_named("-")
+        q = sim.allocate_qubit(NAMED_STATES["-"])
         out = handle_arrival(state, sim, q, "reverse", rng)
         # forwarded state is a Z eigenstate, never |->
-        assert states_equal(sim.state_of(out), NAMED_STATES["0"]) or states_equal(
-            sim.state_of(out), NAMED_STATES["1"]
+        assert states_equal(sim.amplitudes(out), NAMED_STATES["0"]) or states_equal(
+            sim.amplitudes(out), NAMED_STATES["1"]
         )
         fails += sim.measure(out, Basis.X, rng) != 1
         sim.release(out)
@@ -79,20 +80,36 @@ def test_z_interceptor_smashes_minus_state():
     assert abs(fails / n - 0.5) < 0.02  # verifier misses half the time
 
 
-def test_intercept_log_contents_and_export(tmp_path):
+def test_intercept_log_contents_and_export(tmp_path, capsys):
     sim = Simulator()
     state = eve_state("random_zx", seed=9)
     rng = make_rng(3)
     for i in range(6):
-        q = sim.allocate_named("+")
+        q = sim.allocate_qubit(NAMED_STATES["+"])
         out = handle_arrival(state, sim, q, "forward" if i % 2 else "reverse", rng)
         sim.release(out)
     assert [e.seq for e in state.log] == list(range(6))
+
+    # The CLI exports each trial's log as JSON lines tagged with the trial.
     path = tmp_path / "intercepts.jsonl"
-    write_intercept_log(path, state.log)
+    argv = ["custom", "-T", "1", "--trials", "2", "--data-qubits", "6",
+            "--key-length", "64", "--seed", "9", "--format", "csv",
+            "--intercept-log", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    expected = []
+    for i in range(2):
+        log = []
+        qa.run_trial(CHAIN, InterceptResend("random_zx"), mitm_config(target=6),
+                     trial_seed(9, 1, i), intercept_log=log)
+        assert [e.seq for e in log] == list(range(len(log)))
+        expected += [{"transfer_length": 1, "trial_index": i, **e.to_json()}
+                     for e in log]
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(lines) == 6
-    assert set(lines[0]) == {"seq", "direction", "basis", "outcome"}
+    assert lines == expected and lines
+    assert set(lines[0]) == {
+        "transfer_length", "trial_index", "seq", "direction", "basis", "outcome"
+    }
     assert {line["basis"] for line in lines} <= {"Z", "X"}
 
 
@@ -127,9 +144,9 @@ def test_honest_single_repeater_leaves_end_to_end_pair():
     assert len(segments) == 1
     seg = segments[0]
     assert (seg.left_node, seg.right_node) == ("alice", "bob")
-    sim.assert_bell_pair(seg.left_q, seg.right_q)
+    assert_bell_pair(sim, seg.left_q, seg.right_q)
     assert states_equal(
-        sim.state_of(seg.left_q), [2**-0.5, 0, 0, 2**-0.5], tol=1e-9
+        sim.amplitudes(seg.left_q), [2**-0.5, 0, 0, 2**-0.5], tol=1e-9
     )
 
 
@@ -137,7 +154,7 @@ def test_honest_three_repeaters_leave_end_to_end_pair():
     topo = qa.Topology.chain(3)
     sim, segments = provision(topo, Honest())
     assert len(segments) == 1
-    sim.assert_bell_pair(segments[0].left_q, segments[0].right_q)
+    assert_bell_pair(sim, segments[0].left_q, segments[0].right_q)
 
 
 def test_interceptor_splits_the_channel():
@@ -150,10 +167,10 @@ def test_interceptor_splits_the_channel():
         ("r2", "bob"),
     ]
     alice_seg, bob_seg = segments
-    sim.assert_bell_pair(alice_seg.left_q, alice_seg.right_q)
-    sim.assert_bell_pair(bob_seg.left_q, bob_seg.right_q)
-    with pytest.raises(EntanglementError):
-        sim.assert_bell_pair(alice_seg.left_q, bob_seg.right_q)
+    assert_bell_pair(sim, alice_seg.left_q, alice_seg.right_q)
+    assert_bell_pair(sim, bob_seg.left_q, bob_seg.right_q)
+    with pytest.raises(AssertionError):
+        assert_bell_pair(sim, alice_seg.left_q, bob_seg.right_q)
     assert alice_seg.right_q.id in sim.group_members(alice_seg.left_q)
 
 

@@ -178,7 +178,10 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
 
 def test_stuck_session_exits_1_instead_of_hanging(monkeypatch, capsys):
     def busy_forever(self, event):
-        self.state.sent_count += 1  # always "progresses", never completes
+        # always progresses (changes phase), never completes
+        st = self.state
+        st.phase = (protocol.Phase.AUTH_PREPARE if st.phase is protocol.Phase.DATA_TRANSFER
+                    else protocol.Phase.DATA_TRANSFER)
         return []
 
     monkeypatch.setattr(protocol.Responder, "step", busy_forever)

@@ -4,22 +4,25 @@ end-of-session bookkeeping."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qauthsim as qa
-from qauthsim.adversary import Honest, InterceptResend, RepeaterState
-from qauthsim.keyschedule import ScheduleConfig
+from helpers import assert_bell_pair
+from qauthsim.adversary import Honest, InterceptResend, RepeaterState, parse_behavior
+from qauthsim.cli import main
+from qauthsim.experiments import trial_seed
+from qauthsim.keyschedule import KeyMaterial, ScheduleConfig
 from qauthsim.netsim import (
-    ClassicalMessage,
     EntanglementFabric,
     Topology,
     default_malicious_node,
     run_trial,
     sweep_bound,
     topology_from_json,
-    write_trace,
 )
-from qauthsim.protocol import SessionConfig
-from qauthsim.qsim import SimulationError, Simulator, make_rng
+from qauthsim.protocol import PayloadDistribution, SessionConfig
+from qauthsim.qsim import NAMED_STATES, SimulationError, Simulator, make_rng
 
 CHAIN = Topology.chain(1)
 
@@ -112,7 +115,7 @@ def test_mitm_pair_layout_on_two_edge_path():
         ("r1", "bob"),
     ]
     for seg in segments:
-        sim.assert_bell_pair(seg.left_q, seg.right_q)
+        assert_bell_pair(sim, seg.left_q, seg.right_q)
 
 
 # -- trial determinism and bookkeeping -------------------------------------------------
@@ -267,41 +270,73 @@ def test_sweep_bound_worst_case_is_nearly_reached():
         run_trial(CHAIN, Honest(), cfg, seed=3, max_sweeps=int(0.9 * half))
 
 
+@st.composite
+def trial_cases(draw):
+    behavior = draw(st.sampled_from(
+        ["honest", "intercept_random", "intercept_z", "intercept_x"]))
+    repeaters = draw(st.integers(0 if behavior == "honest" else 1, 4))
+    t = draw(st.integers(1, 5))
+    bits = draw(st.lists(st.integers(0, 1), min_size=max(t, 2), max_size=24))
+    if not any(bits):
+        bits[draw(st.integers(0, len(bits) - 1))] = 1
+    session = SessionConfig(
+        key=KeyMaterial(tuple(bits)),
+        sched=ScheduleConfig(t, draw(st.integers(0, 1))),
+        data_qubit_target=draw(st.integers(0, 20)),
+        reverse_auth=draw(st.booleans()),
+        payload=PayloadDistribution(draw(st.sampled_from(["uniform4", "haar"]))),
+    )
+    return Topology.chain(repeaters), parse_behavior(behavior), session, draw(
+        st.integers(0, 2**64 - 1))
+
+
+@given(trial_cases())
+@settings(max_examples=200, deadline=None)
+def test_random_trials_keep_invariants(case):
+    # run_trial raises SimulationError if a qubit outlives the trial.
+    topo, behavior, session, seed = case
+    bound = sweep_bound(
+        session.data_qubit_target, session.key.length, session.sched.transfer_length
+    )
+    record = run_trial(topo, behavior, session, seed, max_sweeps=bound)
+    if behavior == Honest():
+        assert not record.detected and record.completed
+        assert record.data_qubits_intact == record.data_qubits_delivered
+        assert record.data_qubits_delivered == session.data_qubit_target
+
+
 # -- wire format ------------------------------------------------------------------------
 
 
-def test_classical_message_serialization():
-    msg = ClassicalMessage("alice", "bob", "teleport_correction", (1, 0), 7)
-    assert msg.to_json() == {
-        "sender": "alice",
-        "receiver": "bob",
-        "kind": "teleport_correction",
-        "bits": [1, 0],
-        "seq": 7,
-    }
-    control = ClassicalMessage("alice", "bob", "session_control", None, 8)
-    assert control.to_json()["bits"] is None
-
-
 def test_message_log_kinds_and_counts():
+    # Every swap and every hop sends one classical message, the correction
+    # bits of its teleport; the trace numbers them in order.
     sim = Simulator()
     repeater = RepeaterState(Honest(), None, 0)
-    fabric = EntanglementFabric(sim, Topology.chain(2), repeater, make_rng(3))
-    seg = fabric.provision()[0]
-    payload = sim.allocate_named("+")
-    fabric.transfer(payload, "forward")
-    kinds = [m.kind for m in fabric.messages]
-    assert kinds.count("swap_correction") == 4  # 2 intermediates x 2 provisions
-    assert kinds.count("teleport_correction") == 1
-    assert fabric.teleports == 1
-    assert fabric.segments_consumed == 1
-    del seg
-
-
-def test_write_trace_jsonl(tmp_path):
     trace = []
-    run_trial(CHAIN, Honest(), config(target=5), seed=12, trace=trace)
+    fabric = EntanglementFabric(sim, Topology.chain(2), repeater, make_rng(3), trace)
+    fabric.provision()
+    payload = sim.allocate_qubit(NAMED_STATES["+"])
+    fabric.transfer(payload, "forward")
+    kinds = [r["event"] for r in trace]
+    assert kinds.count("swap") == 4  # 2 intermediates x 2 provisions
+    assert kinds.count("teleport") == 1
+    assert [r["seq"] for r in trace] == list(range(5))
+    assert all(len(r["bits"]) == 2 for r in trace)
+    assert (fabric.swaps, fabric.teleports) == (4, 1)
+
+
+def test_write_trace_jsonl(tmp_path, capsys):
     path = tmp_path / "trace.jsonl"
-    write_trace(path, trace)
+    argv = ["custom", "-T", "2", "--trials", "2", "--data-qubits", "5",
+            "--adversary", "honest", "--key-length", "64", "--seed", "12",
+            "--format", "csv", "--trace", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    expected = []
+    for i in range(2):
+        trace = []
+        run_trial(CHAIN, Honest(), config(target=5), trial_seed(12, 2, i), trace=trace)
+        expected += [{"transfer_length": 2, "trial_index": i, **r} for r in trace]
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines == trace
+    assert lines == expected

@@ -32,13 +32,13 @@ def honest_config(t, target, key="1101", **kwargs):
 def test_prepare_minus_state():
     sim = Simulator()
     q = prepare_auth_qubit(sim, AuthPlan(1, 1))
-    assert states_equal(sim.state_of(q), NAMED_STATES["-"], tol=1e-12)
+    assert states_equal(sim.amplitudes(q), NAMED_STATES["-"], tol=1e-12)
 
 
 def test_prepare_zero_applies_no_gates():
     sim = Simulator()
     q = prepare_auth_qubit(sim, AuthPlan(0, 0))
-    np.testing.assert_array_equal(sim.state_of(q), np.array([1, 0], dtype=complex))
+    np.testing.assert_array_equal(sim.amplitudes(q), np.array([1, 0], dtype=complex))
 
 
 def test_prepare_matches_expected_state_table():
@@ -48,7 +48,7 @@ def test_prepare_matches_expected_state_table():
             plan = AuthPlan(enc, base)
             q = prepare_auth_qubit(sim, plan)
             assert states_equal(
-                sim.state_of(q), NAMED_STATES[plan.expected_state], tol=1e-12
+                sim.amplitudes(q), NAMED_STATES[plan.expected_state], tol=1e-12
             )
             sim.release(q)
 
@@ -158,7 +158,7 @@ def test_fixed_payload_distribution():
     for _ in range(20):
         q, truth = sample_payload(sim, dist, rng)
         np.testing.assert_array_equal(truth, NAMED_STATES["0"])
-        assert states_equal(sim.state_of(q), NAMED_STATES["0"])
+        assert states_equal(sim.amplitudes(q), NAMED_STATES["0"])
         sim.release(q)
 
 

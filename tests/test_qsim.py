@@ -1,7 +1,6 @@
 """State-vector simulator tests: gate algebra, Born statistics, teleportation
 and swap chains, checked against independent dense-matrix oracles."""
 
-import json
 import math
 
 import numpy as np
@@ -9,15 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_bell_pair
 from qauthsim.qsim import (
     Basis,
     CapacityError,
     DeadQubitError,
-    EntanglementError,
     NAMED_STATES,
     Simulator,
     SimulationError,
-    apply_pauli_corrections,
     derive_seed,
     make_rng,
     states_equal,
@@ -65,7 +63,7 @@ def test_two_allocations_are_independent_groups():
     assert sim.group_members(a) == (a.id,)
     assert sim.group_members(b) == (b.id,)
     # joint state is the tensor product of the singletons
-    joint = np.kron(sim.state_of(a), sim.state_of(b))
+    joint = np.kron(sim.amplitudes(a), sim.amplitudes(b))
     assert states_equal(joint, np.array([1, 0, 0, 0], dtype=complex))
 
 
@@ -74,7 +72,7 @@ def test_x_then_h_gives_minus():
     q = sim.allocate_qubit()
     sim.apply_x(q)
     sim.apply_h(q)
-    np.testing.assert_allclose(sim.state_of(q), np.array([SQ, -SQ]), atol=1e-12)
+    np.testing.assert_allclose(sim.amplitudes(q), np.array([SQ, -SQ]), atol=1e-12)
 
 
 def test_h_is_involutory():
@@ -83,10 +81,10 @@ def test_h_is_involutory():
     for _ in range(20):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         q = sim.allocate_qubit(v)
-        before = sim.state_of(q)
+        before = sim.amplitudes(q)
         sim.apply_h(q)
         sim.apply_h(q)
-        np.testing.assert_allclose(sim.state_of(q), before, atol=1e-9)
+        np.testing.assert_allclose(sim.amplitudes(q), before, atol=1e-9)
         sim.release(q)
 
 
@@ -98,7 +96,7 @@ def test_bell_circuit_matches_dense_oracle():
     b = sim.allocate_qubit()
     sim.apply_h(a)
     sim.apply_cnot(a, b)
-    np.testing.assert_allclose(sim.state_of(a), expected, atol=1e-12)
+    np.testing.assert_allclose(sim.amplitudes(a), expected, atol=1e-12)
     np.testing.assert_allclose(expected, BELL, atol=1e-12)
 
 
@@ -106,7 +104,7 @@ def test_minus_in_x_basis_is_deterministic():
     sim = Simulator()
     rng = make_rng(3)
     for _ in range(50):
-        q = sim.allocate_named("-")
+        q = sim.allocate_qubit(NAMED_STATES["-"])
         assert sim.measure(q, Basis.X, rng) == 1
         sim.release(q)
 
@@ -116,7 +114,7 @@ def test_minus_in_z_basis_is_fair():
     rng = make_rng(4)
     ones = 0
     for _ in range(10_000):
-        q = sim.allocate_named("-")
+        q = sim.allocate_qubit(NAMED_STATES["-"])
         ones += sim.measure(q, Basis.Z, rng)
         sim.release(q)
     assert abs(ones / 10_000 - 0.5) < 0.02
@@ -175,7 +173,7 @@ def test_bell_measure_plus_against_bell_half_is_uniform():
     counts = {}
     n = 10_000
     for _ in range(n):
-        q = sim.allocate_named("+")
+        q = sim.allocate_qubit(NAMED_STATES["+"])
         a, b = sim.make_bell_pair()
         out = sim.bell_measure(q, a, rng)
         assert out[0] in (0, 1) and out[1] in (0, 1)
@@ -189,11 +187,12 @@ def test_teleport_minus_state():
     sim = Simulator()
     rng = make_rng(9)
     for _ in range(50):
-        payload = sim.allocate_named("-")
+        payload = sim.allocate_qubit(NAMED_STATES["-"])
         e1, e2 = sim.make_bell_pair()
-        res = sim.teleport(payload, e1, e2, rng)
-        assert sim.measure(res.qubit, Basis.X, rng) == 1
-        sim.release(res.qubit)
+        assert_bell_pair(sim, e1, e2)
+        sim.teleport(payload, e1, e2, rng)
+        assert sim.measure(e2, Basis.X, rng) == 1
+        sim.release(e2)
 
 
 def test_teleport_zero_state():
@@ -201,8 +200,9 @@ def test_teleport_zero_state():
     rng = make_rng(10)
     payload = sim.allocate_qubit()
     e1, e2 = sim.make_bell_pair()
-    res = sim.teleport(payload, e1, e2, rng)
-    assert sim.measure(res.qubit, Basis.Z, rng) == 0
+    assert_bell_pair(sim, e1, e2)
+    sim.teleport(payload, e1, e2, rng)
+    assert sim.measure(e2, Basis.Z, rng) == 0
 
 
 def test_teleport_random_states_full_fidelity():
@@ -214,19 +214,21 @@ def test_teleport_random_states_full_fidelity():
         v /= np.linalg.norm(v)
         payload = sim.allocate_qubit(v)
         e1, e2 = sim.make_bell_pair()
-        res = sim.teleport(payload, e1, e2, rng)
-        assert states_equal(sim.state_of(res.qubit), v, tol=1e-9)
-        assert res.correction_bits[0] in (0, 1) and res.correction_bits[1] in (0, 1)
-        sim.release(res.qubit)
+        assert_bell_pair(sim, e1, e2)
+        m_a, m_b = sim.teleport(payload, e1, e2, rng)
+        assert states_equal(sim.amplitudes(e2), v, tol=1e-9)
+        assert m_a in (0, 1) and m_b in (0, 1)
+        assert not sim.is_live(payload) and not sim.is_live(e1)
+        sim.release(e2)
 
 
 def _swap_chain(sim, rng, hops):
-    """Build an end-to-end pair from `hops` adjacent pairs via swaps."""
+    """Build an end-to-end pair from `hops` adjacent pairs via swaps: each
+    swap teleports the chain's far half over the next pair."""
     left, right = sim.make_bell_pair()
     for _ in range(hops - 1):
         a, b = sim.make_bell_pair()
-        bits = sim.entanglement_swap(right, a, rng)
-        apply_pauli_corrections(sim, b, *bits)
+        sim.teleport(right, a, b, rng)
         right = b
     return left, right
 
@@ -303,7 +305,7 @@ def test_fused_bell_measure_matches_gate_sequence(case):
     for q in (q for qubits in groups for q in qubits if q not in (a, b)):
         assert sim.group_members(q) == ref_sim.group_members(q)
         np.testing.assert_allclose(
-            sim.state_of(q), ref_sim.state_of(q), rtol=0, atol=1e-12
+            sim.amplitudes(q), ref_sim.amplitudes(q), rtol=0, atol=1e-12
         )
 
 
@@ -326,9 +328,10 @@ def test_swap_chain_equals_direct_pair_for_teleport():
         v /= np.linalg.norm(v)
         left, right = _swap_chain(sim, rng, hops=2)
         payload = sim.allocate_qubit(v)
-        res = sim.teleport(payload, left, right, rng)
-        assert states_equal(sim.state_of(res.qubit), v, tol=1e-9)
-        sim.release(res.qubit)
+        assert_bell_pair(sim, left, right)
+        sim.teleport(payload, left, right, rng)
+        assert states_equal(sim.amplitudes(right), v, tol=1e-9)
+        sim.release(right)
 
 
 @pytest.mark.parametrize("hops", [2, 3, 4, 5])
@@ -338,9 +341,9 @@ def test_chained_swaps_keep_bell_correlation(hops):
     rng = make_rng(16)
     for _ in range(100):
         left, right = _swap_chain(sim, rng, hops=hops)
-        sim.assert_bell_pair(left, right)
+        assert_bell_pair(sim, left, right)
         np.testing.assert_allclose(
-            np.abs(sim.state_of(left)), np.abs(BELL), atol=1e-9
+            np.abs(sim.amplitudes(left)), np.abs(BELL), atol=1e-9
         )
         assert sim.measure(left, Basis.Z, rng) == sim.measure(right, Basis.Z, rng)
         sim.release(left)
@@ -365,7 +368,7 @@ def test_unitarity_under_random_gate_sequences():
         else:
             i, j = rng.choice(4, size=2, replace=False)
             sim.apply_cnot(qubits[i], qubits[j])
-    norm = np.linalg.norm(sim.state_of(qubits[0]))
+    norm = np.linalg.norm(sim.amplitudes(qubits[0]))
     assert abs(norm - 1.0) <= 1e-9
 
 
@@ -482,17 +485,18 @@ def test_cnot_needs_distinct_qubits():
 
 
 def test_teleport_rejects_unentangled_pair():
+    # The check these tests run before every teleport refuses separate
+    # qubits and a product state within one group alike.
     sim = Simulator()
-    rng = make_rng(22)
-    payload = sim.allocate_qubit()
     a = sim.allocate_qubit()
     b = sim.allocate_qubit()
-    with pytest.raises(EntanglementError):
-        sim.teleport(payload, a, b, rng)
-    # same group but a product state is just as invalid
+    with pytest.raises(AssertionError):
+        assert_bell_pair(sim, a, b)
     sim.apply_cnot(a, b)
-    with pytest.raises(EntanglementError):
-        sim.teleport(payload, a, b, rng)
+    with pytest.raises(AssertionError):
+        assert_bell_pair(sim, a, b)
+    c, d = sim.make_bell_pair()
+    assert_bell_pair(sim, d, c)
 
 
 def test_release_rejects_entangled_qubit():
@@ -500,16 +504,6 @@ def test_release_rejects_entangled_qubit():
     a, b = sim.make_bell_pair()
     with pytest.raises(SimulationError):
         sim.release(a)
-
-
-def test_dump_state_is_json_ready():
-    sim = Simulator()
-    a, b = sim.make_bell_pair()
-    dump = sim.dump_state(a)
-    parsed = json.loads(json.dumps(dump))
-    assert parsed["qubits"] == [a.id, b.id]
-    amps = [complex(re, im) for re, im in parsed["amplitudes"]]
-    np.testing.assert_allclose(amps, BELL, atol=1e-12)
 
 
 def test_allocate_rejects_bad_states():
@@ -521,16 +515,3 @@ def test_allocate_rejects_bad_states():
     with pytest.raises(ValueError):
         sim.allocate_qubit([float("nan"), 1])
 
-
-def test_apply_gate_by_name():
-    sim = Simulator()
-    rng = make_rng(23)
-    q = sim.allocate_qubit()
-    sim.apply_gate("X", q)
-    sim.apply_gate("H", q)
-    sim.apply_gate("Z", q)
-    assert states_equal(sim.state_of(q), NAMED_STATES["+"])
-    a = sim.allocate_qubit()
-    sim.apply_gate("CNOT", q, a)
-    with pytest.raises(ValueError):
-        sim.apply_gate("Y", q)
