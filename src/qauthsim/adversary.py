@@ -68,22 +68,6 @@ def parse_behavior(label: str) -> Behavior:
         ) from None
 
 
-@dataclass(frozen=True)
-class InterceptEvent:
-    seq: int
-    direction: str  # "forward" (initiator->responder) or "reverse"
-    basis: Basis
-    outcome: int
-
-    def to_json(self) -> dict:
-        return {
-            "seq": self.seq,
-            "direction": self.direction,
-            "basis": self.basis.value,
-            "outcome": self.outcome,
-        }
-
-
 class RepeaterState:
     """Per-trial adversary state: behavior, position, own RNG, intercept log."""
 
@@ -93,7 +77,9 @@ class RepeaterState:
         self.behavior = behavior
         self.node = node
         self.rng = make_rng(seed)
-        self.log: list[InterceptEvent] = []
+        # one JSON-ready record per intercepted qubit: seq, direction
+        # ("forward" is initiator to responder, or "reverse"), basis, outcome
+        self.log: list[dict] = []
 
     def swaps_at(self, node: str) -> bool:
         """Whether this node performs its entanglement swap honestly."""
@@ -127,7 +113,8 @@ def handle_arrival(
     outcome = sim.measure(qubit, basis, world_rng)
     sim.release(qubit)
     state.log.append(
-        InterceptEvent(seq=len(state.log), direction=direction, basis=basis, outcome=outcome)
+        {"seq": len(state.log), "direction": direction, "basis": basis.value,
+         "outcome": outcome}
     )
     fresh = sim.allocate_qubit()
     if outcome:

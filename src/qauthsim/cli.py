@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import experiments as exp
 from . import netsim
@@ -28,23 +29,11 @@ _CONFIG_ALIASES = {
     "format": "output_format",
 }
 
-_CONFIG_KEYS = {
-    "t_values",
-    "trials",
-    "data_target",
-    "adversary",
-    "master_seed",
-    "output_format",
-    "out",
-    "key_length",
-    "key",
-    "key_bits",
-    "encoding_index",
-    "reverse_auth",
-    "payload",
-    "malicious_node",
-    "analytic_rounds",
-}
+#: config-file keys, each also a flag's dest: every config field but the
+#: experiment (the subcommand) and the topology (read from its own keys)
+_CONFIG_KEYS = frozenset(
+    f.name for f in fields(exp.ExperimentConfig) if f.name not in ("experiment", "topology")
+)
 
 
 def load_config_file(path: str) -> dict:
@@ -52,15 +41,13 @@ def load_config_file(path: str) -> dict:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise exp.ConfigError("config file must hold a JSON object")
-    out: dict = {}
-    topology_keys = {k: raw[k] for k in ("nodes", "edges", "path") if k in raw}
+    topology = {k: raw.pop(k) for k in netsim.TOPOLOGY_KEYS if k in raw}
     if "topology" in raw:
-        topology_keys = raw["topology"]
-    if topology_keys:
-        out["topology"] = netsim.topology_from_json(topology_keys)
+        if topology:
+            raise exp.ConfigError("give either topology or nodes, edges and path")
+        topology = raw.pop("topology")
+    out: dict = {"topology": netsim.topology_from_json(topology)}
     for key, value in raw.items():
-        if key in ("nodes", "edges", "path", "topology"):
-            continue
         key = key.lower()
         key = _CONFIG_ALIASES.get(key, key)
         if key not in _CONFIG_KEYS:

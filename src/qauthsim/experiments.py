@@ -225,9 +225,6 @@ def run_experiment(
             payload=payload,
             key_length=cfg.key_length,
         )
-        max_sweeps = netsim.sweep_bound(
-            cfg.data_target, key.length if key else cfg.key_length, t
-        )
         batch: list[netsim.TrialRecord] = []
         for i in range(cfg.trials):
             trace = [] if trace_sink is not None else None
@@ -240,7 +237,6 @@ def run_experiment(
                 malicious_node=cfg.malicious_node,
                 trace=trace,
                 intercept_log=intercepts,
-                max_sweeps=max_sweeps,
             )
             batch.append(record)
             if trace_sink is not None:
@@ -249,11 +245,7 @@ def run_experiment(
                 )
             if intercept_sink is not None:
                 intercept_sink.append(
-                    {
-                        "transfer_length": t,
-                        "trial_index": i,
-                        "events": [e.to_json() for e in intercepts],
-                    }
+                    {"transfer_length": t, "trial_index": i, "events": intercepts}
                 )
         records[t] = batch
         rows.append(aggregate(t, batch))
@@ -299,21 +291,6 @@ def capacity_report(key_length: int, t_values) -> list[dict]:
 
 # -- emitters ------------------------------------------------------------------
 
-CAMPAIGN_COLUMNS = (
-    "T",
-    "trials",
-    "detection_rate",
-    "detection_rate_ci",
-    "mean_rounds",
-    "mean_rounds_ci",
-    "mean_leakage",
-    "mean_leakage_ci",
-    "overhead",
-    "overhead_ci",
-    "master_seed",
-)
-
-
 def format_value(x) -> str:
     if x is None:
         return ""
@@ -327,24 +304,13 @@ def format_value(x) -> str:
 
 
 def campaign_row_dicts(result: ExperimentResult) -> list[dict]:
-    out = []
-    for row in result.rows:
-        out.append(
-            {
-                "T": row.transfer_length,
-                "trials": row.trials,
-                "detection_rate": row.detection_rate,
-                "detection_rate_ci": row.detection_rate_ci,
-                "mean_rounds": row.mean_rounds,
-                "mean_rounds_ci": row.mean_rounds_ci,
-                "mean_leakage": row.mean_leakage,
-                "mean_leakage_ci": row.mean_leakage_ci,
-                "overhead": row.overhead,
-                "overhead_ci": row.overhead_ci,
-                "master_seed": result.config.master_seed,
-            }
-        )
-    return out
+    """The MetricsRow fields in order, transfer_length named T, then the
+    master seed: the campaign CSV columns."""
+    seed = {"master_seed": result.config.master_seed}
+    return [
+        {"T" if k == "transfer_length" else k: v for k, v in asdict(row).items()} | seed
+        for row in result.rows
+    ]
 
 
 def rows_to_csv(rows: list[dict]) -> str:

@@ -55,14 +55,6 @@ class Topology:
                 raise ValueError(f"path hop ({u}, {v}) is not an edge")
 
     @property
-    def initiator_node(self) -> str:
-        return self.path[0]
-
-    @property
-    def responder_node(self) -> str:
-        return self.path[-1]
-
-    @property
     def intermediates(self) -> tuple[str, ...]:
         return self.path[1:-1]
 
@@ -77,14 +69,32 @@ class Topology:
         return cls(nodes=path, edges=edges, path=path)
 
 
-def topology_from_json(obj: dict) -> Topology:
-    if not obj:
+TOPOLOGY_KEYS = ("nodes", "edges", "path")
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def topology_from_json(obj) -> Topology:
+    """Topology from an object holding ``nodes`` and ``path`` (lists of
+    node names) and ``edges`` (a list of node pairs), all three together.
+    The empty object is the default 1-repeater chain."""
+    if obj == {}:
         return Topology.chain(1)
-    return Topology(
-        nodes=tuple(obj["nodes"]),
-        edges=tuple((u, v) for u, v in obj["edges"]),
-        path=tuple(obj["path"]),
-    )
+    if not isinstance(obj, dict) or set(obj) != set(TOPOLOGY_KEYS):
+        raise ValueError(
+            "topology must be an object with the keys nodes, edges and path"
+        )
+    for key in ("nodes", "path"):
+        if not _is_str_list(obj[key]):
+            raise ValueError(f"topology {key} must be a list of node names")
+    edges = obj["edges"]
+    if not isinstance(edges, list) or not all(
+        _is_str_list(e) and len(e) == 2 for e in edges
+    ):
+        raise ValueError("topology edges must be a list of node-name pairs")
+    return Topology(tuple(obj["nodes"]), tuple(map(tuple, edges)), tuple(obj["path"]))
 
 
 @dataclass(frozen=True)
@@ -243,9 +253,6 @@ def sweep_bound(data_target: int, key_length: int, transfer_length: int) -> int:
     return 2 * (data_target + SWEEPS_PER_ROUND * rounds)
 
 
-_TICK = proto.Tick()
-
-
 def run_trial(
     topology: Topology,
     behavior: adv.Behavior,
@@ -255,12 +262,13 @@ def run_trial(
     malicious_node: str | None = None,
     trace: list | None = None,
     intercept_log: list | None = None,
-    max_sweeps: int | None = None,
 ) -> TrialRecord:
     """Drive one session end to end and summarize it.
 
     Deterministic: the world, repeater, and key streams are all derived from
     ``seed``, so identical arguments give an identical record (and trace).
+    Raises SimulationError when the session runs past ``sweep_bound``
+    scheduler sweeps or a qubit outlives the trial.
     """
     rng_world = make_rng(derive_seed(seed, 0))
     eve_seed = derive_seed(seed, 1)
@@ -269,6 +277,9 @@ def run_trial(
         config = replace(config, key=key)
     if config.data_qubit_target > 0 and not any(config.key.bits):
         raise ValueError("all-zero key never schedules a data window")
+    bound = sweep_bound(
+        config.data_qubit_target, config.key.length, config.sched.transfer_length
+    )
 
     node = None
     if isinstance(behavior, adv.InterceptResend):
@@ -293,24 +304,25 @@ def run_trial(
             inbox = inboxes[machine]
             if machine.absorbing:
                 while inbox:  # a terminated endpoint ignores late arrivals
-                    sim.release(inbox.popleft().qubit)
+                    sim.release(inbox.popleft())
                 continue
-            event = inbox.popleft() if inbox and machine.wants_qubit else _TICK
+            arrival = inbox.popleft() if inbox and machine.wants_qubit else None
             phase = machine.state.phase
-            actions = machine.step(event)
+            sent = machine.step(arrival)
             # A step changes the endpoint's counters only when it sends,
             # changes phase or consumes an arrival.
-            if actions or machine.state.phase is not phase or event is not _TICK:
+            if (sent is not None or arrival is not None
+                    or machine.state.phase is not phase):
                 progressed = True
-            for action in actions:
+            if sent is not None:
                 direction = "forward" if machine is alice else "reverse"
-                arrived = fabric.transfer(action.qubit, direction)
-                truth = alice.payload_truth.pop(action.qubit.id, None)
+                arrived = fabric.transfer(sent, direction)
+                truth = alice.payload_truth.pop(sent.id, None)
                 if truth is not None:
                     data_delivered += 1
                     if states_equal(sim.amplitudes(arrived), truth):
                         data_intact += 1
-                inboxes[peers[machine]].append(proto.QubitArrived(arrived))
+                inboxes[peers[machine]].append(arrived)
         if not progressed:
             # Nothing moved in a full sweep: a peer stopped talking. Close
             # out whoever is still waiting.
@@ -319,8 +331,8 @@ def run_trial(
                     machine.terminate("timeout")
             break
         sweeps += 1
-        if max_sweeps is not None and sweeps > max_sweeps:
-            raise SimulationError(f"trial exceeded {max_sweeps} scheduler sweeps")
+        if sweeps > bound:
+            raise SimulationError(f"trial exceeded {bound} scheduler sweeps")
 
     if sim.live_count():
         raise SimulationError(f"{sim.live_count()} qubits outlived the trial")

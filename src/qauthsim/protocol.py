@@ -108,38 +108,11 @@ class AuthVerdict:
 
 @dataclass
 class SessionState:
-    role: str
     phase: Phase = Phase.COMPUTE_R
     cursors: ks.KeyCursors = field(default_factory=ks.KeyCursors)
-    rounds_completed: int = 0  # auth exchanges that reached a verdict
     qubits_delivered: int = 0  # data qubits sent (initiator) / received (responder)
     sent_count: int = 0  # progress within the current window
     current_r: int = 0
-    terminate_reason: str | None = None
-
-
-# -- events and actions ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Tick:
-    """Scheduler turn with nothing in the inbox."""
-
-
-@dataclass(frozen=True)
-class QubitArrived:
-    qubit: QubitRef
-
-
-@dataclass(frozen=True)
-class SendQubit:
-    """Ask the transport to teleport this qubit to the peer endpoint."""
-
-    qubit: QubitRef
-
-
-Event = Tick | QubitArrived
-Action = SendQubit
 
 
 def prepare_auth_qubit(sim: Simulator, plan: ks.AuthPlan) -> QubitRef:
@@ -172,7 +145,7 @@ class _Endpoint:
         self.sim = sim
         self.rng = rng
         self.trace = trace
-        self.state = SessionState(role=self.role)
+        self.state = SessionState()
         self.plan: ks.AuthPlan | None = None
         self.verdicts: list[AuthVerdict] = []
         self.auth_qubits_sent = 0
@@ -195,15 +168,8 @@ class _Endpoint:
         if self.trace is not None:
             self.trace.append({"role": self.role, **record})
 
-    def _next_r(self) -> int:
-        return ks.next_r(self.key, self.sched, self.state.cursors)
-
-    def _next_plan(self) -> ks.AuthPlan:
-        return ks.next_auth_pair(self.key, self.sched, self.state.cursors)
-
     def terminate(self, reason: str) -> None:
         self.state.phase = Phase.TERMINATED
-        self.state.terminate_reason = reason
         self._emit(event="terminate", reason=reason)
 
     def _complete(self) -> None:
@@ -218,7 +184,7 @@ class _Endpoint:
         if st.qubits_delivered >= self.config.data_qubit_target:
             self._complete()
             return False
-        st.current_r = self._next_r()
+        st.current_r = ks.next_r(self.key, self.sched, st.cursors)
         st.sent_count = 0
         st.phase = Phase.DATA_TRANSFER
         return True
@@ -236,7 +202,6 @@ class _Endpoint:
             basis=self.plan.basis,
         )
         self.verdicts.append(verdict)
-        self.state.rounds_completed += 1
         self._emit(
             event="verdict",
             round=verdict.round_index,
@@ -247,7 +212,11 @@ class _Endpoint:
         )
         return verdict
 
-    def step(self, event: Event) -> list[Action]:
+    def step(self, arrival: QubitRef | None) -> QubitRef | None:
+        """Advance one scheduler turn, consuming ``arrival`` if given.
+
+        Returns the qubit to teleport to the peer, if this turn sends one.
+        """
         raise NotImplementedError
 
 
@@ -260,14 +229,14 @@ class Initiator(_Endpoint):
         super().__init__(config, sim, rng, trace)
         self.payload_truth: dict[int, np.ndarray] = {}
 
-    def step(self, event: Event) -> list[Action]:
+    def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state
         if self.absorbing:
-            return []
+            return None
 
         if st.phase is Phase.COMPUTE_R:
             if not self._open_window():
-                return []
+                return None
             self._emit(event="window", round=st.cursors.round_index + 1, r=st.current_r)
             # fall through to start sending this turn
 
@@ -275,30 +244,28 @@ class Initiator(_Endpoint):
             if st.sent_count == st.current_r:
                 # A fully transferred window is always authenticated, even
                 # when it ends exactly on the delivery target.
-                self.plan = self._next_plan()
+                self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
                 st.phase = Phase.AUTH_AWAIT
-                return []
+                return None
             if st.qubits_delivered >= self.config.data_qubit_target:
                 self._complete()
-                return []
+                return None
             qubit, truth = sample_payload(self.sim, self.config.payload, self.rng)
             self.payload_truth[qubit.id] = truth
             st.sent_count += 1
             st.qubits_delivered += 1
-            return [SendQubit(qubit)]
+            return qubit
 
         if st.phase is Phase.AUTH_AWAIT:
-            if not isinstance(event, QubitArrived):
-                return []
-            verdict = self._verify(event.qubit)
+            if arrival is None:
+                return None
+            verdict = self._verify(arrival)
             if not verdict.passed:
                 self.terminate("authentication failed")
-                return []
-            if self.config.reverse_auth:
-                st.phase = Phase.AUTH_PREPARE
-                return []
-            st.phase = Phase.COMPUTE_R
-            return []
+                return None
+            reverse = self.config.reverse_auth
+            st.phase = Phase.AUTH_PREPARE if reverse else Phase.COMPUTE_R
+            return None
 
         if st.phase is Phase.AUTH_PREPARE:
             # Reverse authentication: prove our own identity with the same
@@ -306,10 +273,10 @@ class Initiator(_Endpoint):
             qubit = prepare_auth_qubit(self.sim, self.plan)
             self.auth_qubits_sent += 1
             self._emit(event="prepare_auth", state=self.plan.expected_state)
-            self.state.phase = Phase.COMPUTE_R
-            return [SendQubit(qubit)]
+            st.phase = Phase.COMPUTE_R
+            return qubit
 
-        return []
+        return None
 
 
 class Responder(_Endpoint):
@@ -321,51 +288,48 @@ class Responder(_Endpoint):
     def wants_qubit(self) -> bool:
         return self.state.phase in (Phase.DATA_TRANSFER, Phase.AUTH_AWAIT)
 
-    def step(self, event: Event) -> list[Action]:
+    def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state
         if self.absorbing:
-            return []
+            return None
 
         if st.phase is Phase.COMPUTE_R and not self._open_window():
-            return []
+            return None
 
         if st.phase is Phase.DATA_TRANSFER:
             if st.sent_count == st.current_r:
                 st.phase = Phase.AUTH_PREPARE
                 # prepare on this same turn
-            elif isinstance(event, QubitArrived):
-                self.sim.release(event.qubit)
+            elif arrival is not None:
+                self.sim.release(arrival)
                 st.sent_count += 1
                 st.qubits_delivered += 1
                 if st.sent_count == st.current_r:
                     st.phase = Phase.AUTH_PREPARE
                 elif st.qubits_delivered >= self.config.data_qubit_target:
                     self._complete()
-                return []
+                return None
             else:
                 if st.qubits_delivered >= self.config.data_qubit_target:
                     self._complete()
-                return []
+                return None
 
         if st.phase is Phase.AUTH_PREPARE:
-            self.plan = self._next_plan()
+            self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
             qubit = prepare_auth_qubit(self.sim, self.plan)
             self.auth_qubits_sent += 1
             self._emit(event="prepare_auth", state=self.plan.expected_state)
-            if self.config.reverse_auth:
-                st.phase = Phase.AUTH_AWAIT
-            else:
-                st.phase = Phase.COMPUTE_R
-            return [SendQubit(qubit)]
+            st.phase = Phase.AUTH_AWAIT if self.config.reverse_auth else Phase.COMPUTE_R
+            return qubit
 
         if st.phase is Phase.AUTH_AWAIT:
-            if not isinstance(event, QubitArrived):
-                return []
-            verdict = self._verify(event.qubit)
+            if arrival is None:
+                return None
+            verdict = self._verify(arrival)
             if not verdict.passed:
                 self.terminate("authentication failed")
-                return []
+                return None
             st.phase = Phase.COMPUTE_R
-            return []
+            return None
 
-        return []
+        return None

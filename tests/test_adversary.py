@@ -75,7 +75,7 @@ def test_z_interceptor_smashes_minus_state():
         )
         fails += sim.measure(out, Basis.X, rng) != 1
         sim.release(out)
-    outcomes = [e.outcome for e in state.log]
+    outcomes = [e["outcome"] for e in state.log]
     assert abs(sum(outcomes) / n - 0.5) < 0.02  # collapse is equiprobable
     assert abs(fails / n - 0.5) < 0.02  # verifier misses half the time
 
@@ -88,7 +88,7 @@ def test_intercept_log_contents_and_export(tmp_path, capsys):
         q = sim.allocate_qubit(NAMED_STATES["+"])
         out = handle_arrival(state, sim, q, "forward" if i % 2 else "reverse", rng)
         sim.release(out)
-    assert [e.seq for e in state.log] == list(range(6))
+    assert [e["seq"] for e in state.log] == list(range(6))
 
     # The CLI exports each trial's log as JSON lines tagged with the trial.
     path = tmp_path / "intercepts.jsonl"
@@ -102,9 +102,8 @@ def test_intercept_log_contents_and_export(tmp_path, capsys):
         log = []
         qa.run_trial(CHAIN, InterceptResend("random_zx"), mitm_config(target=6),
                      trial_seed(9, 1, i), intercept_log=log)
-        assert [e.seq for e in log] == list(range(len(log)))
-        expected += [{"transfer_length": 1, "trial_index": i, **e.to_json()}
-                     for e in log]
+        assert [e["seq"] for e in log] == list(range(len(log)))
+        expected += [{"transfer_length": 1, "trial_index": i, **e} for e in log]
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines == expected and lines
     assert set(lines[0]) == {
@@ -227,7 +226,7 @@ def test_blindness_same_stream_same_bases():
         qa.run_trial(
             CHAIN, InterceptResend("random_zx"), cfg, seed=77, intercept_log=log
         )
-        return [e.basis for e in log]
+        return [e["basis"] for e in log]
 
     a = bases("110100110100")
     b = bases("011011101001")

@@ -1,0 +1,40 @@
+"""The benchmark's per-layer spans (``campaignbench --trace 1``) wrap
+qauthsim functions through their module attributes. This runs the
+benchmark's own hook installer on a 1-trial campaign and checks that every
+wrapped layer is still reached, so a refactor that renames a layer or calls
+it by another path fails here instead of silently zeroing a metric."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import worker
+from qauthsim import cli
+
+spans = worker.Spans()
+steps = worker.install_spans(spans)
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["fig2_success", "-T", "1", "--trials", "1", "--seed", "5",
+                       "--format", "csv"])
+print(json.dumps({"status": status, "calls": spans.calls, "steps": steps}))
+"""
+
+
+def test_benchmark_spans_reach_every_layer():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "campaignbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert out["status"] == 0
+    calls = out["calls"]
+    for layer in ("protocol.step", "netsim.provision", "keyschedule.next_r"):
+        assert calls[layer] > 0, layer
+    assert {name for name, n in calls.items() if n == 0} == set()
+    assert 0 < out["steps"]["useful"] <= out["steps"]["all"]

@@ -165,7 +165,11 @@ def test_fixed_key_shorter_than_transfer_length_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "setting",
     [{"trials": 2.5}, {"trials": "3"}, {"reverse_auth": "no"}, {"T": [1, "2"]},
-     {"seed": True}, {"adversary": ["honest"]}, {"analytic_rounds": "8"}],
+     {"seed": True}, {"adversary": ["honest"]}, {"analytic_rounds": "8"},
+     {"path": ["alice", "r1", "bob"]}, {"topology": 5},
+     {"nodes": "ab", "edges": [["a", "b"]], "path": ["a", "b"]},
+     {"topology": {"nodes": ["a", "b"], "edges": [["a"]], "path": ["a", "b"]}},
+     {"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a", "b"], "topology": {}}],
 )
 def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
     path = tmp_path / "bad.json"
@@ -177,12 +181,12 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
 
 
 def test_stuck_session_exits_1_instead_of_hanging(monkeypatch, capsys):
-    def busy_forever(self, event):
+    def busy_forever(self, arrival):
         # always progresses (changes phase), never completes
         st = self.state
         st.phase = (protocol.Phase.AUTH_PREPARE if st.phase is protocol.Phase.DATA_TRANSFER
                     else protocol.Phase.DATA_TRANSFER)
-        return []
+        return None
 
     monkeypatch.setattr(protocol.Responder, "step", busy_forever)
     code, out, err = run(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qauthsim as qa
 from helpers import assert_bell_pair
 from qauthsim.adversary import Honest, InterceptResend, RepeaterState, parse_behavior
+from qauthsim import netsim, protocol
 from qauthsim.cli import main
 from qauthsim.experiments import trial_seed
 from qauthsim.keyschedule import KeyMaterial, ScheduleConfig
@@ -18,7 +19,6 @@ from qauthsim.netsim import (
     Topology,
     default_malicious_node,
     run_trial,
-    sweep_bound,
     topology_from_json,
 )
 from qauthsim.protocol import PayloadDistribution, SessionConfig
@@ -43,8 +43,6 @@ def config(t=2, target=20, key=None, key_length=64, **kwargs):
 def test_chain_topology_layout():
     topo = Topology.chain(3)
     assert topo.path == ("alice", "r1", "r2", "r3", "bob")
-    assert topo.initiator_node == "alice"
-    assert topo.responder_node == "bob"
     assert topo.intermediates == ("r1", "r2", "r3")
     assert default_malicious_node(topo) == "r2"
 
@@ -243,9 +241,32 @@ def test_trial_with_malicious_node_choice():
     assert record.detected
 
 
-def test_sweep_cap_guard():
-    with pytest.raises(Exception):
-        run_trial(CHAIN, Honest(), config(target=500), seed=2, max_sweeps=10)
+def cap_sweeps_at_worst_case(monkeypatch, fraction):
+    # Half of sweep_bound is the derived worst case; run_trial enforces
+    # this fraction of it instead.
+    inner = netsim.sweep_bound
+    monkeypatch.setattr(
+        netsim, "sweep_bound", lambda *args: int(fraction * (inner(*args) // 2))
+    )
+
+
+def test_sweep_cap_guard(monkeypatch):
+    monkeypatch.setattr(netsim, "sweep_bound", lambda *args: 10)
+    with pytest.raises(SimulationError, match="10 scheduler sweeps"):
+        run_trial(CHAIN, Honest(), config(target=500), seed=2)
+
+
+def test_stuck_session_raises_without_a_given_bound(monkeypatch):
+    def busy_forever(self, arrival):
+        # always progresses (changes phase), never completes
+        st = self.state
+        st.phase = (protocol.Phase.AUTH_PREPARE if st.phase is protocol.Phase.DATA_TRANSFER
+                    else protocol.Phase.DATA_TRANSFER)
+        return None
+
+    monkeypatch.setattr(protocol.Responder, "step", busy_forever)
+    with pytest.raises(SimulationError, match="scheduler sweeps"):
+        run_trial(CHAIN, Honest(), config(target=3, key_length=8), seed=1)
 
 
 @pytest.mark.parametrize(
@@ -253,21 +274,21 @@ def test_sweep_cap_guard():
     [("01", 2, True), ("10", 1, True), ("1" + "0" * 15, 1, False),
      ("0" * 15 + "1", 4, True)],
 )
-def test_sweep_bound_covers_sparse_keys(key, t, reverse):
-    # Half of sweep_bound is the derived worst case: these keys give one
-    # 1-qubit window per key cycle, or per round under reverse auth.
+def test_sweep_bound_covers_sparse_keys(monkeypatch, key, t, reverse):
+    # These keys give one 1-qubit window per key cycle, or per round under
+    # reverse auth: the derived worst case.
     cfg = config(t=t, target=13, key=key, reverse_auth=reverse)
-    half = sweep_bound(13, len(key), t) // 2
-    assert run_trial(CHAIN, Honest(), cfg, seed=3, max_sweeps=half).completed
+    cap_sweeps_at_worst_case(monkeypatch, 1.0)
+    assert run_trial(CHAIN, Honest(), cfg, seed=3).completed
 
 
-def test_sweep_bound_worst_case_is_nearly_reached():
+def test_sweep_bound_worst_case_is_nearly_reached(monkeypatch):
     # 1-qubit windows with reverse authentication take 4 sweeps per round
     # beside the data sweep, which the derivation assumes.
     cfg = config(t=2, target=13, key="01", reverse_auth=True)
-    half = sweep_bound(13, 2, 2) // 2
+    cap_sweeps_at_worst_case(monkeypatch, 0.9)
     with pytest.raises(SimulationError):
-        run_trial(CHAIN, Honest(), cfg, seed=3, max_sweeps=int(0.9 * half))
+        run_trial(CHAIN, Honest(), cfg, seed=3)
 
 
 @st.composite
@@ -293,12 +314,10 @@ def trial_cases(draw):
 @given(trial_cases())
 @settings(max_examples=200, deadline=None)
 def test_random_trials_keep_invariants(case):
-    # run_trial raises SimulationError if a qubit outlives the trial.
+    # run_trial raises SimulationError if a qubit outlives the trial or the
+    # session runs past its sweep bound.
     topo, behavior, session, seed = case
-    bound = sweep_bound(
-        session.data_qubit_target, session.key.length, session.sched.transfer_length
-    )
-    record = run_trial(topo, behavior, session, seed, max_sweeps=bound)
+    record = run_trial(topo, behavior, session, seed)
     if behavior == Honest():
         assert not record.detected and record.completed
         assert record.data_qubits_intact == record.data_qubits_delivered
