@@ -48,23 +48,21 @@ class InterceptResend:
 
 Behavior = Honest | InterceptResend
 
-_BEHAVIOR_LABELS = {
+#: the --adversary labels; a behavior's ``name`` (the output field) differs
+BEHAVIOR_LABELS = {
     "honest": Honest(),
     "intercept_random": InterceptResend("random_zx"),
-    "intercept_random_zx": InterceptResend("random_zx"),
     "intercept_z": InterceptResend("always_z"),
-    "intercept_always_z": InterceptResend("always_z"),
     "intercept_x": InterceptResend("always_x"),
-    "intercept_always_x": InterceptResend("always_x"),
 }
 
 
 def parse_behavior(label: str) -> Behavior:
     try:
-        return _BEHAVIOR_LABELS[label]
+        return BEHAVIOR_LABELS[label]
     except KeyError:
         raise ValueError(
-            f"unknown behavior {label!r}; expected one of {sorted(_BEHAVIOR_LABELS)}"
+            f"unknown behavior {label!r}; expected one of {sorted(BEHAVIOR_LABELS)}"
         ) from None
 
 

@@ -15,19 +15,8 @@ from dataclasses import fields
 
 from . import experiments as exp
 from . import netsim
-from .adversary import parse_behavior
+from .adversary import BEHAVIOR_LABELS, parse_behavior
 from .qsim import SimulationError
-
-_CONFIG_ALIASES = {
-    "behavior": "adversary",
-    "t": "t_values",
-    "transfer_length": "t_values",
-    "data_qubits": "data_target",
-    "targets": "data_target",
-    "target": "data_target",
-    "seed": "master_seed",
-    "format": "output_format",
-}
 
 #: config-file keys, each also a flag's dest: every config field but the
 #: experiment (the subcommand) and the topology (read from its own keys)
@@ -36,9 +25,19 @@ _CONFIG_KEYS = frozenset(
 )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: json.load alone would keep the last of two equal keys."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise exp.ConfigError(f"config key {key!r} is given twice")
+        out[key] = value
+    return out
+
+
 def load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise exp.ConfigError("config file must hold a JSON object")
     topology = {k: raw.pop(k) for k in netsim.TOPOLOGY_KEYS if k in raw}
@@ -48,8 +47,6 @@ def load_config_file(path: str) -> dict:
         topology = raw.pop("topology")
     out: dict = {"topology": netsim.topology_from_json(topology)}
     for key, value in raw.items():
-        key = key.lower()
-        key = _CONFIG_ALIASES.get(key, key)
         if key not in _CONFIG_KEYS:
             raise exp.ConfigError(f"unknown config key {key!r}")
         if key == "t_values":
@@ -64,9 +61,8 @@ def _add_campaign_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int, help="trials per transfer length")
     sub.add_argument("--data-qubits", type=int, dest="data_target",
                      help="data qubits to deliver per trial")
-    sub.add_argument("--adversary", choices=sorted(
-        {"honest", "intercept_random", "intercept_z", "intercept_x"}),
-        help="repeater behavior")
+    sub.add_argument("--adversary", choices=sorted(BEHAVIOR_LABELS),
+                     help="repeater behavior")
     sub.add_argument("--key-length", type=int, help="fresh key length per trial")
     sub.add_argument("--key", help="fixed session key: 0/1 string or 0x-prefixed hex")
     sub.add_argument("--key-bits", type=int, help="bit length for a hex --key")

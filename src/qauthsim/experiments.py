@@ -399,21 +399,3 @@ def emit_rows(rows: list[dict], fmt: str) -> str:
         return rows_to_table(rows)
     raise ConfigError(f"unknown output format {fmt!r}")
 
-
-def parse_campaign_csv(text: str) -> list[dict]:
-    """Parse an emitted campaign CSV back into row dicts (round-trip check)."""
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        row = {}
-        for col, cell in zip(header, line.split(",")):
-            if cell == "":
-                row[col] = None
-            else:
-                try:
-                    row[col] = int(cell)
-                except ValueError:
-                    row[col] = float(cell)
-        rows.append(row)
-    return rows

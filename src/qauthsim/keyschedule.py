@@ -47,17 +47,10 @@ class KeyMaterial:
         return self.bits[offset % len(self.bits)]
 
     @classmethod
-    def from_bits(cls, bits) -> "KeyMaterial":
-        return cls(tuple(int(b) for b in bits))
-
-    @classmethod
     def random(cls, length: int, rng: np.random.Generator) -> "KeyMaterial":
         if length < 2:
             raise ValueError("key length must be >= 2")
         return cls(tuple(rng.integers(0, 2, size=length).tolist()))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
 
 
 def parse_key(text: str, bit_length: int | None = None) -> KeyMaterial:

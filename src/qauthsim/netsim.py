@@ -97,14 +97,6 @@ def topology_from_json(obj) -> Topology:
     return Topology(tuple(obj["nodes"]), tuple(map(tuple, edges)), tuple(obj["path"]))
 
 
-@dataclass(frozen=True)
-class _Segment:
-    left_node: str
-    left_q: QubitRef
-    right_node: str
-    right_q: QubitRef
-
-
 class EntanglementFabric:
     """Provisioning of end-to-end entanglement plus correction-bit routing.
 
@@ -130,16 +122,17 @@ class EntanglementFabric:
         self.teleports = 0
         self.swaps = 0
 
-    def provision(self) -> list[_Segment]:
+    def provision(self) -> list[tuple[str, QubitRef, str, QubitRef]]:
         """Distribute one Bell pair per path edge and run the swap policy.
 
         Honest nodes swap immediately (corrections applied at the pair end
         farther from the initiator); a retaining node ends the current
         segment instead, so the result is one segment per stretch of the
-        path between non-swapping boundaries.
+        path between non-swapping boundaries, each a
+        ``(left_node, left_q, right_node, right_q)`` tuple.
         """
         path = self.topology.path
-        segments: list[_Segment] = []
+        segments = []
         left_node, left_q, right_q = None, None, None
         for i in range(len(path) - 1):
             a, b = self.sim.make_bell_pair()
@@ -163,9 +156,9 @@ class EntanglementFabric:
                     )
                 right_q = b
             else:
-                segments.append(_Segment(left_node, left_q, node, right_q))
+                segments.append((left_node, left_q, node, right_q))
                 left_node, left_q, right_q = node, a, b
-        segments.append(_Segment(left_node, left_q, path[-1], right_q))
+        segments.append((left_node, left_q, path[-1], right_q))
         return segments
 
     def transfer(self, payload: QubitRef, direction: str) -> QubitRef:
@@ -178,30 +171,27 @@ class EntanglementFabric:
         """
         segments = self.provision()
         if direction == "reverse":
-            hops = [
-                _Segment(s.right_node, s.right_q, s.left_node, s.left_q)
-                for s in reversed(segments)
-            ]
+            hops = [(rn, rq, ln, lq) for ln, lq, rn, rq in reversed(segments)]
         elif direction == "forward":
             hops = segments
         else:
             raise ValueError("direction must be 'forward' or 'reverse'")
 
         qubit = payload
-        for i, hop in enumerate(hops):
-            bits = self.sim.teleport(qubit, hop.left_q, hop.right_q, self.rng)
+        for i, (near_node, near_q, far_node, far_q) in enumerate(hops):
+            bits = self.sim.teleport(qubit, near_q, far_q, self.rng)
             self.teleports += 1
             if self.trace is not None:
                 self.trace.append(
                     {
                         "event": "teleport",
-                        "from": hop.left_node,
-                        "to": hop.right_node,
+                        "from": near_node,
+                        "to": far_node,
                         "bits": list(bits),
                         "seq": self.swaps + self.teleports - 1,
                     }
                 )
-            qubit = hop.right_q
+            qubit = far_q
             if i + 1 < len(hops):
                 qubit = adv.handle_arrival(
                     self.repeater, self.sim, qubit, direction, self.rng
@@ -286,6 +276,8 @@ def run_trial(
         node = malicious_node or default_malicious_node(topology)
         if node not in topology.intermediates:
             raise ValueError(f"malicious node {node!r} is not on the path interior")
+    elif malicious_node is not None:
+        raise ValueError("an honest repeater path has no malicious node")
     repeater = adv.RepeaterState(behavior, node, eve_seed)
 
     sim = Simulator()

@@ -1,15 +1,17 @@
-"""Minimal noiseless state-vector simulator for small groups of entangled qubits.
+"""Minimal noiseless state-vector simulator for lone qubits and Bell pairs.
 
-Qubits live in independent *groups*. A group holds the joint amplitudes of
-every qubit entangled so far, indexed most-significant-qubit-first in the
-group's qubit order. Two-qubit gates across groups merge them by tensor
-product; measurement factors the measured qubit back out into a singleton
-group, so state vectors stay as small as the live entanglement requires.
+Qubits live in independent *groups* of at most two: a lone qubit, or one
+pair, whose amplitudes are indexed most-significant-qubit-first in the
+group's qubit order. The repeater path never needs more: each edge holds one
+pair, a swap or hop Bell-measures one qubit of one group against one of
+another, and an intercepted qubit is measured on its own. So there is no
+two-qubit gate and no group merging; ``bell_measure`` refuses two qubits of
+one group, and ``measure`` and ``release`` refuse a qubit that is still
+entangled. Every group keeps at most two qubits by construction.
 
-Amplitudes are plain Python complex lists: the protocol never entangles more
-than a handful of qubits at once, and at 2..16 amplitudes scalar arithmetic
-beats array dispatch by a wide margin. Numpy appears only at the API edges
-(the named single-qubit states and the RNG).
+Amplitudes are plain Python complex lists: at 2 or 4 amplitudes scalar
+arithmetic beats array dispatch by a wide margin. Numpy appears only at the
+API edges (the named single-qubit states and the RNG).
 
 ``teleport`` is the one transport step: a Bell measurement plus the Pauli
 correction at the far end. An entanglement swap is a teleport of one pair's
@@ -17,8 +19,8 @@ half over the next pair. The Bell measurement is one fused kernel: it reads
 the two groups in place, forms the four Bell-outcome branches of the rest of
 the state in one pass, draws the two outcomes, and keeps only the surviving
 branch. It computes what CNOT, H and two Z measurements compute, with the
-same two random draws, but builds neither the merged group nor the
-intermediate states.
+same two random draws, but builds neither the joint state of both groups
+nor the intermediate states.
 
 Measurement in the X basis is realised as H, Z-measure, H: outcome 0 maps to
 the |+> eigenstate and 1 to |->, and the qubit is left in that eigenstate so
@@ -33,7 +35,6 @@ from enum import Enum
 
 import numpy as np
 
-MAX_GROUP_QUBITS = 16
 NORM_TOL = 1e-9
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -49,7 +50,7 @@ class DeadQubitError(SimulationError):
 
 
 class CapacityError(SimulationError):
-    """Qubit registry or per-group size limit exceeded."""
+    """Qubit registry full."""
 
 
 class Basis(Enum):
@@ -137,21 +138,13 @@ class Simulator:
         self._groups[qid] = _Group([qid], amps)
         return QubitRef(qid)
 
-    def is_live(self, q: QubitRef) -> bool:
-        return q.id in self._groups
-
     def live_count(self) -> int:
         return len(self._groups)
 
     def release(self, q: QubitRef) -> None:
         """Discard a qubit. Only unentangled (singleton-group) qubits qualify."""
-        group = self._require(q)
-        if len(group.qubits) != 1:
-            raise SimulationError(f"qubit {q.id} is still entangled; measure it first")
+        self._lone(q)
         del self._groups[q.id]
-
-    def group_members(self, q: QubitRef) -> tuple[int, ...]:
-        return tuple(self._require(q).qubits)
 
     def amplitudes(self, q: QubitRef) -> tuple[complex, ...]:
         """Amplitudes of the group holding this qubit, as Python complex."""
@@ -163,14 +156,20 @@ class Simulator:
             raise DeadQubitError(f"qubit {q.id} is not live")
         return group
 
+    def _lone(self, q: QubitRef) -> _Group:
+        group = self._require(q)
+        if len(group.qubits) != 1:
+            raise SimulationError(f"qubit {q.id} is still entangled; Bell-measure it")
+        return group
+
     # -- gates --------------------------------------------------------------
     #
-    # ``weight`` is the index bit of the target qubit: qubit at position p of
-    # an n-qubit group owns bit 2^(n-1-p). Indices with that bit clear pair
-    # with index | weight.
+    # ``weight`` is the index bit of the target qubit: the last qubit of a
+    # group owns bit 1, the first of a pair bit 2. Indices with that bit
+    # clear pair with index | weight.
 
     def _weight(self, group: _Group, q: QubitRef) -> int:
-        return 1 << (len(group.qubits) - 1 - group.qubits.index(q.id))
+        return 1 if group.qubits[-1] == q.id else 2
 
     def apply_x(self, q: QubitRef) -> None:
         group = self._require(q)
@@ -198,67 +197,21 @@ class Simulator:
                 amps[i] = (a0 + a1) * _SQRT2_INV
                 amps[i | w] = (a0 - a1) * _SQRT2_INV
 
-    def apply_cnot(self, control: QubitRef, target: QubitRef) -> None:
-        if control.id == target.id:
-            raise ValueError("CNOT control and target must differ")
-        cg = self._require(control)
-        tg = self._require(target)
-        group = cg if cg is tg else self._merge(cg, tg)
-        cw = self._weight(group, control)
-        tw = self._weight(group, target)
-        amps = group.amps
-        for i in range(len(amps)):
-            if i & cw and not i & tw:
-                amps[i], amps[i | tw] = amps[i | tw], amps[i]
-
-    def _merge(self, g1: _Group, g2: _Group) -> _Group:
-        if len(g1.qubits) + len(g2.qubits) > MAX_GROUP_QUBITS:
-            raise CapacityError(f"group would exceed {MAX_GROUP_QUBITS} qubits")
-        merged = _Group(
-            g1.qubits + g2.qubits, [x * y for x in g1.amps for y in g2.amps]
-        )
-        for qid in merged.qubits:
-            self._groups[qid] = merged
-        return merged
-
-    def _check_norm(self, group: _Group) -> None:
-        s = sum(a.real * a.real + a.imag * a.imag for a in group.amps)
-        if not math.isfinite(s) or abs(s - 1.0) > NORM_TOL:
-            raise SimulationError(f"state norm drifted to {s!r}")
-
     # -- measurement ---------------------------------------------------------
 
     def measure(self, q: QubitRef, basis: Basis, rng: np.random.Generator) -> int:
-        """Born-rule measurement. Collapses, renormalizes, and factors the
-        measured qubit out of its group; the qubit stays live in the
-        post-measurement eigenstate of the requested basis.
+        """Born-rule measurement of an unentangled qubit. Collapses it; the
+        qubit stays live in the post-measurement eigenstate of the requested
+        basis, so an immediate re-measurement repeats the outcome.
         """
+        group = self._lone(q)
         if basis is Basis.X:
             self.apply_h(q)
-        outcome = self._measure_z(q, rng)
+        a = group.amps[1]
+        outcome = int(rng.random() < a.real * a.real + a.imag * a.imag)
+        group.amps = [0j, 1 + 0j] if outcome else [1 + 0j, 0j]
         if basis is Basis.X:
             self.apply_h(q)  # restore |+>/|-> so the outcome is repeatable
-        return outcome
-
-    def _measure_z(self, q: QubitRef, rng: np.random.Generator) -> int:
-        group = self._require(q)
-        w = self._weight(group, q)
-        amps = group.amps
-        p1 = sum(
-            a.real * a.real + a.imag * a.imag for i, a in enumerate(amps) if i & w
-        )
-        outcome = int(rng.random() < p1)
-        if len(group.qubits) > 1:
-            scale = 1.0 / math.sqrt(p1 if outcome else 1.0 - p1)
-            want = w if outcome else 0
-            branch = [a * scale for i, a in enumerate(amps) if i & w == want]
-            rest = _Group([qid for qid in group.qubits if qid != q.id], branch)
-            for qid in rest.qubits:
-                self._groups[qid] = rest
-            self._check_norm(rest)
-        self._groups[q.id] = _Group(
-            [q.id], [0j, 1 + 0j] if outcome else [1 + 0j, 0j]
-        )
         return outcome
 
     # -- entanglement primitives ---------------------------------------------
@@ -286,38 +239,26 @@ class Simulator:
 
             c[m_a][m_b](r) = (amp[r, a=0, b=m_b] + (-1)^m_a amp[r, a=1, b=1-m_b]) / sqrt(2)
 
-        read straight from the one or two groups holding a and b. m_a is
-        drawn with P(m_a = 1), then m_b with P(m_b = 1 | m_a): exactly two
-        ``rng.random()`` calls, against the same thresholds as the gate
-        sequence. The surviving branch, renormalised, becomes the group of
-        the remaining qubits, in the order the merged group would have had
-        (a's group, then b's, each without the measured qubit).
+        read straight from the separate groups holding a and b, one or two
+        qubits each. m_a is drawn with P(m_a = 1), then m_b with
+        P(m_b = 1 | m_a): exactly two ``rng.random()`` calls, against the
+        same thresholds as the gate sequence. The surviving branch,
+        renormalised, becomes the group of the remaining qubits: a's
+        partner, then b's partner, those that exist.
         """
         if a.id == b.id:
             raise ValueError("Bell measurement needs two distinct qubits")
         ga = self._require(a)
         gb = self._require(b)
         if ga is gb:
-            wa = self._weight(ga, a)
-            wb = self._weight(ga, b)
-            both = wa | wb
-            amps = ga.amps
-            # (amp[a=0,b=0], amp[a=0,b=1], amp[a=1,b=0], amp[a=1,b=1]) per r
-            quads = [
-                (amps[i], amps[i | wb], amps[i | wa], amps[i | both])
-                for i in range(len(amps))
-                if not i & both
-            ]
-            rest = ga.qubits.copy()
-        else:
-            if len(ga.qubits) + len(gb.qubits) > MAX_GROUP_QUBITS:
-                raise CapacityError(f"group would exceed {MAX_GROUP_QUBITS} qubits")
-            wa = self._weight(ga, a)
-            wb = self._weight(gb, b)
-            xs = [(x, ga.amps[i | wa]) for i, x in enumerate(ga.amps) if not i & wa]
-            ys = [(y, gb.amps[i | wb]) for i, y in enumerate(gb.amps) if not i & wb]
-            quads = [(x0 * y0, x0 * y1, x1 * y0, x1 * y1) for x0, x1 in xs for y0, y1 in ys]
-            rest = ga.qubits + gb.qubits
+            raise SimulationError(f"qubits {a.id} and {b.id} share a group")
+        wa = self._weight(ga, a)
+        wb = self._weight(gb, b)
+        # (amp[a=0,b=0], amp[a=0,b=1], amp[a=1,b=0], amp[a=1,b=1]) per r
+        xs = [(x, ga.amps[i | wa]) for i, x in enumerate(ga.amps) if not i & wa]
+        ys = [(y, gb.amps[i | wb]) for i, y in enumerate(gb.amps) if not i & wb]
+        quads = [(x0 * y0, x0 * y1, x1 * y0, x1 * y1) for x0, x1 in xs for y0, y1 in ys]
+        rest = ga.qubits + gb.qubits
         rest.remove(a.id)
         rest.remove(b.id)
 

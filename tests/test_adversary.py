@@ -16,7 +16,7 @@ from qauthsim.adversary import (
 from qauthsim.keyschedule import ScheduleConfig
 from qauthsim.netsim import EntanglementFabric
 from qauthsim.protocol import SessionConfig
-from helpers import assert_bell_pair
+from helpers import assert_bell_pair, group_of
 from qauthsim.cli import main
 from qauthsim.experiments import trial_seed
 from qauthsim.qsim import (
@@ -119,6 +119,8 @@ def test_parse_behavior_labels():
     assert parse_behavior("intercept_x") == InterceptResend("always_x")
     with pytest.raises(ValueError):
         parse_behavior("replay")
+    with pytest.raises(ValueError):  # one spelling per behavior
+        parse_behavior("intercept_always_z")
     with pytest.raises(ValueError):
         InterceptResend("diagonal")
 
@@ -140,20 +142,17 @@ def provision(topology, behavior, node=None, seed=0):
 
 def test_honest_single_repeater_leaves_end_to_end_pair():
     sim, segments = provision(CHAIN, Honest())
-    assert len(segments) == 1
-    seg = segments[0]
-    assert (seg.left_node, seg.right_node) == ("alice", "bob")
-    assert_bell_pair(sim, seg.left_q, seg.right_q)
-    assert states_equal(
-        sim.amplitudes(seg.left_q), [2**-0.5, 0, 0, 2**-0.5], tol=1e-9
-    )
+    [(left, left_q, right, right_q)] = segments
+    assert (left, right) == ("alice", "bob")
+    assert_bell_pair(sim, left_q, right_q)
+    assert states_equal(sim.amplitudes(left_q), [2**-0.5, 0, 0, 2**-0.5], tol=1e-9)
 
 
 def test_honest_three_repeaters_leave_end_to_end_pair():
     topo = qa.Topology.chain(3)
     sim, segments = provision(topo, Honest())
-    assert len(segments) == 1
-    assert_bell_pair(sim, segments[0].left_q, segments[0].right_q)
+    [(_, left_q, _, right_q)] = segments
+    assert_bell_pair(sim, left_q, right_q)
 
 
 def test_interceptor_splits_the_channel():
@@ -161,16 +160,16 @@ def test_interceptor_splits_the_channel():
     # initiator's half is entangled with the interceptor's
     topo = qa.Topology.chain(3)
     sim, segments = provision(topo, InterceptResend("random_zx"), node="r2")
-    assert [(s.left_node, s.right_node) for s in segments] == [
+    assert [(left, right) for left, _, right, _ in segments] == [
         ("alice", "r2"),
         ("r2", "bob"),
     ]
-    alice_seg, bob_seg = segments
-    assert_bell_pair(sim, alice_seg.left_q, alice_seg.right_q)
-    assert_bell_pair(sim, bob_seg.left_q, bob_seg.right_q)
+    (_, alice_q, _, eve_left_q), (_, eve_right_q, _, bob_q) = segments
+    assert_bell_pair(sim, alice_q, eve_left_q)
+    assert_bell_pair(sim, eve_right_q, bob_q)
     with pytest.raises(AssertionError):
-        assert_bell_pair(sim, alice_seg.left_q, bob_seg.right_q)
-    assert alice_seg.right_q.id in sim.group_members(alice_seg.left_q)
+        assert_bell_pair(sim, alice_q, bob_q)
+    assert eve_left_q.id in group_of(sim, alice_q)
 
 
 # -- detection statistics ---------------------------------------------------------

@@ -113,11 +113,11 @@ def test_config_file_layering(tmp_path):
         "nodes": ["alice", "m", "bob"],
         "edges": [["alice", "m"], ["m", "bob"]],
         "path": ["alice", "m", "bob"],
-        "behavior": "intercept_x",
-        "T": [3],
+        "adversary": "intercept_x",
+        "t_values": [3],
         "trials": 9,
-        "targets": 33,
-        "seed": 21,
+        "data_target": 33,
+        "master_seed": 21,
         "key_length": 128,
         "malicious_node": "m",
     }
@@ -164,16 +164,19 @@ def test_fixed_key_shorter_than_transfer_length_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "setting",
-    [{"trials": 2.5}, {"trials": "3"}, {"reverse_auth": "no"}, {"T": [1, "2"]},
-     {"seed": True}, {"adversary": ["honest"]}, {"analytic_rounds": "8"},
+    [{"trials": 2.5}, {"trials": "3"}, {"reverse_auth": "no"}, {"t_values": [1, "2"]},
+     {"master_seed": True}, {"adversary": ["honest"]}, {"analytic_rounds": "8"},
      {"path": ["alice", "r1", "bob"]}, {"topology": 5},
      {"nodes": "ab", "edges": [["a", "b"]], "path": ["a", "b"]},
      {"topology": {"nodes": ["a", "b"], "edges": [["a"]], "path": ["a", "b"]}},
-     {"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a", "b"], "topology": {}}],
+     {"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a", "b"], "topology": {}},
+     {"T": [3]},  # an old alias is an unknown key
+     pytest.param('{"trials": 2, "trials": 3}', id="repeated_key"),
+     {"adversary": "honest", "malicious_node": "zz"}],  # no node intercepts
 )
 def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(setting))
+    path.write_text(setting if isinstance(setting, str) else json.dumps(setting))
     code, out, err = run(["custom", "--config", str(path)], capsys)
     assert code == 2
     assert out == ""

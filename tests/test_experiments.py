@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import parse_campaign_csv
 from qauthsim.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -16,7 +17,6 @@ from qauthsim.experiments import (
     emit_campaign,
     emit_rows,
     format_value,
-    parse_campaign_csv,
     rows_to_csv,
     run_experiment,
     trial_seed,

@@ -46,6 +46,16 @@ CHAIN3_TRACE_SHA256 = "0074156a91479c11789a505b45f657078eff54d4d5f192a4f0c698b20
 MITM_TRACE_SHA256 = "e5e825827fee20cf378aac8943398e6f32a870b93794ede239caa4d86ddbe720"
 MITM_INTERCEPT_SHA256 = "4e0dbaa742578cf2cfa12545131426de0a6dfad592f2a5a5cd4f1c9fc54460cf"
 
+CHAIN3_MITM_CSV = """\
+T,trials,detection_rate,detection_rate_ci,mean_rounds,mean_rounds_ci,mean_leakage,mean_leakage_ci,overhead,overhead_ci,master_seed
+1,3,1,0,1,0,0.333333,0.653333,,,7
+2,3,1,0,2.66667,1.72856,4.66667,1.72856,,,7
+3,3,1,0,2,1.13161,5,1.13161,,,7
+4,3,1,0,2.66667,3.26667,24.6667,15.4469,,,7
+5,3,1,0,2,0,44.3333,7.27521,,,7
+"""
+CHAIN3_MITM_INTERCEPT_SHA256 = "bf6fe39ef5d99d6fcce662d9e013193f9b110369635d42d58c3680a3d69a4044"
+
 CHAIN3 = {
     "nodes": ["alice", "r1", "r2", "r3", "bob"],
     "edges": [["alice", "r1"], ["r1", "r2"], ["r2", "r3"], ["r3", "bob"]],
@@ -95,3 +105,20 @@ def test_mitm_trace_and_intercept_log(tmp_path, capsys):
     assert out == MITM_CSV
     assert sha256(trace.read_bytes()) == MITM_TRACE_SHA256
     assert sha256(log.read_bytes()) == MITM_INTERCEPT_SHA256
+
+
+def test_three_repeater_swap_and_intercept_csv_and_log(tmp_path, capsys):
+    # r2 intercepts a qubit that arrives over pairs the swaps at r1 and r3
+    # built, so this pins a Bell measurement of one pair against another
+    # together with the interceptor's measurements.
+    config = tmp_path / "chain3.json"
+    config.write_text(json.dumps(CHAIN3))
+    log = tmp_path / "eve.jsonl"
+    out = run(
+        ["custom", "--config", str(config), "--adversary", "intercept_random",
+         "--malicious-node", "r2", "--payload", "haar", "--reverse-auth",
+         "--trials", "3", "--format", "csv", "--intercept-log", str(log)],
+        capsys,
+    )
+    assert out == CHAIN3_MITM_CSV
+    assert sha256(log.read_bytes()) == CHAIN3_MITM_INTERCEPT_SHA256

@@ -108,12 +108,12 @@ def test_mitm_pair_layout_on_two_edge_path():
     repeater = RepeaterState(InterceptResend("random_zx"), "r1", 1)
     fabric = EntanglementFabric(sim, CHAIN, repeater, make_rng(1))
     segments = fabric.provision()
-    assert [(s.left_node, s.right_node) for s in segments] == [
+    assert [(left, right) for left, _, right, _ in segments] == [
         ("alice", "r1"),
         ("r1", "bob"),
     ]
-    for seg in segments:
-        assert_bell_pair(sim, seg.left_q, seg.right_q)
+    for _, left_q, _, right_q in segments:
+        assert_bell_pair(sim, left_q, right_q)
 
 
 # -- trial determinism and bookkeeping -------------------------------------------------

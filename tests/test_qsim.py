@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_bell_pair
+from helpers import assert_bell_pair, group_of
 from qauthsim.qsim import (
     Basis,
     CapacityError,
@@ -27,6 +27,8 @@ SQ = 1 / math.sqrt(2)
 
 I2 = np.eye(2, dtype=complex)
 H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) * SQ
+X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
+Z_MAT = np.diag([1, -1]).astype(complex)
 CNOT_01 = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
@@ -60,8 +62,8 @@ def test_two_allocations_are_independent_groups():
     sim = Simulator()
     a = sim.allocate_qubit()
     b = sim.allocate_qubit()
-    assert sim.group_members(a) == (a.id,)
-    assert sim.group_members(b) == (b.id,)
+    assert group_of(sim, a) == (a.id,)
+    assert group_of(sim, b) == (b.id,)
     # joint state is the tensor product of the singletons
     joint = np.kron(sim.amplitudes(a), sim.amplitudes(b))
     assert states_equal(joint, np.array([1, 0, 0, 0], dtype=complex))
@@ -91,13 +93,20 @@ def test_h_is_involutory():
 def test_bell_circuit_matches_dense_oracle():
     # oracle: CNOT @ (H (x) I) |00>
     expected = CNOT_01 @ np.kron(H_MAT, I2) @ np.array([1, 0, 0, 0], dtype=complex)
-    sim = Simulator()
-    a = sim.allocate_qubit()
-    b = sim.allocate_qubit()
-    sim.apply_h(a)
-    sim.apply_cnot(a, b)
-    np.testing.assert_allclose(sim.amplitudes(a), expected, atol=1e-12)
     np.testing.assert_allclose(expected, BELL, atol=1e-12)
+    sim = Simulator()
+    rng = make_rng(2)
+    a, b = sim.make_bell_pair()
+    np.testing.assert_allclose(sim.amplitudes(a), expected, atol=1e-12)
+    # a swap leaves the same state on (a, d), up to global phase
+    c, d = sim.make_bell_pair()
+    sim.teleport(b, c, d, rng)
+    assert group_of(sim, a) == (a.id, d.id)
+    assert states_equal(sim.amplitudes(a), expected, tol=1e-12)
+    # and the pair carries |1> from a to d, measured there on its own
+    payload = sim.allocate_qubit(NAMED_STATES["1"])
+    sim.teleport(payload, a, d, rng)
+    assert sim.measure(d, Basis.Z, rng) == 1
 
 
 def test_minus_in_x_basis_is_deterministic():
@@ -120,42 +129,57 @@ def test_minus_in_z_basis_is_fair():
     assert abs(ones / 10_000 - 0.5) < 0.02
 
 
+def carries(sim, rng, near, far, label, basis):
+    """Teleport the named state over (near, far) and measure it at far, on
+    its own, in ``basis``. Returns the outcome and the correction bits."""
+    bits = sim.teleport(sim.allocate_qubit(NAMED_STATES[label]), near, far, rng)
+    outcome = sim.measure(far, basis, rng)
+    sim.release(far)
+    return outcome, bits
+
+
 def test_bell_pair_z_correlation_and_marginals():
+    # A payload |v> arrives as |v> only if the halves' Z values agree; m_b
+    # is v XOR the near half's Z value, which must be a fair coin.
     sim = Simulator()
     rng = make_rng(5)
     ones = 0
-    for _ in range(10_000):
+    for i in range(10_000):
         a, b = sim.make_bell_pair()
-        ma = sim.measure(a, Basis.Z, rng)
-        mb = sim.measure(b, Basis.Z, rng)
-        assert ma == mb
-        ones += ma
-        sim.release(a)
-        sim.release(b)
+        v = i % 2
+        outcome, (_, m_b) = carries(sim, rng, a, b, str(v), Basis.Z)
+        assert outcome == v
+        ones += m_b ^ v
     assert abs(ones / 10_000 - 0.5) < 0.02
 
 
 def test_bell_pair_x_correlation():
     sim = Simulator()
     rng = make_rng(6)
-    for _ in range(500):
+    for i in range(500):
         a, b = sim.make_bell_pair()
-        assert sim.measure(a, Basis.X, rng) == sim.measure(b, Basis.X, rng)
-        sim.release(a)
-        sim.release(b)
+        label, want = ("+", 0) if i % 2 else ("-", 1)
+        assert carries(sim, rng, a, b, label, Basis.X)[0] == want
 
 
-def test_bell_measure_on_fresh_pair_is_00():
-    # oracle: (H (x) I) CNOT |Bell> = |00>, so both Z outcomes are 0
-    post = np.kron(H_MAT, I2) @ CNOT_01 @ BELL
-    probs = born_probs(post)
-    assert probs[0] == pytest.approx(1.0)
-
-    sim = Simulator()
+def test_swap_outcome_names_the_bell_state_left_behind():
+    # oracle: Bell-measuring the inner halves b, c of two |Bell> pairs leaves
+    # (I (x) X^m_b Z^m_a)|Bell> on the outer halves (a, d), which teleport's
+    # correction Z^m_a X^m_b at d undoes; each outcome has weight 1/4
     rng = make_rng(7)
-    for _ in range(100):
+    counts = {}
+    n = 4000
+    for _ in range(n):
+        sim = Simulator()
         a, b = sim.make_bell_pair()
-        assert sim.bell_measure(a, b, rng) == (0, 0)
+        c, d = sim.make_bell_pair()
+        m_a, m_b = sim.bell_measure(b, c, rng)
+        pauli = np.linalg.matrix_power(X_MAT, m_b) @ np.linalg.matrix_power(Z_MAT, m_a)
+        assert group_of(sim, a) == (a.id, d.id)
+        assert states_equal(sim.amplitudes(a), np.kron(I2, pauli) @ BELL, tol=1e-12)
+        counts[m_a, m_b] = counts.get((m_a, m_b), 0) + 1
+    for combo in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        assert abs(counts[combo] / n - 0.25) < 0.03
 
 
 def test_bell_measure_plus_against_bell_half_is_uniform():
@@ -218,7 +242,7 @@ def test_teleport_random_states_full_fidelity():
         m_a, m_b = sim.teleport(payload, e1, e2, rng)
         assert states_equal(sim.amplitudes(e2), v, tol=1e-9)
         assert m_a in (0, 1) and m_b in (0, 1)
-        assert not sim.is_live(payload) and not sim.is_live(e1)
+        assert group_of(sim, payload) == group_of(sim, e1) == ()
         sim.release(e2)
 
 
@@ -236,28 +260,33 @@ def _swap_chain(sim, rng, hops):
 # -- fused Bell measurement against the gate sequence ---------------------------
 
 
-def reference_bell_measure(sim, a, b, rng):
-    """The unfused Bell measurement: CNOT, H, two Z measurements, release."""
-    sim.apply_cnot(a, b)
-    sim.apply_h(a)
-    m_a = sim.measure(a, Basis.Z, rng)
-    m_b = sim.measure(b, Basis.Z, rng)
-    sim.release(a)
-    sim.release(b)
-    return m_a, m_b
+def dense_bell_measure(state, ia, ib, rng):
+    """CNOT(ia -> ib), H on ia, then Z measurements of ia and ib, on a dense
+    state vector over qubits most-significant-first. Each outcome is drawn
+    against one ``rng.random()``. Returns the outcomes and the renormalised
+    state of the other qubits."""
+    n = len(state).bit_length() - 1
+    psi = np.array(state, dtype=complex).reshape((2,) * n)
+    control = tuple(1 if k == ia else slice(None) for k in range(n))
+    psi[control] = np.flip(psi[control], axis=ib - (ib > ia))
+    psi = np.moveaxis(np.tensordot(H_MAT, psi, axes=([1], [ia])), 0, ia)
+    outcomes = []
+    for axis in (ia, ib):
+        p1 = np.sum(np.abs(np.take(psi, 1, axis=axis)) ** 2)
+        m = int(rng.random() < p1)
+        psi[tuple(1 - m if k == axis else slice(None) for k in range(n))] = 0
+        psi /= math.sqrt(p1 if m else 1.0 - p1)
+        outcomes.append(m)
+    m_a, m_b = outcomes
+    rest = psi[tuple(m_a if k == ia else m_b if k == ib else slice(None) for k in range(n))]
+    return (m_a, m_b), rest.reshape(-1)
 
 
-def load_groups(states):
-    """A simulator holding one entanglement group per amplitude vector."""
-    sim = Simulator()
-    groups = []
-    for amps in states:
-        qubits = [sim.allocate_qubit() for _ in range(len(amps).bit_length() - 1)]
-        for q in qubits[1:]:
-            sim.apply_cnot(qubits[0], q)  # leaves |0..0> as is, joins the group
-        sim._groups[qubits[0].id].amps[:] = amps  # test-only: arbitrary state
-        groups.append(qubits)
-    return sim, groups
+def load_group(sim, amps):
+    """A lone qubit or a pair holding the given amplitudes."""
+    qubits = [sim.allocate_qubit()] if len(amps) == 2 else list(sim.make_bell_pair())
+    sim._groups[qubits[0].id].amps[:] = amps  # test-only: arbitrary state
+    return qubits
 
 
 def random_state(draw, n_qubits):
@@ -270,53 +299,40 @@ def random_state(draw, n_qubits):
 
 @st.composite
 def bell_measure_cases(draw):
-    n = draw(st.integers(2, 6))
-    if draw(st.booleans()):  # a and b in one group
-        states = [random_state(draw, n)]
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        where = ((0, i), (0, j))
-    else:
-        k = draw(st.integers(1, n - 1))
-        states = [random_state(draw, k), random_state(draw, n - k)]
-        first = draw(st.integers(0, 1))  # which group holds a
-        sizes = (k, n - k)
-        where = (
-            (first, draw(st.integers(0, sizes[first] - 1))),
-            (1 - first, draw(st.integers(0, sizes[1 - first] - 1))),
-        )
+    # a in a lone qubit or a pair, b in a separate lone qubit or pair, each
+    # at any position of its group
+    ka, kb = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    states = (random_state(draw, ka), random_state(draw, kb))
+    where = (draw(st.integers(0, ka - 1)), draw(st.integers(0, kb - 1)))
     return states, where, draw(st.integers(0, 2**64 - 1))
 
 
 @given(bell_measure_cases())
 @settings(max_examples=300, deadline=None)
 def test_fused_bell_measure_matches_gate_sequence(case):
-    states, ((ga, ia), (gb, ib)), seed = case
-    ref_sim, ref_groups = load_groups(states)
-    sim, groups = load_groups(states)
+    (state_a, state_b), (ia, ib), seed = case
     ref_rng, rng = make_rng(seed), make_rng(seed)
+    ka = len(state_a).bit_length() - 1
+    expected, rest = dense_bell_measure(np.kron(state_a, state_b), ia, ka + ib, ref_rng)
 
-    expected = reference_bell_measure(
-        ref_sim, ref_groups[ga][ia], ref_groups[gb][ib], ref_rng
-    )
-    a, b = groups[ga][ia], groups[gb][ib]
+    sim = Simulator()
+    group_a, group_b = load_group(sim, state_a), load_group(sim, state_b)
+    a, b = group_a[ia], group_b[ib]
     assert sim.bell_measure(a, b, rng) == expected
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
-    assert not sim.is_live(a) and not sim.is_live(b)
-    for q in (q for qubits in groups for q in qubits if q not in (a, b)):
-        assert sim.group_members(q) == ref_sim.group_members(q)
-        np.testing.assert_allclose(
-            sim.amplitudes(q), ref_sim.amplitudes(q), rtol=0, atol=1e-12
-        )
+    assert group_of(sim, a) == group_of(sim, b) == ()
+    left = [q for q in group_a + group_b if q not in (a, b)]
+    for q in left:
+        assert group_of(sim, q) == tuple(x.id for x in left)
+        np.testing.assert_allclose(sim.amplitudes(q), rest, rtol=0, atol=1e-12)
 
 
 def test_swap_then_z_measurement_correlates():
     sim = Simulator()
     rng = make_rng(13)
-    for _ in range(300):
+    for i in range(300):
         left, right = _swap_chain(sim, rng, hops=2)
-        assert sim.measure(left, Basis.Z, rng) == sim.measure(right, Basis.Z, rng)
-        sim.release(left)
-        sim.release(right)
+        assert carries(sim, rng, left, right, str(i % 2), Basis.Z)[0] == i % 2
 
 
 def test_swap_chain_equals_direct_pair_for_teleport():
@@ -345,31 +361,35 @@ def test_chained_swaps_keep_bell_correlation(hops):
         np.testing.assert_allclose(
             np.abs(sim.amplitudes(left)), np.abs(BELL), atol=1e-9
         )
-        assert sim.measure(left, Basis.Z, rng) == sim.measure(right, Basis.Z, rng)
-        sim.release(left)
-        sim.release(right)
+        assert carries(sim, rng, left, right, "1", Basis.Z)[0] == 1
 
 
 # -- invariants ---------------------------------------------------------------
 
 
 def test_unitarity_under_random_gate_sequences():
+    # X, Z and H on any of a lone qubit q and a pair (a, b), interleaved
+    # with teleports of q over the pair and swaps of b onto a fresh pair
     sim = Simulator()
     rng = np.random.default_rng(17)
-    qubits = [sim.allocate_qubit() for _ in range(4)]
+    world = make_rng(17)
+    q = sim.allocate_qubit()
+    a, b = sim.make_bell_pair()
+    gates = (sim.apply_x, sim.apply_z, sim.apply_h)
     for _ in range(2000):
-        op = rng.integers(0, 4)
-        if op == 0:
-            sim.apply_x(qubits[rng.integers(0, 4)])
-        elif op == 1:
-            sim.apply_z(qubits[rng.integers(0, 4)])
-        elif op == 2:
-            sim.apply_h(qubits[rng.integers(0, 4)])
+        op = rng.integers(0, 5)
+        if op < 3:
+            gates[op]((q, a, b)[rng.integers(0, 3)])
+        elif op == 3:
+            sim.teleport(q, a, b, world)
+            q, (a, b) = b, sim.make_bell_pair()
         else:
-            i, j = rng.choice(4, size=2, replace=False)
-            sim.apply_cnot(qubits[i], qubits[j])
-    norm = np.linalg.norm(sim.amplitudes(qubits[0]))
-    assert abs(norm - 1.0) <= 1e-9
+            c, d = sim.make_bell_pair()
+            sim.teleport(b, c, d, world)
+            b = d
+    assert sim.live_count() == 3
+    for x in (q, a):
+        assert abs(np.linalg.norm(sim.amplitudes(x)) - 1.0) <= 1e-9
 
 
 def test_repeat_measurement_is_stable():
@@ -394,8 +414,9 @@ def test_identical_seeds_replay_identical_outcomes():
             q = sim.allocate_qubit()
             sim.apply_h(q)
             outcomes.append(sim.measure(q, Basis.Z, rng))
-            outcomes.extend(sim.bell_measure(a, b, rng))
-            sim.release(q)
+            outcomes.extend(sim.teleport(q, a, b, rng))
+            outcomes.append(sim.measure(b, Basis.X, rng))
+            sim.release(b)
         return outcomes
 
     assert script(99) == script(99)
@@ -441,16 +462,17 @@ def test_dead_qubit_rejected():
 def test_consumed_by_bell_measure_rejected():
     sim = Simulator()
     rng = make_rng(21)
+    q = sim.allocate_qubit()
     a, b = sim.make_bell_pair()
-    sim.bell_measure(a, b, rng)
+    sim.bell_measure(q, a, rng)
     with pytest.raises(DeadQubitError):
         sim.apply_h(a)
     c, d = sim.make_bell_pair()
     with pytest.raises(DeadQubitError):
         sim.bell_measure(a, c, rng)
     with pytest.raises(DeadQubitError):
-        sim.bell_measure(c, b, rng)
-    assert sim.is_live(c) and sim.is_live(d)
+        sim.bell_measure(c, q, rng)
+    assert group_of(sim, c) == (c.id, d.id)
 
 
 def test_registry_capacity():
@@ -461,27 +483,29 @@ def test_registry_capacity():
         sim.allocate_qubit()
 
 
-def test_group_size_cap():
-    sim = Simulator(max_qubits=64)
-    qubits = [sim.allocate_qubit() for _ in range(17)]
-    for q in qubits[1:16]:
-        sim.apply_cnot(qubits[0], q)  # 16-qubit group: at the cap
-    with pytest.raises(CapacityError):
-        sim.apply_cnot(qubits[0], qubits[16])
-    # a Bell measurement spanning the same 17 qubits is refused the same way
+def test_pair_shape_checks_refuse_and_leave_state_alone():
+    # Groups hold at most one pair: a Bell measurement within one group and
+    # a single-qubit measurement of a pair half are refused, before any draw
+    sim = Simulator()
     rng = make_rng(24)
-    with pytest.raises(CapacityError):
-        sim.bell_measure(qubits[3], qubits[16], rng)
-    assert sim.is_live(qubits[3]) and sim.is_live(qubits[16])
+    draws = rng.bit_generator.state
+    a, b = sim.make_bell_pair()
+    with pytest.raises(SimulationError):
+        sim.bell_measure(a, b, rng)
+    for q, basis in ((a, Basis.Z), (b, Basis.X)):
+        with pytest.raises(SimulationError):
+            sim.measure(q, basis, rng)
+    assert group_of(sim, a) == group_of(sim, b) == (a.id, b.id)
+    assert sim.amplitudes(a) == (SQ + 0j, 0j, 0j, SQ + 0j)
+    assert rng.bit_generator.state == draws
 
 
-def test_cnot_needs_distinct_qubits():
+def test_bell_measure_needs_distinct_qubits():
     sim = Simulator()
     q = sim.allocate_qubit()
     with pytest.raises(ValueError):
-        sim.apply_cnot(q, q)
-    with pytest.raises(ValueError):
         sim.bell_measure(q, q, make_rng(25))
+    assert group_of(sim, q) == (q.id,)
 
 
 def test_teleport_rejects_unentangled_pair():
@@ -492,7 +516,8 @@ def test_teleport_rejects_unentangled_pair():
     b = sim.allocate_qubit()
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, a, b)
-    sim.apply_cnot(a, b)
+    a, b = sim.make_bell_pair()
+    sim._groups[a.id].amps[:] = [1, 0, 0, 0]  # test-only: |00> in one group
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, a, b)
     c, d = sim.make_bell_pair()
