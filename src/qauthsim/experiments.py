@@ -131,6 +131,10 @@ class ExperimentConfig:
             raise ConfigError("key length must cover the largest transfer length")
         if self.analytic_rounds < 1:
             raise ConfigError("analytic rounds must be >= 1")
+        if self.key_bits is not None and not (
+            self.key and self.key.strip().lower().startswith("0x")
+        ):
+            raise ConfigError("key_bits is only for a 0x-prefixed hex key")
 
 
 @dataclass(frozen=True)

@@ -65,18 +65,23 @@ class PayloadDistribution:
         return cls(text)
 
 
+#: NAMED_STATES as tuples of Python complex, so data qubits skip numpy
+_NAMED_TRUTH = {label: tuple(v.tolist()) for label, v in NAMED_STATES.items()}
+_UNIFORM4 = tuple(_NAMED_TRUTH[label] for label in "01+-")
+
+
 def sample_payload(
     sim: Simulator, dist: PayloadDistribution, rng: np.random.Generator
-) -> tuple[QubitRef, np.ndarray]:
+) -> tuple[QubitRef, tuple[complex, complex]]:
     """Allocate one data qubit; returns (qubit, ground-truth amplitudes)."""
     if dist.kind == "fixed":
-        truth = NAMED_STATES[dist.state]
+        truth = _NAMED_TRUTH[dist.state]
     elif dist.kind == "uniform4":
-        truth = NAMED_STATES["01+-"[rng.integers(0, 4)]]
+        truth = _UNIFORM4[rng.integers(0, 4)]
     else:  # haar: normalized complex gaussian pair
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        truth = v / np.linalg.norm(v)
-    return sim.allocate_qubit(truth), truth.copy()
+        truth = tuple((v / np.linalg.norm(v)).tolist())
+    return sim.allocate_qubit(truth), truth
 
 
 @dataclass(frozen=True)
@@ -227,7 +232,7 @@ class Initiator(_Endpoint):
 
     def __init__(self, config, sim, rng, trace=None):
         super().__init__(config, sim, rng, trace)
-        self.payload_truth: dict[int, np.ndarray] = {}
+        self.payload_truth: dict[int, tuple[complex, complex]] = {}
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state

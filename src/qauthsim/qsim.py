@@ -11,7 +11,8 @@ entangled. Every group keeps at most two qubits by construction.
 
 Amplitudes are plain Python complex lists: at 2 or 4 amplitudes scalar
 arithmetic beats array dispatch by a wide margin. Numpy appears only at the
-API edges (the named single-qubit states and the RNG).
+API edges (the named single-qubit states and the RNG); a state given as
+Python complex never touches it.
 
 ``teleport`` is the one transport step: a Bell measurement plus the Pauli
 correction at the far end. An entanglement swap is a teleport of one pair's
@@ -20,7 +21,10 @@ the two groups in place, forms the four Bell-outcome branches of the rest of
 the state in one pass, draws the two outcomes, and keeps only the surviving
 branch. It computes what CNOT, H and two Z measurements compute, with the
 same two random draws, but builds neither the joint state of both groups
-nor the intermediate states.
+nor the intermediate states. ``teleport`` needs ``near`` and ``far`` to be
+the two halves of one pair (it refuses anything else before any draw), so
+``far`` is the surviving branch's last qubit, and the correction is written
+straight into that branch's amplitudes.
 
 Measurement in the X basis is realised as H, Z-measure, H: outcome 0 maps to
 the |+> eigenstate and 1 to |->, and the qubit is left in that eigenstate so
@@ -126,13 +130,13 @@ class Simulator:
         if state is None:
             amps = [1 + 0j, 0j]
         else:
-            amps = [complex(x) for x in state]
+            amps = list(map(complex, state))
             if len(amps) != 2:
                 raise ValueError("single-qubit state needs exactly 2 amplitudes")
             norm = math.sqrt(abs(amps[0]) ** 2 + abs(amps[1]) ** 2)
             if not math.isfinite(norm) or norm < 1e-12:
                 raise ValueError("state amplitudes must be finite and non-zero")
-            amps = [a / norm for a in amps]
+            amps = [amps[0] / norm, amps[1] / norm]
         qid = self._next_id
         self._next_id += 1
         self._groups[qid] = _Group([qid], amps)
@@ -248,28 +252,30 @@ class Simulator:
         """
         if a.id == b.id:
             raise ValueError("Bell measurement needs two distinct qubits")
-        ga = self._require(a)
-        gb = self._require(b)
+        groups = self._groups
+        ga = groups.get(a.id)
+        gb = groups.get(b.id)
+        if ga is None or gb is None:
+            raise DeadQubitError(f"qubit {(b if ga else a).id} is not live")
         if ga is gb:
             raise SimulationError(f"qubits {a.id} and {b.id} share a group")
-        wa = self._weight(ga, a)
-        wb = self._weight(gb, b)
-        # (amp[a=0,b=0], amp[a=0,b=1], amp[a=1,b=0], amp[a=1,b=1]) per r
-        xs = [(x, ga.amps[i | wa]) for i, x in enumerate(ga.amps) if not i & wa]
-        ys = [(y, gb.amps[i | wb]) for i, y in enumerate(gb.amps) if not i & wb]
-        quads = [(x0 * y0, x0 * y1, x1 * y0, x1 * y1) for x0, x1 in xs for y0, y1 in ys]
-        rest = ga.qubits + gb.qubits
-        rest.remove(a.id)
-        rest.remove(b.id)
-
-        # Branch weights times 2 (the 1/sqrt(2) is folded into the scale).
+        xs, rest = _halves(ga, a.id)
+        ys, b_rest = _halves(gb, b.id)
+        rest += b_rest
+        # For each index r of the remaining qubits (a's partner's bit, then
+        # b's partner's bit), the unscaled branches (c00, c01, c10, c11) and
+        # their weights times 2 (the 1/sqrt(2) is folded into the scale).
+        branches = []
         w00 = w01 = w10 = w11 = 0.0
-        for u, p, q, v in quads:
-            s, d, t, e = u + v, u - v, p + q, p - q
-            w00 += s.real * s.real + s.imag * s.imag
-            w01 += t.real * t.real + t.imag * t.imag
-            w10 += d.real * d.real + d.imag * d.imag
-            w11 += e.real * e.real + e.imag * e.imag
+        for x0, x1 in xs:
+            for y0, y1 in ys:
+                u, p, q, v = x0 * y0, x0 * y1, x1 * y0, x1 * y1
+                c = s, t, d, e = u + v, p + q, u - v, p - q
+                w00 += s.real * s.real + s.imag * s.imag
+                w01 += t.real * t.real + t.imag * t.imag
+                w10 += d.real * d.real + d.imag * d.imag
+                w11 += e.real * e.real + e.imag * e.imag
+                branches.append(c)
 
         pa1 = 0.5 * (w10 + w11)
         m_a = int(rng.random() < pa1)
@@ -286,20 +292,11 @@ class Simulator:
         if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm!r}")
 
-        groups = self._groups
         del groups[a.id], groups[b.id]
         if rest:
             scale = _SQRT2_INV / math.sqrt(pa * pb)
-            if m_b:
-                if m_a:
-                    branch = [(p - q) * scale for _, p, q, _ in quads]
-                else:
-                    branch = [(p + q) * scale for _, p, q, _ in quads]
-            elif m_a:
-                branch = [(u - v) * scale for u, _, _, v in quads]
-            else:
-                branch = [(u + v) * scale for u, _, _, v in quads]
-            group = _Group(rest, branch)
+            k = 2 * m_a + m_b
+            group = _Group(rest, [c[k] * scale for c in branches])
             for qid in rest:
                 groups[qid] = group
         return m_a, m_b
@@ -313,11 +310,35 @@ class Simulator:
         returns (m_a, m_b), the two correction bits a classical channel
         carries. With ``q`` the half of a neighbouring pair this is an
         entanglement swap: ``far`` ends up paired with q's old partner.
-        Whether (near, far) really is a Bell pair is the caller's concern.
+        ``near`` and ``far`` must be the two halves of one pair, in either
+        order; otherwise ``SimulationError`` is raised before any draw.
         """
+        pair = self._require(near).qubits
+        if far.id == near.id or far.id not in pair:
+            raise SimulationError(f"qubits {near.id} and {far.id} are not one pair")
         m_a, m_b = self.bell_measure(q, near, rng)
+        # far is near's partner, so the survivor's last qubit (index bit 1):
+        # X swaps and then Z negates within each amplitude pair (2k, 2k + 1).
+        amps = self._groups[far.id].amps
         if m_b:
-            self.apply_x(far)
+            amps[0], amps[1] = amps[1], amps[0]
         if m_a:
-            self.apply_z(far)
+            amps[1] = -amps[1]
+        if len(amps) == 4:
+            if m_b:
+                amps[2], amps[3] = amps[3], amps[2]
+            if m_a:
+                amps[3] = -amps[3]
         return m_a, m_b
+
+
+def _halves(group: _Group, qid: int) -> tuple[tuple, list[int]]:
+    """The (amp[qid=0], amp[qid=1]) pairs of qid's lone or pair group, one per
+    index of qid's partner, and the partner's id if there is one. The last
+    qubit of a group owns index bit 1."""
+    amps, qubits = group.amps, group.qubits
+    if len(qubits) == 1:
+        return ((amps[0], amps[1]),), []
+    if qubits[1] == qid:
+        return ((amps[0], amps[1]), (amps[2], amps[3])), [qubits[0]]
+    return ((amps[0], amps[2]), (amps[1], amps[3])), [qubits[1]]

@@ -172,7 +172,8 @@ def test_fixed_key_shorter_than_transfer_length_exits_2(tmp_path, capsys):
      {"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a", "b"], "topology": {}},
      {"T": [3]},  # an old alias is an unknown key
      pytest.param('{"trials": 2, "trials": 3}', id="repeated_key"),
-     {"adversary": "honest", "malicious_node": "zz"}],  # no node intercepts
+     {"adversary": "honest", "malicious_node": "zz"},  # no node intercepts
+     {"key": "011010", "key_bits": 8}, {"key_bits": 8}],  # key_bits needs a hex key
 )
 def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
     path = tmp_path / "bad.json"
@@ -181,6 +182,18 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key_flags", [["--key", "0110", "--key-bits", "8"], ["--key-bits", "8"]]
+)
+def test_key_bits_without_hex_key_exits_2(capsys, key_flags):
+    # --key-bits sizes a 0x hex key; beside a 0/1 key or no key it would be
+    # dropped and another key length run than the one asked for.
+    code, out, err = run(["custom", "-T", "1", "--trials", "1", *key_flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "key_bits" in err and err.count("\n") == 1
 
 
 def test_stuck_session_exits_1_instead_of_hanging(monkeypatch, capsys):

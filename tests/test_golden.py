@@ -56,6 +56,16 @@ T,trials,detection_rate,detection_rate_ci,mean_rounds,mean_rounds_ci,mean_leakag
 """
 CHAIN3_MITM_INTERCEPT_SHA256 = "bf6fe39ef5d99d6fcce662d9e013193f9b110369635d42d58c3680a3d69a4044"
 
+FIXED_INTERCEPT_Z_CSV = """\
+T,trials,detection_rate,detection_rate_ci,mean_rounds,mean_rounds_ci,mean_leakage,mean_leakage_ci,overhead,overhead_ci,master_seed
+1,3,1,0,9.33333,9.88673,4,5.18567,,,7
+2,3,1,0,5.33333,5.80695,6.66667,5.34776,,,7
+3,3,1,0,3.66667,2.61333,11.3333,7.27521,,,7
+4,3,1,0,3,3.92,22.3333,22.2421,,,7
+5,3,0.666667,0.533444,2,1.96,32.5,28.42,0.0533333,0,7
+"""
+FIXED_INTERCEPT_Z_LOG_SHA256 = "d87754b774d9901c06c2821083799066c9a39a60f44e04acc120ae99e461b3af"
+
 CHAIN3 = {
     "nodes": ["alice", "r1", "r2", "r3", "bob"],
     "edges": [["alice", "r1"], ["r1", "r2"], ["r2", "r3"], ["r3", "bob"]],
@@ -122,3 +132,17 @@ def test_three_repeater_swap_and_intercept_csv_and_log(tmp_path, capsys):
     )
     assert out == CHAIN3_MITM_CSV
     assert sha256(log.read_bytes()) == CHAIN3_MITM_INTERCEPT_SHA256
+
+
+def test_fixed_payload_z_interceptor_encoding_index_1(tmp_path, capsys):
+    # The fixed payload, the always-Z interceptor and encoding index 1 are
+    # reached by no other value here.
+    log = tmp_path / "eve.jsonl"
+    out = run(
+        ["custom", "--payload", "fixed:-", "--adversary", "intercept_z",
+         "--encoding-index", "1", "--trials", "3", "--format", "csv",
+         "--intercept-log", str(log)],
+        capsys,
+    )
+    assert out == FIXED_INTERCEPT_Z_CSV
+    assert sha256(log.read_bytes()) == FIXED_INTERCEPT_Z_LOG_SHA256

@@ -327,6 +327,39 @@ def test_fused_bell_measure_matches_gate_sequence(case):
         np.testing.assert_allclose(sim.amplitudes(q), rest, rtol=0, atol=1e-12)
 
 
+@st.composite
+def teleport_cases(draw):
+    # q a lone qubit or either half of a pair; near either half of its pair
+    # (a reverse-direction hop has near second)
+    kq = draw(st.integers(1, 2))
+    states = (random_state(draw, kq), random_state(draw, 2))
+    where = (draw(st.integers(0, kq - 1)), draw(st.integers(0, 1)))
+    return states, where, draw(st.integers(0, 2**64 - 1))
+
+
+@given(teleport_cases())
+@settings(max_examples=200, deadline=None)
+def test_teleport_matches_bell_measure_then_corrections(case):
+    (state_q, state_pair), (iq, inear), seed = case
+    ref_rng, rng = make_rng(seed), make_rng(seed)
+    kq = len(state_q).bit_length() - 1
+    bits, rest = dense_bell_measure(np.kron(state_q, state_pair), iq, kq + inear, ref_rng)
+    m_a, m_b = bits
+    # X^m_b, then Z^m_a, on far: the last of the remaining qubits
+    pauli = np.linalg.matrix_power(Z_MAT, m_a) @ np.linalg.matrix_power(X_MAT, m_b)
+    expected = (rest.reshape(-1, 2) @ pauli.T).reshape(-1)
+
+    sim = Simulator()
+    group_q, pair = load_group(sim, state_q), load_group(sim, state_pair)
+    q, near, far = group_q[iq], pair[inear], pair[1 - inear]
+    assert sim.teleport(q, near, far, rng) == bits
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
+    assert group_of(sim, q) == group_of(sim, near) == ()
+    survivors = tuple(x.id for x in group_q if x != q) + (far.id,)
+    assert group_of(sim, far) == survivors
+    np.testing.assert_allclose(sim.amplitudes(far), expected, rtol=0, atol=1e-12)
+
+
 def test_swap_then_z_measurement_correlates():
     sim = Simulator()
     rng = make_rng(13)
@@ -484,8 +517,9 @@ def test_registry_capacity():
 
 
 def test_pair_shape_checks_refuse_and_leave_state_alone():
-    # Groups hold at most one pair: a Bell measurement within one group and
-    # a single-qubit measurement of a pair half are refused, before any draw
+    # Groups hold at most one pair: a Bell measurement within one group, a
+    # single-qubit measurement of a pair half and a teleport over two qubits
+    # that are not one pair are refused, before any draw
     sim = Simulator()
     rng = make_rng(24)
     draws = rng.bit_generator.state
@@ -495,6 +529,12 @@ def test_pair_shape_checks_refuse_and_leave_state_alone():
     for q, basis in ((a, Basis.Z), (b, Basis.X)):
         with pytest.raises(SimulationError):
             sim.measure(q, basis, rng)
+    # teleport's far must be near's partner, not some other qubit or near
+    q, other = sim.allocate_qubit(), sim.allocate_qubit()
+    for far in (other, a):
+        with pytest.raises(SimulationError):
+            sim.teleport(q, a, far, rng)
+    assert group_of(sim, q) == (q.id,) and group_of(sim, other) == (other.id,)
     assert group_of(sim, a) == group_of(sim, b) == (a.id, b.id)
     assert sim.amplitudes(a) == (SQ + 0j, 0j, 0j, SQ + 0j)
     assert rng.bit_generator.state == draws
