@@ -114,10 +114,5 @@ def handle_arrival(
         {"seq": len(state.log), "direction": direction, "basis": basis.value,
          "outcome": outcome}
     )
-    fresh = sim.allocate_qubit()
-    if outcome:
-        sim.apply_x(fresh)
-    if basis is Basis.X:
-        sim.apply_h(fresh)
-    return fresh
+    return sim.prepare(outcome, basis)
 

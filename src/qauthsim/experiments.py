@@ -53,9 +53,10 @@ OUTPUT_FORMATS = ("csv", "json", "table")
 
 #: overhead percentages the paper reports for transfer lengths 1..5, emitted
 #: for comparison only. They track auth/(auth+data), the authentication share
-#: of all qubits sent (20 honest trials per T at seed 7 give 67/40/22/12/6 %),
-#: not the auth/data ratio reported as ``overhead``, so nothing is asserted
-#: against them.
+#: of all qubits sent (exactly E[M/(M+100)] = 66.6/39.9/22.1/11.5/5.8 % at
+#: target 100 under uniform keys, M the authenticated rounds), not the
+#: auth/data ratio reported as ``overhead``, so nothing is asserted against
+#: them.
 REFERENCE_OVERHEAD_PERCENT = {1: 64.0, 2: 37.0, 3: 20.0, 4: 10.0, 5: 4.0}
 
 

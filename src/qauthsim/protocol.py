@@ -7,10 +7,12 @@ its two correction bits, whether it carries data or an authentication state.
 
 The phase arc per round is:
 
-    COMPUTE_R -> DATA_TRANSFER -> AUTH_AWAIT / AUTH_PREPARE -> AUTH_VERIFY
-              -> COMPUTE_R ...
+    initiator: COMPUTE_R -> DATA_TRANSFER -> AUTH_AWAIT [-> AUTH_PREPARE] -> COMPUTE_R ...
+    responder: COMPUTE_R -> DATA_TRANSFER -> AUTH_PREPARE [-> AUTH_AWAIT] -> COMPUTE_R ...
 
-with TERMINATED and COMPLETE absorbing. The initiator checks the delivery
+with the bracketed phase taken only under reverse authentication, the
+verdict checked on the AUTH_AWAIT turn that receives the qubit, and
+TERMINATED and COMPLETE absorbing. The initiator checks the delivery
 target when recomputing R, but a window that has fully transferred is always
 authenticated, even if it ends exactly on the target. On a failed verdict the
 initiator terminates silently: no message crosses the channel, the peer is
@@ -33,7 +35,6 @@ class Phase(Enum):
     DATA_TRANSFER = "data_transfer"
     AUTH_PREPARE = "auth_prepare"
     AUTH_AWAIT = "auth_await"
-    AUTH_VERIFY = "auth_verify"
     TERMINATED = "terminated"
     COMPLETE = "complete"
 
@@ -120,16 +121,6 @@ class SessionState:
     current_r: int = 0
 
 
-def prepare_auth_qubit(sim: Simulator, plan: ks.AuthPlan) -> QubitRef:
-    """|0>, then X if the encoding bit is set, then H if the basis bit is."""
-    q = sim.allocate_qubit()
-    if plan.encoding_bit:
-        sim.apply_x(q)
-    if plan.base_bit:
-        sim.apply_h(q)
-    return q
-
-
 class _Endpoint:
     """State and helpers shared by both roles."""
 
@@ -196,7 +187,6 @@ class _Endpoint:
 
     def _verify(self, qubit: QubitRef) -> AuthVerdict:
         """Measure an incoming auth qubit against the current plan."""
-        self.state.phase = Phase.AUTH_VERIFY
         measured = self.sim.measure(qubit, self.plan.basis, self.rng)
         self.sim.release(qubit)
         verdict = AuthVerdict(
@@ -275,7 +265,7 @@ class Initiator(_Endpoint):
         if st.phase is Phase.AUTH_PREPARE:
             # Reverse authentication: prove our own identity with the same
             # round's plan, then resume the schedule.
-            qubit = prepare_auth_qubit(self.sim, self.plan)
+            qubit = self.sim.prepare(self.plan.encoding_bit, self.plan.basis)
             self.auth_qubits_sent += 1
             self._emit(event="prepare_auth", state=self.plan.expected_state)
             st.phase = Phase.COMPUTE_R
@@ -321,7 +311,7 @@ class Responder(_Endpoint):
 
         if st.phase is Phase.AUTH_PREPARE:
             self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
-            qubit = prepare_auth_qubit(self.sim, self.plan)
+            qubit = self.sim.prepare(self.plan.encoding_bit, self.plan.basis)
             self.auth_qubits_sent += 1
             self._emit(event="prepare_auth", state=self.plan.expected_state)
             st.phase = Phase.AUTH_AWAIT if self.config.reverse_auth else Phase.COMPUTE_R

@@ -6,8 +6,9 @@ group's qubit order. The repeater path never needs more: each edge holds one
 pair, a swap or hop Bell-measures one qubit of one group against one of
 another, and an intercepted qubit is measured on its own. So there is no
 two-qubit gate and no group merging; ``bell_measure`` refuses two qubits of
-one group, and ``measure`` and ``release`` refuse a qubit that is still
-entangled. Every group keeps at most two qubits by construction.
+one group, and the gates X and H, ``measure`` and ``release`` refuse a qubit
+that is still entangled. Every group keeps at most two qubits by
+construction.
 
 Amplitudes are plain Python complex lists: at 2 or 4 amplitudes scalar
 arithmetic beats array dispatch by a wide margin. Numpy appears only at the
@@ -166,40 +167,27 @@ class Simulator:
             raise SimulationError(f"qubit {q.id} is still entangled; Bell-measure it")
         return group
 
-    # -- gates --------------------------------------------------------------
-    #
-    # ``weight`` is the index bit of the target qubit: the last qubit of a
-    # group owns bit 1, the first of a pair bit 2. Indices with that bit
-    # clear pair with index | weight.
+    # -- preparation and gates on a lone qubit ---------------------------------
 
-    def _weight(self, group: _Group, q: QubitRef) -> int:
-        return 1 if group.qubits[-1] == q.id else 2
+    def prepare(self, bit: int, basis: Basis) -> QubitRef:
+        """A fresh qubit in |bit>, then H for ``Basis.X``: the eigenstate
+        |0>, |1>, |+> or |-> that measures ``bit`` in ``basis``."""
+        q = self.allocate_qubit()
+        if bit:
+            self.apply_x(q)
+        if basis is Basis.X:
+            self.apply_h(q)
+        return q
 
     def apply_x(self, q: QubitRef) -> None:
-        group = self._require(q)
-        w = self._weight(group, q)
-        amps = group.amps
-        for i in range(len(amps)):
-            if not i & w:
-                amps[i], amps[i | w] = amps[i | w], amps[i]
-
-    def apply_z(self, q: QubitRef) -> None:
-        group = self._require(q)
-        w = self._weight(group, q)
-        amps = group.amps
-        for i in range(len(amps)):
-            if i & w:
-                amps[i] = -amps[i]
+        amps = self._lone(q).amps
+        amps[0], amps[1] = amps[1], amps[0]
 
     def apply_h(self, q: QubitRef) -> None:
-        group = self._require(q)
-        w = self._weight(group, q)
-        amps = group.amps
-        for i in range(len(amps)):
-            if not i & w:
-                a0, a1 = amps[i], amps[i | w]
-                amps[i] = (a0 + a1) * _SQRT2_INV
-                amps[i | w] = (a0 - a1) * _SQRT2_INV
+        amps = self._lone(q).amps
+        a0, a1 = amps
+        amps[0] = (a0 + a1) * _SQRT2_INV
+        amps[1] = (a0 - a1) * _SQRT2_INV
 
     # -- measurement ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Checks on simulator state and test-only parsers shared by the test modules."""
+"""Simulator-state checks, the key-window walk and parsers shared by the tests."""
 
 import numpy as np
 
@@ -32,6 +32,14 @@ def assert_bell_pair(sim, a, b):
 def key_from_bits(bits) -> KeyMaterial:
     """A key from any iterable of 0/1 values or digits, e.g. "1101"."""
     return KeyMaterial(tuple(int(b) for b in bits))
+
+
+def window_value(bits, t, index):
+    """Value of the index-th R window: T wrapped key bits, MSB first."""
+    value = 0
+    for i in range(t):
+        value = (value << 1) | bits[(index * t + i) % len(bits)]
+    return value
 
 
 def parse_campaign_csv(text: str) -> list[dict]:

@@ -1,12 +1,16 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line.
 
 The statistical criteria are checked against oracles that never touch the
-simulator: plain integer walks over key bits reproduce the window schedule,
-and the geometric detection law (miss 3/4 per round) enters through closed
-forms, so the only oracle noise is key sampling.
+simulator: a dynamic program, proven equal to a plain walk over every small
+key, gives the window schedule's law under uniform keys exactly, and the
+geometric detection law (miss 3/4 per round) enters in closed form, so the
+oracles carry no sampling noise.
 """
 
 import functools
+from collections import Counter
+from fractions import Fraction
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -20,32 +24,25 @@ from qauthsim.experiments import (
 )
 from qauthsim.keyschedule import ScheduleConfig, capacity
 from qauthsim.protocol import SessionConfig
-from helpers import assert_bell_pair
+from helpers import assert_bell_pair, window_value
 from qauthsim.qsim import Simulator, make_rng, states_equal
 
 CHAIN = qa.Topology.chain(1)
 MISS = 0.75  # per-round miss probability of a basis-measuring interceptor
-ORACLE_KEYS = 20_000
+KEY_LENGTH = 1024  # the campaigns' key length
 
 
 # -- schedule oracle ------------------------------------------------------------
 
 
-def window_value(bits, pos, t):
-    value = 0
-    for i in range(t):
-        value = (value << 1) | bits[(pos + i) % len(bits)]
-    return value
-
-
 def auth_rounds(bits, t, target):
     """R value of every window the initiator fully transfers (and therefore
-    authenticates) before the delivery target closes the session."""
+    authenticates) before the delivery target closes the session, reading at
+    most the key's floor(L/T) windows that do not wrap."""
     rounds = []
-    pos = delivered = 0
-    while delivered < target:
-        r = window_value(bits, pos, t)
-        pos = (pos + t) % len(bits)
+    delivered = 0
+    while delivered < target and len(rounds) < len(bits) // t:
+        r = window_value(bits, t, len(rounds))
         if delivered + r > target:
             break  # target reached mid-window: complete, no auth
         delivered += r
@@ -53,44 +50,45 @@ def auth_rounds(bits, t, target):
     return rounds
 
 
+def schedule_dp(t, target, windows, one=1.0):
+    """f[k][d] = P(M >= k, delivered after round k = d) for k <= windows, with
+    M the authenticated rounds and R iid uniform on {0..2^T-1}: a live session
+    (d < target) opens a window, which authenticates only if d + R <= target
+    and otherwise completes the session. Exact when ``one`` is Fraction(1)."""
+    size = 2**t
+    zero = 0 * one
+    f = [[one] + [zero] * target]
+    for _ in range(windows):
+        prev, cur = f[-1], [zero] * (target + 1)
+        for d in range(target):
+            if prev[d]:
+                share = prev[d] / size
+                for r in range(min(size, target + 1 - d)):
+                    cur[d + r] += share
+        f.append(cur)
+    return f
+
+
 @functools.cache
-def schedule_oracle(t, target, keys=ORACLE_KEYS, key_length=1024, seed=2718):
-    """Exact-in-detection statistics under uniform keys.
+def schedule_model(t, target):
+    """Exact statistics under uniform keys of length KEY_LENGTH.
 
     Returns (detection_rate, mean_rounds_to_detect, mean_leakage,
-    mean_overhead): the geometric law is folded in analytically per key, so
-    only key sampling is stochastic.
+    mean_overhead, wrap): round k detects with probability MISS^(k-1)(1-MISS)
+    given M >= k, and wrap is P(window floor(L/T)+1 is opened), the mass
+    the no-wrap model leaves out.
     """
-    rng = np.random.default_rng(seed)
-    p, q = 1.0 - MISS, MISS
-    miss_sum = 0.0
-    detect_weight = 0.0  # sum over keys of P(detect)
-    rounds_weight = 0.0  # sum over keys of E[N * 1(N <= M)]
-    leak_weight = 0.0  # sum over keys of E[prefix_R(N) * 1(N <= M)]
-    overhead_sum = 0.0
-    for _ in range(keys):
-        bits = rng.integers(0, 2, size=key_length)
-        rounds = auth_rounds(bits, t, target)
-        m = len(rounds)
-        qm = q**m
-        miss_sum += qm
-        detect_weight += 1.0 - qm
-        rounds_weight += (1 - (m + 1) * q**m + m * q ** (m + 1)) / p
-        prefix = 0
-        for k, r in enumerate(rounds, start=1):
-            prefix += r
-            leak_weight += q ** (k - 1) * p * prefix
-        overhead_sum += m / target
-    return (
-        1.0 - miss_sum / keys,
-        rounds_weight / detect_weight,
-        leak_weight / detect_weight,
-        overhead_sum / keys,
-    )
-
-
-def ci_interval(row_mean, row_ci):
-    return row_mean - row_ci, row_mean + row_ci
+    f = schedule_dp(t, target, KEY_LENGTH // t)
+    detect = rounds = leak = auth = 0.0
+    for k in range(1, len(f)):
+        alive = sum(f[k])  # P(M >= k)
+        first = MISS ** (k - 1) * (1.0 - MISS)
+        detect += first * alive
+        rounds += first * alive * k
+        leak += first * sum(d * x for d, x in enumerate(f[k]))
+        auth += alive
+    wrap = sum(f[-1][:target])
+    return detect, rounds / detect, leak / detect, auth / target, wrap
 
 
 # -- shared campaigns -----------------------------------------------------------
@@ -147,13 +145,11 @@ def test_criterion_2_capacity_formula():
     assert capacity(1024, 2) == 768
     assert capacity(1024, 3) == 1193
     # brute force over every key for small lengths
-    from itertools import product
-
     for length in range(2, 9):
         for t in range(1, length + 1):
             windows = length // t
             total = sum(
-                window_value(bits, k * t, t)
+                window_value(bits, t, k)
                 for bits in product((0, 1), repeat=length)
                 for k in range(windows)
             )
@@ -162,13 +158,44 @@ def test_criterion_2_capacity_formula():
     print("ACCEPTANCE 2: PASS capacity 768/1193 and exhaustive small-key equivalence")
 
 
+def test_schedule_model_equals_exhaustive_walk():
+    # Over every key of length L, the number of keys with M >= k and D_k = d
+    # in the capped walk is exactly 2^L f_k(d), for every k <= floor(L/T);
+    # targets run past one window's maximum.
+    for length in range(2, 13):
+        keys = list(product((0, 1), repeat=length))
+        for t in range(1, min(length, 4) + 1):
+            windows = length // t
+            for target in range(10):
+                counts = Counter()  # keys by (k, D_k) for k <= M
+                for bits in keys:
+                    prefix = accumulate(auth_rounds(bits, t, target), initial=0)
+                    counts.update(enumerate(prefix))
+                f = schedule_dp(t, target, windows, one=Fraction(1))
+                for k, row in enumerate(f):
+                    for d, x in enumerate(row):
+                        assert x * 2**length == counts[k, d], (length, t, target, k, d)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_schedule_model_meets_closed_forms(t):
+    # Detection is near certain at target 150, so the rounds to detect are
+    # geometric with mean 1/p = 4 and, by Wald's identity, the leakage is
+    # E[R] / p = 2 (2^T - 1)
+    _, rounds, leak, _, wrap = schedule_model(t, 150)
+    assert wrap < 1e-12
+    assert abs(rounds - 1 / (1 - MISS)) <= 1e-6
+    assert abs(leak - 2 * (2**t - 1)) <= 1e-6
+
+
 def test_criterion_3_detection_rates(mitm_campaign):
     rates = {row.transfer_length: row.detection_rate for row in mitm_campaign.rows}
     assert rates[1] == 1.0
     assert rates[2] == 1.0
     assert rates[3] == 1.0
     assert rates[4] >= 0.97
-    oracle_rate = schedule_oracle(5, 150)[0]
+    oracle_rate, *_, wrap = schedule_model(5, 150)
+    assert wrap < 1e-12
     assert abs(rates[5] - oracle_rate) <= 0.04
     # non-increasing in T (within the detection-rate CI)
     cis = {row.transfer_length: row.detection_rate_ci for row in mitm_campaign.rows}
@@ -185,11 +212,11 @@ def test_criterion_4_rounds_to_detect(mitm_campaign):
     for row in mitm_campaign.rows:
         assert row.mean_rounds is not None
         assert abs(row.mean_rounds - 4.0) <= 1.0
-        oracle_rounds = schedule_oracle(row.transfer_length, 150)[1]
-        low, high = ci_interval(row.mean_rounds, row.mean_rounds_ci)
-        assert low <= oracle_rounds <= high, (
+        _, oracle_rounds, _, _, wrap = schedule_model(row.transfer_length, 150)
+        assert wrap < 1e-12
+        assert abs(oracle_rounds - row.mean_rounds) <= row.mean_rounds_ci, (
             f"T={row.transfer_length}: oracle {oracle_rounds:.3f} outside "
-            f"[{low:.3f}, {high:.3f}]"
+            f"{row.mean_rounds:.3f} +- {row.mean_rounds_ci:.3f}"
         )
     means = {r.transfer_length: r.mean_rounds for r in mitm_campaign.rows}
     print(
@@ -202,11 +229,11 @@ def test_criterion_5_leakage(mitm_campaign):
     leaks = []
     for row in mitm_campaign.rows:
         assert row.mean_leakage is not None
-        oracle_leak = schedule_oracle(row.transfer_length, 150)[2]
-        low, high = ci_interval(row.mean_leakage, row.mean_leakage_ci)
-        assert low <= oracle_leak <= high, (
+        _, _, oracle_leak, _, wrap = schedule_model(row.transfer_length, 150)
+        assert wrap < 1e-12
+        assert abs(oracle_leak - row.mean_leakage) <= row.mean_leakage_ci, (
             f"T={row.transfer_length}: oracle {oracle_leak:.2f} outside "
-            f"[{low:.2f}, {high:.2f}]"
+            f"{row.mean_leakage:.2f} +- {row.mean_leakage_ci:.2f}"
         )
         leaks.append(row.mean_leakage)
     assert all(a < b for a, b in zip(leaks, leaks[1:]))  # strictly increasing
@@ -220,11 +247,11 @@ def test_criterion_6_overhead(overhead_campaign):
     overheads = []
     for row in overhead_campaign.rows:
         assert row.overhead is not None
-        oracle_overhead = schedule_oracle(row.transfer_length, 100)[3]
-        low, high = ci_interval(row.overhead, row.overhead_ci)
-        assert low <= oracle_overhead <= high, (
+        *_, oracle_overhead, wrap = schedule_model(row.transfer_length, 100)
+        assert wrap < 1e-12
+        assert abs(oracle_overhead - row.overhead) <= row.overhead_ci, (
             f"T={row.transfer_length}: oracle {oracle_overhead:.4f} outside "
-            f"[{low:.4f}, {high:.4f}]"
+            f"{row.overhead:.4f} +- {row.overhead_ci:.4f}"
         )
         overheads.append(row.overhead)
     assert all(a > b for a, b in zip(overheads, overheads[1:]))  # decreasing
@@ -259,6 +286,7 @@ def test_criterion_8a_honest_completeness():
             key_length=32,
         )
         record = qa.run_trial(CHAIN, qa.Honest(), cfg, seed=500_000 + i)
+        assert record.completed
         failures += record.detected
     assert failures == 0
     print("ACCEPTANCE 8a: PASS zero authentication failures over 10,000 honest sessions")

@@ -5,14 +5,13 @@ and capacity against exhaustive enumeration of all keys for small lengths.
 """
 
 import math
-from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import key_from_bits
+from helpers import key_from_bits, window_value
 from qauthsim.keyschedule import (
     AUTH_STATE_TABLE,
     AuthPlan,
@@ -24,14 +23,6 @@ from qauthsim.keyschedule import (
     next_r,
     parse_key,
 )
-
-
-def window_oracle(bits, t, index):
-    """Value of the index-th R window: T wrapped bits, MSB first."""
-    value = 0
-    for i in range(t):
-        value = (value << 1) | bits[(index * t + i) % len(bits)]
-    return value
 
 
 def test_worked_example_windows():
@@ -73,7 +64,7 @@ def test_wraparound_windows_match_oracle():
     cur = KeyCursors()
     got = [next_r(key, cfg, cur) for _ in range(12)]
     assert got[:3] == [2, 3, 1]  # "10", "11" (wrapping), "01" (wrapping)
-    assert got == [window_oracle(key.bits, 2, i) for i in range(12)]
+    assert got == [window_value(key.bits, 2, i) for i in range(12)]
 
 
 def test_plan_table_covers_all_four_states():
@@ -97,7 +88,7 @@ def test_window_sequence_matches_oracle(bits, t, rounds):
     cfg = ScheduleConfig(t)
     cur = KeyCursors()
     got = [next_r(key, cfg, cur) for _ in range(rounds)]
-    assert got == [window_oracle(bits, t, i) for i in range(rounds)]
+    assert got == [window_value(bits, t, i) for i in range(rounds)]
     assert all(0 <= r < 2**t for r in got)
 
 
@@ -176,13 +167,12 @@ def test_capacity_equals_exhaustive_mean(length):
     # full pass (floor(L/T) windows, no wrap) must floor to capacity().
     for t in range(1, length + 1):
         windows = length // t
-        total = 0
-        for bits in product((0, 1), repeat=length):
-            for k in range(windows):
-                chunk = bits[k * t : (k + 1) * t]
-                total += int("".join(map(str, chunk)), 2) if chunk else 0
-        mean = Fraction(total, 2**length)
-        assert capacity(length, t) == math.floor(mean)
+        total = sum(
+            window_value(bits, t, k)
+            for bits in product((0, 1), repeat=length)
+            for k in range(windows)
+        )
+        assert capacity(length, t) == total // 2**length
 
 
 # -- key parsing / validation ---------------------------------------------------

@@ -9,10 +9,9 @@ from qauthsim.keyschedule import AuthPlan, ScheduleConfig
 from qauthsim.protocol import (
     PayloadDistribution,
     SessionConfig,
-    prepare_auth_qubit,
     sample_payload,
 )
-from qauthsim.qsim import NAMED_STATES, Simulator, make_rng, states_equal
+from qauthsim.qsim import NAMED_STATES, Basis, Simulator, make_rng, states_equal
 
 CHAIN = qa.Topology.chain(1)
 
@@ -31,13 +30,13 @@ def honest_config(t, target, key="1101", **kwargs):
 
 def test_prepare_minus_state():
     sim = Simulator()
-    q = prepare_auth_qubit(sim, AuthPlan(1, 1))
+    q = sim.prepare(1, Basis.X)
     assert states_equal(sim.amplitudes(q), NAMED_STATES["-"], tol=1e-12)
 
 
 def test_prepare_zero_applies_no_gates():
     sim = Simulator()
-    q = prepare_auth_qubit(sim, AuthPlan(0, 0))
+    q = sim.prepare(0, Basis.Z)
     np.testing.assert_array_equal(sim.amplitudes(q), np.array([1, 0], dtype=complex))
 
 
@@ -46,7 +45,7 @@ def test_prepare_matches_expected_state_table():
     for enc in (0, 1):
         for base in (0, 1):
             plan = AuthPlan(enc, base)
-            q = prepare_auth_qubit(sim, plan)
+            q = sim.prepare(plan.encoding_bit, plan.basis)
             assert states_equal(
                 sim.amplitudes(q), NAMED_STATES[plan.expected_state], tol=1e-12
             )
