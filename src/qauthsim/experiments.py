@@ -136,6 +136,8 @@ class ExperimentConfig:
             self.key and self.key.strip().lower().startswith("0x")
         ):
             raise ConfigError("key_bits is only for a 0x-prefixed hex key")
+        if self.key_bits is not None and self.key_bits < 2:
+            raise ConfigError(f"key_bits must be >= 2, got {self.key_bits}")
 
 
 @dataclass(frozen=True)

@@ -309,7 +309,7 @@ def run_trial(
             if sent is not None:
                 direction = "forward" if machine is alice else "reverse"
                 arrived = fabric.transfer(sent, direction)
-                truth = alice.payload_truth.pop(sent.id, None)
+                truth = alice.payload_truth.pop(sent, None)
                 if truth is not None:
                     data_delivered += 1
                     if states_equal(sim.amplitudes(arrived), truth):

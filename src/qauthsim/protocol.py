@@ -246,7 +246,7 @@ class Initiator(_Endpoint):
                 self._complete()
                 return None
             qubit, truth = sample_payload(self.sim, self.config.payload, self.rng)
-            self.payload_truth[qubit.id] = truth
+            self.payload_truth[qubit] = truth
             st.sent_count += 1
             st.qubits_delivered += 1
             return qubit

@@ -27,6 +27,22 @@ the two halves of one pair (it refuses anything else before any draw), so
 ``far`` is the surviving branch's last qubit, and the correction is written
 straight into that branch's amplitudes.
 
+Each simulator memoises the Bell measurement's branch table (the four
+branch weights and the unscaled branches), keyed on the two operands'
+amplitude pairs as ``_halves`` reads them. A repeater chain feeds the kernel
+few distinct inputs (fresh pairs, corrected post-swap pairs, the four named
+states), so most calls in a trial repeat one. The table is a pure function
+of the key, computed by the same arithmetic in the same order, so a hit
+returns what a miss would compute. The checks, the two draws, the norm
+check and a fresh survivor list still happen on every call, so the draws
+and the results are unchanged. Keys compare with ``==``, so 0.0 and -0.0
+share an entry; a hit may then differ from a miss in the sign of a zero,
+which reaches no weight, draw or output. The memo lives as long as its
+simulator (one trial) and is emptied when it holds ``BELL_CACHE_MAX``
+entries.
+
+Qubit handles are plain ints, the qubit's id in its simulator.
+
 Measurement in the X basis is realised as H, Z-measure, H: outcome 0 maps to
 the |+> eigenstate and 1 to |->, and the qubit is left in that eigenstate so
 an immediate re-measurement in the same basis repeats the outcome.
@@ -35,12 +51,13 @@ an immediate re-measurement in the same basis repeats the outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 NORM_TOL = 1e-9
+#: Entries after which a simulator's Bell-measurement memo is emptied.
+BELL_CACHE_MAX = 256
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _MASK64 = (1 << 64) - 1
@@ -63,11 +80,8 @@ class Basis(Enum):
     X = "X"
 
 
-@dataclass(frozen=True)
-class QubitRef:
-    """Opaque handle to a live qubit in a :class:`Simulator` registry."""
-
-    id: int
+#: A qubit handle: the int id of a live qubit in a :class:`Simulator`.
+QubitRef = int
 
 
 NAMED_STATES = {
@@ -121,6 +135,8 @@ class Simulator:
         self.max_qubits = max_qubits
         self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
         self._next_id = 0
+        # (a's halves, b's halves) -> (w00, w01, w10, w11, branches)
+        self._bell_cache: dict[tuple, tuple] = {}
 
     # -- allocation / bookkeeping ------------------------------------------
 
@@ -141,7 +157,7 @@ class Simulator:
         qid = self._next_id
         self._next_id += 1
         self._groups[qid] = _Group([qid], amps)
-        return QubitRef(qid)
+        return qid
 
     def live_count(self) -> int:
         return len(self._groups)
@@ -149,22 +165,22 @@ class Simulator:
     def release(self, q: QubitRef) -> None:
         """Discard a qubit. Only unentangled (singleton-group) qubits qualify."""
         self._lone(q)
-        del self._groups[q.id]
+        del self._groups[q]
 
     def amplitudes(self, q: QubitRef) -> tuple[complex, ...]:
         """Amplitudes of the group holding this qubit, as Python complex."""
         return tuple(self._require(q).amps)
 
     def _require(self, q: QubitRef) -> _Group:
-        group = self._groups.get(q.id)
+        group = self._groups.get(q)
         if group is None:
-            raise DeadQubitError(f"qubit {q.id} is not live")
+            raise DeadQubitError(f"qubit {q} is not live")
         return group
 
     def _lone(self, q: QubitRef) -> _Group:
         group = self._require(q)
         if len(group.qubits) != 1:
-            raise SimulationError(f"qubit {q.id} is still entangled; Bell-measure it")
+            raise SimulationError(f"qubit {q} is still entangled; Bell-measure it")
         return group
 
     # -- preparation and gates on a lone qubit ---------------------------------
@@ -217,7 +233,7 @@ class Simulator:
         # Same result as H on a then CNOT(a, b); built directly for speed.
         pair = _Group([qid, qid + 1], [_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j])
         self._groups[qid] = self._groups[qid + 1] = pair
-        return QubitRef(qid), QubitRef(qid + 1)
+        return qid, qid + 1
 
     def bell_measure(
         self, a: QubitRef, b: QubitRef, rng: np.random.Generator
@@ -238,32 +254,42 @@ class Simulator:
         renormalised, becomes the group of the remaining qubits: a's
         partner, then b's partner, those that exist.
         """
-        if a.id == b.id:
+        if a == b:
             raise ValueError("Bell measurement needs two distinct qubits")
         groups = self._groups
-        ga = groups.get(a.id)
-        gb = groups.get(b.id)
+        ga = groups.get(a)
+        gb = groups.get(b)
         if ga is None or gb is None:
-            raise DeadQubitError(f"qubit {(b if ga else a).id} is not live")
+            raise DeadQubitError(f"qubit {b if ga else a} is not live")
         if ga is gb:
-            raise SimulationError(f"qubits {a.id} and {b.id} share a group")
-        xs, rest = _halves(ga, a.id)
-        ys, b_rest = _halves(gb, b.id)
+            raise SimulationError(f"qubits {a} and {b} share a group")
+        xs, rest = _halves(ga, a)
+        ys, b_rest = _halves(gb, b)
         rest += b_rest
-        # For each index r of the remaining qubits (a's partner's bit, then
-        # b's partner's bit), the unscaled branches (c00, c01, c10, c11) and
-        # their weights times 2 (the 1/sqrt(2) is folded into the scale).
-        branches = []
-        w00 = w01 = w10 = w11 = 0.0
-        for x0, x1 in xs:
-            for y0, y1 in ys:
-                u, p, q, v = x0 * y0, x0 * y1, x1 * y0, x1 * y1
-                c = s, t, d, e = u + v, p + q, u - v, p - q
-                w00 += s.real * s.real + s.imag * s.imag
-                w01 += t.real * t.real + t.imag * t.imag
-                w10 += d.real * d.real + d.imag * d.imag
-                w11 += e.real * e.real + e.imag * e.imag
-                branches.append(c)
+        cache = self._bell_cache
+        key = (xs, ys)
+        table = cache.get(key)
+        if table is None:
+            # For each index r of the remaining qubits (a's partner's bit,
+            # then b's partner's bit), the unscaled branches (c00, c01, c10,
+            # c11) and their weights times 2 (the 1/sqrt(2) is folded into
+            # the scale).
+            branches = []
+            w00 = w01 = w10 = w11 = 0.0
+            for x0, x1 in xs:
+                for y0, y1 in ys:
+                    u, p, q, v = x0 * y0, x0 * y1, x1 * y0, x1 * y1
+                    c = s, t, d, e = u + v, p + q, u - v, p - q
+                    w00 += s.real * s.real + s.imag * s.imag
+                    w01 += t.real * t.real + t.imag * t.imag
+                    w10 += d.real * d.real + d.imag * d.imag
+                    w11 += e.real * e.real + e.imag * e.imag
+                    branches.append(c)
+            table = (w00, w01, w10, w11, tuple(branches))
+            if len(cache) >= BELL_CACHE_MAX:
+                cache.clear()
+            cache[key] = table
+        w00, w01, w10, w11, branches = table
 
         pa1 = 0.5 * (w10 + w11)
         m_a = int(rng.random() < pa1)
@@ -280,7 +306,7 @@ class Simulator:
         if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm!r}")
 
-        del groups[a.id], groups[b.id]
+        del groups[a], groups[b]
         if rest:
             scale = _SQRT2_INV / math.sqrt(pa * pb)
             k = 2 * m_a + m_b
@@ -302,12 +328,12 @@ class Simulator:
         order; otherwise ``SimulationError`` is raised before any draw.
         """
         pair = self._require(near).qubits
-        if far.id == near.id or far.id not in pair:
-            raise SimulationError(f"qubits {near.id} and {far.id} are not one pair")
+        if far == near or far not in pair:
+            raise SimulationError(f"qubits {near} and {far} are not one pair")
         m_a, m_b = self.bell_measure(q, near, rng)
         # far is near's partner, so the survivor's last qubit (index bit 1):
         # X swaps and then Z negates within each amplitude pair (2k, 2k + 1).
-        amps = self._groups[far.id].amps
+        amps = self._groups[far].amps
         if m_b:
             amps[0], amps[1] = amps[1], amps[0]
         if m_a:

@@ -7,7 +7,7 @@ from qauthsim.keyschedule import KeyMaterial
 
 def group_of(sim, q):
     """Qubit ids of the group holding q, in index order; () once q is gone."""
-    group = sim._groups.get(q.id)  # test-only: the simulator's layout
+    group = sim._groups.get(q)  # test-only: the simulator's layout
     return tuple(group.qubits) if group else ()
 
 
@@ -16,15 +16,15 @@ def assert_bell_pair(sim, a, b):
     two-qubit group whose one-qubit reduced state has purity 1/2."""
     members = group_of(sim, a)
     assert members == group_of(sim, b) and len(members) == 2, (
-        f"qubits {a.id} and {b.id} are not an isolated entangled pair"
+        f"qubits {a} and {b} are not an isolated entangled pair"
     )
     t = np.array(sim.amplitudes(a), dtype=complex).reshape(2, 2)
-    if members[0] != a.id:
+    if members[0] != a:
         t = t.T
     rho = t @ t.conj().T
     purity = float(np.trace(rho @ rho).real)
     assert abs(purity - 0.5) <= 1e-9, (
-        f"qubits {a.id} and {b.id} are not maximally entangled"
+        f"qubits {a} and {b} are not maximally entangled"
         f" (reduced purity {purity:.6f})"
     )
 

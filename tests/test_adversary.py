@@ -169,7 +169,7 @@ def test_interceptor_splits_the_channel():
     assert_bell_pair(sim, eve_right_q, bob_q)
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, alice_q, bob_q)
-    assert eve_left_q.id in group_of(sim, alice_q)
+    assert eve_left_q in group_of(sim, alice_q)
 
 
 # -- detection statistics ---------------------------------------------------------

@@ -37,4 +37,9 @@ def test_benchmark_spans_reach_every_layer():
     for layer in ("protocol.step", "netsim.provision", "keyschedule.next_r"):
         assert calls[layer] > 0, layer
     assert {name for name, n in calls.items() if n == 0} == set()
+    # Two segments per MitM transfer and no swaps: each transfer makes two
+    # pairs and teleports over both, and every teleport's Bell measurement
+    # passes through the wrapped Simulator.bell_measure.
+    assert (calls["qsim.bell_measure"] == calls["qsim.make_bell_pair"]
+            == 2 * calls["netsim.transfer"])
     assert 0 < out["steps"]["useful"] <= out["steps"]["all"]

@@ -185,11 +185,18 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
 
 
 @pytest.mark.parametrize(
-    "key_flags", [["--key", "0110", "--key-bits", "8"], ["--key-bits", "8"]]
+    "key_flags",
+    [["--key", "0110", "--key-bits", "8"], ["--key-bits", "8"],
+     ["--key", "0x1", "--key-bits", "-3"], {"key": "0x1", "key_bits": 1}],
 )
-def test_key_bits_without_hex_key_exits_2(capsys, key_flags):
+def test_key_bits_without_hex_key_exits_2(tmp_path, capsys, key_flags):
     # --key-bits sizes a 0x hex key; beside a 0/1 key or no key it would be
-    # dropped and another key length run than the one asked for.
+    # dropped and another key length run than the one asked for. Below 2
+    # bits, from a flag or a config file, it names no usable key length.
+    if isinstance(key_flags, dict):
+        path = tmp_path / "key.json"
+        path.write_text(json.dumps(key_flags))
+        key_flags = ["--config", str(path)]
     code, out, err = run(["custom", "-T", "1", "--trials", "1", *key_flags], capsys)
     assert code == 2
     assert out == ""

@@ -1,6 +1,7 @@
 """State-vector simulator tests: gate algebra, Born statistics, teleportation
 and swap chains, checked against independent dense-matrix oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_bell_pair, group_of
+from qauthsim import qsim
 from qauthsim.qsim import (
     Basis,
     CapacityError,
@@ -62,8 +64,8 @@ def test_two_allocations_are_independent_groups():
     sim = Simulator()
     a = sim.allocate_qubit()
     b = sim.allocate_qubit()
-    assert group_of(sim, a) == (a.id,)
-    assert group_of(sim, b) == (b.id,)
+    assert group_of(sim, a) == (a,)
+    assert group_of(sim, b) == (b,)
     # joint state is the tensor product of the singletons
     joint = np.kron(sim.amplitudes(a), sim.amplitudes(b))
     assert states_equal(joint, np.array([1, 0, 0, 0], dtype=complex))
@@ -101,7 +103,7 @@ def test_bell_circuit_matches_dense_oracle():
     # a swap leaves the same state on (a, d), up to global phase
     c, d = sim.make_bell_pair()
     sim.teleport(b, c, d, rng)
-    assert group_of(sim, a) == (a.id, d.id)
+    assert group_of(sim, a) == (a, d)
     assert states_equal(sim.amplitudes(a), expected, tol=1e-12)
     # and the pair carries |1> from a to d, measured there on its own
     payload = sim.allocate_qubit(NAMED_STATES["1"])
@@ -175,7 +177,7 @@ def test_swap_outcome_names_the_bell_state_left_behind():
         c, d = sim.make_bell_pair()
         m_a, m_b = sim.bell_measure(b, c, rng)
         pauli = np.linalg.matrix_power(X_MAT, m_b) @ np.linalg.matrix_power(Z_MAT, m_a)
-        assert group_of(sim, a) == (a.id, d.id)
+        assert group_of(sim, a) == (a, d)
         assert states_equal(sim.amplitudes(a), np.kron(I2, pauli) @ BELL, tol=1e-12)
         counts[m_a, m_b] = counts.get((m_a, m_b), 0) + 1
     for combo in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -285,7 +287,7 @@ def dense_bell_measure(state, ia, ib, rng):
 def load_group(sim, amps):
     """A lone qubit or a pair holding the given amplitudes."""
     qubits = [sim.allocate_qubit()] if len(amps) == 2 else list(sim.make_bell_pair())
-    sim._groups[qubits[0].id].amps[:] = amps  # test-only: arbitrary state
+    sim._groups[qubits[0]].amps[:] = amps  # test-only: arbitrary state
     return qubits
 
 
@@ -323,7 +325,7 @@ def test_fused_bell_measure_matches_gate_sequence(case):
     assert group_of(sim, a) == group_of(sim, b) == ()
     left = [q for q in group_a + group_b if q not in (a, b)]
     for q in left:
-        assert group_of(sim, q) == tuple(x.id for x in left)
+        assert group_of(sim, q) == tuple(left)
         np.testing.assert_allclose(sim.amplitudes(q), rest, rtol=0, atol=1e-12)
 
 
@@ -355,9 +357,105 @@ def test_teleport_matches_bell_measure_then_corrections(case):
     assert sim.teleport(q, near, far, rng) == bits
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
     assert group_of(sim, q) == group_of(sim, near) == ()
-    survivors = tuple(x.id for x in group_q if x != q) + (far.id,)
+    survivors = tuple(x for x in group_q if x != q) + (far,)
     assert group_of(sim, far) == survivors
     np.testing.assert_allclose(sim.amplitudes(far), expected, rtol=0, atol=1e-12)
+
+
+# -- the per-simulator Bell-measurement memo ---------------------------------
+
+#: (group size, position in the group): a lone qubit or either half of a pair
+SHAPES = ((1, 0), (2, 0), (2, 1))
+
+
+@st.composite
+def memo_cases(draw):
+    # a lone and a pair state for each operand, reused by every shape, so
+    # shapes that share one operand's amplitude pairs meet in one memo
+    lone = (random_state(draw, 1), random_state(draw, 1))
+    pair = (random_state(draw, 2), random_state(draw, 2))
+    return lone, pair, draw(st.integers(0, 2**64 - 1))
+
+
+def miss_then_hit(sim, states, where, seed, teleport=False):
+    """Load the two operand groups, at positions ``where``, and Bell-measure
+    (or, with ``teleport``, teleport over the second group) with an RNG from
+    ``seed``; then the same on a second copy of the groups in the same
+    simulator, which the memo must serve. Returns, per copy, the outcome,
+    the RNG state and the amplitudes of the remaining qubits, each checked
+    to form one group in order (a's partner, then b's)."""
+    runs = []
+    for _ in range(2):
+        rng = make_rng(seed)
+        group_a, group_b = load_group(sim, states[0]), load_group(sim, states[1])
+        a, b = group_a[where[0]], group_b[where[1]]
+        size = len(sim._bell_cache)
+        if teleport:
+            out = sim.teleport(a, b, group_b[1 - where[1]], rng)
+        else:
+            out = sim.bell_measure(a, b, rng)
+        left = [q for q in group_a + group_b if q not in (a, b)]
+        for q in left:
+            assert group_of(sim, q) == tuple(left)
+        runs.append((out, rng.bit_generator.state, sim.amplitudes(left[0]) if left else ()))
+    assert len(sim._bell_cache) == size  # the second copy was a memo hit
+    return runs
+
+
+@given(memo_cases())
+@settings(max_examples=100, deadline=None)
+def test_bell_memo_hit_equals_miss(case):
+    # Every shape and position in one simulator, each run on two copies of
+    # the same groups: the first fills the memo (unless an earlier shape with
+    # the same amplitude pairs did), the second reads it. The two must agree
+    # exactly, and match the dense gate sequence to 1e-12.
+    lone, pair, seed = case
+    sim = Simulator()
+    for (ka, ia), (kb, ib) in itertools.product(SHAPES, SHAPES):
+        states = (lone[0] if ka == 1 else pair[0], lone[1] if kb == 1 else pair[1])
+        bits, rest = dense_bell_measure(np.kron(*states), ia, ka + ib, make_rng(seed))
+        miss, hit = miss_then_hit(sim, states, (ia, ib), seed)
+        assert miss == hit and hit[0] == bits
+        if ka + kb > 2:
+            np.testing.assert_allclose(hit[2], rest, rtol=0, atol=1e-12)
+    # teleport: q of any shape, near either half of its pair, and a seed
+    # whose correction bits are not (0, 0), so the corrections write into
+    # the survivor (they must not reach the memo)
+    for (kq, iq), inear in itertools.product(SHAPES, (0, 1)):
+        states = (lone[0] if kq == 1 else pair[0], pair[1])
+        for s in range(seed, seed + 64):  # P(0, 0) <= 1/2 for any such input
+            bits, rest = dense_bell_measure(np.kron(*states), iq, kq + inear, make_rng(s))
+            if bits != (0, 0):
+                break
+        pauli = np.linalg.matrix_power(Z_MAT, bits[0]) @ np.linalg.matrix_power(X_MAT, bits[1])
+        miss, hit = miss_then_hit(sim, states, (iq, inear), s, teleport=True)
+        assert miss == hit and hit[0] == bits
+        expected = (rest.reshape(-1, 2) @ pauli.T).reshape(-1)
+        np.testing.assert_allclose(hit[2], expected, rtol=0, atol=1e-12)
+
+
+def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
+    # With the bound at 4, ten distinct Haar inputs, each measured twice in
+    # a row, overflow the memo; it is emptied and refilled, never holding
+    # more than 4 entries, and every result equals a cold simulator's.
+    monkeypatch.setattr(qsim, "BELL_CACHE_MAX", 4)
+    assert Simulator()._bell_cache == {}
+    sim = Simulator()
+    state_rng = np.random.default_rng(26)
+    sizes = []
+    for i in range(20):
+        if i % 2 == 0:
+            v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
+        runs = []
+        for s in (sim, Simulator()):
+            rng = make_rng(i)
+            q = s.allocate_qubit(v)
+            a, b = s.make_bell_pair()
+            runs.append((s.bell_measure(q, a, rng), rng.bit_generator.state, s.amplitudes(b)))
+            s.release(b)
+        assert runs[0] == runs[1]
+        sizes.append(len(sim._bell_cache))
+    assert max(sizes) == 4 and sizes[-1] < 4  # reached the bound, then emptied
 
 
 def test_swap_then_z_measurement_correlates():
@@ -505,7 +603,7 @@ def test_consumed_by_bell_measure_rejected():
         sim.bell_measure(a, c, rng)
     with pytest.raises(DeadQubitError):
         sim.bell_measure(c, q, rng)
-    assert group_of(sim, c) == (c.id, d.id)
+    assert group_of(sim, c) == (c, d)
 
 
 def test_registry_capacity():
@@ -537,8 +635,8 @@ def test_pair_shape_checks_refuse_and_leave_state_alone():
     for far in (other, a):
         with pytest.raises(SimulationError):
             sim.teleport(q, a, far, rng)
-    assert group_of(sim, q) == (q.id,) and group_of(sim, other) == (other.id,)
-    assert group_of(sim, a) == group_of(sim, b) == (a.id, b.id)
+    assert group_of(sim, q) == (q,) and group_of(sim, other) == (other,)
+    assert group_of(sim, a) == group_of(sim, b) == (a, b)
     assert sim.amplitudes(a) == (SQ + 0j, 0j, 0j, SQ + 0j)
     assert rng.bit_generator.state == draws
 
@@ -548,7 +646,7 @@ def test_bell_measure_needs_distinct_qubits():
     q = sim.allocate_qubit()
     with pytest.raises(ValueError):
         sim.bell_measure(q, q, make_rng(25))
-    assert group_of(sim, q) == (q.id,)
+    assert group_of(sim, q) == (q,)
 
 
 def test_teleport_rejects_unentangled_pair():
@@ -560,7 +658,7 @@ def test_teleport_rejects_unentangled_pair():
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, a, b)
     a, b = sim.make_bell_pair()
-    sim._groups[a.id].amps[:] = [1, 0, 0, 0]  # test-only: |00> in one group
+    sim._groups[a].amps[:] = [1, 0, 0, 0]  # test-only: |00> in one group
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, a, b)
     c, d = sim.make_bell_pair()
