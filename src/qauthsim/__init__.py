@@ -23,7 +23,6 @@ from .keyschedule import (
 )
 from .netsim import Topology, TrialRecord, run_trial
 from .protocol import (
-    AuthVerdict,
     Initiator,
     PayloadDistribution,
     Phase,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuthPlan",
-    "AuthVerdict",
     "Basis",
     "ExperimentConfig",
     "ExperimentResult",

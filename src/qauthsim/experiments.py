@@ -122,6 +122,12 @@ class ExperimentConfig:
             raise ConfigError("need at least one transfer length")
         if any(not 1 <= t <= 16 for t in self.t_values):
             raise ConfigError("transfer lengths must be in [1, 16]")
+        if len(set(self.t_values)) != len(self.t_values):
+            # each T is one row and one batch of trials; a repeat would emit
+            # its row twice and, in JSON, keep only one batch of trials
+            raise ConfigError(
+                f"transfer lengths must not repeat, got {list(self.t_values)}"
+            )
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.data_target < 0:

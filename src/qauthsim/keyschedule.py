@@ -43,9 +43,6 @@ class KeyMaterial:
     def length(self) -> int:
         return len(self.bits)
 
-    def bit(self, offset: int) -> int:
-        return self.bits[offset % len(self.bits)]
-
     @classmethod
     def random(cls, length: int, rng: np.random.Generator) -> "KeyMaterial":
         if length < 2:
@@ -119,13 +116,20 @@ class AuthPlan:
         return AUTH_STATE_TABLE[(self.encoding_bit, self.base_bit)]
 
 
+#: The four plans, by [encoding_bit][base_bit]; every round shares them.
+_AUTH_PLANS = tuple(tuple(AuthPlan(e, b) for b in (0, 1)) for e in (0, 1))
+
+
 def next_r(key: KeyMaterial, cfg: ScheduleConfig, cursors: KeyCursors) -> int:
     """Read the next transfer window: T key bits, MSB first, wrapping."""
-    t = cfg.transfer_length
+    bits = key.bits
+    n = len(bits)
+    start = cursors.r_cursor
+    end = start + cfg.transfer_length
     value = 0
-    for i in range(t):
-        value = (value << 1) | key.bit(cursors.r_cursor + i)
-    cursors.r_cursor = (cursors.r_cursor + t) % key.length
+    for i in range(start, end):
+        value = (value << 1) | bits[i % n]
+    cursors.r_cursor = end % n
     return value
 
 
@@ -133,13 +137,14 @@ def next_auth_pair(
     key: KeyMaterial, cfg: ScheduleConfig, cursors: KeyCursors
 ) -> AuthPlan:
     """Read the next two key bits and split them into an AuthPlan."""
-    pair = (key.bit(cursors.pair_cursor), key.bit(cursors.pair_cursor + 1))
-    cursors.pair_cursor = (cursors.pair_cursor + 2) % key.length
+    bits = key.bits
+    n = len(bits)
+    c = cursors.pair_cursor
+    pair = (bits[c % n], bits[(c + 1) % n])
+    cursors.pair_cursor = (c + 2) % n
     cursors.round_index += 1
-    return AuthPlan(
-        encoding_bit=pair[cfg.encoding_index],
-        base_bit=pair[cfg.base_index],
-    )
+    e = cfg.encoding_index
+    return _AUTH_PLANS[pair[e]][pair[1 - e]]
 
 
 def capacity(key_length: int, transfer_length: int) -> int:

@@ -263,7 +263,12 @@ def run_trial(
     rng_world = make_rng(derive_seed(seed, 0))
     eve_seed = derive_seed(seed, 1)
     if config.key is None:
-        key = KeyMaterial.random(config.key_length, make_rng(derive_seed(seed, 2)))
+        # A fresh key is drawn until it is non-zero: an all-zero key never
+        # schedules a data window. At 1024 bits the first draw always is.
+        key_rng = make_rng(derive_seed(seed, 2))
+        key = KeyMaterial.random(config.key_length, key_rng)
+        while not any(key.bits):
+            key = KeyMaterial.random(config.key_length, key_rng)
         config = replace(config, key=key)
     if config.data_qubit_target > 0 and not any(config.key.bits):
         raise ValueError("all-zero key never schedules a data window")
@@ -284,42 +289,51 @@ def run_trial(
     fabric = EntanglementFabric(sim, topology, repeater, rng_world, trace)
     alice = proto.Initiator(config, sim, rng_world, trace)
     bob = proto.Responder(config, sim, rng_world, trace)
-    inboxes = {alice: deque(), bob: deque()}
-    peers = {alice: bob, bob: alice}
+    alice_inbox: deque[QubitRef] = deque()
+    bob_inbox: deque[QubitRef] = deque()
+    # per endpoint: (machine, its state, its inbox, its peer's inbox,
+    # the direction of what it sends), in sweep order
+    endpoints = (
+        (alice, alice.state, alice_inbox, bob_inbox, "forward"),
+        (bob, bob.state, bob_inbox, alice_inbox, "reverse"),
+    )
+    absorbing = proto.ABSORBING
+    transfer = fabric.transfer
+    amplitudes = sim.amplitudes
+    payload_truth = alice.payload_truth
 
     data_delivered = 0
     data_intact = 0
     sweeps = 0
-    while not (alice.absorbing and bob.absorbing):
+    while alice.state.phase not in absorbing or bob.state.phase not in absorbing:
         progressed = False
-        for machine in (alice, bob):
-            inbox = inboxes[machine]
-            if machine.absorbing:
+        for machine, state, inbox, peer_inbox, direction in endpoints:
+            phase = state.phase
+            if phase in absorbing:
                 while inbox:  # a terminated endpoint ignores late arrivals
                     sim.release(inbox.popleft())
                 continue
-            arrival = inbox.popleft() if inbox and machine.wants_qubit else None
-            phase = machine.state.phase
+            arrival = (
+                inbox.popleft() if inbox and phase in machine.receive_phases else None
+            )
             sent = machine.step(arrival)
             # A step changes the endpoint's counters only when it sends,
             # changes phase or consumes an arrival.
-            if (sent is not None or arrival is not None
-                    or machine.state.phase is not phase):
+            if sent is not None or arrival is not None or state.phase is not phase:
                 progressed = True
             if sent is not None:
-                direction = "forward" if machine is alice else "reverse"
-                arrived = fabric.transfer(sent, direction)
-                truth = alice.payload_truth.pop(sent, None)
+                arrived = transfer(sent, direction)
+                truth = payload_truth.pop(sent, None)
                 if truth is not None:
                     data_delivered += 1
-                    if states_equal(sim.amplitudes(arrived), truth):
+                    if states_equal(amplitudes(arrived), truth):
                         data_intact += 1
-                inboxes[peers[machine]].append(arrived)
+                peer_inbox.append(arrived)
         if not progressed:
             # Nothing moved in a full sweep: a peer stopped talking. Close
             # out whoever is still waiting.
-            for machine in (alice, bob):
-                if not machine.absorbing:
+            for machine, state, *_ in endpoints:
+                if state.phase not in absorbing:
                     machine.terminate("timeout")
             break
         sweeps += 1
@@ -330,15 +344,15 @@ def run_trial(
         raise SimulationError(f"{sim.live_count()} qubits outlived the trial")
     if intercept_log is not None:
         intercept_log.extend(repeater.log)
-    failing = next(
-        (v for v in alice.verdicts + bob.verdicts if not v.passed), None
-    )
+    failed_round = alice.failed_round
+    if failed_round is None:
+        failed_round = bob.failed_round
     return TrialRecord(
         seed=seed,
         transfer_length=config.sched.transfer_length,
         behavior=behavior.name,
-        detected=failing is not None,
-        rounds_to_detect=failing.round_index if failing else None,
+        detected=failed_round is not None,
+        rounds_to_detect=failed_round,
         data_qubits_delivered=data_delivered,
         auth_qubits_sent=alice.auth_qubits_sent + bob.auth_qubits_sent,
         data_qubit_target=config.data_qubit_target,

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from . import keyschedule as ks
-from .qsim import Basis, NAMED_STATES, QubitRef, Simulator
+from .qsim import NAMED_STATES, QubitRef, Simulator
 
 
 class Phase(Enum):
@@ -103,15 +103,6 @@ class SessionConfig:
             raise ValueError("key length shorter than max(transfer length, 2)")
 
 
-@dataclass(frozen=True)
-class AuthVerdict:
-    passed: bool
-    round_index: int
-    measured_bit: int
-    expected_bit: int
-    basis: Basis
-
-
 @dataclass
 class SessionState:
     phase: Phase = Phase.COMPUTE_R
@@ -122,9 +113,19 @@ class SessionState:
 
 
 class _Endpoint:
-    """State and helpers shared by both roles."""
+    """State and helpers shared by both roles.
+
+    Trace events are built only when ``trace`` is a list: every ``_emit``
+    call sits behind a ``self.trace is not None`` test, so an untraced
+    session builds no event.
+    """
 
     role = ""
+    #: phases in which a step consumes a delivered qubit; the scheduler
+    #: holds arrivals until the endpoint is in one of them, since a peer
+    #: that runs ahead through zero-length windows may send before we have
+    #: advanced into the matching receive phase
+    receive_phases: tuple[Phase, ...] = (Phase.AUTH_AWAIT,)
 
     def __init__(
         self,
@@ -143,34 +144,21 @@ class _Endpoint:
         self.trace = trace
         self.state = SessionState()
         self.plan: ks.AuthPlan | None = None
-        self.verdicts: list[AuthVerdict] = []
+        self.failed_round: int | None = None  # round of the failed verdict
         self.auth_qubits_sent = 0
 
-    @property
-    def absorbing(self) -> bool:
-        return self.state.phase in ABSORBING
-
-    @property
-    def wants_qubit(self) -> bool:
-        """Whether this endpoint is in a phase that consumes a delivery.
-
-        The scheduler holds arrivals until this is true; a peer that runs
-        ahead through zero-length windows may send before we have advanced
-        into the matching receive phase.
-        """
-        return self.state.phase is Phase.AUTH_AWAIT
-
     def _emit(self, **record) -> None:
-        if self.trace is not None:
-            self.trace.append({"role": self.role, **record})
+        self.trace.append({"role": self.role, **record})
 
     def terminate(self, reason: str) -> None:
         self.state.phase = Phase.TERMINATED
-        self._emit(event="terminate", reason=reason)
+        if self.trace is not None:
+            self._emit(event="terminate", reason=reason)
 
     def _complete(self) -> None:
         self.state.phase = Phase.COMPLETE
-        self._emit(event="complete")
+        if self.trace is not None:
+            self._emit(event="complete")
 
     def _open_window(self) -> bool:
         """COMPUTE_R: complete once the delivery target is met, otherwise
@@ -185,32 +173,36 @@ class _Endpoint:
         st.phase = Phase.DATA_TRANSFER
         return True
 
-    def _verify(self, qubit: QubitRef) -> AuthVerdict:
-        """Measure an incoming auth qubit against the current plan."""
-        measured = self.sim.measure(qubit, self.plan.basis, self.rng)
+    def _verify(self, qubit: QubitRef) -> bool:
+        """Measure an incoming auth qubit against the current plan. On a
+        mismatch, record the round and terminate. Returns whether it
+        passed."""
+        plan = self.plan
+        basis = plan.basis
+        measured = self.sim.measure(qubit, basis, self.rng)
         self.sim.release(qubit)
-        verdict = AuthVerdict(
-            passed=measured == self.plan.encoding_bit,
-            round_index=self.state.cursors.round_index,
-            measured_bit=measured,
-            expected_bit=self.plan.encoding_bit,
-            basis=self.plan.basis,
-        )
-        self.verdicts.append(verdict)
-        self._emit(
-            event="verdict",
-            round=verdict.round_index,
-            passed=verdict.passed,
-            measured=verdict.measured_bit,
-            expected=verdict.expected_bit,
-            basis=verdict.basis.value,
-        )
-        return verdict
+        passed = measured == plan.encoding_bit
+        round_index = self.state.cursors.round_index
+        if self.trace is not None:
+            self._emit(
+                event="verdict",
+                round=round_index,
+                passed=passed,
+                measured=measured,
+                expected=plan.encoding_bit,
+                basis=basis.value,
+            )
+        if not passed:
+            self.failed_round = round_index
+            self.terminate("authentication failed")
+        return passed
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         """Advance one scheduler turn, consuming ``arrival`` if given.
 
         Returns the qubit to teleport to the peer, if this turn sends one.
+        No phase branch handles TERMINATED or COMPLETE, so a step in either
+        does nothing.
         """
         raise NotImplementedError
 
@@ -226,13 +218,11 @@ class Initiator(_Endpoint):
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state
-        if self.absorbing:
-            return None
-
         if st.phase is Phase.COMPUTE_R:
             if not self._open_window():
                 return None
-            self._emit(event="window", round=st.cursors.round_index + 1, r=st.current_r)
+            if self.trace is not None:
+                self._emit(event="window", round=st.cursors.round_index + 1, r=st.current_r)
             # fall through to start sending this turn
 
         if st.phase is Phase.DATA_TRANSFER:
@@ -254,12 +244,9 @@ class Initiator(_Endpoint):
         if st.phase is Phase.AUTH_AWAIT:
             if arrival is None:
                 return None
-            verdict = self._verify(arrival)
-            if not verdict.passed:
-                self.terminate("authentication failed")
-                return None
-            reverse = self.config.reverse_auth
-            st.phase = Phase.AUTH_PREPARE if reverse else Phase.COMPUTE_R
+            if self._verify(arrival):
+                reverse = self.config.reverse_auth
+                st.phase = Phase.AUTH_PREPARE if reverse else Phase.COMPUTE_R
             return None
 
         if st.phase is Phase.AUTH_PREPARE:
@@ -267,7 +254,8 @@ class Initiator(_Endpoint):
             # round's plan, then resume the schedule.
             qubit = self.sim.prepare(self.plan.encoding_bit, self.plan.basis)
             self.auth_qubits_sent += 1
-            self._emit(event="prepare_auth", state=self.plan.expected_state)
+            if self.trace is not None:
+                self._emit(event="prepare_auth", state=self.plan.expected_state)
             st.phase = Phase.COMPUTE_R
             return qubit
 
@@ -278,16 +266,10 @@ class Responder(_Endpoint):
     """Data receiver and prover; verifier too when reverse auth is on."""
 
     role = "responder"
-
-    @property
-    def wants_qubit(self) -> bool:
-        return self.state.phase in (Phase.DATA_TRANSFER, Phase.AUTH_AWAIT)
+    receive_phases = (Phase.DATA_TRANSFER, Phase.AUTH_AWAIT)
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state
-        if self.absorbing:
-            return None
-
         if st.phase is Phase.COMPUTE_R and not self._open_window():
             return None
 
@@ -310,21 +292,19 @@ class Responder(_Endpoint):
                 return None
 
         if st.phase is Phase.AUTH_PREPARE:
-            self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
-            qubit = self.sim.prepare(self.plan.encoding_bit, self.plan.basis)
+            plan = self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
+            qubit = self.sim.prepare(plan.encoding_bit, plan.basis)
             self.auth_qubits_sent += 1
-            self._emit(event="prepare_auth", state=self.plan.expected_state)
+            if self.trace is not None:
+                self._emit(event="prepare_auth", state=plan.expected_state)
             st.phase = Phase.AUTH_AWAIT if self.config.reverse_auth else Phase.COMPUTE_R
             return qubit
 
         if st.phase is Phase.AUTH_AWAIT:
             if arrival is None:
                 return None
-            verdict = self._verify(arrival)
-            if not verdict.passed:
-                self.terminate("authentication failed")
-                return None
-            st.phase = Phase.COMPUTE_R
+            if self._verify(arrival):
+                st.phase = Phase.COMPUTE_R
             return None
 
         return None

@@ -27,16 +27,19 @@ the two halves of one pair (it refuses anything else before any draw), so
 ``far`` is the surviving branch's last qubit, and the correction is written
 straight into that branch's amplitudes.
 
-Each simulator memoises the Bell measurement's branch table (the four
-branch weights and the unscaled branches), keyed on the two operands'
-amplitude pairs as ``_halves`` reads them. A repeater chain feeds the kernel
-few distinct inputs (fresh pairs, corrected post-swap pairs, the four named
-states), so most calls in a trial repeat one. The table is a pure function
-of the key, computed by the same arithmetic in the same order, so a hit
-returns what a miss would compute. The checks, the two draws, the norm
-check and a fresh survivor list still happen on every call, so the draws
-and the results are unchanged. Keys compare with ``==``, so 0.0 and -0.0
-share an entry; a hit may then differ from a miss in the sign of a zero,
+Each simulator memoises the Bell measurement's outcome table, keyed on the
+two operands' amplitude pairs as ``_halves`` reads them: P(m_a = 1), then
+P(m_b = 1 | m_a) for each m_a, then for each outcome (m_a, m_b) the
+renormalised branch's norm and the scaled surviving amplitudes. A repeater
+chain feeds the kernel few distinct inputs (fresh pairs, corrected post-swap
+pairs, the four named states), so most calls in a trial repeat one. The
+table is a pure function of the key, each value computed by the same
+expression in the same order as a direct evaluation, so a hit returns what
+a miss would compute; building it never raises for an outcome that is not
+drawn. The checks, the two draws, the norm check on the drawn outcome and a
+fresh survivor list still happen on every call, so the draws and the
+results are unchanged. Keys compare with ``==``, so 0.0 and -0.0 share an
+entry; a hit may then differ from a miss in the sign of a zero,
 which reaches no weight, draw or output. The memo lives as long as its
 simulator (one trial) and is emptied when it holds ``BELL_CACHE_MAX``
 entries.
@@ -116,7 +119,12 @@ def states_equal(a, b, tol: float = NORM_TOL) -> bool:
     """
     if len(a) != len(b):
         return False
-    overlap = sum(x.conjugate() * y for x, y in zip(a, b))
+    if len(a) == 2:  # one qubit: the same sum, spelled out
+        a0, a1 = a
+        b0, b1 = b
+        overlap = a0.conjugate() * b0 + a1.conjugate() * b1
+    else:
+        overlap = sum(x.conjugate() * y for x, y in zip(a, b))
     return abs(abs(overlap) - 1.0) <= tol
 
 
@@ -135,7 +143,7 @@ class Simulator:
         self.max_qubits = max_qubits
         self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
         self._next_id = 0
-        # (a's halves, b's halves) -> (w00, w01, w10, w11, branches)
+        # (a's halves, b's halves) -> _bell_table(a's halves, b's halves)
         self._bell_cache: dict[tuple, tuple] = {}
 
     # -- allocation / bookkeeping ------------------------------------------
@@ -270,47 +278,20 @@ class Simulator:
         key = (xs, ys)
         table = cache.get(key)
         if table is None:
-            # For each index r of the remaining qubits (a's partner's bit,
-            # then b's partner's bit), the unscaled branches (c00, c01, c10,
-            # c11) and their weights times 2 (the 1/sqrt(2) is folded into
-            # the scale).
-            branches = []
-            w00 = w01 = w10 = w11 = 0.0
-            for x0, x1 in xs:
-                for y0, y1 in ys:
-                    u, p, q, v = x0 * y0, x0 * y1, x1 * y0, x1 * y1
-                    c = s, t, d, e = u + v, p + q, u - v, p - q
-                    w00 += s.real * s.real + s.imag * s.imag
-                    w01 += t.real * t.real + t.imag * t.imag
-                    w10 += d.real * d.real + d.imag * d.imag
-                    w11 += e.real * e.real + e.imag * e.imag
-                    branches.append(c)
-            table = (w00, w01, w10, w11, tuple(branches))
+            table = _bell_table(xs, ys)
             if len(cache) >= BELL_CACHE_MAX:
                 cache.clear()
             cache[key] = table
-        w00, w01, w10, w11, branches = table
-
-        pa1 = 0.5 * (w10 + w11)
+        pa1, pb1s, outcomes = table
         m_a = int(rng.random() < pa1)
-        pa = pa1 if m_a else 1.0 - pa1
-        pb1 = 0.5 * (w11 if m_a else w01) / pa
-        m_b = int(rng.random() < pb1)
-        pb = pb1 if m_b else 1.0 - pb1
-
-        # The renormalised branch has norm w_sel * scale^2 = w_sel / (2 pa pb).
-        # Complementary outcomes use 1 - p, as the sequential measurements
-        # did, so this is 1 up to rounding only if the input was normalised.
-        w_sel = (w11 if m_b else w10) if m_a else (w01 if m_b else w00)
-        norm = 0.5 * w_sel / (pa * pb)
+        m_b = int(rng.random() < pb1s[m_a])
+        norm, survivor = outcomes[2 * m_a + m_b]
         if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm!r}")
 
         del groups[a], groups[b]
         if rest:
-            scale = _SQRT2_INV / math.sqrt(pa * pb)
-            k = 2 * m_a + m_b
-            group = _Group(rest, [c[k] * scale for c in branches])
+            group = _Group(rest, list(survivor))
             for qid in rest:
                 groups[qid] = group
         return m_a, m_b
@@ -344,6 +325,56 @@ class Simulator:
             if m_a:
                 amps[3] = -amps[3]
         return m_a, m_b
+
+
+def _bell_table(xs: tuple, ys: tuple) -> tuple:
+    """The Bell measurement of operands with amplitude pairs ``xs`` and
+    ``ys``, for every outcome: ``(pa1, (pb1 | m_a = 0, pb1 | m_a = 1),
+    ((norm, survivor) for m_a, m_b in 00, 01, 10, 11))``.
+
+    For each index r of the remaining qubits (a's partner's bit, then b's
+    partner's bit) the unscaled branches (c00, c01, c10, c11) are summed
+    into their weights times 2; the 1/sqrt(2) is folded into the scale. m_a
+    is drawn against pa1, then m_b against pb1 given m_a. A branch
+    renormalised by 1/sqrt(2 pa pb) has norm w / (2 pa pb); complementary
+    outcomes use 1 - p, as sequential measurements do, so this is 1 up to
+    rounding only if the input was normalised.
+
+    ``rng.random() < p`` is false at p = 0 and true at p = 1, so a drawn
+    outcome has pa > 0 and pb > 0, or NaN probabilities from a NaN input.
+    An outcome with pa = 0, or with pa * pb not positive, gets no division:
+    it stores a NaN norm, which the norm check refuses, and no amplitudes.
+    So building the table never raises.
+    """
+    branches = []
+    w00 = w01 = w10 = w11 = 0.0
+    for x0, x1 in xs:
+        for y0, y1 in ys:
+            u, p, q, v = x0 * y0, x0 * y1, x1 * y0, x1 * y1
+            c = s, t, d, e = u + v, p + q, u - v, p - q
+            w00 += s.real * s.real + s.imag * s.imag
+            w01 += t.real * t.real + t.imag * t.imag
+            w10 += d.real * d.real + d.imag * d.imag
+            w11 += e.real * e.real + e.imag * e.imag
+            branches.append(c)
+    weights = (w00, w01, w10, w11)
+    pa1 = 0.5 * (w10 + w11)
+    pb1s = []
+    outcomes = []
+    for m_a in (0, 1):
+        pa = pa1 if m_a else 1.0 - pa1
+        pb1 = 0.5 * (w11 if m_a else w01) / pa if pa else math.nan
+        pb1s.append(pb1)
+        for m_b in (0, 1):
+            pb = pb1 if m_b else 1.0 - pb1
+            k = 2 * m_a + m_b
+            if pa * pb > 0:
+                norm = 0.5 * weights[k] / (pa * pb)
+                scale = _SQRT2_INV / math.sqrt(pa * pb)
+                outcomes.append((norm, tuple(c[k] * scale for c in branches)))
+            else:
+                outcomes.append((math.nan, ()))
+    return pa1, tuple(pb1s), tuple(outcomes)
 
 
 def _halves(group: _Group, qid: int) -> tuple[tuple, list[int]]:

@@ -203,6 +203,42 @@ def test_key_bits_without_hex_key_exits_2(tmp_path, capsys, key_flags):
     assert err.startswith("error: ") and "key_bits" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "t_flags",
+    [["fig2_success", "-T", "1", "1", "--trials", "3", "--format", "csv"],
+     ["fig2_success", "-T", "2", "1", "1", "--trials", "1", "--format", "json"],
+     ["capacity", "-T", "3", "3"],
+     {"t_values": [2, 1, 2]}],
+)
+def test_repeated_transfer_length_exits_2(tmp_path, capsys, t_flags):
+    # A repeated T would print its row twice and, in JSON, keep one of its
+    # two batches of trials under one key.
+    if isinstance(t_flags, dict):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(t_flags))
+        t_flags = ["custom", "--trials", "1", "--config", str(path)]
+    code, out, err = run(t_flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: transfer lengths must not repeat")
+    assert err.count("\n") == 1
+
+
+def test_short_fresh_keys_are_redrawn_until_non_zero(capsys):
+    # A 2-bit fresh key is all zero in a quarter of the draws; such a draw
+    # is replaced from the trial's key stream instead of ending the
+    # campaign. A fixed all-zero key still exits 2.
+    code, out, err = run(
+        ["custom", "--key-length", "2", "-T", "1", "--trials", "20", "--format", "csv"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].startswith("1,20,")
+    code, out, err = run(["custom", "--key", "00", "-T", "1", "--trials", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: all-zero key never schedules a data window\n"
+
+
 def test_stuck_session_exits_1_instead_of_hanging(monkeypatch, capsys):
     def busy_forever(self, arrival):
         # always progresses (changes phase), never completes

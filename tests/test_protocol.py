@@ -9,6 +9,7 @@ from qauthsim.keyschedule import AuthPlan, ScheduleConfig
 from qauthsim.protocol import (
     PayloadDistribution,
     SessionConfig,
+    _Endpoint,
     sample_payload,
 )
 from qauthsim.qsim import NAMED_STATES, Basis, Simulator, make_rng, states_equal
@@ -254,6 +255,36 @@ def test_wire_records_carry_no_role_metadata():
     assert {tuple(sorted(r)) for r in swaps} == {
         ("applied_at", "bits", "event", "node", "seq")
     }
+
+
+def test_untraced_trial_builds_no_trace_event(monkeypatch):
+    # Endpoint events are built only for a trace: with trace=None, _emit is
+    # never called, and the record equals that of a traced run of the same
+    # seed. Reverse authentication under interception reaches every endpoint
+    # event, failed verdicts on both sides and the timeout close-out.
+    cfg = honest_config(1, 12, key=None, key_length=64, reverse_auth=True)
+    cases = [(behavior, seed) for behavior in (qa.Honest(), qa.InterceptResend("random_zx"))
+             for seed in range(30)]
+    traced = {}
+    kinds = set()
+    failed_roles = set()
+    for behavior, seed in cases:
+        trace = []
+        record = qa.run_trial(CHAIN, behavior, cfg, seed, trace=trace)
+        traced[behavior.name, seed] = record
+        kinds |= {r["event"] for r in trace if "role" in r}
+        failed = [r for r in trace if r.get("event") == "verdict" and not r["passed"]]
+        assert record.rounds_to_detect == (failed[0]["round"] if failed else None)
+        failed_roles |= {r["role"] for r in failed}
+    assert kinds == {"window", "prepare_auth", "verdict", "terminate", "complete"}
+    assert failed_roles == {"initiator", "responder"}
+
+    def refuse(self, **record):
+        raise AssertionError(f"trace event built without a trace: {record}")
+
+    monkeypatch.setattr(_Endpoint, "_emit", refuse)
+    for behavior, seed in cases:
+        assert qa.run_trial(CHAIN, behavior, cfg, seed) == traced[behavior.name, seed]
 
 
 # -- reverse authentication --------------------------------------------------------

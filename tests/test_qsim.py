@@ -458,6 +458,54 @@ def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
     assert max(sizes) == 4 and sizes[-1] < 4  # reached the bound, then emptied
 
 
+def drifted_bell_measure(sim, seed):
+    """Bell-measure a lone qubit against a pair half, both written at 0.9
+    times a unit state, with an RNG from ``seed``. Returns whether the norm
+    check refused it, the RNG state, and each operand group's qubits and
+    amplitudes afterwards."""
+    rng = make_rng(seed)
+    groups = [load_group(sim, [0.9, 0]), load_group(sim, [0.9 * SQ, 0, 0, 0.9 * SQ])]
+    try:
+        sim.bell_measure(groups[0][0], groups[1][0], rng)
+    except SimulationError as err:
+        assert "norm drifted" in str(err)
+        refused = True
+    else:
+        refused = False
+    after = [(group_of(sim, g[0]), sim.amplitudes(g[0])) for g in groups]
+    return refused, rng.bit_generator.state, groups, after
+
+
+def test_drifted_norm_is_refused_on_memo_hit_as_on_miss():
+    # A group whose amplitudes drifted off the unit sphere fails the norm
+    # check of the drawn outcome (here m = (0, 0), the one outcome whose
+    # norm carries the drift), whether the outcome table is computed or read
+    # from the memo: both draws are taken, and both groups stay as written.
+    seed = next(s for s in range(64) if drifted_bell_measure(Simulator(), s)[0])
+    sim = Simulator()
+    runs = [drifted_bell_measure(sim, seed) for _ in range(2)]  # a miss, then a hit
+    assert len(sim._bell_cache) == 1
+    ref = make_rng(seed)
+    ref.random(), ref.random()
+    for refused, state, groups, after in runs:
+        assert refused and state == ref.bit_generator.state
+        assert after == [(tuple(groups[0]), (0.9 + 0j, 0j)),
+                         (tuple(groups[1]), (0.9 * SQ + 0j, 0j, 0j, 0.9 * SQ + 0j))]
+
+
+def test_bell_measure_of_named_states_matches_gate_sequence():
+    # Lone eigenstates give Bell outcomes of probability 0 (|+>|+> never
+    # yields m_a = 1, |0>|0> never m_b = 1); the outcome table still covers
+    # every outcome without failing, and the drawn ones match the gates.
+    sim = Simulator()
+    for (la, va), (lb, vb) in itertools.product(NAMED_STATES.items(), repeat=2):
+        for seed in range(8):
+            a, b = sim.allocate_qubit(va), sim.allocate_qubit(vb)
+            bits, _ = dense_bell_measure(np.kron(va, vb), 0, 1, make_rng(seed))
+            assert sim.bell_measure(a, b, make_rng(seed)) == bits, (la, lb, seed)
+    assert sim.live_count() == 0
+
+
 def test_swap_then_z_measurement_correlates():
     sim = Simulator()
     rng = make_rng(13)
