@@ -70,9 +70,9 @@ def parse_key(text: str, bit_length: int | None = None) -> KeyMaterial:
 class ScheduleConfig:
     """Session-constant schedule parameters.
 
-    The encoding index and base index select which bit of each key pair sets
-    the auth qubit's initial value and which sets its basis; they are always
-    opposite, so only the encoding index is stored.
+    The encoding index (0 or 1) selects which bit of each key pair sets the
+    auth qubit's initial value; the other bit sets its basis
+    (``next_auth_pair``).
     """
 
     transfer_length: int
@@ -85,10 +85,6 @@ class ScheduleConfig:
             )
         if self.encoding_index not in (0, 1):
             raise ValueError("encoding index must be 0 or 1")
-
-    @property
-    def base_index(self) -> int:
-        return 1 - self.encoding_index
 
 
 @dataclass

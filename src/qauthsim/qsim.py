@@ -29,17 +29,17 @@ straight into that branch's amplitudes.
 
 Each simulator memoises the Bell measurement's outcome table, keyed on the
 two operands' amplitude pairs as ``_halves`` reads them: P(m_a = 1), then
-P(m_b = 1 | m_a) for each m_a, then for each outcome (m_a, m_b) the
-renormalised branch's norm and the scaled surviving amplitudes. A repeater
-chain feeds the kernel few distinct inputs (fresh pairs, corrected post-swap
-pairs, the four named states), so most calls in a trial repeat one. The
-table is a pure function of the key, each value computed by the same
-expression in the same order as a direct evaluation, so a hit returns what
-a miss would compute; building it never raises for an outcome that is not
-drawn. The checks, the two draws, the norm check on the drawn outcome and a
-fresh survivor list still happen on every call, so the draws and the
-results are unchanged. Keys compare with ``==``, so 0.0 and -0.0 share an
-entry; a hit may then differ from a miss in the sign of a zero,
+P(m_b = 1 | m_a) for each m_a, then for each outcome (m_a, m_b) the scaled
+surviving amplitudes. A repeater chain feeds the kernel few distinct inputs
+(fresh pairs, corrected post-swap pairs, the four named states), so most
+calls in a trial repeat one. The table is a pure function of the key, each
+value computed by the same expression in the same order as a direct
+evaluation, so a hit returns what a miss would compute. Building a table
+checks the input's norm once, before any draw; a drifted input is refused
+and gets no memo entry, so a hit needs no check. The shape checks, the two
+draws and a fresh survivor list still happen on every call, so the draws
+and the results are unchanged. Keys compare with ``==``, so 0.0 and -0.0
+share an entry; a hit may then differ from a miss in the sign of a zero,
 which reaches no weight, draw or output. The memo lives as long as its
 simulator (one trial) and is emptied when it holds ``BELL_CACHE_MAX``
 entries.
@@ -72,10 +72,6 @@ class SimulationError(Exception):
 
 class DeadQubitError(SimulationError):
     """A released or consumed qubit handle was used."""
-
-
-class CapacityError(SimulationError):
-    """Qubit registry full."""
 
 
 class Basis(Enum):
@@ -139,8 +135,7 @@ class _Group:
 class Simulator:
     """Registry of live qubits and their entanglement groups."""
 
-    def __init__(self, max_qubits: int = 4096):
-        self.max_qubits = max_qubits
+    def __init__(self):
         self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
         self._next_id = 0
         # (a's halves, b's halves) -> _bell_table(a's halves, b's halves)
@@ -150,8 +145,6 @@ class Simulator:
 
     def allocate_qubit(self, state=None) -> QubitRef:
         """Allocate a fresh qubit, in |0> or in the given 2-amplitude state."""
-        if len(self._groups) >= self.max_qubits:
-            raise CapacityError(f"registry full ({self.max_qubits} live qubits)")
         if state is None:
             amps = [1 + 0j, 0j]
         else:
@@ -234,8 +227,6 @@ class Simulator:
 
     def make_bell_pair(self) -> tuple[QubitRef, QubitRef]:
         """Two fresh qubits in (|00> + |11>)/sqrt(2), one shared group."""
-        if len(self._groups) + 2 > self.max_qubits:
-            raise CapacityError(f"registry full ({self.max_qubits} live qubits)")
         qid = self._next_id
         self._next_id = qid + 2
         # Same result as H on a then CNOT(a, b); built directly for speed.
@@ -260,7 +251,9 @@ class Simulator:
         P(m_b = 1 | m_a): exactly two ``rng.random()`` calls, against the
         same thresholds as the gate sequence. The surviving branch,
         renormalised, becomes the group of the remaining qubits: a's
-        partner, then b's partner, those that exist.
+        partner, then b's partner, those that exist. Operands whose joint
+        norm has drifted are refused with ``SimulationError`` before any
+        draw, and both groups stay as they were.
         """
         if a == b:
             raise ValueError("Bell measurement needs two distinct qubits")
@@ -282,16 +275,13 @@ class Simulator:
             if len(cache) >= BELL_CACHE_MAX:
                 cache.clear()
             cache[key] = table
-        pa1, pb1s, outcomes = table
+        pa1, pb1s, survivors = table
         m_a = int(rng.random() < pa1)
         m_b = int(rng.random() < pb1s[m_a])
-        norm, survivor = outcomes[2 * m_a + m_b]
-        if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
-            raise SimulationError(f"state norm drifted to {norm!r}")
 
         del groups[a], groups[b]
         if rest:
-            group = _Group(rest, list(survivor))
+            group = _Group(rest, list(survivors[2 * m_a + m_b]))
             for qid in rest:
                 groups[qid] = group
         return m_a, m_b
@@ -330,21 +320,21 @@ class Simulator:
 def _bell_table(xs: tuple, ys: tuple) -> tuple:
     """The Bell measurement of operands with amplitude pairs ``xs`` and
     ``ys``, for every outcome: ``(pa1, (pb1 | m_a = 0, pb1 | m_a = 1),
-    ((norm, survivor) for m_a, m_b in 00, 01, 10, 11))``.
+    (survivor for m_a, m_b in 00, 01, 10, 11))``.
 
     For each index r of the remaining qubits (a's partner's bit, then b's
     partner's bit) the unscaled branches (c00, c01, c10, c11) are summed
-    into their weights times 2; the 1/sqrt(2) is folded into the scale. m_a
-    is drawn against pa1, then m_b against pb1 given m_a. A branch
-    renormalised by 1/sqrt(2 pa pb) has norm w / (2 pa pb); complementary
-    outcomes use 1 - p, as sequential measurements do, so this is 1 up to
-    rounding only if the input was normalised.
+    into their weights times 2; the 1/sqrt(2) is folded into the scale. Half
+    their sum is the input's squared norm: unless it is 1 within
+    ``NORM_TOL`` (a NaN is not), ``SimulationError`` is raised, so a drifted
+    input is refused before any draw and never enters the memo. Given that,
+    every outcome's branch renormalised by 1/sqrt(2 pa pb) has norm 1 up to
+    rounding. m_a is drawn against pa1, then m_b against pb1 given m_a;
+    complementary outcomes use 1 - p, as sequential measurements do.
 
     ``rng.random() < p`` is false at p = 0 and true at p = 1, so a drawn
-    outcome has pa > 0 and pb > 0, or NaN probabilities from a NaN input.
-    An outcome with pa = 0, or with pa * pb not positive, gets no division:
-    it stores a NaN norm, which the norm check refuses, and no amplitudes.
-    So building the table never raises.
+    outcome has pa > 0 and pb > 0. An outcome with pa * pb not positive is
+    never drawn and stores ``()``.
     """
     branches = []
     w00 = w01 = w10 = w11 = 0.0
@@ -357,24 +347,24 @@ def _bell_table(xs: tuple, ys: tuple) -> tuple:
             w10 += d.real * d.real + d.imag * d.imag
             w11 += e.real * e.real + e.imag * e.imag
             branches.append(c)
-    weights = (w00, w01, w10, w11)
+    norm = 0.5 * (w00 + w01 + w10 + w11)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise SimulationError(f"state norm drifted to {norm!r}")
     pa1 = 0.5 * (w10 + w11)
     pb1s = []
-    outcomes = []
+    survivors = []
     for m_a in (0, 1):
         pa = pa1 if m_a else 1.0 - pa1
         pb1 = 0.5 * (w11 if m_a else w01) / pa if pa else math.nan
         pb1s.append(pb1)
         for m_b in (0, 1):
             pb = pb1 if m_b else 1.0 - pb1
-            k = 2 * m_a + m_b
             if pa * pb > 0:
-                norm = 0.5 * weights[k] / (pa * pb)
                 scale = _SQRT2_INV / math.sqrt(pa * pb)
-                outcomes.append((norm, tuple(c[k] * scale for c in branches)))
+                survivors.append(tuple(c[2 * m_a + m_b] * scale for c in branches))
             else:
-                outcomes.append((math.nan, ()))
-    return pa1, tuple(pb1s), tuple(outcomes)
+                survivors.append(())
+    return pa1, tuple(pb1s), tuple(survivors)
 
 
 def _halves(group: _Group, qid: int) -> tuple[tuple, list[int]]:

@@ -127,11 +127,11 @@ def test_criterion_1_worked_example_golden_trace():
         sched=ScheduleConfig(transfer_length=2, encoding_index=0),
         data_qubit_target=4,
     )
-    assert cfg.sched.base_index == 1
     record = qa.run_trial(CHAIN, qa.Honest(), cfg, seed=1, trace=trace)
     assert record.completed and not record.detected
     windows = [(r["round"], r["r"]) for r in trace if r.get("event") == "window"]
     assert windows == [(1, 3), (2, 1)]
+    # pairs (1, 1) and (0, 1), encoding bit first: |-> then |+>
     states = [r["state"] for r in trace if r.get("event") == "prepare_auth"]
     assert states == ["-", "+"]
     verdicts = [
@@ -294,7 +294,9 @@ def test_criterion_8a_honest_completeness():
 
 @pytest.mark.parametrize("policy", ["random_zx", "always_z", "always_x"])
 def test_criterion_8b_per_round_detection(policy):
-    rounds = detections = 0
+    # Each round detects with probability 1/4 under every policy, the first
+    # one included: about 1/4 of the sessions end in round 1.
+    rounds = detections = first = 0
     i = 0
     while rounds < 10_000:
         cfg = SessionConfig(
@@ -309,9 +311,11 @@ def test_criterion_8b_per_round_detection(policy):
         assert record.detected
         rounds += record.rounds_to_detect
         detections += 1
+        first += record.rounds_to_detect == 1
         i += 1
     freq = detections / rounds
     assert abs(freq - 0.25) <= 0.02
+    assert abs(first / detections - 0.25) < 0.05
     print(f"ACCEPTANCE 8b: PASS per-round detection {freq:.4f} under {policy}")
 
 

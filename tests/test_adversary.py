@@ -196,21 +196,6 @@ def test_per_round_detection_quarter(policy):
     assert abs(detections / rounds - 0.25) < 0.025
 
 
-def test_rounds_to_detect_is_geometric_mean_four():
-    values = []
-    for i in range(800):
-        record = qa.run_trial(
-            CHAIN, InterceptResend("random_zx"), mitm_config(t=5), seed=42_000 + i
-        )
-        assert record.detected
-        values.append(record.rounds_to_detect)
-    mean = sum(values) / len(values)
-    assert abs(mean - 4.0) < 0.5
-    # geometric shape: first-round detection carries weight p=1/4
-    first = sum(1 for v in values if v == 1) / len(values)
-    assert abs(first - 0.25) < 0.05
-
-
 def test_blindness_same_stream_same_bases():
     # The interceptor's basis choices depend only on its own stream and the
     # arrival count: changing the key (and with it all protocol behavior)

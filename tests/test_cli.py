@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qauthsim import netsim, protocol
+from qauthsim import netsim, protocol, qsim
 from qauthsim.cli import build_config, build_parser, load_config_file, main
 
 
@@ -256,6 +256,19 @@ def test_stuck_session_exits_1_instead_of_hanging(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "sweeps" in err and err.count("\n") == 1
+
+
+def test_leaked_qubit_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(qsim.Simulator, "release", lambda self, q: None)
+    code, out, err = run(
+        ["custom", "-T", "1", "--trials", "1", "--data-qubits", "3",
+         "--key-length", "8", "--adversary", "honest"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "outlived the trial" in err
+    assert err.count("\n") == 1
 
 
 def test_trace_is_written_as_each_trial_ends(tmp_path, monkeypatch, capsys):

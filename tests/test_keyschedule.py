@@ -34,16 +34,18 @@ def test_worked_example_windows():
 
 
 def test_worked_example_auth_plans():
+    # The pairs are (1, 1) and (0, 1): the encoding bit is bit e of each
+    # pair and the base bit the other one.
     key = parse_key("1101")
-    cfg = ScheduleConfig(transfer_length=2, encoding_index=0)
-    assert cfg.base_index == 1
-    cur = KeyCursors()
-    first = next_auth_pair(key, cfg, cur)
-    assert (first.encoding_bit, first.base_bit) == (1, 1)
-    assert first.expected_state == "-"
-    second = next_auth_pair(key, cfg, cur)
-    assert (second.encoding_bit, second.base_bit) == (0, 1)
-    assert second.expected_state == "+"
+    for e, second_plan, second_state in ((0, (0, 1), "+"), (1, (1, 0), "1")):
+        cfg = ScheduleConfig(transfer_length=2, encoding_index=e)
+        cur = KeyCursors()
+        first = next_auth_pair(key, cfg, cur)
+        assert (first.encoding_bit, first.base_bit) == (1, 1)
+        assert first.expected_state == "-"
+        second = next_auth_pair(key, cfg, cur)
+        assert (second.encoding_bit, second.base_bit) == second_plan
+        assert second.expected_state == second_state
 
 
 def test_equal_pair_bits_ignore_index_order():
@@ -212,4 +214,3 @@ def test_schedule_config_validation():
         ScheduleConfig(17)
     with pytest.raises(ValueError):
         ScheduleConfig(2, encoding_index=2)
-    assert ScheduleConfig(2, encoding_index=1).base_index == 0

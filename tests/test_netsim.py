@@ -269,6 +269,24 @@ def test_stuck_session_raises_without_a_given_bound(monkeypatch):
         run_trial(CHAIN, Honest(), config(target=3, key_length=8), seed=1)
 
 
+def test_leaked_qubit_fails_the_trial(monkeypatch):
+    # The first release of the trial is skipped, so one qubit outlives it:
+    # run_trial raises instead of returning a record.
+    inner = Simulator.release
+    skipped = []
+
+    def release_all_but_first(self, q):
+        if skipped:
+            inner(self, q)
+        else:
+            skipped.append(q)
+
+    monkeypatch.setattr(Simulator, "release", release_all_but_first)
+    with pytest.raises(SimulationError, match="^1 qubits outlived the trial$"):
+        run_trial(CHAIN, Honest(), config(target=3, key_length=8), seed=1)
+    assert len(skipped) == 1
+
+
 @pytest.mark.parametrize(
     "key, t, reverse",
     [("01", 2, True), ("10", 1, True), ("1" + "0" * 15, 1, False),

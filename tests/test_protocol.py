@@ -163,7 +163,7 @@ def test_fixed_payload_distribution():
 
 
 def test_uniform4_payload_frequencies():
-    sim = Simulator(max_qubits=16)
+    sim = Simulator()
     rng = make_rng(2)
     counts = dict.fromkeys("01+-", 0)
     for _ in range(10_000):
@@ -175,10 +175,11 @@ def test_uniform4_payload_frequencies():
         sim.release(q)
     for label in "01+-":
         assert abs(counts[label] / 10_000 - 0.25) < 0.02
+    assert sim.live_count() == 0
 
 
 def test_haar_payloads_are_normalized_and_varied():
-    sim = Simulator(max_qubits=16)
+    sim = Simulator()
     rng = make_rng(3)
     truths = []
     for _ in range(50):
@@ -187,6 +188,7 @@ def test_haar_payloads_are_normalized_and_varied():
         truths.append(truth)
         sim.release(q)
     assert not states_equal(truths[0], truths[1])
+    assert sim.live_count() == 0
 
 
 def test_payload_distribution_validation():

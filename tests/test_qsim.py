@@ -13,7 +13,6 @@ from helpers import assert_bell_pair, group_of
 from qauthsim import qsim
 from qauthsim.qsim import (
     Basis,
-    CapacityError,
     DeadQubitError,
     NAMED_STATES,
     Simulator,
@@ -458,39 +457,31 @@ def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
     assert max(sizes) == 4 and sizes[-1] < 4  # reached the bound, then emptied
 
 
-def drifted_bell_measure(sim, seed):
-    """Bell-measure a lone qubit against a pair half, both written at 0.9
-    times a unit state, with an RNG from ``seed``. Returns whether the norm
-    check refused it, the RNG state, and each operand group's qubits and
-    amplitudes afterwards."""
-    rng = make_rng(seed)
-    groups = [load_group(sim, [0.9, 0]), load_group(sim, [0.9 * SQ, 0, 0, 0.9 * SQ])]
-    try:
-        sim.bell_measure(groups[0][0], groups[1][0], rng)
-    except SimulationError as err:
-        assert "norm drifted" in str(err)
-        refused = True
-    else:
-        refused = False
-    after = [(group_of(sim, g[0]), sim.amplitudes(g[0])) for g in groups]
-    return refused, rng.bit_generator.state, groups, after
-
-
-def test_drifted_norm_is_refused_on_memo_hit_as_on_miss():
-    # A group whose amplitudes drifted off the unit sphere fails the norm
-    # check of the drawn outcome (here m = (0, 0), the one outcome whose
-    # norm carries the drift), whether the outcome table is computed or read
-    # from the memo: both draws are taken, and both groups stay as written.
-    seed = next(s for s in range(64) if drifted_bell_measure(Simulator(), s)[0])
+def test_drifted_input_is_refused_before_any_draw():
+    # A lone (0.6, 0.8i) and a Bell pair, both written at 0.9 and at 1.2
+    # times their unit states. Bell-measuring the lone qubit against a pair
+    # half, or teleporting it over the pair, is refused on every seed before
+    # any draw, whichever outcome the draws would give: the RNG is
+    # untouched, both groups stay as written (no correction reaches the
+    # pair) and the memo stays empty.
     sim = Simulator()
-    runs = [drifted_bell_measure(sim, seed) for _ in range(2)]  # a miss, then a hit
-    assert len(sim._bell_cache) == 1
-    ref = make_rng(seed)
-    ref.random(), ref.random()
-    for refused, state, groups, after in runs:
-        assert refused and state == ref.bit_generator.state
-        assert after == [(tuple(groups[0]), (0.9 + 0j, 0j)),
-                         (tuple(groups[1]), (0.9 * SQ + 0j, 0j, 0j, 0.9 * SQ + 0j))]
+    for scale in (0.9, 1.2):
+        lone = [0.6 * scale, 0.8j * scale]
+        pair = [SQ * scale, 0, 0, SQ * scale]
+        for seed, teleport in itertools.product(range(400), (False, True)):
+            rng = make_rng(seed)
+            state = rng.bit_generator.state
+            (q,), (near, far) = load_group(sim, lone), load_group(sim, pair)
+            with pytest.raises(SimulationError, match="norm drifted"):
+                if teleport:
+                    sim.teleport(q, near, far, rng)
+                else:
+                    sim.bell_measure(q, near, rng)
+            assert rng.bit_generator.state == state
+            assert [(group_of(sim, q), sim.amplitudes(q)),
+                    (group_of(sim, near), sim.amplitudes(far))] == [
+                        ((q,), tuple(lone)), ((near, far), tuple(pair))]
+            assert sim._bell_cache == {}
 
 
 def test_bell_measure_of_named_states_matches_gate_sequence():
@@ -652,14 +643,6 @@ def test_consumed_by_bell_measure_rejected():
     with pytest.raises(DeadQubitError):
         sim.bell_measure(c, q, rng)
     assert group_of(sim, c) == (c, d)
-
-
-def test_registry_capacity():
-    sim = Simulator(max_qubits=3)
-    for _ in range(3):
-        sim.allocate_qubit()
-    with pytest.raises(CapacityError):
-        sim.allocate_qubit()
 
 
 def test_pair_shape_checks_refuse_and_leave_state_alone():
