@@ -31,6 +31,7 @@ from .protocol import (
 )
 from .qsim import (
     Basis,
+    Draws,
     QubitRef,
     Simulator,
     derive_seed,
@@ -43,6 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuthPlan",
     "Basis",
+    "Draws",
     "ExperimentConfig",
     "ExperimentResult",
     "Honest",

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .qsim import Basis, QubitRef, Simulator, make_rng
+from .qsim import Basis, Draws, QubitRef, RandomSource, Simulator
 
 BASIS_POLICIES = ("random_zx", "always_z", "always_x")
 
@@ -67,14 +65,15 @@ def parse_behavior(label: str) -> Behavior:
 
 
 class RepeaterState:
-    """Per-trial adversary state: behavior, position, own RNG, intercept log."""
+    """Per-trial adversary state: behavior, position, own random stream
+    (a ``Draws`` of ``seed``), intercept log."""
 
     def __init__(self, behavior: Behavior, node: str | None, seed: int):
         if isinstance(behavior, InterceptResend) and node is None:
             raise ValueError("intercept-resend behavior needs a repeater node")
         self.behavior = behavior
         self.node = node
-        self.rng = make_rng(seed)
+        self.rng = Draws(seed)
         # one JSON-ready record per intercepted qubit: seq, direction
         # ("forward" is initiator to responder, or "reverse"), basis, outcome
         self.log: list[dict] = []
@@ -99,13 +98,13 @@ def handle_arrival(
     sim: Simulator,
     qubit: QubitRef,
     direction: str,
-    world_rng: np.random.Generator,
+    world_rng: RandomSource,
 ) -> QubitRef:
     """Measure a qubit that landed on the repeater and return the resend.
 
     The basis comes from the repeater's own stream; the Born-rule collapse
-    draws from the world stream. The forwarded qubit is a fresh preparation
-    of the observed eigenstate.
+    draws from the world stream, any object with ``random()``. The
+    forwarded qubit is a fresh preparation of the observed eigenstate.
     """
     basis = state.choose_basis()
     outcome = sim.measure(qubit, basis, world_rng)

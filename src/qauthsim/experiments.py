@@ -130,6 +130,12 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0 <= self.master_seed < 1 << 64:
+            # trial seeds are mixed mod 2**64: two master seeds equal mod
+            # 2**64 would run one campaign under two labels
+            raise ConfigError(
+                f"master seed must be in [0, 2**64), got {self.master_seed}"
+            )
         if self.data_target < 0:
             raise ConfigError("data target must be >= 0")
         if self.output_format not in OUTPUT_FORMATS:

@@ -24,6 +24,7 @@ from . import adversary as adv
 from . import protocol as proto
 from .keyschedule import KeyMaterial
 from .qsim import (
+    Draws,
     QubitRef,
     SimulationError,
     Simulator,
@@ -257,10 +258,13 @@ def run_trial(
 
     Deterministic: the world, repeater, and key streams are all derived from
     ``seed``, so identical arguments give an identical record (and trace).
+    The world and repeater streams, drawn one value at a time, are
+    ``qsim.Draws``; the key stream, one vectorised draw per key, is a numpy
+    Generator.
     Raises SimulationError when the session runs past ``sweep_bound``
     scheduler sweeps or a qubit outlives the trial.
     """
-    rng_world = make_rng(derive_seed(seed, 0))
+    rng_world = Draws(derive_seed(seed, 0))
     eve_seed = derive_seed(seed, 1)
     if config.key is None:
         # A fresh key is drawn until it is non-zero: an all-zero key never

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Protocol
 
 import numpy as np
 
 from . import keyschedule as ks
-from .qsim import NAMED_STATES, QubitRef, Simulator
+from .qsim import NAMED_STATES, QubitRef, RandomSource, Simulator
 
 
 class Phase(Enum):
@@ -66,23 +67,36 @@ class PayloadDistribution:
         return cls(text)
 
 
+class PayloadSource(RandomSource, Protocol):
+    """An endpoint's ``rng``: ``random()`` for its measurements, and
+    ``integers`` and ``normal`` as numpy's Generator has them for the
+    payload draw. A Generator and a ``qsim.Draws`` stream both qualify."""
+
+    def integers(self, low: int, high: int) -> int: ...
+
+    def normal(self, size=None) -> np.ndarray: ...
+
+
 #: NAMED_STATES as tuples of Python complex, so data qubits skip numpy
 _NAMED_TRUTH = {label: tuple(v.tolist()) for label, v in NAMED_STATES.items()}
-_UNIFORM4 = tuple(_NAMED_TRUTH[label] for label in "01+-")
+_UNIFORM4 = "01+-"
 
 
 def sample_payload(
-    sim: Simulator, dist: PayloadDistribution, rng: np.random.Generator
+    sim: Simulator, dist: PayloadDistribution, rng: PayloadSource
 ) -> tuple[QubitRef, tuple[complex, complex]]:
-    """Allocate one data qubit; returns (qubit, ground-truth amplitudes)."""
-    if dist.kind == "fixed":
-        truth = _NAMED_TRUTH[dist.state]
-    elif dist.kind == "uniform4":
-        truth = _UNIFORM4[rng.integers(0, 4)]
-    else:  # haar: normalized complex gaussian pair
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    """Allocate one data qubit; returns (qubit, ground-truth amplitudes).
+
+    A ``uniform4`` payload takes one ``rng.integers(0, 4)``, a ``haar``
+    payload one ``rng.normal(size=4)``: the real parts, then the imaginary
+    parts. A named state is allocated by ``Simulator.allocate_named``."""
+    if dist.kind == "haar":  # normalized complex gaussian pair
+        g = rng.normal(size=4)
+        v = g[:2] + 1j * g[2:]
         truth = tuple((v / np.linalg.norm(v)).tolist())
-    return sim.allocate_qubit(truth), truth
+        return sim.allocate_qubit(truth), truth
+    label = dist.state if dist.kind == "fixed" else _UNIFORM4[rng.integers(0, 4)]
+    return sim.allocate_named(label), _NAMED_TRUTH[label]
 
 
 @dataclass(frozen=True)
@@ -131,7 +145,7 @@ class _Endpoint:
         self,
         config: SessionConfig,
         sim: Simulator,
-        rng: np.random.Generator,
+        rng: PayloadSource,
         trace: list | None = None,
     ):
         if config.key is None:

@@ -12,8 +12,17 @@ construction.
 
 Amplitudes are plain Python complex lists: at 2 or 4 amplitudes scalar
 arithmetic beats array dispatch by a wide margin. Numpy appears only at the
-API edges (the named single-qubit states and the RNG); a state given as
-Python complex never touches it.
+API edges: the named single-qubit states, and the random streams. A state
+given as Python complex never touches it. ``prepare`` and
+``allocate_named`` copy amplitude pairs computed once at import, by the gate
+arithmetic and by ``allocate_qubit``'s normalisation, so every prepared
+qubit gets the amplitudes those would give, in a fresh list.
+
+Every method that draws takes ``rng``, any object with ``random()``
+returning a float in [0, 1): a numpy Generator, or a :class:`Draws`
+stream. ``Draws(seed)`` is the stream of ``make_rng(seed)``, value for
+value, read from the bit generator in blocks of raw 64-bit words, so a
+scalar draw costs no numpy call.
 
 ``teleport`` is the one transport step: a Bell measurement plus the Pauli
 correction at the far end. An entanglement swap is a teleport of one pair's
@@ -55,6 +64,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Protocol
 
 import numpy as np
 
@@ -62,8 +72,15 @@ NORM_TOL = 1e-9
 #: Entries after which a simulator's Bell-measurement memo is emptied.
 BELL_CACHE_MAX = 256
 
+#: Words a :class:`Draws` stream reads in its first block after a sync; each
+#: further block is twice the last, up to ``DRAWS_BLOCK_MAX``.
+DRAWS_BLOCK_MIN = 16
+DRAWS_BLOCK_MAX = 256
+
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _MASK64 = (1 << 64) - 1
+_LOW32 = (1 << 32) - 1
+_TWO_M53 = 2.0**-53
 
 
 class SimulationError(Exception):
@@ -91,6 +108,14 @@ NAMED_STATES = {
 }
 
 
+class RandomSource(Protocol):
+    """What a drawing method takes as ``rng``: any object whose
+    ``random()`` returns a float in [0, 1), such as a numpy Generator or a
+    :class:`Draws` stream."""
+
+    def random(self) -> float: ...
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Derive an independent 64-bit child seed from (seed, index).
 
@@ -106,6 +131,106 @@ def derive_seed(seed: int, index: int) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic random stream: same seed, same outcome sequence."""
     return np.random.default_rng(seed & _MASK64)
+
+
+class Draws:
+    """The random stream of ``make_rng(seed)``, with scalar draws read from
+    blocks of raw 64-bit words instead of one numpy call each.
+
+    ``random()`` and ``integers(low, high)`` replay what the Generator
+    computes from the same words, so a Draws stream and a Generator of one
+    seed give the same values, in the same order, whatever the mix of
+    calls:
+
+    - ``random()`` is ``(w >> 11) * 2**-53`` of the next word;
+    - ``integers(low, high)`` is numpy's 32-bit Lemire draw, rejection
+      loop included, for ``high - low`` up to 2**32 (a wider range is
+      refused). A 32-bit draw takes the low half of a fresh word and keeps
+      the high half for the next one, as the PCG64 bit generator does; a
+      ``random()`` in between leaves the kept half alone.
+
+    ``normal`` draws with the Generator itself, after a ``sync``: the bit
+    generator is moved back over the words read but not used, and given the
+    kept half, so that its state is the Generator's at that point in the
+    stream. After a sync, block reads start at ``DRAWS_BLOCK_MIN`` words
+    again and double up to ``DRAWS_BLOCK_MAX``, so a stream that syncs often
+    reads few words it must move back over.
+    """
+
+    __slots__ = ("_gen", "_bits", "_words", "_block", "_has_half", "_half")
+
+    def __init__(self, seed: int):
+        self._gen = make_rng(seed)
+        self._bits = self._gen.bit_generator
+        self._words: list[int] = []  # unused words of the last block, next last
+        self._block = DRAWS_BLOCK_MIN
+        # the high half of the last split word, and whether it is unused:
+        # the bit generator's ``uinteger`` and ``has_uint32``
+        self._has_half = False
+        self._half = 0
+
+    def _read(self) -> int:
+        """Read the next block; return its first word."""
+        block = self._block
+        words = self._bits.random_raw(block).tolist()
+        words.reverse()
+        self._words = words
+        self._block = min(2 * block, DRAWS_BLOCK_MAX)
+        return words.pop()
+
+    def random(self) -> float:
+        try:
+            word = self._words.pop()
+        except IndexError:
+            word = self._read()
+        return (word >> 11) * _TWO_M53
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        try:
+            word = self._words.pop()
+        except IndexError:
+            word = self._read()
+        self._has_half = True
+        self._half = word >> 32
+        return word & _LOW32
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high), drawn as ``Generator.integers`` draws it."""
+        span = high - low
+        if span == 1:
+            return low  # numpy draws nothing for a one-value range
+        if not 1 < span <= 1 << 32:
+            raise ValueError(f"integers needs 1 <= high - low <= 2**32, got {span}")
+        m = self._uint32() * span
+        if (m & _LOW32) < span:
+            threshold = ((1 << 32) - span) % span
+            while (m & _LOW32) < threshold:
+                m = self._uint32() * span
+        return low + (m >> 32)
+
+    def normal(self, size=None):
+        """Standard normal values, drawn by the Generator after a sync."""
+        self.sync()
+        return self._gen.normal(size=size)
+
+    def sync(self) -> np.random.BitGenerator:
+        """Bring the bit generator to the position this stream has used, kept
+        half included, and return it."""
+        bits = self._bits
+        # PCG64 advances mod 2**128, so a negative step moves back; advance
+        # also resets the bit generator's half to (0, 0)
+        bits.advance(-len(self._words))
+        if self._has_half or self._half:
+            state = bits.state
+            state["has_uint32"] = int(self._has_half)
+            state["uinteger"] = self._half
+            bits.state = state
+        self._words = []
+        self._block = DRAWS_BLOCK_MIN
+        return bits
 
 
 def states_equal(a, b, tol: float = NORM_TOL) -> bool:
@@ -155,8 +280,16 @@ class Simulator:
             if not math.isfinite(norm) or norm < 1e-12:
                 raise ValueError("state amplitudes must be finite and non-zero")
             amps = [amps[0] / norm, amps[1] / norm]
+        return self._add_lone(amps)
+
+    def allocate_named(self, label: str) -> QubitRef:
+        """A fresh qubit in the named state "0", "1", "+" or "-", with the
+        amplitudes ``allocate_qubit(NAMED_STATES[label])`` gives."""
+        return self._add_lone(list(_NAMED_AMPS[label]))
+
+    def _add_lone(self, amps: list[complex]) -> QubitRef:
         qid = self._next_id
-        self._next_id += 1
+        self._next_id = qid + 1
         self._groups[qid] = _Group([qid], amps)
         return qid
 
@@ -188,13 +321,9 @@ class Simulator:
 
     def prepare(self, bit: int, basis: Basis) -> QubitRef:
         """A fresh qubit in |bit>, then H for ``Basis.X``: the eigenstate
-        |0>, |1>, |+> or |-> that measures ``bit`` in ``basis``."""
-        q = self.allocate_qubit()
-        if bit:
-            self.apply_x(q)
-        if basis is Basis.X:
-            self.apply_h(q)
-        return q
+        |0>, |1>, |+> or |-> that measures ``bit`` in ``basis``. Its
+        amplitudes are those X and H give, tabulated once."""
+        return self._add_lone(list((_X_PAIRS if basis is Basis.X else _Z_PAIRS)[bit]))
 
     def apply_x(self, q: QubitRef) -> None:
         amps = self._lone(q).amps
@@ -208,7 +337,7 @@ class Simulator:
 
     # -- measurement ---------------------------------------------------------
 
-    def measure(self, q: QubitRef, basis: Basis, rng: np.random.Generator) -> int:
+    def measure(self, q: QubitRef, basis: Basis, rng: RandomSource) -> int:
         """Born-rule measurement of an unentangled qubit. Collapses it; the
         qubit stays live in the post-measurement eigenstate of the requested
         basis, so an immediate re-measurement repeats the outcome.
@@ -235,7 +364,7 @@ class Simulator:
         return qid, qid + 1
 
     def bell_measure(
-        self, a: QubitRef, b: QubitRef, rng: np.random.Generator
+        self, a: QubitRef, b: QubitRef, rng: RandomSource
     ) -> tuple[int, int]:
         """Bell-basis measurement of (a, b). Returns (m_a, m_b); both qubits
         are consumed.
@@ -287,7 +416,7 @@ class Simulator:
         return m_a, m_b
 
     def teleport(
-        self, q: QubitRef, near: QubitRef, far: QubitRef, rng: np.random.Generator
+        self, q: QubitRef, near: QubitRef, far: QubitRef, rng: RandomSource
     ) -> tuple[int, int]:
         """Move the state of ``q`` onto ``far``, the other half of (near, far).
 
@@ -315,6 +444,31 @@ class Simulator:
             if m_a:
                 amps[3] = -amps[3]
         return m_a, m_b
+
+
+def _gate_prepared(bit: int, basis: Basis) -> tuple[complex, complex]:
+    """The amplitudes of |0>, then X if ``bit``, then H for ``Basis.X``."""
+    sim = Simulator()
+    q = sim.allocate_qubit()
+    if bit:
+        sim.apply_x(q)
+    if basis is Basis.X:
+        sim.apply_h(q)
+    return sim.amplitudes(q)
+
+
+def _allocated(state) -> tuple[complex, complex]:
+    """The amplitudes ``allocate_qubit(state)`` gives."""
+    sim = Simulator()
+    return sim.amplitudes(sim.allocate_qubit(state))
+
+
+#: ``prepare``'s amplitude pairs, by bit, per basis
+_Z_PAIRS = (_gate_prepared(0, Basis.Z), _gate_prepared(1, Basis.Z))
+_X_PAIRS = (_gate_prepared(0, Basis.X), _gate_prepared(1, Basis.X))
+#: ``allocate_named``'s amplitude pairs: NAMED_STATES as allocate_qubit
+#: normalises them, which at |+> and |-> is one ulp off the literal
+_NAMED_AMPS = {label: _allocated(v) for label, v in NAMED_STATES.items()}
 
 
 def _bell_table(xs: tuple, ys: tuple) -> tuple:

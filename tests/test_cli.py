@@ -224,6 +224,39 @@ def test_repeated_transfer_length_exits_2(tmp_path, capsys, t_flags):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "seed_flags",
+    [["--seed", "-5"], ["--seed", str(2**64 + 5)], {"master_seed": -1},
+     {"master_seed": 2**64}],
+)
+def test_master_seed_outside_64_bits_exits_2(tmp_path, capsys, seed_flags):
+    # Trial seeds are mixed mod 2**64, so -5 and 2**64 - 5 (or 5 and
+    # 2**64 + 5) would print the same rows under two master seeds.
+    if isinstance(seed_flags, dict):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(seed_flags))
+        seed_flags = ["--config", str(path)]
+    code, out, err = run(
+        ["custom", "-T", "1", "2", "--trials", "5", "--format", "csv", *seed_flags],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: master seed must be in [0, 2**64)")
+    assert err.count("\n") == 1
+
+
+def test_master_seed_range_ends_are_accepted(capsys):
+    for seed in (0, 2**64 - 1):
+        code, out, err = run(
+            ["custom", "-T", "1", "--trials", "2", "--data-qubits", "4",
+             "--format", "csv", "--seed", str(seed)],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].endswith(f",{seed}")
+
+
 def test_short_fresh_keys_are_redrawn_until_non_zero(capsys):
     # A 2-bit fresh key is all zero in a quarter of the draws; such a draw
     # is replaced from the trial's key stream instead of ending the

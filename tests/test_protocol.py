@@ -12,7 +12,14 @@ from qauthsim.protocol import (
     _Endpoint,
     sample_payload,
 )
-from qauthsim.qsim import NAMED_STATES, Basis, Simulator, make_rng, states_equal
+from qauthsim.qsim import (
+    NAMED_STATES,
+    Basis,
+    Draws,
+    Simulator,
+    make_rng,
+    states_equal,
+)
 
 CHAIN = qa.Topology.chain(1)
 
@@ -189,6 +196,33 @@ def test_haar_payloads_are_normalized_and_varied():
         sim.release(q)
     assert not states_equal(truths[0], truths[1])
     assert sim.live_count() == 0
+
+
+def test_named_payloads_are_allocated_as_allocate_qubit_would():
+    # The named payloads come from a table built by allocate_qubit's own
+    # normalisation, one ulp off the truth tuple at |+> and |->.
+    sim = Simulator()
+    rng = Draws(4)
+    for text in ("fixed:0", "fixed:1", "fixed:+", "fixed:-", *["uniform4"] * 40):
+        q, truth = sample_payload(sim, PayloadDistribution.parse(text), rng)
+        assert sim.amplitudes(q) == sim.amplitudes(sim.allocate_qubit(truth))
+
+
+def test_payload_draws_equal_the_generator_stream():
+    # One normal(size=4) per haar payload draws the values two size=2 calls
+    # drew; uniform4 draws integers(0, 4). A Draws stream and a Generator of
+    # one seed give the same payloads.
+    for kind in ("haar", "uniform4"):
+        sim = Simulator()
+        draws, gen = Draws(11), make_rng(11)
+        for _ in range(30):
+            _, truth = sample_payload(sim, PayloadDistribution(kind), draws)
+            _, again = sample_payload(sim, PayloadDistribution(kind), gen)
+            assert truth == again
+    gen = make_rng(11)
+    v = gen.normal(size=2) + 1j * gen.normal(size=2)
+    _, truth = sample_payload(Simulator(), PayloadDistribution("haar"), Draws(11))
+    assert truth == tuple((v / np.linalg.norm(v)).tolist())
 
 
 def test_payload_distribution_validation():

@@ -14,6 +14,7 @@ from qauthsim import qsim
 from qauthsim.qsim import (
     Basis,
     DeadQubitError,
+    Draws,
     NAMED_STATES,
     Simulator,
     SimulationError,
@@ -613,6 +614,103 @@ def test_derive_seed_is_deterministic_and_spreads():
     seen = {derive_seed(5, i) for i in range(1000)}
     assert len(seen) == 1000
     assert all(0 <= s < 2**64 for s in seen)
+
+
+# -- the block-read random stream and the tabulated preparations --------------
+
+#: integers spans: one value (no draw), small powers of two, a span whose
+#: Lemire draw is rejected a quarter of the time, and the full 32 bits
+DRAW_SPANS = (1, 2, 4, 3 * 2**30, 2**32)
+
+draw_calls = st.one_of(
+    st.tuples(st.just("random"), st.integers(1, 300)),  # that many in a row
+    st.tuples(st.just("integers"), st.sampled_from(DRAW_SPANS), st.integers(-3, 3)),
+    st.tuples(st.just("normal"), st.integers(0, 5)),
+)
+
+
+def replay(stream, calls):
+    """The values of ``calls`` drawn from ``stream``, in order."""
+    out = []
+    for call in calls:
+        if call[0] == "random":
+            out.extend(stream.random() for _ in range(call[1]))
+        elif call[0] == "integers":
+            _, span, low = call
+            out.append(int(stream.integers(low, low + span)))
+        else:
+            out.extend(stream.normal(size=call[1]).tolist())
+    return out
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(draw_calls, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_draws_replay_the_generator_value_for_value(seed, calls):
+    # Up to 40 calls of up to 300 draws each cross the 16-to-256-word block
+    # boundaries; after a final sync the bit generator is where the
+    # Generator's is, kept 32-bit half included.
+    draws, gen = Draws(seed), make_rng(seed)
+    assert replay(draws, calls) == replay(gen, calls)
+    assert draws.sync().state == gen.bit_generator.state
+
+
+def test_draws_keep_a_split_word_across_a_normal_call():
+    # integers(0, 2) uses the low half of a word and keeps the high half,
+    # which the next 32-bit draw takes, whether or not a normal call (a sync)
+    # comes between; the first block's 16 words are read before the sync.
+    calls = [("integers", 2, 0), ("random", 3), ("normal", 2), ("integers", 2, 0),
+             ("integers", 2, 0), ("normal", 1), ("random", 40), ("integers", 4, 0)]
+    for seed in range(50):
+        draws, gen = Draws(seed), make_rng(seed)
+        assert replay(draws, calls[:3]) == replay(gen, calls[:3])
+        assert draws.sync().state == gen.bit_generator.state
+        assert gen.bit_generator.state["has_uint32"] == 1
+        assert replay(draws, calls[2:]) == replay(gen, calls[2:])
+        assert draws.sync().state == gen.bit_generator.state
+
+
+def test_draws_refuse_a_range_above_32_bits():
+    draws = Draws(1)
+    for low, high in ((0, 2**32 + 1), (5, 5), (3, 1)):
+        with pytest.raises(ValueError):
+            draws.integers(low, high)
+    assert draws.sync().state == make_rng(1).bit_generator.state  # nothing drawn
+
+
+def test_prepare_tables_equal_the_gate_sequence():
+    sim = Simulator()
+    for bit in (0, 1):
+        for basis in Basis:
+            q = sim.allocate_qubit()
+            if bit:
+                sim.apply_x(q)
+            if basis is Basis.X:
+                sim.apply_h(q)
+            assert sim.amplitudes(sim.prepare(bit, basis)) == sim.amplitudes(q)
+
+
+def test_named_tables_equal_allocate_qubit():
+    sim = Simulator()
+    for label, state in NAMED_STATES.items():
+        named = sim.amplitudes(sim.allocate_named(label))
+        assert named == sim.amplitudes(sim.allocate_qubit(state))
+    # at |+> the normalised amplitudes are one ulp off the literal
+    assert sim.amplitudes(sim.allocate_named("+"))[0] != NAMED_STATES["+"][0]
+
+
+def test_prepared_qubits_share_no_amplitudes():
+    # Every prepared qubit gets its own amplitude list: measuring one in X,
+    # or applying H to it, leaves the next one prepared alike unchanged.
+    sim = Simulator()
+    rng = make_rng(7)
+    makers = [lambda b=b, x=x: sim.prepare(b, x) for b in (0, 1) for x in Basis]
+    makers += [lambda label=label: sim.allocate_named(label) for label in NAMED_STATES]
+    for make in makers:
+        expected = sim.amplitudes(make())
+        sim.measure(make(), Basis.X, rng)
+        assert sim.amplitudes(make()) == expected
+        sim.apply_h(make())
+        assert sim.amplitudes(make()) == expected
 
 
 # -- errors and edge cases -----------------------------------------------------
