@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -132,6 +133,8 @@ def dispatch(cfg: exp.ExperimentConfig, args: argparse.Namespace) -> str:
     parse_behavior(cfg.adversary)  # fail fast on bad labels
     trace_path = getattr(args, "trace", None)
     log_path = getattr(args, "intercept_log", None)
+    _refuse_shared_paths({"--trace": trace_path, "--intercept-log": log_path,
+                          "--out": cfg.out})
     trace_sink = _JsonlSink(trace_path, "records") if trace_path else None
     intercept_sink = _JsonlSink(log_path, "events") if log_path else None
     try:
@@ -145,10 +148,41 @@ def dispatch(cfg: exp.ExperimentConfig, args: argparse.Namespace) -> str:
     return exp.emit_campaign(result, cfg.output_format)
 
 
+def _refuse_shared_paths(paths: dict) -> None:
+    """Refuse two output options that name one file: each writer would
+    truncate or interleave the other's lines."""
+    seen: dict = {}
+    for flag, path in paths.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise exp.ConfigError(f"{seen[real]} and {flag} name the same file {path!r}")
+            seen[real] = flag
+
+
+def _make_encoder():
+    """``json.dumps`` at its default settings as one callable, its C encoder
+    built once: dumps builds it again on every call."""
+    make = json.encoder.c_make_encoder
+    if make is None:  # no C accelerator
+        return json.dumps
+    # the arguments JSONEncoder.iterencode passes at dumps's defaults, but no
+    # circular check: its markers dict would be state shared by every call,
+    # and no record holds itself
+    encode = make(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                  None, ": ", ", ", False, False, True)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+_encode_json = _make_encoder()
+
+
 class _JsonlSink:
     """Campaign sink that writes and flushes each trial's records as JSON
     lines as soon as the trial ends, each tagged with its transfer length
-    and trial index.
+    and trial index. A line is what ``json.dumps({**tags, **record})``
+    gives: the tags are encoded once per trial and each record's encoding
+    is spliced after them, since no record carries a tag key.
 
     The file is opened at the first trial, so a campaign that fails before
     it leaves no file behind.
@@ -162,10 +196,13 @@ class _JsonlSink:
     def append(self, entry: dict) -> None:
         if self._fh is None:
             self._fh = open(self.path, "w", encoding="utf-8")
-        meta = {"transfer_length": entry["transfer_length"],
-                "trial_index": entry["trial_index"]}
+        tags = _encode_json({"transfer_length": entry["transfer_length"],
+                             "trial_index": entry["trial_index"]})
+        empty = tags + "\n"
+        head = tags[:-1] + ", "
+        write = self._fh.write
         for record in entry[self.key]:
-            self._fh.write(json.dumps({**meta, **record}) + "\n")
+            write(head + _encode_json(record)[1:] + "\n" if record else empty)
         self._fh.flush()
 
     def close(self) -> None:

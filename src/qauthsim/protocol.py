@@ -42,6 +42,16 @@ class Phase(Enum):
 
 ABSORBING = (Phase.TERMINATED, Phase.COMPLETE)
 
+# The members as module globals: on Python 3.11 ``Phase.X`` goes through the
+# Enum class on every read, over ten times the cost of a global, and the
+# endpoint steps read a phase on every scheduler turn.
+_COMPUTE_R = Phase.COMPUTE_R
+_DATA_TRANSFER = Phase.DATA_TRANSFER
+_AUTH_PREPARE = Phase.AUTH_PREPARE
+_AUTH_AWAIT = Phase.AUTH_AWAIT
+_TERMINATED = Phase.TERMINATED
+_COMPLETE = Phase.COMPLETE
+
 
 @dataclass(frozen=True)
 class PayloadDistribution:
@@ -165,12 +175,12 @@ class _Endpoint:
         self.trace.append({"role": self.role, **record})
 
     def terminate(self, reason: str) -> None:
-        self.state.phase = Phase.TERMINATED
+        self.state.phase = _TERMINATED
         if self.trace is not None:
             self._emit(event="terminate", reason=reason)
 
     def _complete(self) -> None:
-        self.state.phase = Phase.COMPLETE
+        self.state.phase = _COMPLETE
         if self.trace is not None:
             self._emit(event="complete")
 
@@ -184,7 +194,7 @@ class _Endpoint:
             return False
         st.current_r = ks.next_r(self.key, self.sched, st.cursors)
         st.sent_count = 0
-        st.phase = Phase.DATA_TRANSFER
+        st.phase = _DATA_TRANSFER
         return True
 
     def _verify(self, qubit: QubitRef) -> bool:
@@ -232,19 +242,19 @@ class Initiator(_Endpoint):
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state
-        if st.phase is Phase.COMPUTE_R:
+        if st.phase is _COMPUTE_R:
             if not self._open_window():
                 return None
             if self.trace is not None:
                 self._emit(event="window", round=st.cursors.round_index + 1, r=st.current_r)
             # fall through to start sending this turn
 
-        if st.phase is Phase.DATA_TRANSFER:
+        if st.phase is _DATA_TRANSFER:
             if st.sent_count == st.current_r:
                 # A fully transferred window is always authenticated, even
                 # when it ends exactly on the delivery target.
                 self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
-                st.phase = Phase.AUTH_AWAIT
+                st.phase = _AUTH_AWAIT
                 return None
             if st.qubits_delivered >= self.config.data_qubit_target:
                 self._complete()
@@ -255,22 +265,22 @@ class Initiator(_Endpoint):
             st.qubits_delivered += 1
             return qubit
 
-        if st.phase is Phase.AUTH_AWAIT:
+        if st.phase is _AUTH_AWAIT:
             if arrival is None:
                 return None
             if self._verify(arrival):
                 reverse = self.config.reverse_auth
-                st.phase = Phase.AUTH_PREPARE if reverse else Phase.COMPUTE_R
+                st.phase = _AUTH_PREPARE if reverse else _COMPUTE_R
             return None
 
-        if st.phase is Phase.AUTH_PREPARE:
+        if st.phase is _AUTH_PREPARE:
             # Reverse authentication: prove our own identity with the same
             # round's plan, then resume the schedule.
             qubit = self.sim.prepare(self.plan.encoding_bit, self.plan.basis)
             self.auth_qubits_sent += 1
             if self.trace is not None:
                 self._emit(event="prepare_auth", state=self.plan.expected_state)
-            st.phase = Phase.COMPUTE_R
+            st.phase = _COMPUTE_R
             return qubit
 
         return None
@@ -284,19 +294,19 @@ class Responder(_Endpoint):
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state
-        if st.phase is Phase.COMPUTE_R and not self._open_window():
+        if st.phase is _COMPUTE_R and not self._open_window():
             return None
 
-        if st.phase is Phase.DATA_TRANSFER:
+        if st.phase is _DATA_TRANSFER:
             if st.sent_count == st.current_r:
-                st.phase = Phase.AUTH_PREPARE
+                st.phase = _AUTH_PREPARE
                 # prepare on this same turn
             elif arrival is not None:
                 self.sim.release(arrival)
                 st.sent_count += 1
                 st.qubits_delivered += 1
                 if st.sent_count == st.current_r:
-                    st.phase = Phase.AUTH_PREPARE
+                    st.phase = _AUTH_PREPARE
                 elif st.qubits_delivered >= self.config.data_qubit_target:
                     self._complete()
                 return None
@@ -305,20 +315,20 @@ class Responder(_Endpoint):
                     self._complete()
                 return None
 
-        if st.phase is Phase.AUTH_PREPARE:
+        if st.phase is _AUTH_PREPARE:
             plan = self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
             qubit = self.sim.prepare(plan.encoding_bit, plan.basis)
             self.auth_qubits_sent += 1
             if self.trace is not None:
                 self._emit(event="prepare_auth", state=plan.expected_state)
-            st.phase = Phase.AUTH_AWAIT if self.config.reverse_auth else Phase.COMPUTE_R
+            st.phase = _AUTH_AWAIT if self.config.reverse_auth else _COMPUTE_R
             return qubit
 
-        if st.phase is Phase.AUTH_AWAIT:
+        if st.phase is _AUTH_AWAIT:
             if arrival is None:
                 return None
             if self._verify(arrival):
-                st.phase = Phase.COMPUTE_R
+                st.phase = _COMPUTE_R
             return None
 
         return None

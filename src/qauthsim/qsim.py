@@ -74,7 +74,7 @@ BELL_CACHE_MAX = 256
 
 #: Words a :class:`Draws` stream reads in its first block after a sync; each
 #: further block is twice the last, up to ``DRAWS_BLOCK_MAX``.
-DRAWS_BLOCK_MIN = 16
+DRAWS_BLOCK_MIN = 8
 DRAWS_BLOCK_MAX = 256
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -94,6 +94,10 @@ class DeadQubitError(SimulationError):
 class Basis(Enum):
     Z = "Z"
     X = "X"
+
+
+#: ``Basis.X`` as a global, which reads faster than the Enum member
+_BASIS_X = Basis.X
 
 
 #: A qubit handle: the int id of a live qubit in a :class:`Simulator`.
@@ -154,10 +158,11 @@ class Draws:
     kept half, so that its state is the Generator's at that point in the
     stream. After a sync, block reads start at ``DRAWS_BLOCK_MIN`` words
     again and double up to ``DRAWS_BLOCK_MAX``, so a stream that syncs often
-    reads few words it must move back over.
+    reads few words it must move back over; a sync that finds every word
+    read skips the move.
     """
 
-    __slots__ = ("_gen", "_bits", "_words", "_block", "_has_half", "_half")
+    __slots__ = ("_gen", "_bits", "_words", "_block", "_has_half", "_half", "_bits_half")
 
     def __init__(self, seed: int):
         self._gen = make_rng(seed)
@@ -168,6 +173,8 @@ class Draws:
         # the bit generator's ``uinteger`` and ``has_uint32``
         self._has_half = False
         self._half = 0
+        # whether the bit generator's own half may differ from (0, 0)
+        self._bits_half = False
 
     def _read(self) -> int:
         """Read the next block; return its first word."""
@@ -220,15 +227,20 @@ class Draws:
         """Bring the bit generator to the position this stream has used, kept
         half included, and return it."""
         bits = self._bits
-        # PCG64 advances mod 2**128, so a negative step moves back; advance
-        # also resets the bit generator's half to (0, 0)
-        bits.advance(-len(self._words))
-        if self._has_half or self._half:
+        if self._words:
+            # PCG64 advances mod 2**128, so a negative step moves back;
+            # advance also resets the bit generator's half to (0, 0)
+            bits.advance(-len(self._words))
+            self._words = []
+            self._bits_half = False
+        # the half as a rewind leaves it: (0, 0), then ours if we have one;
+        # without a rewind, a half set by the last sync is overwritten too
+        if self._has_half or self._half or self._bits_half:
             state = bits.state
             state["has_uint32"] = int(self._has_half)
             state["uinteger"] = self._half
             bits.state = state
-        self._words = []
+            self._bits_half = self._has_half or self._half != 0
         self._block = DRAWS_BLOCK_MIN
         return bits
 
@@ -323,7 +335,7 @@ class Simulator:
         """A fresh qubit in |bit>, then H for ``Basis.X``: the eigenstate
         |0>, |1>, |+> or |-> that measures ``bit`` in ``basis``. Its
         amplitudes are those X and H give, tabulated once."""
-        return self._add_lone(list((_X_PAIRS if basis is Basis.X else _Z_PAIRS)[bit]))
+        return self._add_lone(list((_X_PAIRS if basis is _BASIS_X else _Z_PAIRS)[bit]))
 
     def apply_x(self, q: QubitRef) -> None:
         amps = self._lone(q).amps
@@ -343,12 +355,12 @@ class Simulator:
         basis, so an immediate re-measurement repeats the outcome.
         """
         group = self._lone(q)
-        if basis is Basis.X:
+        if basis is _BASIS_X:
             self.apply_h(q)
         a = group.amps[1]
         outcome = int(rng.random() < a.real * a.real + a.imag * a.imag)
         group.amps = [0j, 1 + 0j] if outcome else [1 + 0j, 0j]
-        if basis is Basis.X:
+        if basis is _BASIS_X:
             self.apply_h(q)  # restore |+>/|-> so the outcome is repeatable
         return outcome
 

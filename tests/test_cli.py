@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, option layering, outputs, exit codes."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qauthsim import netsim, protocol, qsim
+from qauthsim import cli, netsim, protocol, qsim
+from qauthsim import experiments as exp
 from qauthsim.cli import build_config, build_parser, load_config_file, main
 
 
@@ -362,3 +366,97 @@ def test_determinism_across_invocations(tmp_path, capsys):
     code2, out2, _ = run(argv, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+SHARED_PATH_FLAGS = [("--trace", "--intercept-log"), ("--trace", "--out"),
+                     ("--intercept-log", "--out")]
+
+
+@pytest.mark.parametrize("first,second", SHARED_PATH_FLAGS)
+def test_one_file_for_two_outputs_exits_2(tmp_path, monkeypatch, capsys, first, second):
+    # The second spelling reaches the same file through a symlinked directory.
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    monkeypatch.setattr(netsim, "run_trial", None)  # no trial may start
+    code, out, err = run(
+        ["custom", "--adversary", "intercept_random", "-T", "1", "--trials", "2",
+         "--data-qubits", "10", "--seed", "3",
+         first, str(tmp_path / "real" / "f"), second, str(tmp_path / "link" / "f")],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {first} and {second} ") and err.count("\n") == 1
+    assert list((tmp_path / "real").iterdir()) == []
+
+
+def test_out_from_a_config_file_is_checked_too(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "f")}))
+    code, _, err = run(
+        ["custom", "-T", "1", "--trials", "1", "--config", str(config),
+         "--trace", str(tmp_path / "f")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: --trace and --out ")
+    assert not (tmp_path / "f").exists()
+
+
+# -- the JSONL sinks -----------------------------------------------------------
+
+#: strings with quotes, backslashes, control and non-ASCII characters
+json_text = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€\U0001d11e'),
+                              st.characters()), max_size=12)
+json_values = st.one_of(json_text, st.booleans(), st.none(), st.integers(), st.floats(),
+                        st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.lists(st.integers(), max_size=4))
+#: trace records never carry the sink's own tags (checked below for run_trial)
+sink_records = st.dictionaries(
+    json_text.filter(lambda k: k not in ("transfer_length", "trial_index")),
+    json_values, max_size=4,
+)
+
+
+@given(st.lists(st.tuples(st.integers(1, 16), st.integers(0, 10**6),
+                          st.lists(sink_records, max_size=4)), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_sink_lines_equal_json_dumps(tmp_path_factory, trials):
+    path = tmp_path_factory.getbasetemp() / "sink.jsonl"
+    path.unlink(missing_ok=True)
+    sink = cli._JsonlSink(str(path), "records")
+    expected = ""
+    for t, i, records in trials:
+        sink.append({"transfer_length": t, "trial_index": i, "records": records})
+        tags = {"transfer_length": t, "trial_index": i}
+        expected += "".join(json.dumps({**tags, **r}) + "\n" for r in records)
+    sink.close()
+    assert path.exists() == bool(trials)  # opened at the first trial
+    if trials:
+        assert path.read_text(encoding="utf-8") == expected
+
+
+def test_sink_encoder_without_the_c_accelerator_is_json_dumps(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert cli._make_encoder() is json.dumps
+
+
+def test_trial_records_carry_no_sink_tag():
+    # The sink writes its tags once and splices each record after them, which
+    # is json.dumps({**tags, **record}) only while no record has a tag key.
+    events = set()
+    for adversary, payload in (("intercept_random", "haar"), ("honest", "uniform4")):
+        trace, log = [], []
+        cfg = exp.ExperimentConfig(
+            t_values=(1, 2), trials=6, data_target=12, adversary=adversary,
+            reverse_auth=True, payload=payload, topology=netsim.Topology.chain(3),
+            key_length=32,
+        )
+        exp.run_experiment(cfg, trace_sink=trace, intercept_sink=log)
+        records = [r for e in trace for r in e["records"]]
+        records += [r for e in log for r in e["events"]]
+        events |= {r.get("event") for r in records}
+        assert not any(r.keys() & {"transfer_length", "trial_index"} for r in records)
+    # every kind of record was seen, intercept-log entries (no "event") too
+    assert events == {"window", "prepare_auth", "swap", "teleport", "verdict",
+                      "complete", "terminate", None}

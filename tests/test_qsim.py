@@ -646,7 +646,7 @@ def replay(stream, calls):
 @given(st.integers(0, 2**64 - 1), st.lists(draw_calls, max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_draws_replay_the_generator_value_for_value(seed, calls):
-    # Up to 40 calls of up to 300 draws each cross the 16-to-256-word block
+    # Up to 40 calls of up to 300 draws each cross the 8-to-256-word block
     # boundaries; after a final sync the bit generator is where the
     # Generator's is, kept 32-bit half included.
     draws, gen = Draws(seed), make_rng(seed)
@@ -657,7 +657,7 @@ def test_draws_replay_the_generator_value_for_value(seed, calls):
 def test_draws_keep_a_split_word_across_a_normal_call():
     # integers(0, 2) uses the low half of a word and keeps the high half,
     # which the next 32-bit draw takes, whether or not a normal call (a sync)
-    # comes between; the first block's 16 words are read before the sync.
+    # comes between; the first block's 8 words are read before the sync.
     calls = [("integers", 2, 0), ("random", 3), ("normal", 2), ("integers", 2, 0),
              ("integers", 2, 0), ("normal", 1), ("random", 40), ("integers", 4, 0)]
     for seed in range(50):
@@ -667,6 +667,32 @@ def test_draws_keep_a_split_word_across_a_normal_call():
         assert gen.bit_generator.state["has_uint32"] == 1
         assert replay(draws, calls[2:]) == replay(gen, calls[2:])
         assert draws.sync().state == gen.bit_generator.state
+
+
+def test_draws_sync_at_the_end_of_a_block():
+    # Blocks after a sync hold 8, then 16 words. Each normal call below comes
+    # when every word read is used, so its sync moves nothing back: with no
+    # half kept, at the end of the second block, with a half kept, and with
+    # that half used. The bit generator must still be where a Generator's is.
+    block = qsim.DRAWS_BLOCK_MIN
+    steps = [
+        [("random", block)],
+        [("random", 3 * block)],
+        [("integers", 2, 0), ("random", block - 1)],
+        [("integers", 2, 0), ("random", block)],
+    ]
+    for seed in range(50):
+        draws, gen = Draws(seed), make_rng(seed)
+        for calls in steps:
+            assert replay(draws, calls) == replay(gen, calls)
+            assert draws._words == []  # the block is used up
+            assert draws.normal(size=2).tolist() == gen.normal(size=2).tolist()
+            assert draws.sync().state == gen.bit_generator.state
+        # A used half of value 0 (one split word in 2**32) must still clear
+        # the half that the last sync gave the bit generator.
+        draws._half = 0
+        state = draws.sync().state
+        assert (state["has_uint32"], state["uinteger"]) == (0, 0)
 
 
 def test_draws_refuse_a_range_above_32_bits():
