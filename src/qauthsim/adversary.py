@@ -66,17 +66,19 @@ def parse_behavior(label: str) -> Behavior:
 
 class RepeaterState:
     """Per-trial adversary state: behavior, position, own random stream
-    (a ``Draws`` of ``seed``), intercept log."""
+    (a ``Draws`` of ``seed``), and the intercept log, if one is kept."""
 
-    def __init__(self, behavior: Behavior, node: str | None, seed: int):
+    def __init__(
+        self, behavior: Behavior, node: str | None, seed: int, log: list | None = None
+    ):
         if isinstance(behavior, InterceptResend) and node is None:
             raise ValueError("intercept-resend behavior needs a repeater node")
         self.behavior = behavior
         self.node = node
         self.rng = Draws(seed)
-        # one JSON-ready record per intercepted qubit: seq, direction
+        # None, or one JSON-ready record per intercepted qubit: seq, direction
         # ("forward" is initiator to responder, or "reverse"), basis, outcome
-        self.log: list[dict] = []
+        self.log = log
 
     def swaps_at(self, node: str) -> bool:
         """Whether this node performs its entanglement swap honestly."""
@@ -103,15 +105,14 @@ def handle_arrival(
     """Measure a qubit that landed on the repeater and return the resend.
 
     The basis comes from the repeater's own stream; the Born-rule collapse
-    draws from the world stream, any object with ``random()``. The
-    forwarded qubit is a fresh preparation of the observed eigenstate.
+    draws from the world stream, any object with ``random()``. The resend
+    is the measured qubit itself, left in the observed eigenstate.
     """
     basis = state.choose_basis()
     outcome = sim.measure(qubit, basis, world_rng)
-    sim.release(qubit)
-    state.log.append(
-        {"seq": len(state.log), "direction": direction, "basis": basis.value,
-         "outcome": outcome}
-    )
-    return sim.prepare(outcome, basis)
+    log = state.log
+    if log is not None:
+        log.append({"seq": len(log), "direction": direction, "basis": basis.value,
+                    "outcome": outcome})
+    return qubit
 

@@ -230,7 +230,7 @@ def run_experiment(
     if cfg.experiment not in TRIAL_EXPERIMENTS:
         raise ConfigError(f"{cfg.experiment} is not a trial campaign")
     behavior = adv.parse_behavior(cfg.adversary)
-    key = parse_key(cfg.key, cfg.key_bits) if cfg.key else None
+    key = None if cfg.key is None else parse_key(cfg.key, cfg.key_bits)
     payload = proto.PayloadDistribution.parse(cfg.payload)
 
     rows: list[MetricsRow] = []

@@ -282,12 +282,16 @@ def run_trial(
 
     node = None
     if isinstance(behavior, adv.InterceptResend):
-        node = malicious_node or default_malicious_node(topology)
+        node = malicious_node
+        if node is None:
+            node = default_malicious_node(topology)
         if node not in topology.intermediates:
             raise ValueError(f"malicious node {node!r} is not on the path interior")
     elif malicious_node is not None:
         raise ValueError("an honest repeater path has no malicious node")
-    repeater = adv.RepeaterState(behavior, node, eve_seed)
+    # a per-trial log, so that seq restarts at 0 in every trial
+    log = None if intercept_log is None else []
+    repeater = adv.RepeaterState(behavior, node, eve_seed, log)
 
     sim = Simulator()
     fabric = EntanglementFabric(sim, topology, repeater, rng_world, trace)
@@ -346,8 +350,8 @@ def run_trial(
 
     if sim.live_count():
         raise SimulationError(f"{sim.live_count()} qubits outlived the trial")
-    if intercept_log is not None:
-        intercept_log.extend(repeater.log)
+    if log is not None:
+        intercept_log.extend(log)
     failed_round = alice.failed_round
     if failed_round is None:
         failed_round = bob.failed_round

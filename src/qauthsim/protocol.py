@@ -28,7 +28,7 @@ from typing import Protocol
 import numpy as np
 
 from . import keyschedule as ks
-from .qsim import NAMED_STATES, QubitRef, RandomSource, Simulator
+from .qsim import NAMED_STATES, Basis, QubitRef, RandomSource, Simulator
 
 
 class Phase(Enum):
@@ -87,8 +87,8 @@ class PayloadSource(RandomSource, Protocol):
     def normal(self, size=None) -> np.ndarray: ...
 
 
-#: NAMED_STATES as tuples of Python complex, so data qubits skip numpy
-_NAMED_TRUTH = {label: tuple(v.tolist()) for label, v in NAMED_STATES.items()}
+#: the labels a ``uniform4`` draw indexes: label i measures bit ``i & 1``,
+#: in ``Basis.X`` for i > 1 and in ``Basis.Z`` otherwise
 _UNIFORM4 = "01+-"
 
 
@@ -99,14 +99,19 @@ def sample_payload(
 
     A ``uniform4`` payload takes one ``rng.integers(0, 4)``, a ``haar``
     payload one ``rng.normal(size=4)``: the real parts, then the imaginary
-    parts. A named state is allocated by ``Simulator.allocate_named``."""
+    parts. A named state is made by ``Simulator.prepare``, and its truth is
+    its ``NAMED_STATES`` entry."""
     if dist.kind == "haar":  # normalized complex gaussian pair
         g = rng.normal(size=4)
         v = g[:2] + 1j * g[2:]
         truth = tuple((v / np.linalg.norm(v)).tolist())
         return sim.allocate_qubit(truth), truth
-    label = dist.state if dist.kind == "fixed" else _UNIFORM4[rng.integers(0, 4)]
-    return sim.allocate_named(label), _NAMED_TRUTH[label]
+    if dist.kind == "fixed":
+        index = _UNIFORM4.index(dist.state)
+    else:
+        index = rng.integers(0, 4)
+    basis = Basis.X if index > 1 else Basis.Z
+    return sim.prepare(index & 1, basis), NAMED_STATES[_UNIFORM4[index]]
 
 
 @dataclass(frozen=True)

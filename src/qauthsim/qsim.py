@@ -11,12 +11,10 @@ that is still entangled. Every group keeps at most two qubits by
 construction.
 
 Amplitudes are plain Python complex lists: at 2 or 4 amplitudes scalar
-arithmetic beats array dispatch by a wide margin. Numpy appears only at the
-API edges: the named single-qubit states, and the random streams. A state
-given as Python complex never touches it. ``prepare`` and
-``allocate_named`` copy amplitude pairs computed once at import, by the gate
-arithmetic and by ``allocate_qubit``'s normalisation, so every prepared
-qubit gets the amplitudes those would give, in a fresh list.
+arithmetic beats array dispatch by a wide margin. Numpy appears only in the
+random streams. ``NAMED_STATES`` is the one table of the four eigenstates
+|0>, |1>, |+> and |->: ``prepare`` copies a qubit's amplitudes from it, and
+``measure`` collapses a qubit onto it, each time into a fresh list.
 
 Every method that draws takes ``rng``, any object with ``random()``
 returning a float in [0, 1): a numpy Generator, or a :class:`Draws`
@@ -55,9 +53,10 @@ entries.
 
 Qubit handles are plain ints, the qubit's id in its simulator.
 
-Measurement in the X basis is realised as H, Z-measure, H: outcome 0 maps to
-the |+> eigenstate and 1 to |->, and the qubit is left in that eigenstate so
-an immediate re-measurement in the same basis repeats the outcome.
+Measurement in the X basis is realised as H, then a Z-measurement: outcome 0
+maps to the |+> eigenstate and 1 to |->, and the qubit is left in that
+eigenstate so an immediate re-measurement in the same basis repeats the
+outcome.
 """
 
 from __future__ import annotations
@@ -104,12 +103,20 @@ _BASIS_X = Basis.X
 QubitRef = int
 
 
+#: The eigenstates by label: "0" and "1" measure 0 and 1 in ``Basis.Z``,
+#: "+" and "-" measure 0 and 1 in ``Basis.X``.
 NAMED_STATES = {
-    "0": np.array([1, 0], dtype=complex),
-    "1": np.array([0, 1], dtype=complex),
-    "+": np.array([_SQRT2_INV, _SQRT2_INV], dtype=complex),
-    "-": np.array([_SQRT2_INV, -_SQRT2_INV], dtype=complex),
+    "0": (1 + 0j, 0j),
+    "1": (0j, 1 + 0j),
+    "+": (_SQRT2_INV + 0j, _SQRT2_INV + 0j),
+    "-": (_SQRT2_INV + 0j, -_SQRT2_INV + 0j),
 }
+
+
+def _eigenstate(bit: int, basis: Basis) -> list[complex]:
+    """A fresh amplitude list of the eigenstate that measures ``bit`` in
+    ``basis``."""
+    return list(NAMED_STATES[("+-" if basis is _BASIS_X else "01")[bit]])
 
 
 class RandomSource(Protocol):
@@ -151,30 +158,27 @@ class Draws:
       loop included, for ``high - low`` up to 2**32 (a wider range is
       refused). A 32-bit draw takes the low half of a fresh word and keeps
       the high half for the next one, as the PCG64 bit generator does; a
-      ``random()`` in between leaves the kept half alone.
+      ``random()`` or ``normal`` in between leaves the kept half alone.
 
-    ``normal`` draws with the Generator itself, after a ``sync``: the bit
-    generator is moved back over the words read but not used, and given the
-    kept half, so that its state is the Generator's at that point in the
-    stream. After a sync, block reads start at ``DRAWS_BLOCK_MIN`` words
-    again and double up to ``DRAWS_BLOCK_MAX``, so a stream that syncs often
-    reads few words it must move back over; a sync that finds every word
-    read skips the move.
+    ``normal`` draws with the Generator itself, after moving the bit
+    generator back over the words read but not used. The Generator's
+    normal reads whole words only, and ``random_raw`` ignores the bit
+    generator's own kept half, so the stream alone keeps its half. After a
+    ``normal`` call, block reads start at ``DRAWS_BLOCK_MIN`` words again
+    and double up to ``DRAWS_BLOCK_MAX``, so a stream that draws normals
+    often reads few words it must move back over.
     """
 
-    __slots__ = ("_gen", "_bits", "_words", "_block", "_has_half", "_half", "_bits_half")
+    __slots__ = ("_gen", "_bits", "_words", "_block", "_has_half", "_half")
 
     def __init__(self, seed: int):
         self._gen = make_rng(seed)
         self._bits = self._gen.bit_generator
         self._words: list[int] = []  # unused words of the last block, next last
         self._block = DRAWS_BLOCK_MIN
-        # the high half of the last split word, and whether it is unused:
-        # the bit generator's ``uinteger`` and ``has_uint32``
+        # the high half of the last split word, and whether it is unused
         self._has_half = False
         self._half = 0
-        # whether the bit generator's own half may differ from (0, 0)
-        self._bits_half = False
 
     def _read(self) -> int:
         """Read the next block; return its first word."""
@@ -219,30 +223,14 @@ class Draws:
         return low + (m >> 32)
 
     def normal(self, size=None):
-        """Standard normal values, drawn by the Generator after a sync."""
-        self.sync()
-        return self._gen.normal(size=size)
-
-    def sync(self) -> np.random.BitGenerator:
-        """Bring the bit generator to the position this stream has used, kept
-        half included, and return it."""
-        bits = self._bits
+        """Standard normal values, drawn by the Generator from the first
+        word this stream has not used."""
         if self._words:
-            # PCG64 advances mod 2**128, so a negative step moves back;
-            # advance also resets the bit generator's half to (0, 0)
-            bits.advance(-len(self._words))
+            # PCG64 advances mod 2**128, so a negative step moves back
+            self._bits.advance(-len(self._words))
             self._words = []
-            self._bits_half = False
-        # the half as a rewind leaves it: (0, 0), then ours if we have one;
-        # without a rewind, a half set by the last sync is overwritten too
-        if self._has_half or self._half or self._bits_half:
-            state = bits.state
-            state["has_uint32"] = int(self._has_half)
-            state["uinteger"] = self._half
-            bits.state = state
-            self._bits_half = self._has_half or self._half != 0
         self._block = DRAWS_BLOCK_MIN
-        return bits
+        return self._gen.normal(size=size)
 
 
 def states_equal(a, b, tol: float = NORM_TOL) -> bool:
@@ -294,11 +282,6 @@ class Simulator:
             amps = [amps[0] / norm, amps[1] / norm]
         return self._add_lone(amps)
 
-    def allocate_named(self, label: str) -> QubitRef:
-        """A fresh qubit in the named state "0", "1", "+" or "-", with the
-        amplitudes ``allocate_qubit(NAMED_STATES[label])`` gives."""
-        return self._add_lone(list(_NAMED_AMPS[label]))
-
     def _add_lone(self, amps: list[complex]) -> QubitRef:
         qid = self._next_id
         self._next_id = qid + 1
@@ -332,10 +315,9 @@ class Simulator:
     # -- preparation and gates on a lone qubit ---------------------------------
 
     def prepare(self, bit: int, basis: Basis) -> QubitRef:
-        """A fresh qubit in |bit>, then H for ``Basis.X``: the eigenstate
-        |0>, |1>, |+> or |-> that measures ``bit`` in ``basis``. Its
-        amplitudes are those X and H give, tabulated once."""
-        return self._add_lone(list((_X_PAIRS if basis is _BASIS_X else _Z_PAIRS)[bit]))
+        """A fresh qubit in the eigenstate |0>, |1>, |+> or |-> that
+        measures ``bit`` in ``basis``, copied from ``NAMED_STATES``."""
+        return self._add_lone(_eigenstate(bit, basis))
 
     def apply_x(self, q: QubitRef) -> None:
         amps = self._lone(q).amps
@@ -350,18 +332,18 @@ class Simulator:
     # -- measurement ---------------------------------------------------------
 
     def measure(self, q: QubitRef, basis: Basis, rng: RandomSource) -> int:
-        """Born-rule measurement of an unentangled qubit. Collapses it; the
-        qubit stays live in the post-measurement eigenstate of the requested
-        basis, so an immediate re-measurement repeats the outcome.
+        """Born-rule measurement of an unentangled qubit. An X-basis
+        measurement first rotates the qubit by H; the outcome is drawn from
+        the weight of |1>. The qubit stays live, collapsed onto the
+        ``NAMED_STATES`` eigenstate of the outcome in the requested basis,
+        so an immediate re-measurement repeats the outcome.
         """
         group = self._lone(q)
         if basis is _BASIS_X:
             self.apply_h(q)
         a = group.amps[1]
         outcome = int(rng.random() < a.real * a.real + a.imag * a.imag)
-        group.amps = [0j, 1 + 0j] if outcome else [1 + 0j, 0j]
-        if basis is _BASIS_X:
-            self.apply_h(q)  # restore |+>/|-> so the outcome is repeatable
+        group.amps = _eigenstate(outcome, basis)
         return outcome
 
     # -- entanglement primitives ---------------------------------------------
@@ -456,31 +438,6 @@ class Simulator:
             if m_a:
                 amps[3] = -amps[3]
         return m_a, m_b
-
-
-def _gate_prepared(bit: int, basis: Basis) -> tuple[complex, complex]:
-    """The amplitudes of |0>, then X if ``bit``, then H for ``Basis.X``."""
-    sim = Simulator()
-    q = sim.allocate_qubit()
-    if bit:
-        sim.apply_x(q)
-    if basis is Basis.X:
-        sim.apply_h(q)
-    return sim.amplitudes(q)
-
-
-def _allocated(state) -> tuple[complex, complex]:
-    """The amplitudes ``allocate_qubit(state)`` gives."""
-    sim = Simulator()
-    return sim.amplitudes(sim.allocate_qubit(state))
-
-
-#: ``prepare``'s amplitude pairs, by bit, per basis
-_Z_PAIRS = (_gate_prepared(0, Basis.Z), _gate_prepared(1, Basis.Z))
-_X_PAIRS = (_gate_prepared(0, Basis.X), _gate_prepared(1, Basis.X))
-#: ``allocate_named``'s amplitude pairs: NAMED_STATES as allocate_qubit
-#: normalises them, which at |+> and |-> is one ulp off the literal
-_NAMED_AMPS = {label: _allocated(v) for label, v in NAMED_STATES.items()}
 
 
 def _bell_table(xs: tuple, ys: tuple) -> tuple:

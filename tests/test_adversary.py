@@ -6,6 +6,7 @@ import json
 import pytest
 
 import qauthsim as qa
+from qauthsim import adversary
 from qauthsim.adversary import (
     Honest,
     InterceptResend,
@@ -31,7 +32,7 @@ CHAIN = qa.Topology.chain(1)
 
 
 def eve_state(policy="always_z", seed=0):
-    return RepeaterState(InterceptResend(policy), "r1", seed)
+    return RepeaterState(InterceptResend(policy), "r1", seed, log=[])
 
 
 def per_round_intercept_failure() -> float:
@@ -58,6 +59,24 @@ def test_matching_basis_forwarding_is_transparent():
         out = handle_arrival(state, sim, q, "forward", rng)
         assert states_equal(sim.amplitudes(out), NAMED_STATES["0"])
         sim.release(out)
+
+
+def test_resend_is_the_measured_qubit_in_its_eigenstate():
+    # The repeater forwards the qubit it measured, collapsed onto the table
+    # entry of the logged basis and outcome; it makes and frees no qubit.
+    sim = Simulator()
+    state = eve_state("random_zx", seed=3)
+    rng = make_rng(4)
+    labels = {("Z", 0): "0", ("Z", 1): "1", ("X", 0): "+", ("X", 1): "-"}
+    for i in range(40):
+        q = sim.allocate_qubit(NAMED_STATES["+-01"[i % 4]])
+        live = sim.live_count()
+        assert handle_arrival(state, sim, q, "forward", rng) == q
+        assert sim.live_count() == live
+        entry = state.log[-1]
+        assert sim.amplitudes(q) == NAMED_STATES[labels[entry["basis"], entry["outcome"]]]
+        sim.release(q)
+    assert {(e["basis"], e["outcome"]) for e in state.log} == set(labels)
 
 
 def test_z_interceptor_smashes_minus_state():
@@ -110,6 +129,24 @@ def test_intercept_log_contents_and_export(tmp_path, capsys):
         "transfer_length", "trial_index", "seq", "direction", "basis", "outcome"
     }
     assert {line["basis"] for line in lines} <= {"Z", "X"}
+
+
+def test_mitm_trial_without_a_log_builds_no_record(monkeypatch):
+    repeaters = []
+
+    class Recorded(RepeaterState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            repeaters.append(self)
+
+    monkeypatch.setattr(adversary, "RepeaterState", Recorded)
+    behavior, cfg = InterceptResend("random_zx"), mitm_config(target=20)
+    log = []
+    logged = qa.run_trial(CHAIN, behavior, cfg, seed=21, intercept_log=log)
+    unlogged = qa.run_trial(CHAIN, behavior, cfg, seed=21)
+    assert unlogged == logged
+    assert log and repeaters[0].log == log
+    assert repeaters[1].log is None
 
 
 def test_parse_behavior_labels():

@@ -403,6 +403,27 @@ def test_out_from_a_config_file_is_checked_too(tmp_path, capsys):
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("key", ["key", "malicious_node"])
+def test_empty_key_or_malicious_node_exits_2(tmp_path, capsys, key, via_config):
+    # An empty string is a value, not "unset": it must not run fresh keys or
+    # intercept at the default node.
+    trace = tmp_path / "trace.jsonl"
+    argv = ["custom", "--adversary", "intercept_random", "-T", "1", "--trials", "2",
+            "--data-qubits", "10", "--seed", "3", "--trace", str(trace)]
+    if via_config:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: ""}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--" + key.replace("_", "-"), ""]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not trace.exists()  # no trial ended
+
+
 # -- the JSONL sinks -----------------------------------------------------------
 
 #: strings with quotes, backslashes, control and non-ASCII characters

@@ -198,14 +198,18 @@ def test_haar_payloads_are_normalized_and_varied():
     assert sim.live_count() == 0
 
 
-def test_named_payloads_are_allocated_as_allocate_qubit_would():
-    # The named payloads come from a table built by allocate_qubit's own
-    # normalisation, one ulp off the truth tuple at |+> and |->.
+def test_named_payloads_are_copied_from_the_table():
+    # A named payload's amplitudes are its NAMED_STATES entry and its truth
+    # tuple, exactly; uniform4 prepares the state its truth names.
     sim = Simulator()
     rng = Draws(4)
-    for text in ("fixed:0", "fixed:1", "fixed:+", "fixed:-", *["uniform4"] * 40):
-        q, truth = sample_payload(sim, PayloadDistribution.parse(text), rng)
-        assert sim.amplitudes(q) == sim.amplitudes(sim.allocate_qubit(truth))
+    for label in NAMED_STATES:
+        q, truth = sample_payload(sim, PayloadDistribution("fixed", label), rng)
+        assert sim.amplitudes(q) == truth == NAMED_STATES[label]
+    for _ in range(40):
+        q, truth = sample_payload(sim, PayloadDistribution("uniform4"), rng)
+        assert truth in NAMED_STATES.values()
+        assert sim.amplitudes(q) == truth
 
 
 def test_payload_draws_equal_the_generator_stream():

@@ -22,6 +22,7 @@ from qauthsim.qsim import (
     make_rng,
     states_equal,
 )
+from qauthsim.protocol import PayloadDistribution, sample_payload
 
 SQ = 1 / math.sqrt(2)
 
@@ -616,7 +617,7 @@ def test_derive_seed_is_deterministic_and_spreads():
     assert all(0 <= s < 2**64 for s in seen)
 
 
-# -- the block-read random stream and the tabulated preparations --------------
+# -- the block-read random stream and the eigenstate table ---------------------
 
 #: integers spans: one value (no draw), small powers of two, a span whose
 #: Lemire draw is rejected a quarter of the time, and the full 32 bits
@@ -643,37 +644,40 @@ def replay(stream, calls):
     return out
 
 
+#: draws of every kind after a replay, which show that a stream ends where
+#: the Generator's does: each full 32-bit draw returns a kept half whole, and
+#: the second is kept across a normal call for the third
+TAIL = [("integers", 2**32, 0), ("random", 1), ("normal", 2), ("integers", 2**32, 0),
+        ("normal", 1), ("integers", 2**32, 0), ("integers", 3 * 2**30, 0), ("random", 1)]
+
+
 @given(st.integers(0, 2**64 - 1), st.lists(draw_calls, max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_draws_replay_the_generator_value_for_value(seed, calls):
     # Up to 40 calls of up to 300 draws each cross the 8-to-256-word block
-    # boundaries; after a final sync the bit generator is where the
-    # Generator's is, kept 32-bit half included.
+    # boundaries.
     draws, gen = Draws(seed), make_rng(seed)
-    assert replay(draws, calls) == replay(gen, calls)
-    assert draws.sync().state == gen.bit_generator.state
+    assert replay(draws, calls + TAIL) == replay(gen, calls + TAIL)
 
 
 def test_draws_keep_a_split_word_across_a_normal_call():
     # integers(0, 2) uses the low half of a word and keeps the high half,
-    # which the next 32-bit draw takes, whether or not a normal call (a sync)
-    # comes between; the first block's 8 words are read before the sync.
+    # which the next 32-bit draw takes, whether or not a normal call comes
+    # between; the first block's 8 words are read before the normal call.
     calls = [("integers", 2, 0), ("random", 3), ("normal", 2), ("integers", 2, 0),
              ("integers", 2, 0), ("normal", 1), ("random", 40), ("integers", 4, 0)]
     for seed in range(50):
         draws, gen = Draws(seed), make_rng(seed)
         assert replay(draws, calls[:3]) == replay(gen, calls[:3])
-        assert draws.sync().state == gen.bit_generator.state
         assert gen.bit_generator.state["has_uint32"] == 1
-        assert replay(draws, calls[2:]) == replay(gen, calls[2:])
-        assert draws.sync().state == gen.bit_generator.state
+        assert replay(draws, calls[2:] + TAIL) == replay(gen, calls[2:] + TAIL)
 
 
-def test_draws_sync_at_the_end_of_a_block():
-    # Blocks after a sync hold 8, then 16 words. Each normal call below comes
-    # when every word read is used, so its sync moves nothing back: with no
-    # half kept, at the end of the second block, with a half kept, and with
-    # that half used. The bit generator must still be where a Generator's is.
+def test_draws_normal_at_the_end_of_a_block():
+    # Blocks after a normal call hold 8, then 16 words. Each normal call
+    # below comes when every word read is used, so it moves nothing back:
+    # with no half kept, at the end of the second block, with a half kept,
+    # and with that half used.
     block = qsim.DRAWS_BLOCK_MIN
     steps = [
         [("random", block)],
@@ -687,12 +691,7 @@ def test_draws_sync_at_the_end_of_a_block():
             assert replay(draws, calls) == replay(gen, calls)
             assert draws._words == []  # the block is used up
             assert draws.normal(size=2).tolist() == gen.normal(size=2).tolist()
-            assert draws.sync().state == gen.bit_generator.state
-        # A used half of value 0 (one split word in 2**32) must still clear
-        # the half that the last sync gave the bit generator.
-        draws._half = 0
-        state = draws.sync().state
-        assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+        assert replay(draws, TAIL) == replay(gen, TAIL)
 
 
 def test_draws_refuse_a_range_above_32_bits():
@@ -700,7 +699,7 @@ def test_draws_refuse_a_range_above_32_bits():
     for low, high in ((0, 2**32 + 1), (5, 5), (3, 1)):
         with pytest.raises(ValueError):
             draws.integers(low, high)
-    assert draws.sync().state == make_rng(1).bit_generator.state  # nothing drawn
+    assert replay(draws, TAIL) == replay(make_rng(1), TAIL)  # nothing drawn
 
 
 def test_prepare_tables_equal_the_gate_sequence():
@@ -715,22 +714,24 @@ def test_prepare_tables_equal_the_gate_sequence():
             assert sim.amplitudes(sim.prepare(bit, basis)) == sim.amplitudes(q)
 
 
-def test_named_tables_equal_allocate_qubit():
-    sim = Simulator()
-    for label, state in NAMED_STATES.items():
-        named = sim.amplitudes(sim.allocate_named(label))
-        assert named == sim.amplitudes(sim.allocate_qubit(state))
-    # at |+> the normalised amplitudes are one ulp off the literal
-    assert sim.amplitudes(sim.allocate_named("+"))[0] != NAMED_STATES["+"][0]
-
-
 def test_prepared_qubits_share_no_amplitudes():
-    # Every prepared qubit gets its own amplitude list: measuring one in X,
-    # or applying H to it, leaves the next one prepared alike unchanged.
+    # Every prepared, measured or named-payload qubit gets its own amplitude
+    # list: measuring one in X, or applying H to it, leaves the next one
+    # made alike unchanged.
     sim = Simulator()
     rng = make_rng(7)
+
+    def measured(bit, basis):  # collapsed onto the state it was prepared in
+        q = sim.prepare(bit, basis)
+        sim.measure(q, basis, rng)
+        return q
+
+    def payload(label):
+        return sample_payload(sim, PayloadDistribution("fixed", label), rng)[0]
+
     makers = [lambda b=b, x=x: sim.prepare(b, x) for b in (0, 1) for x in Basis]
-    makers += [lambda label=label: sim.allocate_named(label) for label in NAMED_STATES]
+    makers += [lambda b=b, x=x: measured(b, x) for b in (0, 1) for x in Basis]
+    makers += [lambda label=label: payload(label) for label in NAMED_STATES]
     for make in makers:
         expected = sim.amplitudes(make())
         sim.measure(make(), Basis.X, rng)
