@@ -66,16 +66,19 @@ def parse_behavior(label: str) -> Behavior:
 
 class RepeaterState:
     """Per-trial adversary state: behavior, position, own random stream
-    (a ``Draws`` of ``seed``), and the intercept log, if one is kept."""
+    (a ``Draws`` of ``seed``, made only for ``InterceptResend``, the one
+    behavior that draws a basis; None otherwise), and the intercept log, if
+    one is kept."""
 
     def __init__(
         self, behavior: Behavior, node: str | None, seed: int, log: list | None = None
     ):
-        if isinstance(behavior, InterceptResend) and node is None:
+        intercepts = isinstance(behavior, InterceptResend)
+        if intercepts and node is None:
             raise ValueError("intercept-resend behavior needs a repeater node")
         self.behavior = behavior
         self.node = node
-        self.rng = Draws(seed)
+        self.rng = Draws(seed) if intercepts else None
         # None, or one JSON-ready record per intercepted qubit: seq, direction
         # ("forward" is initiator to responder, or "reverse"), basis, outcome
         self.log = log

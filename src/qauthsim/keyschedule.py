@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import Basis
+from .qsim import EIGENSTATE_LABELS, Basis
 
-#: expected state label by (encoding_bit, base_bit)
+#: expected state label by (encoding_bit, base_bit); base bit 1 is Basis.X
 AUTH_STATE_TABLE = {
-    (0, 0): "0",
-    (1, 0): "1",
-    (0, 1): "+",
-    (1, 1): "-",
+    (e, b): EIGENSTATE_LABELS[b][e] for e in (0, 1) for b in (0, 1)
 }
 
 MAX_TRANSFER_LENGTH = 16

@@ -119,6 +119,8 @@ class EntanglementFabric:
         self.repeater = repeater
         self.rng = rng_world
         self.trace = trace
+        # per path node, whether it swaps: resolved once, read per transfer
+        self._swap_at = tuple(map(repeater.swaps_at, topology.path))
         self.pairs_created = 0
         self.teleports = 0
         self.swaps = 0
@@ -133,6 +135,7 @@ class EntanglementFabric:
         ``(left_node, left_q, right_node, right_q)`` tuple.
         """
         path = self.topology.path
+        swap_at = self._swap_at
         segments = []
         left_node, left_q, right_q = None, None, None
         for i in range(len(path) - 1):
@@ -142,7 +145,7 @@ class EntanglementFabric:
                 left_node, left_q, right_q = path[i], a, b
                 continue
             node = path[i]
-            if self.repeater.swaps_at(node):
+            if swap_at[i]:
                 bits = self.sim.teleport(right_q, a, b, self.rng)
                 self.swaps += 1
                 if self.trace is not None:
@@ -259,8 +262,8 @@ def run_trial(
     Deterministic: the world, repeater, and key streams are all derived from
     ``seed``, so identical arguments give an identical record (and trace).
     The world and repeater streams, drawn one value at a time, are
-    ``qsim.Draws``; the key stream, one vectorised draw per key, is a numpy
-    Generator.
+    ``qsim.Draws`` (an honest repeater draws nothing and gets none); the key
+    stream, one vectorised draw per key, is a numpy Generator.
     Raises SimulationError when the session runs past ``sweep_bound``
     scheduler sweeps or a qubit outlives the trial.
     """

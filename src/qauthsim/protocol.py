@@ -21,6 +21,7 @@ left to time out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
@@ -28,7 +29,7 @@ from typing import Protocol
 import numpy as np
 
 from . import keyschedule as ks
-from .qsim import NAMED_STATES, Basis, QubitRef, RandomSource, Simulator
+from .qsim import EIGENSTATE_LABELS, NAMED_STATES, Basis, QubitRef, RandomSource, Simulator
 
 
 class Phase(Enum):
@@ -87,9 +88,15 @@ class PayloadSource(RandomSource, Protocol):
     def normal(self, size=None) -> np.ndarray: ...
 
 
-#: the labels a ``uniform4`` draw indexes: label i measures bit ``i & 1``,
-#: in ``Basis.X`` for i > 1 and in ``Basis.Z`` otherwise
-_UNIFORM4 = "01+-"
+#: (bit, basis, truth) of the eigenstates "0", "1", "+" and "-", the
+#: order in which a ``uniform4`` draw indexes them
+_UNIFORM4 = tuple(
+    (bit, basis, NAMED_STATES[label])
+    for basis, labels in zip((Basis.Z, Basis.X), EIGENSTATE_LABELS)
+    for bit, label in enumerate(labels)
+)
+#: the same entries by label, for a ``fixed`` payload
+_FIXED = dict(zip("".join(EIGENSTATE_LABELS), _UNIFORM4))
 
 
 def sample_payload(
@@ -103,15 +110,17 @@ def sample_payload(
     its ``NAMED_STATES`` entry."""
     if dist.kind == "haar":  # normalized complex gaussian pair
         g = rng.normal(size=4)
-        v = g[:2] + 1j * g[2:]
-        truth = tuple((v / np.linalg.norm(v)).tolist())
+        # bit for bit numpy's v / norm(v), v = g[:2] + 1j * g[2:]: the same
+        # norm, and numpy divides by multiplying with the reciprocal
+        s = 1.0 / math.sqrt(float(g[:2].dot(g[:2])) + float(g[2:].dot(g[2:])))
+        g0, g1, g2, g3 = g.tolist()
+        truth = (complex(g0 * s, g2 * s), complex(g1 * s, g3 * s))
         return sim.allocate_qubit(truth), truth
     if dist.kind == "fixed":
-        index = _UNIFORM4.index(dist.state)
+        bit, basis, truth = _FIXED[dist.state]
     else:
-        index = rng.integers(0, 4)
-    basis = Basis.X if index > 1 else Basis.Z
-    return sim.prepare(index & 1, basis), NAMED_STATES[_UNIFORM4[index]]
+        bit, basis, truth = _UNIFORM4[rng.integers(0, 4)]
+    return sim.prepare(bit, basis), truth
 
 
 @dataclass(frozen=True)

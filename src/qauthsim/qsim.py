@@ -10,11 +10,16 @@ one group, and the gates X and H, ``measure`` and ``release`` refuse a qubit
 that is still entangled. Every group keeps at most two qubits by
 construction.
 
-Amplitudes are plain Python complex lists: at 2 or 4 amplitudes scalar
+Amplitudes are plain Python complex tuples: at 2 or 4 amplitudes scalar
 arithmetic beats array dispatch by a wide margin. Numpy appears only in the
-random streams. ``NAMED_STATES`` is the one table of the four eigenstates
-|0>, |1>, |+> and |->: ``prepare`` copies a qubit's amplitudes from it, and
-``measure`` collapses a qubit onto it, each time into a fresh list.
+random streams. A tuple is immutable, so groups share them instead of
+copying: ``prepare`` hands out a ``NAMED_STATES`` entry itself, ``measure``
+collapses a qubit onto one, every Bell pair starts from one module-level
+tuple, and a Bell measurement's survivor is its memo table's tuple. A gate
+or correction builds a new tuple and never writes into one another group may
+hold. ``NAMED_STATES`` is the one table of the four eigenstates |0>, |1>,
+|+> and |->, and ``EIGENSTATE_LABELS`` the one mapping of (bit, basis) onto
+its labels.
 
 Every method that draws takes ``rng``, any object with ``random()``
 returning a float in [0, 1): a numpy Generator, or a :class:`Draws`
@@ -31,25 +36,27 @@ branch. It computes what CNOT, H and two Z measurements compute, with the
 same two random draws, but builds neither the joint state of both groups
 nor the intermediate states. ``teleport`` needs ``near`` and ``far`` to be
 the two halves of one pair (it refuses anything else before any draw), so
-``far`` is the surviving branch's last qubit, and the correction is written
-straight into that branch's amplitudes.
+``far`` is the surviving branch's last qubit, and the correction is a new
+tuple built from that branch's amplitudes.
 
 Each simulator memoises the Bell measurement's outcome table, keyed on the
-two operands' amplitude pairs as ``_halves`` reads them: P(m_a = 1), then
-P(m_b = 1 | m_a) for each m_a, then for each outcome (m_a, m_b) the scaled
-surviving amplitudes. A repeater chain feeds the kernel few distinct inputs
-(fresh pairs, corrected post-swap pairs, the four named states), so most
-calls in a trial repeat one. The table is a pure function of the key, each
-value computed by the same expression in the same order as a direct
+two operands' amplitude tuples, each with the measured qubit first (a pair
+measured at its second qubit is read transposed, so both halves of a
+symmetric pair share one entry), which fix the amplitude pairs ``_halves``
+reads. The table holds P(m_a = 1), then P(m_b = 1 | m_a) for each m_a, then
+for each outcome (m_a, m_b) the scaled surviving amplitudes, as the tuple
+the survivor's group takes. A repeater chain feeds the kernel few distinct
+inputs (fresh pairs, corrected post-swap pairs, the four named states), so
+most calls in a trial repeat one. The table is a pure function of the key,
+each value computed by the same expression in the same order as a direct
 evaluation, so a hit returns what a miss would compute. Building a table
 checks the input's norm once, before any draw; a drifted input is refused
-and gets no memo entry, so a hit needs no check. The shape checks, the two
-draws and a fresh survivor list still happen on every call, so the draws
-and the results are unchanged. Keys compare with ``==``, so 0.0 and -0.0
-share an entry; a hit may then differ from a miss in the sign of a zero,
-which reaches no weight, draw or output. The memo lives as long as its
-simulator (one trial) and is emptied when it holds ``BELL_CACHE_MAX``
-entries.
+and gets no memo entry, so a hit needs no check. The shape checks and the
+two draws still happen on every call, so the draws and the results are
+unchanged. Keys compare with ``==``, so 0.0 and -0.0 share an entry; a hit
+may then differ from a miss in the sign of a zero, which reaches no weight,
+draw or output. The memo lives as long as its simulator (one trial) and is
+emptied when it holds ``BELL_CACHE_MAX`` entries.
 
 Qubit handles are plain ints, the qubit's id in its simulator.
 
@@ -112,11 +119,18 @@ NAMED_STATES = {
     "-": (_SQRT2_INV + 0j, -_SQRT2_INV + 0j),
 }
 
+#: The label of the eigenstate that measures ``bit`` in ``basis`` is
+#: ``EIGENSTATE_LABELS[basis is Basis.X][bit]``: the one spelling of this
+#: mapping, which the key schedule's and the payload's tables derive from.
+EIGENSTATE_LABELS = ("01", "+-")
 
-def _eigenstate(bit: int, basis: Basis) -> list[complex]:
-    """A fresh amplitude list of the eigenstate that measures ``bit`` in
-    ``basis``."""
-    return list(NAMED_STATES[("+-" if basis is _BASIS_X else "01")[bit]])
+#: ``NAMED_STATES`` entries in the layout of ``EIGENSTATE_LABELS``
+_EIGENSTATES = tuple(
+    tuple(NAMED_STATES[label] for label in labels) for labels in EIGENSTATE_LABELS
+)
+
+#: (|00> + |11>)/sqrt(2), the state of every fresh Bell pair
+_PHI_PLUS = (_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j)
 
 
 class RandomSource(Protocol):
@@ -250,9 +264,13 @@ def states_equal(a, b, tol: float = NORM_TOL) -> bool:
 
 
 class _Group:
+    """The qubits of a lone qubit or a pair, and their amplitudes: a tuple
+    that other groups and the Bell memo may share, so it is replaced, never
+    written into."""
+
     __slots__ = ("qubits", "amps")
 
-    def __init__(self, qubits: list[int], amps: list[complex]):
+    def __init__(self, qubits: list[int], amps: tuple[complex, ...]):
         self.qubits = qubits
         self.amps = amps
 
@@ -263,7 +281,8 @@ class Simulator:
     def __init__(self):
         self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
         self._next_id = 0
-        # (a's halves, b's halves) -> _bell_table(a's halves, b's halves)
+        # (a's amps, b's amps), each with the measured qubit first
+        # -> _bell_table(a's halves, b's halves)
         self._bell_cache: dict[tuple, tuple] = {}
 
     # -- allocation / bookkeeping ------------------------------------------
@@ -271,7 +290,7 @@ class Simulator:
     def allocate_qubit(self, state=None) -> QubitRef:
         """Allocate a fresh qubit, in |0> or in the given 2-amplitude state."""
         if state is None:
-            amps = [1 + 0j, 0j]
+            amps = NAMED_STATES["0"]
         else:
             amps = list(map(complex, state))
             if len(amps) != 2:
@@ -279,10 +298,10 @@ class Simulator:
             norm = math.sqrt(abs(amps[0]) ** 2 + abs(amps[1]) ** 2)
             if not math.isfinite(norm) or norm < 1e-12:
                 raise ValueError("state amplitudes must be finite and non-zero")
-            amps = [amps[0] / norm, amps[1] / norm]
+            amps = (amps[0] / norm, amps[1] / norm)
         return self._add_lone(amps)
 
-    def _add_lone(self, amps: list[complex]) -> QubitRef:
+    def _add_lone(self, amps: tuple[complex, complex]) -> QubitRef:
         qid = self._next_id
         self._next_id = qid + 1
         self._groups[qid] = _Group([qid], amps)
@@ -297,8 +316,9 @@ class Simulator:
         del self._groups[q]
 
     def amplitudes(self, q: QubitRef) -> tuple[complex, ...]:
-        """Amplitudes of the group holding this qubit, as Python complex."""
-        return tuple(self._require(q).amps)
+        """Amplitudes of the group holding this qubit, as Python complex: the
+        group's own tuple, which no later operation changes."""
+        return self._require(q).amps
 
     def _require(self, q: QubitRef) -> _Group:
         group = self._groups.get(q)
@@ -316,18 +336,18 @@ class Simulator:
 
     def prepare(self, bit: int, basis: Basis) -> QubitRef:
         """A fresh qubit in the eigenstate |0>, |1>, |+> or |-> that
-        measures ``bit`` in ``basis``, copied from ``NAMED_STATES``."""
-        return self._add_lone(_eigenstate(bit, basis))
+        measures ``bit`` in ``basis``, holding its ``NAMED_STATES`` entry."""
+        return self._add_lone(_EIGENSTATES[basis is _BASIS_X][bit])
 
     def apply_x(self, q: QubitRef) -> None:
-        amps = self._lone(q).amps
-        amps[0], amps[1] = amps[1], amps[0]
+        group = self._lone(q)
+        a0, a1 = group.amps
+        group.amps = (a1, a0)
 
     def apply_h(self, q: QubitRef) -> None:
-        amps = self._lone(q).amps
-        a0, a1 = amps
-        amps[0] = (a0 + a1) * _SQRT2_INV
-        amps[1] = (a0 - a1) * _SQRT2_INV
+        group = self._lone(q)
+        a0, a1 = group.amps
+        group.amps = ((a0 + a1) * _SQRT2_INV, (a0 - a1) * _SQRT2_INV)
 
     # -- measurement ---------------------------------------------------------
 
@@ -339,11 +359,12 @@ class Simulator:
         so an immediate re-measurement repeats the outcome.
         """
         group = self._lone(q)
-        if basis is _BASIS_X:
+        x = basis is _BASIS_X
+        if x:
             self.apply_h(q)
         a = group.amps[1]
         outcome = int(rng.random() < a.real * a.real + a.imag * a.imag)
-        group.amps = _eigenstate(outcome, basis)
+        group.amps = _EIGENSTATES[x][outcome]
         return outcome
 
     # -- entanglement primitives ---------------------------------------------
@@ -353,7 +374,7 @@ class Simulator:
         qid = self._next_id
         self._next_id = qid + 2
         # Same result as H on a then CNOT(a, b); built directly for speed.
-        pair = _Group([qid, qid + 1], [_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j])
+        pair = _Group([qid, qid + 1], _PHI_PLUS)
         self._groups[qid] = self._groups[qid + 1] = pair
         return qid, qid + 1
 
@@ -373,10 +394,13 @@ class Simulator:
         qubits each. m_a is drawn with P(m_a = 1), then m_b with
         P(m_b = 1 | m_a): exactly two ``rng.random()`` calls, against the
         same thresholds as the gate sequence. The surviving branch,
-        renormalised, becomes the group of the remaining qubits: a's
-        partner, then b's partner, those that exist. Operands whose joint
-        norm has drifted are refused with ``SimulationError`` before any
-        draw, and both groups stay as they were.
+        renormalised, is the memo table's tuple itself, shared, not copied.
+        It becomes the amplitudes of the remaining qubits, a's partner then
+        b's partner, those that exist, held in b's group (in a's when b was
+        lone); only a's partner, when both remain, is registered anew.
+        Operands whose joint norm has drifted are refused with
+        ``SimulationError`` before any draw, and both groups stay as they
+        were.
         """
         if a == b:
             raise ValueError("Bell measurement needs two distinct qubits")
@@ -387,14 +411,22 @@ class Simulator:
             raise DeadQubitError(f"qubit {b if ga else a} is not live")
         if ga is gb:
             raise SimulationError(f"qubits {a} and {b} share a group")
-        xs, rest = _halves(ga, a)
-        ys, b_rest = _halves(gb, b)
-        rest += b_rest
+        qa, qb = ga.qubits, gb.qubits
+        a_first = qa[0] == a
+        b_first = qb[0] == b
+        # each operand's amplitudes with the measured qubit first: a pair
+        # measured at its second qubit is read transposed
+        xa = ga.amps
+        if not a_first:
+            xa = (xa[0], xa[2], xa[1], xa[3])
+        xb = gb.amps
+        if not b_first:
+            xb = (xb[0], xb[2], xb[1], xb[3])
         cache = self._bell_cache
-        key = (xs, ys)
+        key = (xa, xb)
         table = cache.get(key)
         if table is None:
-            table = _bell_table(xs, ys)
+            table = _bell_table(_halves(xa), _halves(xb))
             if len(cache) >= BELL_CACHE_MAX:
                 cache.clear()
             cache[key] = table
@@ -403,10 +435,19 @@ class Simulator:
         m_b = int(rng.random() < pb1s[m_a])
 
         del groups[a], groups[b]
-        if rest:
-            group = _Group(rest, list(survivors[2 * m_a + m_b]))
-            for qid in rest:
-                groups[qid] = group
+        # qa[a_first] is a's partner: index 1 when a is first, 0 when a is
+        # second; likewise qb[b_first]
+        if len(qb) == 2:
+            if len(qa) == 2:
+                partner = qa[a_first]
+                gb.qubits = [partner, qb[b_first]]
+                groups[partner] = gb
+            else:
+                gb.qubits = [qb[b_first]]
+            gb.amps = survivors[2 * m_a + m_b]
+        elif len(qa) == 2:
+            ga.qubits = [qa[a_first]]
+            ga.amps = survivors[2 * m_a + m_b]
         return m_a, m_b
 
     def teleport(
@@ -419,24 +460,34 @@ class Simulator:
         carries. With ``q`` the half of a neighbouring pair this is an
         entanglement swap: ``far`` ends up paired with q's old partner.
         ``near`` and ``far`` must be the two halves of one pair, in either
-        order; otherwise ``SimulationError`` is raised before any draw.
+        order; otherwise ``SimulationError`` is raised before any draw. The
+        corrected state is a new tuple: the survivor it starts from is
+        shared with the memo and may be shared with other groups.
         """
         pair = self._require(near).qubits
         if far == near or far not in pair:
             raise SimulationError(f"qubits {near} and {far} are not one pair")
         m_a, m_b = self.bell_measure(q, near, rng)
-        # far is near's partner, so the survivor's last qubit (index bit 1):
-        # X swaps and then Z negates within each amplitude pair (2k, 2k + 1).
-        amps = self._groups[far].amps
-        if m_b:
-            amps[0], amps[1] = amps[1], amps[0]
-        if m_a:
-            amps[1] = -amps[1]
-        if len(amps) == 4:
-            if m_b:
-                amps[2], amps[3] = amps[3], amps[2]
-            if m_a:
-                amps[3] = -amps[3]
+        if m_a or m_b:
+            # far is near's partner, so the survivor's last qubit (index bit
+            # 1): X swaps and then Z negates within each amplitude pair
+            # (2k, 2k + 1).
+            group = self._groups[far]
+            if len(group.amps) == 2:
+                x0, x1 = group.amps
+                if m_b:
+                    x0, x1 = x1, x0
+                if m_a:
+                    x1 = -x1
+                group.amps = (x0, x1)
+            else:
+                x0, x1, x2, x3 = group.amps
+                if m_b:
+                    x0, x1, x2, x3 = x1, x0, x3, x2
+                if m_a:
+                    x1 = -x1
+                    x3 = -x3
+                group.amps = (x0, x1, x2, x3)
         return m_a, m_b
 
 
@@ -490,13 +541,9 @@ def _bell_table(xs: tuple, ys: tuple) -> tuple:
     return pa1, tuple(pb1s), tuple(survivors)
 
 
-def _halves(group: _Group, qid: int) -> tuple[tuple, list[int]]:
-    """The (amp[qid=0], amp[qid=1]) pairs of qid's lone or pair group, one per
-    index of qid's partner, and the partner's id if there is one. The last
-    qubit of a group owns index bit 1."""
-    amps, qubits = group.amps, group.qubits
-    if len(qubits) == 1:
-        return ((amps[0], amps[1]),), []
-    if qubits[1] == qid:
-        return ((amps[0], amps[1]), (amps[2], amps[3])), [qubits[0]]
-    return ((amps[0], amps[2]), (amps[1], amps[3])), [qubits[1]]
+def _halves(amps: tuple) -> tuple:
+    """The (amp[q=0], amp[q=1]) pairs of a qubit q, one per index of q's
+    partner, from the amplitudes of q's lone or pair group with q first."""
+    if len(amps) == 2:
+        return ((amps[0], amps[1]),)
+    return ((amps[0], amps[2]), (amps[1], amps[3]))

@@ -22,8 +22,10 @@ from qauthsim.cli import main
 from qauthsim.experiments import trial_seed
 from qauthsim.qsim import (
     Basis,
+    Draws,
     NAMED_STATES,
     Simulator,
+    derive_seed,
     make_rng,
     states_equal,
 )
@@ -147,6 +149,31 @@ def test_mitm_trial_without_a_log_builds_no_record(monkeypatch):
     assert unlogged == logged
     assert log and repeaters[0].log == log
     assert repeaters[1].log is None
+
+
+def test_only_an_interceptor_holds_a_random_stream(monkeypatch):
+    # An honest repeater never draws a basis, so it holds no stream. An
+    # interceptor's stream is still the Draws of the repeater seed, apart
+    # from the world stream: its logged bases replay that seed's draws.
+    repeaters = []
+
+    class Recorded(RepeaterState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            repeaters.append(self)
+
+    monkeypatch.setattr(adversary, "RepeaterState", Recorded)
+    cfg = mitm_config(target=20)
+    qa.run_trial(CHAIN, Honest(), cfg, seed=21)
+    log = []
+    qa.run_trial(CHAIN, InterceptResend("random_zx"), cfg, seed=21, intercept_log=log)
+    honest, mitm = repeaters
+    assert honest.rng is None
+    assert isinstance(mitm.rng, Draws)
+    eve = make_rng(derive_seed(21, 1))
+    assert log and [e["basis"] for e in log] == [
+        "X" if eve.integers(0, 2) else "Z" for _ in log
+    ]
 
 
 def test_parse_behavior_labels():

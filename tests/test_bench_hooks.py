@@ -20,19 +20,27 @@ from qauthsim import cli
 spans = worker.Spans()
 steps = worker.install_spans(spans)
 with contextlib.redirect_stdout(io.StringIO()):
-    status = cli.main(["fig2_success", "-T", "1", "--trials", "1", "--seed", "5",
-                       "--format", "csv"])
+    status = cli.main(json.loads(sys.argv[3]))
 print(json.dumps({"status": status, "calls": spans.calls, "steps": steps}))
 """
 
 
-def test_benchmark_spans_reach_every_layer():
+def spans_of(experiment, *argv):
+    """Calls per wrapped layer, and the step counts, of one 1-trial campaign
+    at T = 1 run under the benchmark's hooks."""
+    argv = [experiment, *argv, "-T", "1", "--trials", "1", "--seed", "5", "--format", "csv"]
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "campaignbench"), str(ROOT / "src")],
+        [sys.executable, "-c", SCRIPT, str(ROOT / "campaignbench"), str(ROOT / "src"),
+         json.dumps(argv)],
         capture_output=True, text=True, timeout=120, check=True,
     )
     out = json.loads(proc.stdout)
     assert out["status"] == 0
+    return out
+
+
+def test_benchmark_spans_reach_every_layer():
+    out = spans_of("fig2_success")
     calls = out["calls"]
     for layer in ("protocol.step", "netsim.provision", "keyschedule.next_r"):
         assert calls[layer] > 0, layer
@@ -43,3 +51,13 @@ def test_benchmark_spans_reach_every_layer():
     assert (calls["qsim.bell_measure"] == calls["qsim.make_bell_pair"]
             == 2 * calls["netsim.transfer"])
     assert 0 < out["steps"]["useful"] <= out["steps"]["all"]
+
+
+def test_honest_transfers_pass_through_the_wrapped_kernel():
+    # One repeater that swaps: each transfer makes two pairs, swaps once and
+    # teleports once over the joined pair, each a wrapped bell_measure, so a
+    # fabric that bypasses the wrapped kernel fails here.
+    calls = spans_of("fig5_overhead", "--adversary", "honest")["calls"]
+    assert calls["netsim.transfer"] > 0
+    assert (calls["qsim.make_bell_pair"] == calls["qsim.bell_measure"]
+            == 2 * calls["netsim.transfer"])

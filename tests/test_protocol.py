@@ -229,6 +229,24 @@ def test_payload_draws_equal_the_generator_stream():
     assert truth == tuple((v / np.linalg.norm(v)).tolist())
 
 
+def test_haar_payload_equals_numpy_normalisation_bit_for_bit():
+    # The haar truth is built from Python floats, scaled by the reciprocal
+    # of numpy's norm; every real and imaginary part, sign of zero
+    # included, equals numpy's v / |v| of the same draw.
+    sim = Simulator()
+    draws, gen = Draws(12), make_rng(12)
+
+    def parts(amps):
+        return [(x.real.hex(), x.imag.hex()) for x in amps]
+
+    for _ in range(10_000):
+        q, truth = sample_payload(sim, PayloadDistribution("haar"), draws)
+        sim.release(q)
+        g = gen.normal(size=4)
+        v = g[:2] + 1j * g[2:]
+        assert parts(truth) == parts((v / np.linalg.norm(v)).tolist())
+
+
 def test_payload_distribution_validation():
     with pytest.raises(ValueError):
         PayloadDistribution("gaussian")

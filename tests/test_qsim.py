@@ -288,7 +288,7 @@ def dense_bell_measure(state, ia, ib, rng):
 def load_group(sim, amps):
     """A lone qubit or a pair holding the given amplitudes."""
     qubits = [sim.allocate_qubit()] if len(amps) == 2 else list(sim.make_bell_pair())
-    sim._groups[qubits[0]].amps[:] = amps  # test-only: arbitrary state
+    sim._groups[qubits[0]].amps = tuple(amps)  # test-only: arbitrary state
     return qubits
 
 
@@ -564,6 +564,103 @@ def test_unitarity_under_random_gate_sequences():
         assert abs(np.linalg.norm(sim.amplitudes(x)) - 1.0) <= 1e-9
 
 
+def assert_registry(sim):
+    """Each live id maps to a group that lists it, every listed id maps back
+    to that same group object, and each group holds one or two qubits and a
+    tuple of amplitudes of norm 1."""
+    groups = sim._groups  # test-only: the simulator's layout
+    for qid, group in groups.items():
+        assert qid in group.qubits
+        assert len(group.qubits) in (1, 2) and len(set(group.qubits)) == len(group.qubits)
+        for other in group.qubits:
+            assert groups.get(other) is group, (qid, other)
+        assert type(group.amps) is tuple and len(group.amps) == 2 ** len(group.qubits)
+        norm = sum(x.real * x.real + x.imag * x.imag for x in group.amps)
+        assert abs(norm - 1.0) <= qsim.NORM_TOL
+
+
+OPS = ("allocate", "prepare", "pair", "teleport", "bell", "measure", "x", "h", "release")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_registry_invariants_under_random_operations(data):
+    sim = Simulator()
+    rng = make_rng(data.draw(st.integers(0, 2**64 - 1)))
+    for op in data.draw(st.lists(st.sampled_from(OPS), max_size=40)):
+        groups = sim._groups
+        live = sorted(groups)
+        lone = [q for q in live if len(groups[q].qubits) == 1]
+        halves = [q for q in live if len(groups[q].qubits) == 2]
+        if op == "allocate":
+            sim.allocate_qubit(random_state(data.draw, 1))
+        elif op == "prepare":
+            sim.prepare(data.draw(st.integers(0, 1)), data.draw(st.sampled_from(Basis)))
+        elif op == "pair":
+            sim.make_bell_pair()
+        elif op == "teleport":
+            if not halves:
+                continue
+            near = data.draw(st.sampled_from(halves))
+            far = next(x for x in groups[near].qubits if x != near)
+            others = [x for x in live if x not in (near, far)]
+            if not others:
+                continue
+            sim.teleport(data.draw(st.sampled_from(others)), near, far, rng)
+        elif op == "bell":
+            if not live:
+                continue
+            a = data.draw(st.sampled_from(live))
+            others = [x for x in live if groups[x] is not groups[a]]
+            if not others:
+                continue
+            sim.bell_measure(a, data.draw(st.sampled_from(others)), rng)
+        elif lone:
+            q = data.draw(st.sampled_from(lone))
+            if op == "measure":
+                sim.measure(q, data.draw(st.sampled_from(Basis)), rng)
+            elif op == "x":
+                sim.apply_x(q)
+            elif op == "h":
+                sim.apply_h(q)
+            else:
+                sim.release(q)
+        assert_registry(sim)
+
+
+def test_a_correction_leaves_a_shared_survivor_alone():
+    # Two Bell measurements of one input with one seed leave one memo
+    # survivor tuple in two groups. A teleport of the same input with the
+    # same seed starts from that tuple too; its correction (bits not (0, 0))
+    # builds a new tuple, so the other two groups, and the memo, keep theirs.
+    sim = Simulator()
+    v = (0.6 + 0j, 0.8j)
+    for seed in range(64):  # P(0, 0) is 1/4 for a lone qubit against a pair
+        q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
+        bits = sim.teleport(q, near, far, make_rng(seed))
+        sim.release(far)
+        if bits != (0, 0):
+            break
+    survivors = []
+    for _ in range(2):
+        q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
+        assert sim.bell_measure(q, near, make_rng(seed)) == bits
+        survivors.append(far)
+    shared = sim.amplitudes(survivors[0])
+    assert sim._groups[survivors[0]] is not sim._groups[survivors[1]]
+    assert sim.amplitudes(survivors[1]) is shared
+    before = tuple(complex(x) for x in shared)
+    table = dict(sim._bell_cache)
+    q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
+    assert sim.teleport(q, near, far, make_rng(seed)) == bits
+    assert states_equal(sim.amplitudes(far), v, tol=1e-12)
+    assert sim.amplitudes(far) != shared
+    for x in survivors:
+        assert sim.amplitudes(x) is shared and shared == before
+    assert sim._bell_cache == table
+    assert_registry(sim)
+
+
 def test_repeat_measurement_is_stable():
     sim = Simulator()
     rng = make_rng(18)
@@ -715,9 +812,9 @@ def test_prepare_tables_equal_the_gate_sequence():
 
 
 def test_prepared_qubits_share_no_amplitudes():
-    # Every prepared, measured or named-payload qubit gets its own amplitude
-    # list: measuring one in X, or applying H to it, leaves the next one
-    # made alike unchanged.
+    # Prepared, measured and named-payload qubits share their table's
+    # amplitude tuple, which nothing writes into: measuring one in X, or
+    # applying H to it, leaves the next one made alike unchanged.
     sim = Simulator()
     rng = make_rng(7)
 
@@ -814,7 +911,7 @@ def test_teleport_rejects_unentangled_pair():
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, a, b)
     a, b = sim.make_bell_pair()
-    sim._groups[a].amps[:] = [1, 0, 0, 0]  # test-only: |00> in one group
+    sim._groups[a].amps = (1, 0, 0, 0)  # test-only: |00> in one group
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, a, b)
     c, d = sim.make_bell_pair()
