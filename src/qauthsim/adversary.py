@@ -19,6 +19,11 @@ from .qsim import Basis, Draws, QubitRef, RandomSource, Simulator
 
 BASIS_POLICIES = ("random_zx", "always_z", "always_x")
 
+#: the basis of every intercept under a fixed policy
+_FIXED_BASES = {"always_z": Basis.Z, "always_x": Basis.X}
+#: the two bases as globals, which read faster than the Enum members
+_Z, _X = Basis.Z, Basis.X
+
 
 @dataclass(frozen=True)
 class Honest:
@@ -65,10 +70,10 @@ def parse_behavior(label: str) -> Behavior:
 
 
 class RepeaterState:
-    """Per-trial adversary state: behavior, position, own random stream
-    (a ``Draws`` of ``seed``, made only for ``InterceptResend``, the one
-    behavior that draws a basis; None otherwise), and the intercept log, if
-    one is kept."""
+    """Per-trial adversary state: behavior, position, basis policy resolved
+    once, own random stream (a ``Draws`` of ``seed``, made only under
+    ``random_zx``, the one policy that draws a basis; None otherwise), and
+    the intercept log, if one is kept."""
 
     def __init__(
         self, behavior: Behavior, node: str | None, seed: int, log: list | None = None
@@ -78,7 +83,10 @@ class RepeaterState:
             raise ValueError("intercept-resend behavior needs a repeater node")
         self.behavior = behavior
         self.node = node
-        self.rng = Draws(seed) if intercepts else None
+        # the basis of every intercept under always_z or always_x; None for
+        # an honest repeater and under random_zx, which draws one each time
+        self.basis = _FIXED_BASES.get(behavior.basis_policy) if intercepts else None
+        self.rng = Draws(seed) if intercepts and self.basis is None else None
         # None, or one JSON-ready record per intercepted qubit: seq, direction
         # ("forward" is initiator to responder, or "reverse"), basis, outcome
         self.log = log
@@ -90,12 +98,10 @@ class RepeaterState:
         return True
 
     def choose_basis(self) -> Basis:
-        policy = self.behavior.basis_policy
-        if policy == "always_z":
-            return Basis.Z
-        if policy == "always_x":
-            return Basis.X
-        return Basis.X if self.rng.integers(0, 2) else Basis.Z
+        basis = self.basis
+        if basis is None:
+            return _X if self.rng.integers(0, 2) else _Z
+        return basis
 
 
 def handle_arrival(

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import adversary as adv
 from . import netsim
 from . import protocol as proto
-from .keyschedule import ScheduleConfig, capacity, parse_key
+from .keyschedule import MAX_KEY_LENGTH, ScheduleConfig, capacity, parse_key
 from .qsim import derive_seed
 
 
@@ -142,14 +142,20 @@ class ExperimentConfig:
             raise ConfigError(f"format must be one of {OUTPUT_FORMATS}")
         if self.key_length < max(max(self.t_values), 2):
             raise ConfigError("key length must cover the largest transfer length")
+        if self.key_length > MAX_KEY_LENGTH:
+            raise ConfigError(
+                f"key length must be <= {MAX_KEY_LENGTH}, got {self.key_length}"
+            )
         if self.analytic_rounds < 1:
             raise ConfigError("analytic rounds must be >= 1")
         if self.key_bits is not None and not (
             self.key and self.key.strip().lower().startswith("0x")
         ):
             raise ConfigError("key_bits is only for a 0x-prefixed hex key")
-        if self.key_bits is not None and self.key_bits < 2:
-            raise ConfigError(f"key_bits must be >= 2, got {self.key_bits}")
+        if self.key_bits is not None and not 2 <= self.key_bits <= MAX_KEY_LENGTH:
+            raise ConfigError(
+                f"key_bits must be in [2, {MAX_KEY_LENGTH}], got {self.key_bits}"
+            )
 
 
 @dataclass(frozen=True)
@@ -225,7 +231,8 @@ def run_experiment(
 
     Each sink, when given, receives one ``append`` per trial as the trial
     ends: a dict with ``transfer_length``, ``trial_index`` and that trial's
-    ``records`` (trace) or ``events`` (intercept log).
+    ``records`` (trace) or ``events`` (intercept log). Every trial of the
+    campaign shares one Bell memo.
     """
     if cfg.experiment not in TRIAL_EXPERIMENTS:
         raise ConfigError(f"{cfg.experiment} is not a trial campaign")
@@ -235,6 +242,7 @@ def run_experiment(
 
     rows: list[MetricsRow] = []
     records: dict[int, list[netsim.TrialRecord]] = {}
+    bell_memo: dict = {}
     for t in cfg.t_values:
         session = proto.SessionConfig(
             key=key,
@@ -256,6 +264,7 @@ def run_experiment(
                 malicious_node=cfg.malicious_node,
                 trace=trace,
                 intercept_log=intercepts,
+                bell_memo=bell_memo,
             )
             batch.append(record)
             if trace_sink is not None:

@@ -22,6 +22,14 @@ AUTH_STATE_TABLE = {
 }
 
 MAX_TRANSFER_LENGTH = 16
+#: Longest key, in bits, that a key length, a hex key's bit count or a 0/1
+#: key may give: a longer one is refused before anything is allocated.
+MAX_KEY_LENGTH = 1 << 20
+
+
+def _check_key_length(length: int, what: str) -> None:
+    if not 2 <= length <= MAX_KEY_LENGTH:
+        raise ValueError(f"{what} must be in [2, {MAX_KEY_LENGTH}], got {length}")
 
 
 @dataclass(frozen=True)
@@ -42,9 +50,12 @@ class KeyMaterial:
 
     @classmethod
     def random(cls, length: int, rng: np.random.Generator) -> "KeyMaterial":
-        if length < 2:
-            raise ValueError("key length must be >= 2")
-        return cls(tuple(rng.integers(0, 2, size=length).tolist()))
+        """``length`` bits of ``rng.integers(0, 2)``. They are 0 or 1 by
+        construction, so only the length is checked, not every bit."""
+        _check_key_length(length, "key length")
+        key = object.__new__(cls)
+        object.__setattr__(key, "bits", tuple(rng.integers(0, 2, size=length).tolist()))
+        return key
 
 
 def parse_key(text: str, bit_length: int | None = None) -> KeyMaterial:
@@ -54,12 +65,17 @@ def parse_key(text: str, bit_length: int | None = None) -> KeyMaterial:
     if text.lower().startswith("0x"):
         if bit_length is None:
             raise ValueError("hex keys need an explicit bit length")
-        value = int(text, 16)
+        _check_key_length(bit_length, "hex key bit length")
+        try:
+            value = int(text, 16)
+        except ValueError:
+            raise ValueError(f"hex key {text!r} needs hex digits after 0x") from None
         if value >= (1 << bit_length):
             raise ValueError(f"hex value does not fit in {bit_length} bits")
-        return KeyMaterial(tuple((value >> (bit_length - 1 - i)) & 1 for i in range(bit_length)))
+        return KeyMaterial(tuple(map(int, format(value, f"0{bit_length}b"))))
     if not text or set(text) - {"0", "1"}:
         raise ValueError("key must be a 0/1 string or 0x-prefixed hex")
+    _check_key_length(len(text), "key length")
     return KeyMaterial(tuple(int(c) for c in text))
 
 

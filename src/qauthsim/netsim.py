@@ -256,6 +256,7 @@ def run_trial(
     malicious_node: str | None = None,
     trace: list | None = None,
     intercept_log: list | None = None,
+    bell_memo: dict | None = None,
 ) -> TrialRecord:
     """Drive one session end to end and summarize it.
 
@@ -264,6 +265,8 @@ def run_trial(
     The world and repeater streams, drawn one value at a time, are
     ``qsim.Draws`` (an honest repeater draws nothing and gets none); the key
     stream, one vectorised draw per key, is a numpy Generator.
+    ``bell_memo`` is handed to the trial's ``Simulator``; the memo it holds
+    changes no result, only how many Bell tables are built.
     Raises SimulationError when the session runs past ``sweep_bound``
     scheduler sweeps or a qubit outlives the trial.
     """
@@ -296,7 +299,7 @@ def run_trial(
     log = None if intercept_log is None else []
     repeater = adv.RepeaterState(behavior, node, eve_seed, log)
 
-    sim = Simulator()
+    sim = Simulator(bell_memo)
     fabric = EntanglementFabric(sim, topology, repeater, rng_world, trace)
     alice = proto.Initiator(config, sim, rng_world, trace)
     bob = proto.Responder(config, sim, rng_world, trace)

@@ -39,8 +39,8 @@ the two halves of one pair (it refuses anything else before any draw), so
 ``far`` is the surviving branch's last qubit, and the correction is a new
 tuple built from that branch's amplitudes.
 
-Each simulator memoises the Bell measurement's outcome table, keyed on the
-two operands' amplitude tuples, each with the measured qubit first (a pair
+The Bell measurement's outcome table is memoised, keyed on the two
+operands' amplitude tuples, each with the measured qubit first (a pair
 measured at its second qubit is read transposed, so both halves of a
 symmetric pair share one entry), which fix the amplitude pairs ``_halves``
 reads. The table holds P(m_a = 1), then P(m_b = 1 | m_a) for each m_a, then
@@ -55,8 +55,8 @@ and gets no memo entry, so a hit needs no check. The shape checks and the
 two draws still happen on every call, so the draws and the results are
 unchanged. Keys compare with ``==``, so 0.0 and -0.0 share an entry; a hit
 may then differ from a miss in the sign of a zero, which reaches no weight,
-draw or output. The memo lives as long as its simulator (one trial) and is
-emptied when it holds ``BELL_CACHE_MAX`` entries.
+draw or output. One memo may serve many simulators (see ``Simulator``); it
+is emptied when it holds ``BELL_CACHE_MAX`` entries.
 
 Qubit handles are plain ints, the qubit's id in its simulator.
 
@@ -75,7 +75,7 @@ from typing import Protocol
 import numpy as np
 
 NORM_TOL = 1e-9
-#: Entries after which a simulator's Bell-measurement memo is emptied.
+#: Entries after which a Bell-measurement memo is emptied.
 BELL_CACHE_MAX = 256
 
 #: Words a :class:`Draws` stream reads in its first block after a sync; each
@@ -276,14 +276,19 @@ class _Group:
 
 
 class Simulator:
-    """Registry of live qubits and their entanglement groups."""
+    """Registry of live qubits and their entanglement groups.
 
-    def __init__(self):
+    ``bell_memo`` is the Bell-measurement memo to fill and read: a dict that
+    several simulators may share, since a table is a pure function of its
+    key. Without one, the simulator keeps a private memo.
+    """
+
+    def __init__(self, bell_memo: dict | None = None):
         self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
         self._next_id = 0
         # (a's amps, b's amps), each with the measured qubit first
         # -> _bell_table(a's halves, b's halves)
-        self._bell_cache: dict[tuple, tuple] = {}
+        self._bell_cache: dict[tuple, tuple] = {} if bell_memo is None else bell_memo
 
     # -- allocation / bookkeeping ------------------------------------------
 

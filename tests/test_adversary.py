@@ -176,6 +176,20 @@ def test_only_an_interceptor_holds_a_random_stream(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("policy, basis", [("always_z", Basis.Z), ("always_x", Basis.X)])
+def test_a_fixed_policy_holds_no_stream_and_draws_nothing(policy, basis):
+    # A fixed policy is resolved when the state is built: it holds no
+    # stream, and every intercept, whatever arrives, logs that one basis.
+    state = eve_state(policy, seed=4)
+    assert state.rng is None
+    sim = Simulator()
+    rng = make_rng(6)
+    for label in "01+-" * 5:
+        sim.release(handle_arrival(state, sim, sim.allocate_qubit(NAMED_STATES[label]),
+                                   "forward", rng))
+    assert [e["basis"] for e in state.log] == [basis.value] * 20
+
+
 def test_parse_behavior_labels():
     assert parse_behavior("honest") == Honest()
     assert parse_behavior("intercept_random") == InterceptResend("random_zx")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qauthsim import cli, netsim, protocol, qsim
 from qauthsim import experiments as exp
 from qauthsim.cli import build_config, build_parser, load_config_file, main
+from qauthsim.keyschedule import MAX_KEY_LENGTH
 
 
 def run(argv, capsys):
@@ -205,6 +206,32 @@ def test_key_bits_without_hex_key_exits_2(tmp_path, capsys, key_flags):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "key_bits" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["custom", "--key-length", str(MAX_KEY_LENGTH + 1)], "key length must be <="),
+     (["capacity", "--key-length", str(MAX_KEY_LENGTH + 1)], "key length must be <="),
+     (["custom", "--key", "0x1", "--key-bits", str(MAX_KEY_LENGTH + 1)], "key_bits"),
+     (["custom", "--key", "0x", "--key-bits", "4"], "hex key '0x' needs hex digits"),
+     (["custom", "--key", "0xZZ", "--key-bits", "8"], "hex key '0xZZ' needs hex digits")],
+)
+def test_oversized_or_malformed_key_exits_2(capsys, argv, message):
+    # Refused with one line before any trial: an oversized length before
+    # any key is drawn, a malformed hex key with a message of its own.
+    code, out, err = run([*argv, "-T", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_config_refuses_an_oversized_key():
+    # The bound is checked on the config, which allocates nothing, so a
+    # length far past it is safe to give here.
+    for setting in ({"key_length": 10**9}, {"key": "0x1", "key_bits": 10**9}):
+        with pytest.raises(exp.ConfigError):
+            exp.ExperimentConfig(**setting)
+    assert exp.ExperimentConfig(key_length=MAX_KEY_LENGTH).key_length == MAX_KEY_LENGTH
 
 
 @pytest.mark.parametrize(

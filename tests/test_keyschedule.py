@@ -17,12 +17,14 @@ from qauthsim.keyschedule import (
     AuthPlan,
     KeyCursors,
     KeyMaterial,
+    MAX_KEY_LENGTH,
     ScheduleConfig,
     capacity,
     next_auth_pair,
     next_r,
     parse_key,
 )
+from qauthsim.qsim import make_rng
 
 
 def test_worked_example_windows():
@@ -189,6 +191,14 @@ def test_parse_key_hex_with_length():
     assert parse_key("0x0d", bit_length=6).bits == (0, 0, 1, 1, 0, 1)
 
 
+@given(data=st.data(), n=st.integers(2, 96))
+@settings(max_examples=200, deadline=None)
+def test_parse_key_hex_reads_bits_msb_first(data, n):
+    value = data.draw(st.integers(0, (1 << n) - 1))
+    expected = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+    assert parse_key(hex(value), bit_length=n).bits == expected
+
+
 def test_parse_key_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_key("0xd")  # hex needs a bit length
@@ -205,6 +215,40 @@ def test_key_material_validation():
         KeyMaterial((1,))
     with pytest.raises(ValueError):
         KeyMaterial((1, 2))
+
+
+@pytest.mark.parametrize("length", [2, 3, 17, 1024])
+def test_a_drawn_key_is_the_generator_draw(length):
+    # A drawn key skips the per-bit check, so it must be the draw itself:
+    # the bits integers(0, 2) gives a twin generator, as Python ints, with
+    # both generators left in one state.
+    for seed in range(6):
+        rng, twin = make_rng(seed), make_rng(seed)
+        key = KeyMaterial.random(length, rng)
+        assert key.bits == tuple(twin.integers(0, 2, size=length).tolist())
+        assert {type(b) for b in key.bits} == {int}
+        assert key == KeyMaterial(key.bits) and key.length == length
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_keys_from_outside_keep_the_bit_check():
+    with pytest.raises(ValueError, match="0 or 1"):
+        KeyMaterial((0, 2))
+    with pytest.raises(ValueError):
+        parse_key("012")
+
+
+def test_a_key_out_of_length_bounds_is_refused_before_any_draw():
+    rng = make_rng(1)
+    state = rng.bit_generator.state
+    for length in (1, MAX_KEY_LENGTH + 1):
+        with pytest.raises(ValueError, match="key length"):
+            KeyMaterial.random(length, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="bit length"):
+        parse_key("0x1", bit_length=MAX_KEY_LENGTH + 1)
+    with pytest.raises(ValueError, match="key length"):
+        parse_key("1" * (MAX_KEY_LENGTH + 1))
 
 
 def test_schedule_config_validation():

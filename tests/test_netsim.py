@@ -22,7 +22,7 @@ from qauthsim.netsim import (
     topology_from_json,
 )
 from qauthsim.protocol import PayloadDistribution, SessionConfig
-from qauthsim.qsim import NAMED_STATES, SimulationError, Simulator, make_rng
+from qauthsim.qsim import BELL_CACHE_MAX, NAMED_STATES, SimulationError, Simulator, make_rng
 
 CHAIN = Topology.chain(1)
 
@@ -128,6 +128,34 @@ def test_identical_seeds_identical_records_and_traces():
     assert t1 == t2
     r3 = run_trial(CHAIN, InterceptResend("random_zx"), cfg, seed=100)
     assert r3 != r1
+
+
+@pytest.mark.parametrize("case", ["intercept_uniform4", "chain3_haar_reverse"])
+def test_a_shared_bell_memo_changes_no_trial(case):
+    # One memo handed to every trial, as a campaign hands it, gives each
+    # trial the record, trace and intercept log of a private memo, and
+    # never holds more than BELL_CACHE_MAX entries. The haar payloads bring
+    # enough new tables that the shared memo is emptied between trials.
+    if case == "intercept_uniform4":
+        topology, behavior, cfg = CHAIN, InterceptResend("random_zx"), config(t=2, target=30)
+    else:
+        topology, behavior = Topology.chain(3), Honest()
+        cfg = config(t=2, target=20, reverse_auth=True,
+                     payload=PayloadDistribution.parse("haar"))
+    memo: dict = {}
+    sizes = []
+    for seed in range(50):
+        runs = []
+        for bell_memo in (memo, None):
+            trace, log = [], []
+            record = run_trial(topology, behavior, cfg, seed, trace=trace,
+                               intercept_log=log, bell_memo=bell_memo)
+            runs.append((record, trace, log))
+        assert runs[0] == runs[1], seed
+        sizes.append(len(memo))
+    assert 0 < max(sizes) <= BELL_CACHE_MAX
+    if case == "chain3_haar_reverse":
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 def test_honest_baseline_never_detects():
