@@ -19,10 +19,10 @@ from .qsim import Basis, Draws, QubitRef, RandomSource, Simulator
 
 BASIS_POLICIES = ("random_zx", "always_z", "always_x")
 
-#: the basis of every intercept under a fixed policy
-_FIXED_BASES = {"always_z": Basis.Z, "always_x": Basis.X}
 #: the two bases as globals, which read faster than the Enum members
 _Z, _X = Basis.Z, Basis.X
+#: the basis of every intercept under a fixed policy
+_FIXED_BASES = {"always_z": _Z, "always_x": _X}
 
 
 @dataclass(frozen=True)
