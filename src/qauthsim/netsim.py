@@ -136,20 +136,22 @@ class EntanglementFabric:
         """
         path = self.topology.path
         swap_at = self._swap_at
+        sim = self.sim
+        rng = self.rng
+        trace = self.trace
         segments = []
         left_node, left_q, right_q = None, None, None
         for i in range(len(path) - 1):
-            a, b = self.sim.make_bell_pair()
-            self.pairs_created += 1
+            a, b = sim.make_bell_pair()
             if left_q is None:
                 left_node, left_q, right_q = path[i], a, b
                 continue
             node = path[i]
             if swap_at[i]:
-                bits = self.sim.teleport(right_q, a, b, self.rng)
+                bits = sim.teleport(right_q, a, b, rng)
                 self.swaps += 1
-                if self.trace is not None:
-                    self.trace.append(
+                if trace is not None:
+                    trace.append(
                         {
                             "event": "swap",
                             "node": node,
@@ -163,6 +165,7 @@ class EntanglementFabric:
                 segments.append((left_node, left_q, node, right_q))
                 left_node, left_q, right_q = node, a, b
         segments.append((left_node, left_q, path[-1], right_q))
+        self.pairs_created += len(path) - 1
         return segments
 
     def transfer(self, payload: QubitRef, direction: str) -> QubitRef:
@@ -181,12 +184,16 @@ class EntanglementFabric:
         else:
             raise ValueError("direction must be 'forward' or 'reverse'")
 
+        sim = self.sim
+        rng = self.rng
+        trace = self.trace
+        last = len(hops) - 1
         qubit = payload
         for i, (near_node, near_q, far_node, far_q) in enumerate(hops):
-            bits = self.sim.teleport(qubit, near_q, far_q, self.rng)
+            bits = sim.teleport(qubit, near_q, far_q, rng)
             self.teleports += 1
-            if self.trace is not None:
-                self.trace.append(
+            if trace is not None:
+                trace.append(
                     {
                         "event": "teleport",
                         "from": near_node,
@@ -196,10 +203,8 @@ class EntanglementFabric:
                     }
                 )
             qubit = far_q
-            if i + 1 < len(hops):
-                qubit = adv.handle_arrival(
-                    self.repeater, self.sim, qubit, direction, self.rng
-                )
+            if i < last:
+                qubit = adv.handle_arrival(self.repeater, sim, qubit, direction, rng)
         return qubit
 
 

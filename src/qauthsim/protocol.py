@@ -107,19 +107,21 @@ def sample_payload(
     A ``uniform4`` payload takes one ``rng.integers(0, 4)``, a ``haar``
     payload one ``rng.normal(size=4)``: the real parts, then the imaginary
     parts. A named state is made by ``Simulator.prepare``, and its truth is
-    its ``NAMED_STATES`` entry."""
-    if dist.kind == "haar":  # normalized complex gaussian pair
+    its ``NAMED_STATES`` entry. A haar payload's qubit holds its truth
+    tuple, which is unit norm by construction."""
+    kind = dist.kind
+    if kind == "uniform4":
+        bit, basis, truth = _UNIFORM4[rng.integers(0, 4)]
+    elif kind == "fixed":
+        bit, basis, truth = _FIXED[dist.state]
+    else:  # haar: a normalized complex gaussian pair
         g = rng.normal(size=4)
         # bit for bit numpy's v / norm(v), v = g[:2] + 1j * g[2:]: the same
         # norm, and numpy divides by multiplying with the reciprocal
         s = 1.0 / math.sqrt(float(g[:2].dot(g[:2])) + float(g[2:].dot(g[2:])))
         g0, g1, g2, g3 = g.tolist()
         truth = (complex(g0 * s, g2 * s), complex(g1 * s, g3 * s))
-        return sim.allocate_qubit(truth), truth
-    if dist.kind == "fixed":
-        bit, basis, truth = _FIXED[dist.state]
-    else:
-        bit, basis, truth = _UNIFORM4[rng.integers(0, 4)]
+        return sim.allocate_unit(truth), truth
     return sim.prepare(bit, basis), truth
 
 

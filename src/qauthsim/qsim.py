@@ -5,65 +5,24 @@ pair, whose amplitudes are indexed most-significant-qubit-first in the
 group's qubit order. The repeater path never needs more: each edge holds one
 pair, a swap or hop Bell-measures one qubit of one group against one of
 another, and an intercepted qubit is measured on its own. So there is no
-two-qubit gate and no group merging; ``bell_measure`` refuses two qubits of
-one group, and the gates X and H, ``measure`` and ``release`` refuse a qubit
-that is still entangled. Every group keeps at most two qubits by
-construction.
+two-qubit gate and no group merging, and every group keeps at most two
+qubits by construction. Qubit handles are plain ints, the qubit's id in its
+simulator.
 
 Amplitudes are plain Python complex tuples: at 2 or 4 amplitudes scalar
-arithmetic beats array dispatch by a wide margin. Numpy appears only in the
-random streams. A tuple is immutable, so groups share them instead of
-copying: ``prepare`` hands out a ``NAMED_STATES`` entry itself, ``measure``
-collapses a qubit onto one, every Bell pair starts from one module-level
-tuple, and a Bell measurement's survivor is its memo table's tuple. A gate
-or correction builds a new tuple and never writes into one another group may
-hold. ``NAMED_STATES`` is the one table of the four eigenstates |0>, |1>,
-|+> and |->, and ``EIGENSTATE_LABELS`` the one mapping of (bit, basis) onto
-its labels.
+arithmetic beats array dispatch by a wide margin, and numpy appears only in
+the random streams. A tuple is immutable, so groups, ``NAMED_STATES`` and
+the Bell memo share them instead of copying; an operation replaces a
+group's tuple and never writes into one.
+
+``teleport`` is the one transport step, hops and swaps alike. Its Bell
+measurement is one fused kernel that reads both groups in place, and its
+outcome table is memoised per input (see ``bell_measure`` and
+``_bell_table``): a repeater chain feeds it few distinct inputs, so most
+calls, teleports included, are one memo read and two draws.
 
 Every method that draws takes ``rng``, any object with ``random()``
-returning a float in [0, 1): a numpy Generator, or a :class:`Draws`
-stream. ``Draws(seed)`` is the stream of ``make_rng(seed)``, value for
-value, read from the bit generator in blocks of raw 64-bit words, so a
-scalar draw costs no numpy call.
-
-``teleport`` is the one transport step: a Bell measurement plus the Pauli
-correction at the far end. An entanglement swap is a teleport of one pair's
-half over the next pair. The Bell measurement is one fused kernel: it reads
-the two groups in place, forms the four Bell-outcome branches of the rest of
-the state in one pass, draws the two outcomes, and keeps only the surviving
-branch. It computes what CNOT, H and two Z measurements compute, with the
-same two random draws, but builds neither the joint state of both groups
-nor the intermediate states. ``teleport`` needs ``near`` and ``far`` to be
-the two halves of one pair (it refuses anything else before any draw), so
-``far`` is the surviving branch's last qubit, and the correction is a new
-tuple built from that branch's amplitudes.
-
-The Bell measurement's outcome table is memoised, keyed on the two
-operands' amplitude tuples, each with the measured qubit first (a pair
-measured at its second qubit is read transposed, so both halves of a
-symmetric pair share one entry), which fix the amplitude pairs ``_halves``
-reads. The table holds P(m_a = 1), then P(m_b = 1 | m_a) for each m_a, then
-for each outcome (m_a, m_b) the scaled surviving amplitudes, as the tuple
-the survivor's group takes. A repeater chain feeds the kernel few distinct
-inputs (fresh pairs, corrected post-swap pairs, the four named states), so
-most calls in a trial repeat one. The table is a pure function of the key,
-each value computed by the same expression in the same order as a direct
-evaluation, so a hit returns what a miss would compute. Building a table
-checks the input's norm once, before any draw; a drifted input is refused
-and gets no memo entry, so a hit needs no check. The shape checks and the
-two draws still happen on every call, so the draws and the results are
-unchanged. Keys compare with ``==``, so 0.0 and -0.0 share an entry; a hit
-may then differ from a miss in the sign of a zero, which reaches no weight,
-draw or output. One memo may serve many simulators (see ``Simulator``); it
-is emptied when it holds ``BELL_CACHE_MAX`` entries.
-
-Qubit handles are plain ints, the qubit's id in its simulator.
-
-Measurement in the X basis is realised as H, then a Z-measurement: outcome 0
-maps to the |+> eigenstate and 1 to |->, and the qubit is left in that
-eigenstate so an immediate re-measurement in the same basis repeats the
-outcome.
+returning a float in [0, 1): a numpy Generator, or a :class:`Draws` stream.
 """
 
 from __future__ import annotations
@@ -131,6 +90,9 @@ _EIGENSTATES = tuple(
 
 #: (|00> + |11>)/sqrt(2), the state of every fresh Bell pair
 _PHI_PLUS = (_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j)
+
+#: The Bell outcomes (m_a, m_b), indexed by 2 m_a + m_b
+_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class RandomSource(Protocol):
@@ -286,8 +248,8 @@ class Simulator:
     def __init__(self, bell_memo: dict | None = None):
         self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
         self._next_id = 0
-        # (a's amps, b's amps), each with the measured qubit first
-        # -> _bell_table(a's halves, b's halves)
+        # (a's amps, a first, b's amps, b first) -> _bell_table(a's halves,
+        # b's halves)
         self._bell_cache: dict[tuple, tuple] = {} if bell_memo is None else bell_memo
 
     # -- allocation / bookkeeping ------------------------------------------
@@ -304,9 +266,11 @@ class Simulator:
             if not math.isfinite(norm) or norm < 1e-12:
                 raise ValueError("state amplitudes must be finite and non-zero")
             amps = (amps[0] / norm, amps[1] / norm)
-        return self._add_lone(amps)
+        return self.allocate_unit(amps)
 
-    def _add_lone(self, amps: tuple[complex, complex]) -> QubitRef:
+    def allocate_unit(self, amps: tuple[complex, complex]) -> QubitRef:
+        """A fresh qubit holding ``amps`` as is: a tuple of two complex
+        amplitudes whose norm the caller vouches is 1."""
         qid = self._next_id
         self._next_id = qid + 1
         self._groups[qid] = _Group([qid], amps)
@@ -317,13 +281,18 @@ class Simulator:
 
     def release(self, q: QubitRef) -> None:
         """Discard a qubit. Only unentangled (singleton-group) qubits qualify."""
-        self._lone(q)
+        group = self._groups.get(q)
+        if group is None or len(group.qubits) != 1:
+            self._lone(q)  # raises
         del self._groups[q]
 
     def amplitudes(self, q: QubitRef) -> tuple[complex, ...]:
         """Amplitudes of the group holding this qubit, as Python complex: the
         group's own tuple, which no later operation changes."""
-        return self._require(q).amps
+        group = self._groups.get(q)
+        if group is None:
+            self._require(q)  # raises
+        return group.amps
 
     def _require(self, q: QubitRef) -> _Group:
         group = self._groups.get(q)
@@ -342,7 +311,10 @@ class Simulator:
     def prepare(self, bit: int, basis: Basis) -> QubitRef:
         """A fresh qubit in the eigenstate |0>, |1>, |+> or |-> that
         measures ``bit`` in ``basis``, holding its ``NAMED_STATES`` entry."""
-        return self._add_lone(_EIGENSTATES[basis is _BASIS_X][bit])
+        qid = self._next_id
+        self._next_id = qid + 1
+        self._groups[qid] = _Group([qid], _EIGENSTATES[basis is _BASIS_X][bit])
+        return qid
 
     def apply_x(self, q: QubitRef) -> None:
         group = self._lone(q)
@@ -363,7 +335,9 @@ class Simulator:
         ``NAMED_STATES`` eigenstate of the outcome in the requested basis,
         so an immediate re-measurement repeats the outcome.
         """
-        group = self._lone(q)
+        group = self._groups.get(q)
+        if group is None or len(group.qubits) != 1:
+            self._lone(q)  # raises
         x = basis is _BASIS_X
         if x:
             self.apply_h(q)
@@ -384,7 +358,7 @@ class Simulator:
         return qid, qid + 1
 
     def bell_measure(
-        self, a: QubitRef, b: QubitRef, rng: RandomSource
+        self, a: QubitRef, b: QubitRef, rng: RandomSource, far: QubitRef | None = None
     ) -> tuple[int, int]:
         """Bell-basis measurement of (a, b). Returns (m_a, m_b); both qubits
         are consumed.
@@ -395,17 +369,29 @@ class Simulator:
 
             c[m_a][m_b](r) = (amp[r, a=0, b=m_b] + (-1)^m_a amp[r, a=1, b=1-m_b]) / sqrt(2)
 
-        read straight from the separate groups holding a and b, one or two
-        qubits each. m_a is drawn with P(m_a = 1), then m_b with
-        P(m_b = 1 | m_a): exactly two ``rng.random()`` calls, against the
-        same thresholds as the gate sequence. The surviving branch,
-        renormalised, is the memo table's tuple itself, shared, not copied.
-        It becomes the amplitudes of the remaining qubits, a's partner then
-        b's partner, those that exist, held in b's group (in a's when b was
-        lone); only a's partner, when both remain, is registered anew.
-        Operands whose joint norm has drifted are refused with
-        ``SimulationError`` before any draw, and both groups stay as they
-        were.
+        read from the two groups as they stand. m_a is drawn with
+        P(m_a = 1), then m_b with P(m_b = 1 | m_a): exactly two
+        ``rng.random()`` calls, against the same thresholds as the gate
+        sequence. The remaining qubits, a's partner then b's partner, those
+        that exist, take the surviving branch, renormalised, as their
+        amplitudes: the memo table's tuple itself. They are held in b's
+        group (in a's when b is lone); only a's partner, when both remain,
+        is registered anew.
+
+        With ``far``, b's partner, the survivor is the table's corrected
+        one, X^(m_b) Z^(m_a) applied at ``far``: this is ``teleport``. A
+        ``far`` that is not b's partner, dead qubits, a and b in one group,
+        and operands whose joint norm has drifted are refused before any
+        draw, with every group left as it was.
+
+        The outcome table (``_bell_table``) is memoised, keyed on each
+        operand group's amplitude tuple and whether the measured qubit is
+        its first. It is a pure function of the key, so a hit returns what a
+        miss computes and needs no norm check. Keys compare with ``==``, so
+        0.0 and -0.0 share an entry: a hit may differ from a miss in the
+        sign of a zero, which reaches no weight, draw or output. One memo
+        may serve many simulators; it is emptied when it holds
+        ``BELL_CACHE_MAX`` entries.
         """
         if a == b:
             raise ValueError("Bell measurement needs two distinct qubits")
@@ -417,27 +403,27 @@ class Simulator:
         if ga is gb:
             raise SimulationError(f"qubits {a} and {b} share a group")
         qa, qb = ga.qubits, gb.qubits
+        if far is not None and (far == b or far not in qb):
+            raise SimulationError(f"qubits {b} and {far} are not one pair")
         a_first = qa[0] == a
         b_first = qb[0] == b
-        # each operand's amplitudes with the measured qubit first: a pair
-        # measured at its second qubit is read transposed
-        xa = ga.amps
-        if not a_first:
-            xa = (xa[0], xa[2], xa[1], xa[3])
-        xb = gb.amps
-        if not b_first:
-            xb = (xb[0], xb[2], xb[1], xb[3])
         cache = self._bell_cache
-        key = (xa, xb)
+        key = (ga.amps, a_first, gb.amps, b_first)
         table = cache.get(key)
         if table is None:
-            table = _bell_table(_halves(xa), _halves(xb))
+            table = _bell_table(_halves(ga.amps, a_first), _halves(gb.amps, b_first))
             if len(cache) >= BELL_CACHE_MAX:
                 cache.clear()
             cache[key] = table
-        pa1, pb1s, survivors = table
-        m_a = int(rng.random() < pa1)
-        m_b = int(rng.random() < pb1s[m_a])
+        pa1, pb1s, survivors, corrected = table
+        m_a = rng.random() < pa1
+        o = 2 * m_a + (rng.random() < pb1s[m_a])  # the outcome's index
+        if far is None:
+            amps = survivors[o]
+        else:
+            amps = corrected[o]
+            if amps is None:
+                amps = corrected[o] = _corrected(survivors[o], o)
 
         del groups[a], groups[b]
         # qa[a_first] is a's partner: index 1 when a is first, 0 when a is
@@ -449,57 +435,36 @@ class Simulator:
                 groups[partner] = gb
             else:
                 gb.qubits = [qb[b_first]]
-            gb.amps = survivors[2 * m_a + m_b]
+            gb.amps = amps
         elif len(qa) == 2:
             ga.qubits = [qa[a_first]]
-            ga.amps = survivors[2 * m_a + m_b]
-        return m_a, m_b
+            ga.amps = amps
+        return _OUTCOMES[o]
 
     def teleport(
         self, q: QubitRef, near: QubitRef, far: QubitRef, rng: RandomSource
     ) -> tuple[int, int]:
         """Move the state of ``q`` onto ``far``, the other half of (near, far).
 
-        Bell-measures (q, near), then applies X^(m_b) Z^(m_a) at ``far``;
+        Bell-measures (q, near) and applies X^(m_b) Z^(m_a) at ``far``;
         returns (m_a, m_b), the two correction bits a classical channel
         carries. With ``q`` the half of a neighbouring pair this is an
         entanglement swap: ``far`` ends up paired with q's old partner.
         ``near`` and ``far`` must be the two halves of one pair, in either
-        order; otherwise ``SimulationError`` is raised before any draw. The
-        corrected state is a new tuple: the survivor it starts from is
-        shared with the memo and may be shared with other groups.
+        order; otherwise ``SimulationError`` is raised before any draw.
         """
-        pair = self._require(near).qubits
-        if far == near or far not in pair:
-            raise SimulationError(f"qubits {near} and {far} are not one pair")
-        m_a, m_b = self.bell_measure(q, near, rng)
-        if m_a or m_b:
-            # far is near's partner, so the survivor's last qubit (index bit
-            # 1): X swaps and then Z negates within each amplitude pair
-            # (2k, 2k + 1).
-            group = self._groups[far]
-            if len(group.amps) == 2:
-                x0, x1 = group.amps
-                if m_b:
-                    x0, x1 = x1, x0
-                if m_a:
-                    x1 = -x1
-                group.amps = (x0, x1)
-            else:
-                x0, x1, x2, x3 = group.amps
-                if m_b:
-                    x0, x1, x2, x3 = x1, x0, x3, x2
-                if m_a:
-                    x1 = -x1
-                    x3 = -x3
-                group.amps = (x0, x1, x2, x3)
-        return m_a, m_b
+        return self.bell_measure(q, near, rng, far)
 
 
 def _bell_table(xs: tuple, ys: tuple) -> tuple:
     """The Bell measurement of operands with amplitude pairs ``xs`` and
     ``ys``, for every outcome: ``(pa1, (pb1 | m_a = 0, pb1 | m_a = 1),
-    (survivor for m_a, m_b in 00, 01, 10, 11))``.
+    survivors, corrected)``, the last two indexed by 2 m_a + m_b.
+    ``survivors`` holds each outcome's surviving branch, scaled.
+    ``corrected`` is a list of the survivors with X^(m_b) Z^(m_a) applied
+    at their last qubit (``_corrected``), which ``bell_measure`` fills per
+    outcome the first time a teleport draws it; outcome (0, 0) needs no
+    correction and starts filled.
 
     For each index r of the remaining qubits (a's partner's bit, then b's
     partner's bit) the unscaled branches (c00, c01, c10, c11) are summed
@@ -543,12 +508,30 @@ def _bell_table(xs: tuple, ys: tuple) -> tuple:
                 survivors.append(tuple(c[2 * m_a + m_b] * scale for c in branches))
             else:
                 survivors.append(())
-    return pa1, tuple(pb1s), tuple(survivors)
+    return pa1, tuple(pb1s), tuple(survivors), [survivors[0], None, None, None]
 
 
-def _halves(amps: tuple) -> tuple:
+def _corrected(amps: tuple, o: int) -> tuple:
+    """X^(m_b) Z^(m_a) on the last qubit of the amplitudes ``amps``, for
+    outcome ``o`` = 2 m_a + m_b: within each amplitude pair (2k, 2k + 1) X
+    swaps and then Z negates."""
+    out = []
+    for k in range(0, len(amps), 2):
+        x0, x1 = amps[k], amps[k + 1]
+        if o & 1:
+            x0, x1 = x1, x0
+        if o & 2:
+            x1 = -x1
+        out += (x0, x1)
+    return tuple(out)
+
+
+def _halves(amps: tuple, first: bool) -> tuple:
     """The (amp[q=0], amp[q=1]) pairs of a qubit q, one per index of q's
-    partner, from the amplitudes of q's lone or pair group with q first."""
+    partner, from the amplitudes of q's lone or pair group, where q is the
+    pair's first qubit or (``first`` false) its second."""
     if len(amps) == 2:
         return ((amps[0], amps[1]),)
-    return ((amps[0], amps[2]), (amps[1], amps[3]))
+    if first:
+        return ((amps[0], amps[2]), (amps[1], amps[3]))
+    return ((amps[0], amps[1]), (amps[2], amps[3]))

@@ -420,8 +420,9 @@ def test_bell_memo_hit_equals_miss(case):
         if ka + kb > 2:
             np.testing.assert_allclose(hit[2], rest, rtol=0, atol=1e-12)
     # teleport: q of any shape, near either half of its pair, and a seed
-    # whose correction bits are not (0, 0), so the corrections write into
-    # the survivor (they must not reach the memo)
+    # whose correction bits are not (0, 0), so the survivor is the table's
+    # corrected one: built on the first teleport of that outcome, handed
+    # out again on the second
     for (kq, iq), inear in itertools.product(SHAPES, (0, 1)):
         states = (lone[0] if kq == 1 else pair[0], pair[1])
         for s in range(seed, seed + 64):  # P(0, 0) <= 1/2 for any such input
@@ -629,10 +630,11 @@ def test_registry_invariants_under_random_operations(data):
 
 
 def test_a_correction_leaves_a_shared_survivor_alone():
-    # Two Bell measurements of one input with one seed leave one memo
-    # survivor tuple in two groups. A teleport of the same input with the
-    # same seed starts from that tuple too; its correction (bits not (0, 0))
-    # builds a new tuple, so the other two groups, and the memo, keep theirs.
+    # Two Bell measurements of one input with one seed leave the table's
+    # uncorrected survivor tuple in two groups. A teleport of the same input
+    # with the same seed (bits not (0, 0)) takes the table's corrected
+    # survivor, another tuple, so the other two groups keep theirs and the
+    # memo is unchanged.
     sim = Simulator()
     v = (0.6 + 0j, 0.8j)
     for seed in range(64):  # P(0, 0) is 1/4 for a lone qubit against a pair
@@ -659,6 +661,108 @@ def test_a_correction_leaves_a_shared_survivor_alone():
         assert sim.amplitudes(x) is shared and shared == before
     assert sim._bell_cache == table
     assert_registry(sim)
+
+
+def explicit_correction(amps, bits):
+    """X^m_b Z^m_a on the last qubit of ``amps``, spelled out apart from
+    the simulator's own correction."""
+    m_a, m_b = bits
+    if len(amps) == 2:
+        x0, x1 = amps
+        if m_b:
+            x0, x1 = x1, x0
+        if m_a:
+            x1 = -x1
+        return (x0, x1)
+    x0, x1, x2, x3 = amps
+    if m_b:
+        x0, x1, x2, x3 = x1, x0, x3, x2
+    if m_a:
+        x1 = -x1
+        x3 = -x3
+    return (x0, x1, x2, x3)
+
+
+def test_teleports_share_the_corrected_survivor():
+    # Two teleports of equal operands with one seed hand out one corrected
+    # tuple; a later Bell measurement of equal operands with that seed still
+    # leaves the uncorrected survivor.
+    v = (0.6 + 0j, 0.8j)
+    sim = Simulator()
+    for seed in range(64):  # P(0, 0) is 1/4 for a lone qubit against a pair
+        fars = []
+        for _ in range(2):
+            q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
+            bits = sim.teleport(q, near, far, make_rng(seed))
+            fars.append(far)
+        if bits != (0, 0):
+            break
+        for far in fars:
+            sim.release(far)
+    corrected = sim.amplitudes(fars[0])
+    assert sim.amplitudes(fars[1]) is corrected
+    q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
+    assert sim.bell_measure(q, near, make_rng(seed)) == bits
+    survivor = sim.amplitudes(far)
+    assert survivor is not corrected and survivor != corrected
+    assert explicit_correction(survivor, bits) == corrected
+    assert_registry(sim)
+
+
+@pytest.mark.parametrize("label", ["1", "+", "-", "haar", "pair"])
+def test_corrected_survivor_is_the_explicit_correction(label):
+    # The teleported state, from a memo miss and from a hit, and from a
+    # table a plain Bell measurement built, equals X^m_b Z^m_a applied to the
+    # uncorrected survivor, complex by complex in repr, so signed zeros
+    # count. A pair q leaves a two-qubit survivor, corrected at its last.
+    g = np.random.default_rng(27).normal(size=8)
+    if label == "haar":
+        state = tuple(complex(a, b) for a, b in zip(g[:2], g[2:4]))
+        norm = math.sqrt(sum(abs(x) ** 2 for x in state))
+        state = tuple(x / norm for x in state)
+    elif label == "pair":
+        state = tuple(complex(a, b) for a, b in zip(g[:4], g[4:]))
+        norm = math.sqrt(sum(abs(x) ** 2 for x in state))
+        state = tuple(x / norm for x in state)
+    else:
+        state = NAMED_STATES[label]
+    checked = set()
+    for seed in range(32):
+        plain = Simulator()
+        q, (near, far) = load_group(plain, state), plain.make_bell_pair()
+        bits = plain.bell_measure(q[-1], near, make_rng(seed))
+        expected = [repr(x) for x in explicit_correction(plain.amplitudes(far), bits)]
+        first_plain = Simulator()  # its table comes from a Bell measurement
+        q, (near, far) = load_group(first_plain, state), first_plain.make_bell_pair()
+        first_plain.bell_measure(q[-1], near, make_rng(seed))
+        fresh = Simulator()
+        for sim in (fresh, fresh, first_plain):  # a miss, then two hits
+            q, (near, far) = load_group(sim, state), sim.make_bell_pair()
+            assert sim.teleport(q[-1], near, far, make_rng(seed)) == bits
+            assert [repr(x) for x in sim.amplitudes(far)] == expected, (seed, bits)
+        checked.add(bits)
+    assert len(checked) == 4
+
+
+def test_teleport_over_two_pairs_is_refused_before_any_draw():
+    # far a half of another pair than near's: refused before any draw, with
+    # all four qubits in their groups and states and the memo unchanged.
+    sim = Simulator()
+    v = (0.6 + 0j, 0.8j)
+    q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
+    sim.teleport(q, near, far, make_rng(28))  # a memo entry for these operands
+    sim.release(far)
+    memo = dict(sim._bell_cache)
+    q, (near, a), (b, c) = sim.allocate_qubit(v), sim.make_bell_pair(), sim.make_bell_pair()
+    rng = make_rng(28)
+    draws = rng.bit_generator.state
+    before = [(group_of(sim, x), sim.amplitudes(x)) for x in (q, near, b, c)]
+    for far in (b, c):
+        with pytest.raises(SimulationError, match="not one pair"):
+            sim.teleport(q, near, far, rng)
+    assert rng.bit_generator.state == draws
+    assert [(group_of(sim, x), sim.amplitudes(x)) for x in (q, near, b, c)] == before
+    assert sim._bell_cache == memo
 
 
 def test_repeat_measurement_is_stable():
