@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qsim import Basis, Draws, QubitRef, RandomSource, Simulator
+from .qsim import Basis, Draws, QubitRef, Simulator
 
 BASIS_POLICIES = ("random_zx", "always_z", "always_x")
 
@@ -109,7 +109,7 @@ def handle_arrival(
     sim: Simulator,
     qubit: QubitRef,
     direction: str,
-    world_rng: RandomSource,
+    world_rng,
 ) -> QubitRef:
     """Measure a qubit that landed on the repeater and return the resend.
 

@@ -19,7 +19,13 @@ from typing import NamedTuple
 from . import adversary as adv
 from . import netsim
 from . import protocol as proto
-from .keyschedule import MAX_KEY_LENGTH, ScheduleConfig, capacity, parse_key
+from .keyschedule import (
+    MAX_KEY_LENGTH,
+    MAX_TRANSFER_LENGTH,
+    ScheduleConfig,
+    capacity,
+    parse_key,
+)
 from .qsim import derive_seed
 
 
@@ -120,8 +126,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.t_values:
             raise ConfigError("need at least one transfer length")
-        if any(not 1 <= t <= 16 for t in self.t_values):
-            raise ConfigError("transfer lengths must be in [1, 16]")
+        if any(not 1 <= t <= MAX_TRANSFER_LENGTH for t in self.t_values):
+            raise ConfigError(f"transfer lengths must be in [1, {MAX_TRANSFER_LENGTH}]")
         if len(set(self.t_values)) != len(self.t_values):
             # each T is one row and one batch of trials; a repeat would emit
             # its row twice and, in JSON, keep only one batch of trials

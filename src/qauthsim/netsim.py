@@ -101,7 +101,7 @@ def topology_from_json(obj) -> Topology:
 class EntanglementFabric:
     """Provisioning of end-to-end entanglement plus correction-bit routing.
 
-    Every swap and every hop is one ``Simulator.teleport``, whose two
+    Every swap and every hop is one ``Simulator.bell_measure``, whose two
     correction bits are the classical message of that step. The trace
     numbers those messages in order, swaps and teleports alike.
     """
@@ -148,7 +148,7 @@ class EntanglementFabric:
                 continue
             node = path[i]
             if swap_at[i]:
-                bits = sim.teleport(right_q, a, b, rng)
+                bits = sim.bell_measure(right_q, a, rng)
                 self.swaps += 1
                 if trace is not None:
                     trace.append(
@@ -190,7 +190,7 @@ class EntanglementFabric:
         last = len(hops) - 1
         qubit = payload
         for i, (near_node, near_q, far_node, far_q) in enumerate(hops):
-            bits = sim.teleport(qubit, near_q, far_q, rng)
+            bits = sim.bell_measure(qubit, near_q, rng)
             self.teleports += 1
             if trace is not None:
                 trace.append(

@@ -24,12 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol
-
-import numpy as np
 
 from . import keyschedule as ks
-from .qsim import EIGENSTATE_LABELS, NAMED_STATES, Basis, QubitRef, RandomSource, Simulator
+from .qsim import EIGENSTATE_LABELS, NAMED_STATES, Basis, QubitRef, Simulator
 
 
 class Phase(Enum):
@@ -78,16 +75,6 @@ class PayloadDistribution:
         return cls(text)
 
 
-class PayloadSource(RandomSource, Protocol):
-    """An endpoint's ``rng``: ``random()`` for its measurements, and
-    ``integers`` and ``normal`` as numpy's Generator has them for the
-    payload draw. A Generator and a ``qsim.Draws`` stream both qualify."""
-
-    def integers(self, low: int, high: int) -> int: ...
-
-    def normal(self, size=None) -> np.ndarray: ...
-
-
 #: (bit, basis, truth) of the eigenstates "0", "1", "+" and "-", the
 #: order in which a ``uniform4`` draw indexes them
 _UNIFORM4 = tuple(
@@ -100,9 +87,13 @@ _FIXED = dict(zip("".join(EIGENSTATE_LABELS), _UNIFORM4))
 
 
 def sample_payload(
-    sim: Simulator, dist: PayloadDistribution, rng: PayloadSource
+    sim: Simulator, dist: PayloadDistribution, rng
 ) -> tuple[QubitRef, tuple[complex, complex]]:
     """Allocate one data qubit; returns (qubit, ground-truth amplitudes).
+
+    ``rng`` is an endpoint's stream: a numpy Generator or a ``qsim.Draws``,
+    with ``random()`` for its measurements and ``integers`` and ``normal``
+    as the Generator has them for the payload draw.
 
     A ``uniform4`` payload takes one ``rng.integers(0, 4)``, a ``haar``
     payload one ``rng.normal(size=4)``: the real parts, then the imaginary
@@ -171,7 +162,7 @@ class _Endpoint:
         self,
         config: SessionConfig,
         sim: Simulator,
-        rng: PayloadSource,
+        rng,
         trace: list | None = None,
     ):
         if config.key is None:

@@ -3,8 +3,8 @@
 Qubits live in independent *groups* of at most two: a lone qubit, or one
 pair, whose amplitudes are indexed most-significant-qubit-first in the
 group's qubit order. The repeater path never needs more: each edge holds one
-pair, a swap or hop Bell-measures one qubit of one group against one of
-another, and an intercepted qubit is measured on its own. So there is no
+pair, a swap or hop Bell-measures one qubit against a half of another
+pair, and an intercepted qubit is measured on its own. So there is no
 two-qubit gate and no group merging, and every group keeps at most two
 qubits by construction. Qubit handles are plain ints, the qubit's id in its
 simulator.
@@ -15,11 +15,10 @@ the random streams. A tuple is immutable, so groups, ``NAMED_STATES`` and
 the Bell memo share them instead of copying; an operation replaces a
 group's tuple and never writes into one.
 
-``teleport`` is the one transport step, hops and swaps alike. Its Bell
-measurement is one fused kernel that reads both groups in place, and its
-outcome table is memoised per input (see ``bell_measure`` and
-``_bell_table``): a repeater chain feeds it few distinct inputs, so most
-calls, teleports included, are one memo read and two draws.
+``bell_measure`` is the one Bell-measurement step, hops and swaps alike: a
+teleport over one pair, its correction included, whose outcome table is
+memoised per input (see ``_bell_table``). A repeater chain feeds it few
+distinct inputs, so most calls are one memo read and two draws.
 
 Every method that draws takes ``rng``, any object with ``random()``
 returning a float in [0, 1): a numpy Generator, or a :class:`Draws` stream.
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Protocol
 
 import numpy as np
 
@@ -93,14 +91,6 @@ _PHI_PLUS = (_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j)
 
 #: The Bell outcomes (m_a, m_b), indexed by 2 m_a + m_b
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-class RandomSource(Protocol):
-    """What a drawing method takes as ``rng``: any object whose
-    ``random()`` returns a float in [0, 1), such as a numpy Generator or a
-    :class:`Draws` stream."""
-
-    def random(self) -> float: ...
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -248,8 +238,8 @@ class Simulator:
     def __init__(self, bell_memo: dict | None = None):
         self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
         self._next_id = 0
-        # (a's amps, a first, b's amps, b first) -> _bell_table(a's halves,
-        # b's halves)
+        # (q's amps, q first, near's amps, near first) -> _bell_table(q's
+        # halves, near's halves)
         self._bell_cache: dict[tuple, tuple] = {} if bell_memo is None else bell_memo
 
     # -- allocation / bookkeeping ------------------------------------------
@@ -316,11 +306,6 @@ class Simulator:
         self._groups[qid] = _Group([qid], _EIGENSTATES[basis is _BASIS_X][bit])
         return qid
 
-    def apply_x(self, q: QubitRef) -> None:
-        group = self._lone(q)
-        a0, a1 = group.amps
-        group.amps = (a1, a0)
-
     def apply_h(self, q: QubitRef) -> None:
         group = self._lone(q)
         a0, a1 = group.amps
@@ -328,7 +313,7 @@ class Simulator:
 
     # -- measurement ---------------------------------------------------------
 
-    def measure(self, q: QubitRef, basis: Basis, rng: RandomSource) -> int:
+    def measure(self, q: QubitRef, basis: Basis, rng) -> int:
         """Born-rule measurement of an unentangled qubit. An X-basis
         measurement first rotates the qubit by H; the outcome is drawn from
         the weight of |1>. The qubit stays live, collapsed onto the
@@ -357,32 +342,27 @@ class Simulator:
         self._groups[qid] = self._groups[qid + 1] = pair
         return qid, qid + 1
 
-    def bell_measure(
-        self, a: QubitRef, b: QubitRef, rng: RandomSource, far: QubitRef | None = None
-    ) -> tuple[int, int]:
-        """Bell-basis measurement of (a, b). Returns (m_a, m_b); both qubits
-        are consumed.
+    def bell_measure(self, q: QubitRef, near: QubitRef, rng) -> tuple[int, int]:
+        """Teleport ``q`` over the pair (near, far): Bell-measure (q, near),
+        consuming both, and leave q's state on far, near's partner, with
+        X^(m_b) Z^(m_a) applied. Returns (m_a, m_b), the two correction bits
+        a classical channel carries. With ``q`` the half of a neighbouring
+        pair this is an entanglement swap: far ends up paired with q's old
+        partner, which comes first in their group.
 
-        One fused kernel with the outcome statistics, random draws and
-        post-state of CNOT(a->b), H on a, then Z measurements of a and b.
-        For every basis index r of the other qubits the four branches are
+        One fused kernel with the outcome statistics and random draws of
+        CNOT(q->near), H on q, then Z measurements of q and near. For every
+        basis index r of the other qubits the four branches are
 
-            c[m_a][m_b](r) = (amp[r, a=0, b=m_b] + (-1)^m_a amp[r, a=1, b=1-m_b]) / sqrt(2)
+            c[m_a][m_b](r) = (amp[r, 0, m_b] + (-1)^m_a amp[r, 1, 1-m_b]) / sqrt(2)
 
-        read from the two groups as they stand. m_a is drawn with
-        P(m_a = 1), then m_b with P(m_b = 1 | m_a): exactly two
-        ``rng.random()`` calls, against the same thresholds as the gate
-        sequence. The remaining qubits, a's partner then b's partner, those
-        that exist, take the surviving branch, renormalised, as their
-        amplitudes: the memo table's tuple itself. They are held in b's
-        group (in a's when b is lone); only a's partner, when both remain,
-        is registered anew.
-
-        With ``far``, b's partner, the survivor is the table's corrected
-        one, X^(m_b) Z^(m_a) applied at ``far``: this is ``teleport``. A
-        ``far`` that is not b's partner, dead qubits, a and b in one group,
-        and operands whose joint norm has drifted are refused before any
-        draw, with every group left as it was.
+        with amp[r, x, y] the amplitude at q = x and near = y, read from the
+        two groups as they stand. m_a is drawn with P(m_a = 1), then m_b
+        with P(m_b = 1 | m_a): exactly two ``rng.random()`` calls, against
+        the same thresholds as the gate sequence. A ``near`` that is not
+        half of a pair, dead qubits, q and near in one group, and operands
+        whose joint norm has drifted are refused before any draw, with every
+        group left as it was.
 
         The outcome table (``_bell_table``) is memoised, keyed on each
         operand group's amplitude tuple and whether the measured qubit is
@@ -391,90 +371,65 @@ class Simulator:
         0.0 and -0.0 share an entry: a hit may differ from a miss in the
         sign of a zero, which reaches no weight, draw or output. One memo
         may serve many simulators; it is emptied when it holds
-        ``BELL_CACHE_MAX`` entries.
+        ``BELL_CACHE_MAX`` entries. The survivors' group takes the table's
+        corrected tuple itself, so equal inputs and draws share one tuple.
         """
-        if a == b:
+        if q == near:
             raise ValueError("Bell measurement needs two distinct qubits")
         groups = self._groups
-        ga = groups.get(a)
-        gb = groups.get(b)
-        if ga is None or gb is None:
-            raise DeadQubitError(f"qubit {b if ga else a} is not live")
-        if ga is gb:
-            raise SimulationError(f"qubits {a} and {b} share a group")
-        qa, qb = ga.qubits, gb.qubits
-        if far is not None and (far == b or far not in qb):
-            raise SimulationError(f"qubits {b} and {far} are not one pair")
-        a_first = qa[0] == a
-        b_first = qb[0] == b
+        gq = groups.get(q)
+        gn = groups.get(near)
+        if gq is None or gn is None:
+            raise DeadQubitError(f"qubit {near if gq else q} is not live")
+        if gq is gn:
+            raise SimulationError(f"qubits {q} and {near} share a group")
+        qq, qn = gq.qubits, gn.qubits
+        if len(qn) != 2:
+            raise SimulationError(f"qubit {near} is not half of a pair")
+        q_first = qq[0] == q
+        near_first = qn[0] == near
         cache = self._bell_cache
-        key = (ga.amps, a_first, gb.amps, b_first)
+        key = (gq.amps, q_first, gn.amps, near_first)
         table = cache.get(key)
         if table is None:
-            table = _bell_table(_halves(ga.amps, a_first), _halves(gb.amps, b_first))
+            table = _bell_table(_halves(gq.amps, q_first), _halves(gn.amps, near_first))
             if len(cache) >= BELL_CACHE_MAX:
                 cache.clear()
             cache[key] = table
-        pa1, pb1s, survivors, corrected = table
+        pa1, pb1s, corrected = table
         m_a = rng.random() < pa1
         o = 2 * m_a + (rng.random() < pb1s[m_a])  # the outcome's index
-        if far is None:
-            amps = survivors[o]
+
+        del groups[q], groups[near]
+        # qq[q_first] is q's partner: index 1 when q is first, 0 when q is
+        # second; likewise qn[near_first] is far
+        if len(qq) == 2:
+            partner = qq[q_first]
+            gn.qubits = [partner, qn[near_first]]
+            groups[partner] = gn
         else:
-            amps = corrected[o]
-            if amps is None:
-                amps = corrected[o] = _corrected(survivors[o], o)
-
-        del groups[a], groups[b]
-        # qa[a_first] is a's partner: index 1 when a is first, 0 when a is
-        # second; likewise qb[b_first]
-        if len(qb) == 2:
-            if len(qa) == 2:
-                partner = qa[a_first]
-                gb.qubits = [partner, qb[b_first]]
-                groups[partner] = gb
-            else:
-                gb.qubits = [qb[b_first]]
-            gb.amps = amps
-        elif len(qa) == 2:
-            ga.qubits = [qa[a_first]]
-            ga.amps = amps
+            gn.qubits = [qn[near_first]]
+        gn.amps = corrected[o]
         return _OUTCOMES[o]
-
-    def teleport(
-        self, q: QubitRef, near: QubitRef, far: QubitRef, rng: RandomSource
-    ) -> tuple[int, int]:
-        """Move the state of ``q`` onto ``far``, the other half of (near, far).
-
-        Bell-measures (q, near) and applies X^(m_b) Z^(m_a) at ``far``;
-        returns (m_a, m_b), the two correction bits a classical channel
-        carries. With ``q`` the half of a neighbouring pair this is an
-        entanglement swap: ``far`` ends up paired with q's old partner.
-        ``near`` and ``far`` must be the two halves of one pair, in either
-        order; otherwise ``SimulationError`` is raised before any draw.
-        """
-        return self.bell_measure(q, near, rng, far)
 
 
 def _bell_table(xs: tuple, ys: tuple) -> tuple:
     """The Bell measurement of operands with amplitude pairs ``xs`` and
     ``ys``, for every outcome: ``(pa1, (pb1 | m_a = 0, pb1 | m_a = 1),
-    survivors, corrected)``, the last two indexed by 2 m_a + m_b.
-    ``survivors`` holds each outcome's surviving branch, scaled.
-    ``corrected`` is a list of the survivors with X^(m_b) Z^(m_a) applied
-    at their last qubit (``_corrected``), which ``bell_measure`` fills per
-    outcome the first time a teleport draws it; outcome (0, 0) needs no
-    correction and starts filled.
+    corrected)``, the last indexed by 2 m_a + m_b. ``corrected`` holds each
+    outcome's surviving branch, scaled, with X^(m_b) Z^(m_a) applied at its
+    last qubit: within each amplitude pair (2k, 2k + 1) X swaps and then Z
+    negates.
 
-    For each index r of the remaining qubits (a's partner's bit, then b's
-    partner's bit) the unscaled branches (c00, c01, c10, c11) are summed
-    into their weights times 2; the 1/sqrt(2) is folded into the scale. Half
-    their sum is the input's squared norm: unless it is 1 within
-    ``NORM_TOL`` (a NaN is not), ``SimulationError`` is raised, so a drifted
-    input is refused before any draw and never enters the memo. Given that,
-    every outcome's branch renormalised by 1/sqrt(2 pa pb) has norm 1 up to
-    rounding. m_a is drawn against pa1, then m_b against pb1 given m_a;
-    complementary outcomes use 1 - p, as sequential measurements do.
+    For each index r of the remaining qubits (q's partner's bit, then far's
+    bit) the unscaled branches (c00, c01, c10, c11) are summed into their
+    weights times 2; the 1/sqrt(2) is folded into the scale. Half their sum
+    is the input's squared norm: unless it is 1 within ``NORM_TOL`` (a NaN
+    is not), ``SimulationError`` is raised, so a drifted input is refused
+    before any draw and never enters the memo. Given that, every outcome's
+    branch renormalised by 1/sqrt(2 pa pb) has norm 1 up to rounding. m_a
+    is drawn against pa1, then m_b against pb1 given m_a; complementary
+    outcomes use 1 - p, as sequential measurements do.
 
     ``rng.random() < p`` is false at p = 0 and true at p = 1, so a drawn
     outcome has pa > 0 and pb > 0. An outcome with pa * pb not positive is
@@ -496,7 +451,7 @@ def _bell_table(xs: tuple, ys: tuple) -> tuple:
         raise SimulationError(f"state norm drifted to {norm!r}")
     pa1 = 0.5 * (w10 + w11)
     pb1s = []
-    survivors = []
+    corrected = []
     for m_a in (0, 1):
         pa = pa1 if m_a else 1.0 - pa1
         pb1 = 0.5 * (w11 if m_a else w01) / pa if pa else math.nan
@@ -505,25 +460,15 @@ def _bell_table(xs: tuple, ys: tuple) -> tuple:
             pb = pb1 if m_b else 1.0 - pb1
             if pa * pb > 0:
                 scale = _SQRT2_INV / math.sqrt(pa * pb)
-                survivors.append(tuple(c[2 * m_a + m_b] * scale for c in branches))
+                amps = [c[2 * m_a + m_b] * scale for c in branches]
+                if m_b:
+                    amps[0::2], amps[1::2] = amps[1::2], amps[0::2]
+                if m_a:
+                    amps[1::2] = [-x for x in amps[1::2]]
+                corrected.append(tuple(amps))
             else:
-                survivors.append(())
-    return pa1, tuple(pb1s), tuple(survivors), [survivors[0], None, None, None]
-
-
-def _corrected(amps: tuple, o: int) -> tuple:
-    """X^(m_b) Z^(m_a) on the last qubit of the amplitudes ``amps``, for
-    outcome ``o`` = 2 m_a + m_b: within each amplitude pair (2k, 2k + 1) X
-    swaps and then Z negates."""
-    out = []
-    for k in range(0, len(amps), 2):
-        x0, x1 = amps[k], amps[k + 1]
-        if o & 1:
-            x0, x1 = x1, x0
-        if o & 2:
-            x1 = -x1
-        out += (x0, x1)
-    return tuple(out)
+                corrected.append(())
+    return pa1, tuple(pb1s), tuple(corrected)
 
 
 def _halves(amps: tuple, first: bool) -> tuple:

@@ -330,11 +330,11 @@ def test_criterion_8c_teleport_and_swap_fidelity():
             left, right = sim.make_bell_pair()
             for _ in range(hops - 1):
                 a, b = sim.make_bell_pair()
-                sim.teleport(right, a, b, rng)  # swap: the far half moves on
+                sim.bell_measure(right, a, rng)  # swap: the far half moves on
                 right = b
             payload = sim.allocate_qubit(v)
             assert_bell_pair(sim, left, right)
-            sim.teleport(payload, left, right, rng)
+            sim.bell_measure(payload, left, rng)
             assert states_equal(sim.amplitudes(right), v, tol=1e-9)
             sim.release(right)
     print("ACCEPTANCE 8c: PASS teleport and chained-swap fidelity at 1e-9")

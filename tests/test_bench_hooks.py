@@ -40,24 +40,30 @@ def spans_of(experiment, *argv):
 
 
 def test_benchmark_spans_reach_every_layer():
-    out = spans_of("fig2_success")
-    calls = out["calls"]
-    for layer in ("protocol.step", "netsim.provision", "keyschedule.next_r"):
-        assert calls[layer] > 0, layer
-    assert {name for name, n in calls.items() if n == 0} == set()
-    # Two segments per MitM transfer and no swaps: each transfer makes two
-    # pairs and teleports over both, and every teleport's Bell measurement
-    # passes through the wrapped Simulator.bell_measure.
-    assert (calls["qsim.bell_measure"] == calls["qsim.make_bell_pair"]
-            == 2 * calls["netsim.transfer"])
-    assert 0 < out["steps"]["useful"] <= out["steps"]["all"]
+    # A MitM chain (two segments, no swaps) reaches every wrapped layer; an
+    # honest chain (one repeater that swaps) every layer but the intercept.
+    # On both, each transfer makes two pairs and Bell-measures twice, two
+    # hops or a swap and a hop, and every Bell measurement passes through
+    # the wrapped Simulator.bell_measure.
+    honest = ["fig5_overhead", "--adversary", "honest"]
+    for argv, unreached in ((["fig2_success"], set()),
+                            (honest, {"adversary.handle_arrival"})):
+        out = spans_of(*argv)
+        calls = out["calls"]
+        for layer in ("protocol.step", "netsim.provision", "keyschedule.next_r"):
+            assert calls[layer] > 0, layer
+        assert {name for name, n in calls.items() if n == 0} == unreached
+        assert (calls["qsim.bell_measure"] == calls["qsim.make_bell_pair"]
+                == 2 * calls["netsim.transfer"]), argv
+        assert 0 < out["steps"]["useful"] <= out["steps"]["all"]
 
 
 def test_honest_transfers_pass_through_the_wrapped_kernel():
-    # One repeater that swaps: each transfer makes two pairs, swaps once and
-    # teleports once over the joined pair, each a wrapped bell_measure, so a
-    # fabric that bypasses the wrapped kernel fails here.
-    calls = spans_of("fig5_overhead", "--adversary", "honest")["calls"]
+    # Three repeaters that swap: each transfer makes four pairs, swaps three
+    # times and teleports once over the joined pair, each a wrapped
+    # bell_measure, so a fabric that bypasses the wrapped kernel fails here.
+    calls = spans_of("custom", "--config", str(ROOT / "campaignbench" / "chain3.json"),
+                     "--adversary", "honest")["calls"]
     assert calls["netsim.transfer"] > 0
     assert (calls["qsim.make_bell_pair"] == calls["qsim.bell_measure"]
-            == 2 * calls["netsim.transfer"])
+            == 4 * calls["netsim.transfer"])

@@ -74,8 +74,8 @@ def test_two_allocations_are_independent_groups():
 
 def test_x_then_h_gives_minus():
     sim = Simulator()
-    q = sim.allocate_qubit()
-    sim.apply_x(q)
+    q = sim.prepare(1, Basis.Z)
+    np.testing.assert_array_equal(sim.amplitudes(q), X_MAT @ [1, 0])
     sim.apply_h(q)
     np.testing.assert_allclose(sim.amplitudes(q), np.array([SQ, -SQ]), atol=1e-12)
 
@@ -103,12 +103,12 @@ def test_bell_circuit_matches_dense_oracle():
     np.testing.assert_allclose(sim.amplitudes(a), expected, atol=1e-12)
     # a swap leaves the same state on (a, d), up to global phase
     c, d = sim.make_bell_pair()
-    sim.teleport(b, c, d, rng)
+    sim.bell_measure(b, c, rng)
     assert group_of(sim, a) == (a, d)
     assert states_equal(sim.amplitudes(a), expected, tol=1e-12)
     # and the pair carries |1> from a to d, measured there on its own
     payload = sim.allocate_qubit(NAMED_STATES["1"])
-    sim.teleport(payload, a, d, rng)
+    sim.bell_measure(payload, a, rng)
     assert sim.measure(d, Basis.Z, rng) == 1
 
 
@@ -135,7 +135,7 @@ def test_minus_in_z_basis_is_fair():
 def carries(sim, rng, near, far, label, basis):
     """Teleport the named state over (near, far) and measure it at far, on
     its own, in ``basis``. Returns the outcome and the correction bits."""
-    bits = sim.teleport(sim.allocate_qubit(NAMED_STATES[label]), near, far, rng)
+    bits = sim.bell_measure(sim.allocate_qubit(NAMED_STATES[label]), near, rng)
     outcome = sim.measure(far, basis, rng)
     sim.release(far)
     return outcome, bits
@@ -167,7 +167,7 @@ def test_bell_pair_x_correlation():
 
 def test_swap_outcome_names_the_bell_state_left_behind():
     # oracle: Bell-measuring the inner halves b, c of two |Bell> pairs leaves
-    # (I (x) X^m_b Z^m_a)|Bell> on the outer halves (a, d), which teleport's
+    # (I (x) X^m_b Z^m_a)|Bell> on the outer halves (a, d), which the
     # correction Z^m_a X^m_b at d undoes; each outcome has weight 1/4
     rng = make_rng(7)
     counts = {}
@@ -178,8 +178,10 @@ def test_swap_outcome_names_the_bell_state_left_behind():
         c, d = sim.make_bell_pair()
         m_a, m_b = sim.bell_measure(b, c, rng)
         pauli = np.linalg.matrix_power(X_MAT, m_b) @ np.linalg.matrix_power(Z_MAT, m_a)
+        correction = np.linalg.matrix_power(Z_MAT, m_a) @ np.linalg.matrix_power(X_MAT, m_b)
         assert group_of(sim, a) == (a, d)
-        assert states_equal(sim.amplitudes(a), np.kron(I2, pauli) @ BELL, tol=1e-12)
+        left_behind = np.kron(I2, pauli) @ BELL
+        assert states_equal(sim.amplitudes(a), np.kron(I2, correction) @ left_behind, tol=1e-12)
         counts[m_a, m_b] = counts.get((m_a, m_b), 0) + 1
     for combo in ((0, 0), (0, 1), (1, 0), (1, 1)):
         assert abs(counts[combo] / n - 0.25) < 0.03
@@ -217,7 +219,7 @@ def test_teleport_minus_state():
         payload = sim.allocate_qubit(NAMED_STATES["-"])
         e1, e2 = sim.make_bell_pair()
         assert_bell_pair(sim, e1, e2)
-        sim.teleport(payload, e1, e2, rng)
+        sim.bell_measure(payload, e1, rng)
         assert sim.measure(e2, Basis.X, rng) == 1
         sim.release(e2)
 
@@ -228,7 +230,7 @@ def test_teleport_zero_state():
     payload = sim.allocate_qubit()
     e1, e2 = sim.make_bell_pair()
     assert_bell_pair(sim, e1, e2)
-    sim.teleport(payload, e1, e2, rng)
+    sim.bell_measure(payload, e1, rng)
     assert sim.measure(e2, Basis.Z, rng) == 0
 
 
@@ -242,7 +244,7 @@ def test_teleport_random_states_full_fidelity():
         payload = sim.allocate_qubit(v)
         e1, e2 = sim.make_bell_pair()
         assert_bell_pair(sim, e1, e2)
-        m_a, m_b = sim.teleport(payload, e1, e2, rng)
+        m_a, m_b = sim.bell_measure(payload, e1, rng)
         assert states_equal(sim.amplitudes(e2), v, tol=1e-9)
         assert m_a in (0, 1) and m_b in (0, 1)
         assert group_of(sim, payload) == group_of(sim, e1) == ()
@@ -255,7 +257,7 @@ def _swap_chain(sim, rng, hops):
     left, right = sim.make_bell_pair()
     for _ in range(hops - 1):
         a, b = sim.make_bell_pair()
-        sim.teleport(right, a, b, rng)
+        sim.bell_measure(right, a, rng)
         right = b
     return left, right
 
@@ -266,8 +268,9 @@ def _swap_chain(sim, rng, hops):
 def dense_bell_measure(state, ia, ib, rng):
     """CNOT(ia -> ib), H on ia, then Z measurements of ia and ib, on a dense
     state vector over qubits most-significant-first. Each outcome is drawn
-    against one ``rng.random()``. Returns the outcomes and the renormalised
-    state of the other qubits."""
+    against one ``rng.random()``. Returns the outcomes (m_a, m_b) and the
+    renormalised state of the other qubits with X^m_b, then Z^m_a, applied
+    at the last of them: ib's partner, when ib is half of a pair."""
     n = len(state).bit_length() - 1
     psi = np.array(state, dtype=complex).reshape((2,) * n)
     control = tuple(1 if k == ia else slice(None) for k in range(n))
@@ -282,13 +285,14 @@ def dense_bell_measure(state, ia, ib, rng):
         outcomes.append(m)
     m_a, m_b = outcomes
     rest = psi[tuple(m_a if k == ia else m_b if k == ib else slice(None) for k in range(n))]
-    return (m_a, m_b), rest.reshape(-1)
+    pauli = np.linalg.matrix_power(Z_MAT, m_a) @ np.linalg.matrix_power(X_MAT, m_b)
+    return (m_a, m_b), (rest.reshape(-1, 2) @ pauli.T).reshape(-1)
 
 
 def load_group(sim, amps):
     """A lone qubit or a pair holding the given amplitudes."""
     qubits = [sim.allocate_qubit()] if len(amps) == 2 else list(sim.make_bell_pair())
-    sim._groups[qubits[0]].amps = tuple(amps)  # test-only: arbitrary state
+    sim._groups[qubits[0]].amps = tuple(map(complex, amps))  # test-only: arbitrary state
     return qubits
 
 
@@ -302,36 +306,6 @@ def random_state(draw, n_qubits):
 
 @st.composite
 def bell_measure_cases(draw):
-    # a in a lone qubit or a pair, b in a separate lone qubit or pair, each
-    # at any position of its group
-    ka, kb = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    states = (random_state(draw, ka), random_state(draw, kb))
-    where = (draw(st.integers(0, ka - 1)), draw(st.integers(0, kb - 1)))
-    return states, where, draw(st.integers(0, 2**64 - 1))
-
-
-@given(bell_measure_cases())
-@settings(max_examples=300, deadline=None)
-def test_fused_bell_measure_matches_gate_sequence(case):
-    (state_a, state_b), (ia, ib), seed = case
-    ref_rng, rng = make_rng(seed), make_rng(seed)
-    ka = len(state_a).bit_length() - 1
-    expected, rest = dense_bell_measure(np.kron(state_a, state_b), ia, ka + ib, ref_rng)
-
-    sim = Simulator()
-    group_a, group_b = load_group(sim, state_a), load_group(sim, state_b)
-    a, b = group_a[ia], group_b[ib]
-    assert sim.bell_measure(a, b, rng) == expected
-    assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
-    assert group_of(sim, a) == group_of(sim, b) == ()
-    left = [q for q in group_a + group_b if q not in (a, b)]
-    for q in left:
-        assert group_of(sim, q) == tuple(left)
-        np.testing.assert_allclose(sim.amplitudes(q), rest, rtol=0, atol=1e-12)
-
-
-@st.composite
-def teleport_cases(draw):
     # q a lone qubit or either half of a pair; near either half of its pair
     # (a reverse-direction hop has near second)
     kq = draw(st.integers(1, 2))
@@ -340,26 +314,25 @@ def teleport_cases(draw):
     return states, where, draw(st.integers(0, 2**64 - 1))
 
 
-@given(teleport_cases())
-@settings(max_examples=200, deadline=None)
-def test_teleport_matches_bell_measure_then_corrections(case):
+@given(bell_measure_cases())
+@settings(max_examples=300, deadline=None)
+def test_fused_bell_measure_matches_gate_sequence(case):
+    # The gate sequence, then X^m_b Z^m_a at far: the same outcomes from the
+    # same draws, and q's partner, then far, left in one group.
     (state_q, state_pair), (iq, inear), seed = case
     ref_rng, rng = make_rng(seed), make_rng(seed)
     kq = len(state_q).bit_length() - 1
-    bits, rest = dense_bell_measure(np.kron(state_q, state_pair), iq, kq + inear, ref_rng)
-    m_a, m_b = bits
-    # X^m_b, then Z^m_a, on far: the last of the remaining qubits
-    pauli = np.linalg.matrix_power(Z_MAT, m_a) @ np.linalg.matrix_power(X_MAT, m_b)
-    expected = (rest.reshape(-1, 2) @ pauli.T).reshape(-1)
+    bits, expected = dense_bell_measure(np.kron(state_q, state_pair), iq, kq + inear, ref_rng)
 
     sim = Simulator()
     group_q, pair = load_group(sim, state_q), load_group(sim, state_pair)
     q, near, far = group_q[iq], pair[inear], pair[1 - inear]
-    assert sim.teleport(q, near, far, rng) == bits
+    assert sim.bell_measure(q, near, rng) == bits
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
     assert group_of(sim, q) == group_of(sim, near) == ()
     survivors = tuple(x for x in group_q if x != q) + (far,)
-    assert group_of(sim, far) == survivors
+    for x in survivors:
+        assert group_of(sim, x) == survivors
     np.testing.assert_allclose(sim.amplitudes(far), expected, rtol=0, atol=1e-12)
 
 
@@ -371,34 +344,30 @@ SHAPES = ((1, 0), (2, 0), (2, 1))
 
 @st.composite
 def memo_cases(draw):
-    # a lone and a pair state for each operand, reused by every shape, so
-    # shapes that share one operand's amplitude pairs meet in one memo
-    lone = (random_state(draw, 1), random_state(draw, 1))
+    # a lone and a pair state for q and a pair state for near's pair, reused
+    # by every shape, so shapes that share q's amplitude pairs meet in one memo
+    lone = random_state(draw, 1)
     pair = (random_state(draw, 2), random_state(draw, 2))
     return lone, pair, draw(st.integers(0, 2**64 - 1))
 
 
-def miss_then_hit(sim, states, where, seed, teleport=False):
+def miss_then_hit(sim, states, where, seed):
     """Load the two operand groups, at positions ``where``, and Bell-measure
-    (or, with ``teleport``, teleport over the second group) with an RNG from
-    ``seed``; then the same on a second copy of the groups in the same
-    simulator, which the memo must serve. Returns, per copy, the outcome,
-    the RNG state and the amplitudes of the remaining qubits, each checked
-    to form one group in order (a's partner, then b's)."""
+    with an RNG from ``seed``; then the same on a second copy of the groups
+    in the same simulator, which the memo must serve. Returns, per copy, the
+    outcome, the RNG state and the amplitudes of the remaining qubits, each
+    checked to form one group in order (q's partner, then far)."""
     runs = []
     for _ in range(2):
         rng = make_rng(seed)
-        group_a, group_b = load_group(sim, states[0]), load_group(sim, states[1])
-        a, b = group_a[where[0]], group_b[where[1]]
+        group_q, pair = load_group(sim, states[0]), load_group(sim, states[1])
+        q, near = group_q[where[0]], pair[where[1]]
         size = len(sim._bell_cache)
-        if teleport:
-            out = sim.teleport(a, b, group_b[1 - where[1]], rng)
-        else:
-            out = sim.bell_measure(a, b, rng)
-        left = [q for q in group_a + group_b if q not in (a, b)]
-        for q in left:
-            assert group_of(sim, q) == tuple(left)
-        runs.append((out, rng.bit_generator.state, sim.amplitudes(left[0]) if left else ()))
+        out = sim.bell_measure(q, near, rng)
+        left = [x for x in group_q + pair if x not in (q, near)]
+        for x in left:
+            assert group_of(sim, x) == tuple(left)
+        runs.append((out, rng.bit_generator.state, sim.amplitudes(left[0])))
     assert len(sim._bell_cache) == size  # the second copy was a memo hit
     return runs
 
@@ -406,34 +375,24 @@ def miss_then_hit(sim, states, where, seed, teleport=False):
 @given(memo_cases())
 @settings(max_examples=100, deadline=None)
 def test_bell_memo_hit_equals_miss(case):
-    # Every shape and position in one simulator, each run on two copies of
-    # the same groups: the first fills the memo (unless an earlier shape with
-    # the same amplitude pairs did), the second reads it. The two must agree
-    # exactly, and match the dense gate sequence to 1e-12.
+    # q of every shape and near either half of its pair, in one simulator,
+    # each run on two copies of the same groups: the first fills the memo
+    # (unless an earlier shape with the same amplitude pairs did), the second
+    # reads it. The two must agree exactly, and match the dense gate sequence
+    # and correction to 1e-12, on the given seed and on the first seed from
+    # it whose correction bits are not (0, 0).
     lone, pair, seed = case
     sim = Simulator()
-    for (ka, ia), (kb, ib) in itertools.product(SHAPES, SHAPES):
-        states = (lone[0] if ka == 1 else pair[0], lone[1] if kb == 1 else pair[1])
-        bits, rest = dense_bell_measure(np.kron(*states), ia, ka + ib, make_rng(seed))
-        miss, hit = miss_then_hit(sim, states, (ia, ib), seed)
-        assert miss == hit and hit[0] == bits
-        if ka + kb > 2:
-            np.testing.assert_allclose(hit[2], rest, rtol=0, atol=1e-12)
-    # teleport: q of any shape, near either half of its pair, and a seed
-    # whose correction bits are not (0, 0), so the survivor is the table's
-    # corrected one: built on the first teleport of that outcome, handed
-    # out again on the second
     for (kq, iq), inear in itertools.product(SHAPES, (0, 1)):
-        states = (lone[0] if kq == 1 else pair[0], pair[1])
+        states = (lone if kq == 1 else pair[0], pair[1])
         for s in range(seed, seed + 64):  # P(0, 0) <= 1/2 for any such input
-            bits, rest = dense_bell_measure(np.kron(*states), iq, kq + inear, make_rng(s))
+            bits, expected = dense_bell_measure(np.kron(*states), iq, kq + inear, make_rng(s))
+            if s == seed or bits != (0, 0):
+                miss, hit = miss_then_hit(sim, states, (iq, inear), s)
+                assert miss == hit and hit[0] == bits
+                np.testing.assert_allclose(hit[2], expected, rtol=0, atol=1e-12)
             if bits != (0, 0):
                 break
-        pauli = np.linalg.matrix_power(Z_MAT, bits[0]) @ np.linalg.matrix_power(X_MAT, bits[1])
-        miss, hit = miss_then_hit(sim, states, (iq, inear), s, teleport=True)
-        assert miss == hit and hit[0] == bits
-        expected = (rest.reshape(-1, 2) @ pauli.T).reshape(-1)
-        np.testing.assert_allclose(hit[2], expected, rtol=0, atol=1e-12)
 
 
 def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
@@ -462,41 +421,42 @@ def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
 
 def test_drifted_input_is_refused_before_any_draw():
     # A lone (0.6, 0.8i) and a Bell pair, both written at 0.9 and at 1.2
-    # times their unit states. Bell-measuring the lone qubit against a pair
-    # half, or teleporting it over the pair, is refused on every seed before
-    # any draw, whichever outcome the draws would give: the RNG is
-    # untouched, both groups stay as written (no correction reaches the
-    # pair) and the memo stays empty.
+    # times their unit states. Bell-measuring the lone qubit against either
+    # pair half is refused on every seed before any draw, whichever outcome
+    # the draws would give: the RNG is untouched, both groups stay as
+    # written (no correction reaches the pair) and the memo stays empty.
     sim = Simulator()
     for scale in (0.9, 1.2):
         lone = [0.6 * scale, 0.8j * scale]
         pair = [SQ * scale, 0, 0, SQ * scale]
-        for seed, teleport in itertools.product(range(400), (False, True)):
+        for seed, inear in itertools.product(range(400), (0, 1)):
             rng = make_rng(seed)
             state = rng.bit_generator.state
-            (q,), (near, far) = load_group(sim, lone), load_group(sim, pair)
+            (q,), halves = load_group(sim, lone), load_group(sim, pair)
             with pytest.raises(SimulationError, match="norm drifted"):
-                if teleport:
-                    sim.teleport(q, near, far, rng)
-                else:
-                    sim.bell_measure(q, near, rng)
+                sim.bell_measure(q, halves[inear], rng)
             assert rng.bit_generator.state == state
             assert [(group_of(sim, q), sim.amplitudes(q)),
-                    (group_of(sim, near), sim.amplitudes(far))] == [
-                        ((q,), tuple(lone)), ((near, far), tuple(pair))]
+                    (group_of(sim, halves[inear]), sim.amplitudes(halves[1 - inear]))] == [
+                        ((q,), tuple(lone)), (tuple(halves), tuple(pair))]
             assert sim._bell_cache == {}
 
 
 def test_bell_measure_of_named_states_matches_gate_sequence():
-    # Lone eigenstates give Bell outcomes of probability 0 (|+>|+> never
-    # yields m_a = 1, |0>|0> never m_b = 1); the outcome table still covers
-    # every outcome without failing, and the drawn ones match the gates.
+    # A named q against a product-state pair of named halves gives Bell
+    # outcomes of probability 0 (|+> against |+> never yields m_a = 1, |0>
+    # against |0> never m_b = 1); the outcome table still covers every
+    # outcome without failing, and the drawn ones match the gates.
     sim = Simulator()
-    for (la, va), (lb, vb) in itertools.product(NAMED_STATES.items(), repeat=2):
-        for seed in range(8):
-            a, b = sim.allocate_qubit(va), sim.allocate_qubit(vb)
-            bits, _ = dense_bell_measure(np.kron(va, vb), 0, 1, make_rng(seed))
-            assert sim.bell_measure(a, b, make_rng(seed)) == bits, (la, lb, seed)
+    for labels in itertools.product(NAMED_STATES, repeat=3):
+        vq, vnear, vfar = (NAMED_STATES[label] for label in labels)
+        for seed, inear in itertools.product(range(4), (0, 1)):
+            state = np.kron(vnear, vfar) if inear == 0 else np.kron(vfar, vnear)
+            q, pair = sim.allocate_qubit(vq), load_group(sim, state)
+            bits, expected = dense_bell_measure(np.kron(vq, state), 0, 1 + inear, make_rng(seed))
+            assert sim.bell_measure(q, pair[inear], make_rng(seed)) == bits, (labels, seed)
+            np.testing.assert_allclose(sim.amplitudes(pair[1 - inear]), expected, atol=1e-12)
+            sim.release(pair[1 - inear])
     assert sim.live_count() == 0
 
 
@@ -518,7 +478,7 @@ def test_swap_chain_equals_direct_pair_for_teleport():
         left, right = _swap_chain(sim, rng, hops=2)
         payload = sim.allocate_qubit(v)
         assert_bell_pair(sim, left, right)
-        sim.teleport(payload, left, right, rng)
+        sim.bell_measure(payload, left, rng)
         assert states_equal(sim.amplitudes(right), v, tol=1e-9)
         sim.release(right)
 
@@ -541,24 +501,27 @@ def test_chained_swaps_keep_bell_correlation(hops):
 
 
 def test_unitarity_under_random_gate_sequences():
-    # X and H on the lone qubit q, interleaved with teleports of q over the
-    # pair (a, b) and swaps of b onto a fresh pair
+    # H on the lone qubit q, or q replaced by a prepared eigenstate,
+    # interleaved with teleports of q over the pair (a, b) and swaps of b
+    # onto a fresh pair
     sim = Simulator()
     rng = np.random.default_rng(17)
     world = make_rng(17)
     q = sim.allocate_qubit()
     a, b = sim.make_bell_pair()
-    gates = (sim.apply_x, sim.apply_h)
     for _ in range(2000):
         op = rng.integers(0, 4)
-        if op < 2:
-            gates[op](q)
+        if op == 0:
+            sim.apply_h(q)
+        elif op == 1:
+            sim.release(q)
+            q = sim.prepare(int(rng.integers(0, 2)), (Basis.Z, Basis.X)[rng.integers(0, 2)])
         elif op == 2:
-            sim.teleport(q, a, b, world)
+            sim.bell_measure(q, a, world)
             q, (a, b) = b, sim.make_bell_pair()
         else:
             c, d = sim.make_bell_pair()
-            sim.teleport(b, c, d, world)
+            sim.bell_measure(b, c, world)
             b = d
     assert sim.live_count() == 3
     for x in (q, a):
@@ -580,7 +543,7 @@ def assert_registry(sim):
         assert abs(norm - 1.0) <= qsim.NORM_TOL
 
 
-OPS = ("allocate", "prepare", "pair", "teleport", "bell", "measure", "x", "h", "release")
+OPS = ("allocate", "prepare", "pair", "bell", "measure", "h", "release")
 
 
 @given(st.data())
@@ -599,29 +562,18 @@ def test_registry_invariants_under_random_operations(data):
             sim.prepare(data.draw(st.integers(0, 1)), data.draw(st.sampled_from(Basis)))
         elif op == "pair":
             sim.make_bell_pair()
-        elif op == "teleport":
+        elif op == "bell":
             if not halves:
                 continue
             near = data.draw(st.sampled_from(halves))
-            far = next(x for x in groups[near].qubits if x != near)
-            others = [x for x in live if x not in (near, far)]
+            others = [x for x in live if groups[x] is not groups[near]]
             if not others:
                 continue
-            sim.teleport(data.draw(st.sampled_from(others)), near, far, rng)
-        elif op == "bell":
-            if not live:
-                continue
-            a = data.draw(st.sampled_from(live))
-            others = [x for x in live if groups[x] is not groups[a]]
-            if not others:
-                continue
-            sim.bell_measure(a, data.draw(st.sampled_from(others)), rng)
+            sim.bell_measure(data.draw(st.sampled_from(others)), near, rng)
         elif lone:
             q = data.draw(st.sampled_from(lone))
             if op == "measure":
                 sim.measure(q, data.draw(st.sampled_from(Basis)), rng)
-            elif op == "x":
-                sim.apply_x(q)
             elif op == "h":
                 sim.apply_h(q)
             else:
@@ -629,92 +581,46 @@ def test_registry_invariants_under_random_operations(data):
         assert_registry(sim)
 
 
-def test_a_correction_leaves_a_shared_survivor_alone():
-    # Two Bell measurements of one input with one seed leave the table's
-    # uncorrected survivor tuple in two groups. A teleport of the same input
-    # with the same seed (bits not (0, 0)) takes the table's corrected
-    # survivor, another tuple, so the other two groups keep theirs and the
-    # memo is unchanged.
-    sim = Simulator()
-    v = (0.6 + 0j, 0.8j)
-    for seed in range(64):  # P(0, 0) is 1/4 for a lone qubit against a pair
-        q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
-        bits = sim.teleport(q, near, far, make_rng(seed))
-        sim.release(far)
-        if bits != (0, 0):
-            break
-    survivors = []
-    for _ in range(2):
-        q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
-        assert sim.bell_measure(q, near, make_rng(seed)) == bits
-        survivors.append(far)
-    shared = sim.amplitudes(survivors[0])
-    assert sim._groups[survivors[0]] is not sim._groups[survivors[1]]
-    assert sim.amplitudes(survivors[1]) is shared
-    before = tuple(complex(x) for x in shared)
-    table = dict(sim._bell_cache)
-    q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
-    assert sim.teleport(q, near, far, make_rng(seed)) == bits
-    assert states_equal(sim.amplitudes(far), v, tol=1e-12)
-    assert sim.amplitudes(far) != shared
-    for x in survivors:
-        assert sim.amplitudes(x) is shared and shared == before
-    assert sim._bell_cache == table
-    assert_registry(sim)
-
-
-def explicit_correction(amps, bits):
-    """X^m_b Z^m_a on the last qubit of ``amps``, spelled out apart from
-    the simulator's own correction."""
-    m_a, m_b = bits
-    if len(amps) == 2:
-        x0, x1 = amps
-        if m_b:
-            x0, x1 = x1, x0
-        if m_a:
-            x1 = -x1
-        return (x0, x1)
-    x0, x1, x2, x3 = amps
-    if m_b:
-        x0, x1, x2, x3 = x1, x0, x3, x2
-    if m_a:
-        x1 = -x1
-        x3 = -x3
-    return (x0, x1, x2, x3)
-
-
 def test_teleports_share_the_corrected_survivor():
-    # Two teleports of equal operands with one seed hand out one corrected
-    # tuple; a later Bell measurement of equal operands with that seed still
-    # leaves the uncorrected survivor.
+    # Two teleports of equal operands with one seed (bits not (0, 0)) hand
+    # out one corrected tuple, the dense gate sequence's teleported state.
+    # Measuring one holder in X replaces its tuple, and a third teleport of
+    # equal operands with that seed, a memo hit, hands out the same tuple
+    # again: the other holder keeps it unchanged, and the memo is unchanged.
     v = (0.6 + 0j, 0.8j)
     sim = Simulator()
     for seed in range(64):  # P(0, 0) is 1/4 for a lone qubit against a pair
         fars = []
         for _ in range(2):
             q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
-            bits = sim.teleport(q, near, far, make_rng(seed))
+            bits = sim.bell_measure(q, near, make_rng(seed))
             fars.append(far)
         if bits != (0, 0):
             break
         for far in fars:
             sim.release(far)
-    corrected = sim.amplitudes(fars[0])
-    assert sim.amplitudes(fars[1]) is corrected
+    shared = sim.amplitudes(fars[0])
+    assert sim._groups[fars[0]] is not sim._groups[fars[1]]
+    assert sim.amplitudes(fars[1]) is shared
+    _, expected = dense_bell_measure(np.kron(v, BELL), 0, 1, make_rng(seed))
+    np.testing.assert_allclose(shared, expected, rtol=0, atol=1e-12)
+    before = tuple(complex(x) for x in shared)
+    table = dict(sim._bell_cache)
+    sim.measure(fars[1], Basis.X, make_rng(seed))
+    assert sim.amplitudes(fars[1]) is not shared
     q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
     assert sim.bell_measure(q, near, make_rng(seed)) == bits
-    survivor = sim.amplitudes(far)
-    assert survivor is not corrected and survivor != corrected
-    assert explicit_correction(survivor, bits) == corrected
+    assert sim.amplitudes(far) is shared and sim.amplitudes(fars[0]) is shared
+    assert shared == before and sim._bell_cache == table
     assert_registry(sim)
 
 
 @pytest.mark.parametrize("label", ["1", "+", "-", "haar", "pair"])
 def test_corrected_survivor_is_the_explicit_correction(label):
-    # The teleported state, from a memo miss and from a hit, and from a
-    # table a plain Bell measurement built, equals X^m_b Z^m_a applied to the
-    # uncorrected survivor, complex by complex in repr, so signed zeros
-    # count. A pair q leaves a two-qubit survivor, corrected at its last.
+    # The teleported state from a memo miss and from two hits is the same,
+    # complex by complex in repr, so signed zeros count, and equals the
+    # dense gate sequence with X^m_b Z^m_a applied, for all four outcomes.
+    # A pair q leaves a two-qubit survivor, corrected at its last qubit.
     g = np.random.default_rng(27).normal(size=8)
     if label == "haar":
         state = tuple(complex(a, b) for a, b in zip(g[:2], g[2:4]))
@@ -726,42 +632,41 @@ def test_corrected_survivor_is_the_explicit_correction(label):
         state = tuple(x / norm for x in state)
     else:
         state = NAMED_STATES[label]
+    k = len(state) // 2
     checked = set()
     for seed in range(32):
-        plain = Simulator()
-        q, (near, far) = load_group(plain, state), plain.make_bell_pair()
-        bits = plain.bell_measure(q[-1], near, make_rng(seed))
-        expected = [repr(x) for x in explicit_correction(plain.amplitudes(far), bits)]
-        first_plain = Simulator()  # its table comes from a Bell measurement
-        q, (near, far) = load_group(first_plain, state), first_plain.make_bell_pair()
-        first_plain.bell_measure(q[-1], near, make_rng(seed))
-        fresh = Simulator()
-        for sim in (fresh, fresh, first_plain):  # a miss, then two hits
+        bits, expected = dense_bell_measure(np.kron(state, BELL), k - 1, k, make_rng(seed))
+        sim = Simulator()
+        reprs = []
+        for _ in range(3):  # a miss, then two hits
             q, (near, far) = load_group(sim, state), sim.make_bell_pair()
-            assert sim.teleport(q[-1], near, far, make_rng(seed)) == bits
-            assert [repr(x) for x in sim.amplitudes(far)] == expected, (seed, bits)
+            assert sim.bell_measure(q[-1], near, make_rng(seed)) == bits
+            reprs.append([repr(x) for x in sim.amplitudes(far)])
+        assert reprs[0] == reprs[1] == reprs[2], (seed, bits)
+        np.testing.assert_allclose(sim.amplitudes(far), expected, rtol=0, atol=1e-12)
         checked.add(bits)
     assert len(checked) == 4
 
 
-def test_teleport_over_two_pairs_is_refused_before_any_draw():
-    # far a half of another pair than near's: refused before any draw, with
-    # all four qubits in their groups and states and the memo unchanged.
+def test_lone_or_same_group_near_is_refused_before_any_draw():
+    # near a lone qubit, or the other half of q's own pair: refused before
+    # any draw, with every qubit in its group and state and the memo
+    # unchanged.
     sim = Simulator()
     v = (0.6 + 0j, 0.8j)
     q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
-    sim.teleport(q, near, far, make_rng(28))  # a memo entry for these operands
+    sim.bell_measure(q, near, make_rng(28))  # a memo entry for these operands
     sim.release(far)
     memo = dict(sim._bell_cache)
-    q, (near, a), (b, c) = sim.allocate_qubit(v), sim.make_bell_pair(), sim.make_bell_pair()
+    q, lone, (a, b) = sim.allocate_qubit(v), sim.allocate_qubit(v), sim.make_bell_pair()
     rng = make_rng(28)
     draws = rng.bit_generator.state
-    before = [(group_of(sim, x), sim.amplitudes(x)) for x in (q, near, b, c)]
-    for far in (b, c):
-        with pytest.raises(SimulationError, match="not one pair"):
-            sim.teleport(q, near, far, rng)
+    before = [(group_of(sim, x), sim.amplitudes(x)) for x in (q, lone, a, b)]
+    for x, near, match in ((q, lone, "not half of a pair"), (a, b, "share a group")):
+        with pytest.raises(SimulationError, match=match):
+            sim.bell_measure(x, near, rng)
     assert rng.bit_generator.state == draws
-    assert [(group_of(sim, x), sim.amplitudes(x)) for x in (q, near, b, c)] == before
+    assert [(group_of(sim, x), sim.amplitudes(x)) for x in (q, lone, a, b)] == before
     assert sim._bell_cache == memo
 
 
@@ -787,7 +692,7 @@ def test_identical_seeds_replay_identical_outcomes():
             q = sim.allocate_qubit()
             sim.apply_h(q)
             outcomes.append(sim.measure(q, Basis.Z, rng))
-            outcomes.extend(sim.teleport(q, a, b, rng))
+            outcomes.extend(sim.bell_measure(q, a, rng))
             outcomes.append(sim.measure(b, Basis.X, rng))
             sim.release(b)
         return outcomes
@@ -907,12 +812,10 @@ def test_prepare_tables_equal_the_gate_sequence():
     sim = Simulator()
     for bit in (0, 1):
         for basis in Basis:
-            q = sim.allocate_qubit()
-            if bit:
-                sim.apply_x(q)
+            v = np.linalg.matrix_power(X_MAT, bit) @ [1, 0]
             if basis is Basis.X:
-                sim.apply_h(q)
-            assert sim.amplitudes(sim.prepare(bit, basis)) == sim.amplitudes(q)
+                v = H_MAT @ v
+            np.testing.assert_array_equal(sim.amplitudes(sim.prepare(bit, basis)), v)
 
 
 def test_prepared_qubits_share_no_amplitudes():
@@ -950,7 +853,7 @@ def test_dead_qubit_rejected():
     q = sim.allocate_qubit()
     sim.release(q)
     with pytest.raises(DeadQubitError):
-        sim.apply_x(q)
+        sim.apply_h(q)
     with pytest.raises(DeadQubitError):
         sim.measure(q, Basis.Z, rng)
 
@@ -973,8 +876,8 @@ def test_consumed_by_bell_measure_rejected():
 
 def test_pair_shape_checks_refuse_and_leave_state_alone():
     # Groups hold at most one pair: a Bell measurement within one group, a
-    # single-qubit measurement of or gate on a pair half and a teleport over
-    # two qubits that are not one pair are refused, before any draw
+    # single-qubit measurement of or gate on a pair half and a Bell
+    # measurement against a lone near are refused, before any draw
     sim = Simulator()
     rng = make_rng(24)
     draws = rng.bit_generator.state
@@ -984,14 +887,14 @@ def test_pair_shape_checks_refuse_and_leave_state_alone():
     for q, basis in ((a, Basis.Z), (b, Basis.X)):
         with pytest.raises(SimulationError):
             sim.measure(q, basis, rng)
-    for gate, q in ((sim.apply_x, a), (sim.apply_h, b)):
+    for q in (a, b):
         with pytest.raises(SimulationError):
-            gate(q)
-    # teleport's far must be near's partner, not some other qubit or near
+            sim.apply_h(q)
+    # near must be half of a pair, whichever side q is on
     q, other = sim.allocate_qubit(), sim.allocate_qubit()
-    for far in (other, a):
+    for x, near in ((q, other), (other, q)):
         with pytest.raises(SimulationError):
-            sim.teleport(q, a, far, rng)
+            sim.bell_measure(x, near, rng)
     assert group_of(sim, q) == (q,) and group_of(sim, other) == (other,)
     assert group_of(sim, a) == group_of(sim, b) == (a, b)
     assert sim.amplitudes(a) == (SQ + 0j, 0j, 0j, SQ + 0j)
