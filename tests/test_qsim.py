@@ -314,11 +314,10 @@ def bell_measure_cases(draw):
     return states, where, draw(st.integers(0, 2**64 - 1))
 
 
-@given(bell_measure_cases())
-@settings(max_examples=300, deadline=None)
-def test_fused_bell_measure_matches_gate_sequence(case):
-    # The gate sequence, then X^m_b Z^m_a at far: the same outcomes from the
-    # same draws, and q's partner, then far, left in one group.
+def measure_case(case):
+    """Run the kernel and the gate sequence on one ``bell_measure_cases``
+    case. Returns the simulator, q's group, near, far, the kernel's and the
+    gate sequence's outcomes, both RNG states and the corrected state."""
     (state_q, state_pair), (iq, inear), seed = case
     ref_rng, rng = make_rng(seed), make_rng(seed)
     kq = len(state_q).bit_length() - 1
@@ -327,12 +326,31 @@ def test_fused_bell_measure_matches_gate_sequence(case):
     sim = Simulator()
     group_q, pair = load_group(sim, state_q), load_group(sim, state_pair)
     q, near, far = group_q[iq], pair[inear], pair[1 - inear]
-    assert sim.bell_measure(q, near, rng) == bits
+    got = sim.bell_measure(q, near, rng)
+    return sim, group_q, q, near, far, (got, bits), (rng, ref_rng), expected
+
+
+@given(bell_measure_cases())
+@settings(max_examples=300, deadline=None)
+def test_fused_bell_measure_matches_gate_sequence(case):
+    # The gate sequence's outcomes from the same draws, with q and near
+    # gone and q's partner, then far, left in one group.
+    sim, group_q, q, near, far, (got, bits), (rng, ref_rng), _ = measure_case(case)
+    assert got == bits
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
     assert group_of(sim, q) == group_of(sim, near) == ()
     survivors = tuple(x for x in group_q if x != q) + (far,)
     for x in survivors:
         assert group_of(sim, x) == survivors
+
+
+@given(bell_measure_cases())
+@settings(max_examples=200, deadline=None)
+def test_teleport_matches_bell_measure_then_corrections(case):
+    # The state left behind is the gate sequence's, with X^m_b, then Z^m_a,
+    # applied at far.
+    sim, _, _, _, far, (got, bits), _, expected = measure_case(case)
+    assert got == bits
     np.testing.assert_allclose(sim.amplitudes(far), expected, rtol=0, atol=1e-12)
 
 
@@ -581,14 +599,9 @@ def test_registry_invariants_under_random_operations(data):
         assert_registry(sim)
 
 
-def test_teleports_share_the_corrected_survivor():
-    # Two teleports of equal operands with one seed (bits not (0, 0)) hand
-    # out one corrected tuple, the dense gate sequence's teleported state.
-    # Measuring one holder in X replaces its tuple, and a third teleport of
-    # equal operands with that seed, a memo hit, hands out the same tuple
-    # again: the other holder keeps it unchanged, and the memo is unchanged.
-    v = (0.6 + 0j, 0.8j)
-    sim = Simulator()
+def shared_teleports(sim, v):
+    """Teleport ``v`` twice with one seed whose bits are not (0, 0).
+    Returns the seed, the bits and the two far qubits."""
     for seed in range(64):  # P(0, 0) is 1/4 for a lone qubit against a pair
         fars = []
         for _ in range(2):
@@ -596,14 +609,36 @@ def test_teleports_share_the_corrected_survivor():
             bits = sim.bell_measure(q, near, make_rng(seed))
             fars.append(far)
         if bits != (0, 0):
-            break
+            return seed, bits, fars
         for far in fars:
             sim.release(far)
+    raise AssertionError("no seed with bits other than (0, 0)")
+
+
+def test_teleports_share_the_corrected_survivor():
+    # Two teleports of equal operands with one seed (bits not (0, 0)) hand
+    # out one corrected tuple, in two groups: the dense gate sequence's
+    # teleported state.
+    v = (0.6 + 0j, 0.8j)
+    sim = Simulator()
+    seed, _, fars = shared_teleports(sim, v)
     shared = sim.amplitudes(fars[0])
     assert sim._groups[fars[0]] is not sim._groups[fars[1]]
     assert sim.amplitudes(fars[1]) is shared
     _, expected = dense_bell_measure(np.kron(v, BELL), 0, 1, make_rng(seed))
     np.testing.assert_allclose(shared, expected, rtol=0, atol=1e-12)
+    assert_registry(sim)
+
+
+def test_a_correction_leaves_a_shared_survivor_alone():
+    # Measuring one holder of the shared corrected tuple in X replaces its
+    # tuple, and a third teleport of equal operands with that seed, a memo
+    # hit, hands out the same tuple again: the other holder keeps it
+    # unchanged, and the memo is unchanged.
+    v = (0.6 + 0j, 0.8j)
+    sim = Simulator()
+    seed, bits, fars = shared_teleports(sim, v)
+    shared = sim.amplitudes(fars[0])
     before = tuple(complex(x) for x in shared)
     table = dict(sim._bell_cache)
     sim.measure(fars[1], Basis.X, make_rng(seed))
