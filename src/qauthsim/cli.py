@@ -16,7 +16,7 @@ from dataclasses import fields
 
 from . import experiments as exp
 from . import netsim
-from .adversary import BEHAVIOR_LABELS, parse_behavior
+from .adversary import BEHAVIOR_LABELS
 from .qsim import SimulationError
 
 #: config-file keys, each also a flag's dest: every config field but the
@@ -37,8 +37,11 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh, object_pairs_hook=_unique_keys)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as err:
+        raise exp.ConfigError(f"reading config: {err}") from err
     if not isinstance(raw, dict):
         raise exp.ConfigError("config file must hold a JSON object")
     topology = {k: raw.pop(k) for k in netsim.TOPOLOGY_KEYS if k in raw}
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, spec in exp.EXPERIMENT_SPECS.items():
         p = sub.add_parser(name, help=spec.help)
-        if spec.campaign:
+        if spec.table is None:
             _add_campaign_options(p)
         if name == "analytic":
             p.add_argument("--rounds", type=int, dest="analytic_rounds",
@@ -124,13 +127,9 @@ def build_config(args: argparse.Namespace) -> exp.ExperimentConfig:
 
 
 def dispatch(cfg: exp.ExperimentConfig, args: argparse.Namespace) -> str:
-    if cfg.experiment == "analytic":
-        return exp.emit_rows(exp.analytic_table(cfg.analytic_rounds), cfg.output_format)
-    if cfg.experiment == "capacity":
-        return exp.emit_rows(
-            exp.capacity_report(cfg.key_length, cfg.t_values), cfg.output_format
-        )
-    parse_behavior(cfg.adversary)  # fail fast on bad labels
+    table = exp.EXPERIMENT_SPECS[cfg.experiment].table
+    if table is not None:
+        return exp.emit_rows(table(cfg), cfg.output_format)
     trace_path = getattr(args, "trace", None)
     log_path = getattr(args, "intercept_log", None)
     _refuse_shared_paths({"--trace": trace_path, "--intercept-log": log_path,
@@ -211,33 +210,21 @@ class _JsonlSink:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-    except (exp.ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error reading config: {err}", file=sys.stderr)
-        return 2
-    try:
         text = dispatch(cfg, args)
-    except (exp.ConfigError, ValueError) as err:
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except ValueError as err:  # ConfigError included
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (OSError, SimulationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if cfg.out:
-        try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            print(f"error writing {cfg.out}: {err}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -1,11 +1,7 @@
-"""Experiment campaigns, metric aggregation, analytic models, and emitters.
-
-A campaign runs ``trials`` independent worlds per transfer length, each with
-its own seed derived from (master seed, transfer length, trial index), and
-aggregates detection rate, rounds to detect, data leakage, and communication
-overhead with 95% normal-approximation confidence half-widths. Aggregation
-is a sequential reduce in trial order, so a fixed master seed reproduces the
-output byte for byte.
+"""The experiments: their table (``EXPERIMENT_SPECS``) and config, trial
+campaigns with per-transfer-length metrics and 95% confidence half-widths,
+the closed-form tables, and the CSV, JSON and table emitters. A fixed
+master seed reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +10,7 @@ import json
 import math
 import statistics
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import adversary as adv
 from . import netsim
@@ -32,7 +28,8 @@ from .qsim import derive_seed
 class Experiment(NamedTuple):
     help: str
     defaults: dict  # config values set before --config and explicit flags
-    campaign: bool = True  # runs trials, rather than a closed-form table
+    #: the rows of a closed-form table, from the config; None runs trials
+    table: Callable[[ExperimentConfig], list[dict]] | None = None
 
 
 _MITM = {"adversary": "intercept_random", "data_target": 150}
@@ -47,13 +44,11 @@ EXPERIMENT_SPECS = {
         {"adversary": "honest", "data_target": 100},
     ),
     "custom": Experiment("fully flag-driven campaign", {}),
-    "analytic": Experiment("closed-form detection probability table", {}, campaign=False),
-    "capacity": Experiment("data-qubit capacity of one key pass", {}, campaign=False),
+    "analytic": Experiment("closed-form detection probability table", {},
+                           lambda cfg: analytic_table(cfg.analytic_rounds)),
+    "capacity": Experiment("data-qubit capacity of one key pass", {},
+                           lambda cfg: capacity_report(cfg.key_length, cfg.t_values)),
 }
-
-EXPERIMENTS = tuple(EXPERIMENT_SPECS)
-
-TRIAL_EXPERIMENTS = tuple(n for n, e in EXPERIMENT_SPECS.items() if e.campaign)
 
 OUTPUT_FORMATS = ("csv", "json", "table")
 
@@ -122,7 +117,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             _check_field_type(f.name, f.type, getattr(self, f.name))
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in EXPERIMENT_SPECS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.t_values:
             raise ConfigError("need at least one transfer length")
@@ -235,22 +230,20 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run a trial campaign and aggregate per transfer length.
 
-    Each sink, when given, receives one ``append`` per trial as the trial
-    ends: a dict with ``transfer_length``, ``trial_index`` and that trial's
-    ``records`` (trace) or ``events`` (intercept log). Every trial of the
-    campaign shares one Bell memo.
+    The behaviour, key, payload and every transfer length's session are
+    built before the first trial, so a config error raises before any trial
+    runs or any sink is written. Each sink, when given, receives one
+    ``append`` per trial as the trial ends: a dict with ``transfer_length``,
+    ``trial_index`` and that trial's ``records`` (trace) or ``events``
+    (intercept log). Every trial of the campaign shares one Bell memo.
     """
-    if cfg.experiment not in TRIAL_EXPERIMENTS:
+    if EXPERIMENT_SPECS[cfg.experiment].table is not None:
         raise ConfigError(f"{cfg.experiment} is not a trial campaign")
     behavior = adv.parse_behavior(cfg.adversary)
     key = None if cfg.key is None else parse_key(cfg.key, cfg.key_bits)
     payload = proto.PayloadDistribution.parse(cfg.payload)
-
-    rows: list[MetricsRow] = []
-    records: dict[int, list[netsim.TrialRecord]] = {}
-    bell_memo: dict = {}
-    for t in cfg.t_values:
-        session = proto.SessionConfig(
+    sessions = {
+        t: proto.SessionConfig(
             key=key,
             sched=ScheduleConfig(t, cfg.encoding_index),
             data_qubit_target=cfg.data_target,
@@ -258,6 +251,13 @@ def run_experiment(
             payload=payload,
             key_length=cfg.key_length,
         )
+        for t in cfg.t_values
+    }
+
+    rows: list[MetricsRow] = []
+    records: dict[int, list[netsim.TrialRecord]] = {}
+    bell_memo: dict = {}
+    for t, session in sessions.items():
         batch: list[netsim.TrialRecord] = []
         for i in range(cfg.trials):
             trace = [] if trace_sink is not None else None
@@ -412,16 +412,12 @@ def _overhead_reference_block(result: ExperimentResult) -> str:
 
 
 def emit_campaign(result: ExperimentResult, fmt: str) -> str:
-    if fmt == "csv":
-        return rows_to_csv(campaign_row_dicts(result))
     if fmt == "json":
         return campaign_json(result)
-    if fmt == "table":
-        text = rows_to_table(campaign_row_dicts(result))
-        if result.config.experiment == "fig5_overhead":
-            text += _overhead_reference_block(result)
-        return text
-    raise ConfigError(f"unknown output format {fmt!r}")
+    text = emit_rows(campaign_row_dicts(result), fmt)
+    if fmt == "table" and result.config.experiment == "fig5_overhead":
+        text += _overhead_reference_block(result)
+    return text
 
 
 def emit_rows(rows: list[dict], fmt: str) -> str:
@@ -432,4 +428,3 @@ def emit_rows(rows: list[dict], fmt: str) -> str:
     if fmt == "table":
         return rows_to_table(rows)
     raise ConfigError(f"unknown output format {fmt!r}")
-

@@ -1,11 +1,6 @@
-"""Everything derived from the shared secret key.
-
-Two independent cursors stride over the same key bits: one reads
-``transfer_length`` bits per authentication round and interprets them
-most-significant-bit-first as R, the number of data qubits sent before the
-next check; the other reads two bits per round to pick the authentication
-qubit's initial value and encoding basis. Both cursors wrap around the key
-indefinitely, so one key supports any session length.
+"""Everything derived from the shared secret key: the key itself, the two
+wrapping cursors that read each round's transfer window (``next_r``) and
+authentication qubit (``next_auth_pair``) from it, and the capacity formula.
 """
 
 from __future__ import annotations

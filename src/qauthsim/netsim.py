@@ -1,17 +1,7 @@
-"""Topology, entanglement distribution, classical corrections, and the
-deterministic per-trial event loop.
-
-One trial is one isolated world: its own simulator, endpoint machines,
-repeater state, and random streams, all derived from the trial seed, so a
-trial is a pure function of (topology, behavior, session config, seed).
-
-Entangled pairs are provisioned on demand, one per path edge per transfer.
-Intermediate nodes then either swap (corrections applied at the pair end
-farther from the initiator) or, under intercept-resend, retain both halves,
-splitting the channel into segments that each require their own teleport.
-The scheduler is a fixed round-robin sweep over the two endpoint machines
-with FIFO inboxes; a sweep in which nothing moves closes the trial, which is
-how the responder's wait resolves after the initiator terminates silently.
+"""One trial, end to end: the repeater path (``Topology``), the Bell pairs,
+swaps and hops that carry each qubit across it (``EntanglementFabric``),
+and the loop that runs both endpoints to the end of a session
+(``run_trial``).
 """
 
 from __future__ import annotations
@@ -265,6 +255,9 @@ def run_trial(
 ) -> TrialRecord:
     """Drive one session end to end and summarize it.
 
+    The two endpoints step in a fixed round-robin sweep with FIFO inboxes;
+    a sweep in which nothing moves closes the trial, which is how the
+    responder's wait ends after the initiator terminates silently.
     Deterministic: the world, repeater, and key streams are all derived from
     ``seed``, so identical arguments give an identical record (and trace).
     The world and repeater streams, drawn one value at a time, are

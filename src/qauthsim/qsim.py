@@ -259,11 +259,12 @@ class Simulator:
         return self.allocate_unit(amps)
 
     def allocate_unit(self, amps: tuple[complex, complex]) -> QubitRef:
-        """A fresh qubit holding ``amps`` as is: a tuple of two complex
-        amplitudes whose norm the caller vouches is 1."""
+        """A fresh qubit holding ``amps``, two amplitudes whose norm the
+        caller vouches is 1, stored as Python complex values."""
         qid = self._next_id
         self._next_id = qid + 1
-        self._groups[qid] = _Group([qid], amps)
+        a0, a1 = amps
+        self._groups[qid] = _Group([qid], (complex(a0), complex(a1)))
         return qid
 
     def live_count(self) -> int:

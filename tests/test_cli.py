@@ -156,15 +156,19 @@ def test_bad_flag_value_exits_2(capsys):
 
 
 def test_fixed_key_shorter_than_transfer_length_exits_2(tmp_path, capsys):
-    trace_path = tmp_path / "trace.jsonl"
-    code, _, err = run(
-        ["custom", "--key", "1101", "-T", "5", "--trials", "1",
-         "--trace", str(trace_path)],
-        capsys,
-    )
-    assert code == 2
-    assert "key" in err
-    assert not trace_path.exists()  # failed before the first trial: no file
+    # A campaign is checked at every T before its first trial, so the T=1
+    # trials of "-T 1 5" never run and neither sink opens its file.
+    trace_path, log_path = tmp_path / "trace.jsonl", tmp_path / "log.jsonl"
+    for t_flags in (["5"], ["1", "5"]):
+        code, _, err = run(
+            ["custom", "--key", "1101", "-T", *t_flags, "--trials", "2",
+             "--data-qubits", "10", "--trace", str(trace_path),
+             "--intercept-log", str(log_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "key" in err
+        assert not trace_path.exists() and not log_path.exists()
 
 
 @pytest.mark.parametrize(

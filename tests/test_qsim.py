@@ -460,6 +460,21 @@ def test_drifted_input_is_refused_before_any_draw():
             assert sim._bell_cache == {}
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_allocate_unit_stores_numpy_amplitudes_as_python_complex(seed):
+    # numpy complex128 scalars are complex instances; stored as they come,
+    # they made the Bell table numpy-valued and failed after one draw.
+    outcomes = []
+    for amps in (tuple(np.array([0.6, 0.8j])), (0.6 + 0j, 0.8j)):
+        sim, rng = Simulator(), make_rng(seed)
+        q = sim.allocate_unit(amps)
+        assert all(type(z) is complex for z in sim.amplitudes(q))
+        a, b = sim.make_bell_pair()
+        bits = sim.bell_measure(q, a, rng)
+        outcomes.append((bits, rng.bit_generator.state, sim.amplitudes(b)))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_bell_measure_of_named_states_matches_gate_sequence():
     # A named q against a product-state pair of named halves gives Bell
     # outcomes of probability 0 (|+> against |+> never yields m_a = 1, |0>
