@@ -87,7 +87,7 @@ class RepeaterState:
         # an honest repeater and under random_zx, which draws one each time
         self.basis = _FIXED_BASES.get(behavior.basis_policy) if intercepts else None
         self.rng = Draws(seed) if intercepts and self.basis is None else None
-        # None, or one JSON-ready record per intercepted qubit: seq, direction
+        # None, or one JSON object text per intercepted qubit: seq, direction
         # ("forward" is initiator to responder, or "reverse"), basis, outcome
         self.log = log
 
@@ -121,7 +121,7 @@ def handle_arrival(
     outcome = sim.measure(qubit, basis, world_rng)
     log = state.log
     if log is not None:
-        log.append({"seq": len(log), "direction": direction, "basis": basis.value,
-                    "outcome": outcome})
+        log.append(f'{{"seq": {len(log)}, "direction": "{direction}", '
+                   f'"basis": "{basis.value}", "outcome": {outcome}}}')
     return qubit
 

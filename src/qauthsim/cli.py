@@ -1,9 +1,12 @@
-"""Command-line harness.
+"""The ``qauthsim`` command: one subcommand per entry of
+``experiments.EXPERIMENT_SPECS``, its settings layered as the experiment's
+defaults, then a JSON config file (--config), then explicit flags. It
+prints the result or writes it (--out), and writes the --trace and
+--intercept-log JSON lines as each trial ends.
 
-One subcommand per experiment. Options layer as: per-experiment defaults,
-then a JSON config file (--config), then explicit flags. Exit status is 0 on
-success, 2 for configuration problems, 1 for I/O failures and for a trial
-the simulator stops (a session stuck past its sweep bound).
+Exit status is 0 on success, 2 for configuration problems, 1 for I/O
+failures and for a trial the simulator stops (a session stuck past its
+sweep bound).
 """
 
 from __future__ import annotations
@@ -159,29 +162,12 @@ def _refuse_shared_paths(paths: dict) -> None:
             seen[real] = flag
 
 
-def _make_encoder():
-    """``json.dumps`` at its default settings as one callable, its C encoder
-    built once: dumps builds it again on every call."""
-    make = json.encoder.c_make_encoder
-    if make is None:  # no C accelerator
-        return json.dumps
-    # the arguments JSONEncoder.iterencode passes at dumps's defaults, but no
-    # circular check: its markers dict would be state shared by every call,
-    # and no record holds itself
-    encode = make(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-                  None, ": ", ", ", False, False, True)
-    return lambda obj: "".join(encode(obj, 0))
-
-
-_encode_json = _make_encoder()
-
-
 class _JsonlSink:
-    """Campaign sink that writes and flushes each trial's records as JSON
+    """Campaign sink that writes and flushes each trial's entries as JSON
     lines as soon as the trial ends, each tagged with its transfer length
-    and trial index. A line is what ``json.dumps({**tags, **record})``
-    gives: the tags are encoded once per trial and each record's encoding
-    is spliced after them, since no record carries a tag key.
+    and trial index. An entry is the text of one non-empty JSON object
+    without a tag key, and its line is what ``json.dumps({**tags,
+    **json.loads(entry)})`` gives: the tags are spliced in after its brace.
 
     The file is opened at the first trial, so a campaign that fails before
     it leaves no file behind.
@@ -195,13 +181,11 @@ class _JsonlSink:
     def append(self, entry: dict) -> None:
         if self._fh is None:
             self._fh = open(self.path, "w", encoding="utf-8")
-        tags = _encode_json({"transfer_length": entry["transfer_length"],
-                             "trial_index": entry["trial_index"]})
-        empty = tags + "\n"
-        head = tags[:-1] + ", "
+        head = (f'{{"transfer_length": {entry["transfer_length"]}, '
+                f'"trial_index": {entry["trial_index"]}, ')
         write = self._fh.write
-        for record in entry[self.key]:
-            write(head + _encode_json(record)[1:] + "\n" if record else empty)
+        for line in entry[self.key]:
+            write(head + line[1:] + "\n")
         self._fh.flush()
 
     def close(self) -> None:

@@ -141,6 +141,9 @@ class ExperimentConfig:
             raise ConfigError("data target must be >= 0")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"format must be one of {OUTPUT_FORMATS}")
+        # parsed here too, so that a table experiment refuses a bad label
+        adv.parse_behavior(self.adversary)
+        proto.PayloadDistribution.parse(self.payload)
         if self.key_length < max(max(self.t_values), 2):
             raise ConfigError("key length must cover the largest transfer length")
         if self.key_length > MAX_KEY_LENGTH:
@@ -235,7 +238,8 @@ def run_experiment(
     runs or any sink is written. Each sink, when given, receives one
     ``append`` per trial as the trial ends: a dict with ``transfer_length``,
     ``trial_index`` and that trial's ``records`` (trace) or ``events``
-    (intercept log). Every trial of the campaign shares one Bell memo.
+    (intercept log), each the JSON object text ``run_trial`` gives. Every
+    trial of the campaign shares one Bell memo.
     """
     if EXPERIMENT_SPECS[cfg.experiment].table is not None:
         raise ConfigError(f"{cfg.experiment} is not a trial campaign")

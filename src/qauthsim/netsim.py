@@ -6,9 +6,11 @@ and the loop that runs both endpoints to the end of a session
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import product
 
 from . import adversary as adv
 from . import protocol as proto
@@ -88,12 +90,20 @@ def topology_from_json(obj) -> Topology:
     return Topology(tuple(obj["nodes"]), tuple(map(tuple, edges)), tuple(obj["path"]))
 
 
+#: by correction bits, the JSON text of an event's bits and the seq key after
+#: them: a lookup is cheaper than formatting two ints per event
+_BITS_SEQ = {
+    bits: f'"bits": [{bits[0]}, {bits[1]}], "seq": ' for bits in product((0, 1), repeat=2)
+}
+
+
 class EntanglementFabric:
     """Provisioning of end-to-end entanglement plus correction-bit routing.
 
     Every swap and every hop is one ``Simulator.bell_measure``, whose two
     correction bits are the classical message of that step. The trace
-    numbers those messages in order, swaps and teleports alike.
+    numbers those messages in order, swaps and teleports alike, and gets
+    each as the JSON object text ``json.dumps`` gives for its event dict.
     """
 
     def __init__(
@@ -110,7 +120,16 @@ class EntanglementFabric:
         self.rng = rng_world
         self.trace = trace
         # per path node, whether it swaps: resolved once, read per transfer
-        self._swap_at = tuple(map(repeater.swaps_at, topology.path))
+        path = topology.path
+        self._swap_at = tuple(map(repeater.swaps_at, path))
+        if trace is not None:
+            # each node's name as JSON, and by path index the text of a swap
+            # event there up to its bits
+            names = self._names = {node: json.dumps(node) for node in path}
+            self._swap_heads = tuple(
+                f'{{"event": "swap", "node": {names[node]}, "applied_at": {names[after]}, '
+                for node, after in zip(path, path[1:])
+            )
         self.pairs_created = 0
         self.teleports = 0
         self.swaps = 0
@@ -141,15 +160,8 @@ class EntanglementFabric:
                 bits = sim.bell_measure(right_q, a, rng)
                 self.swaps += 1
                 if trace is not None:
-                    trace.append(
-                        {
-                            "event": "swap",
-                            "node": node,
-                            "applied_at": path[i + 1],
-                            "bits": list(bits),
-                            "seq": self.swaps + self.teleports - 1,
-                        }
-                    )
+                    trace.append(f'{self._swap_heads[i]}{_BITS_SEQ[bits]}'
+                                 f'{self.swaps + self.teleports - 1}}}')
                 right_q = b
             else:
                 segments.append((left_node, left_q, node, right_q))
@@ -183,15 +195,10 @@ class EntanglementFabric:
             bits = sim.bell_measure(qubit, near_q, rng)
             self.teleports += 1
             if trace is not None:
-                trace.append(
-                    {
-                        "event": "teleport",
-                        "from": near_node,
-                        "to": far_node,
-                        "bits": list(bits),
-                        "seq": self.swaps + self.teleports - 1,
-                    }
-                )
+                names = self._names
+                trace.append(f'{{"event": "teleport", "from": {names[near_node]}, '
+                             f'"to": {names[far_node]}, {_BITS_SEQ[bits]}'
+                             f'{self.swaps + self.teleports - 1}}}')
             qubit = far_q
             if i < last:
                 qubit = adv.handle_arrival(self.repeater, sim, qubit, direction, rng)
@@ -263,8 +270,11 @@ def run_trial(
     The world and repeater streams, drawn one value at a time, are
     ``qsim.Draws`` (an honest repeater draws nothing and gets none); the key
     stream, one vectorised draw per key, is a numpy Generator.
-    ``bell_memo`` is handed to the trial's ``Simulator``; the memo it holds
-    changes no result, only how many Bell tables are built.
+    ``trace`` and ``intercept_log``, when given as lists, receive each event
+    as the text of one JSON object, in ``json.dumps`` form at its defaults:
+    ``json.loads`` of an entry gives the event's dict. ``bell_memo`` is
+    handed to the trial's ``Simulator``; the memo it holds changes no result,
+    only how many Bell tables are built.
     Raises SimulationError when the session runs past ``sweep_bound``
     scheduler sweeps or a qubit outlives the trial.
     """

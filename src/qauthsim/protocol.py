@@ -1,22 +1,19 @@
-"""Initiator and responder session state machines.
+"""The two endpoints of a session and the data qubits they send.
 
-Both endpoints hold the same key material and advance identical cursors, so
-data-window lengths and authentication plans line up without any metadata on
-the wire: every transfer the repeater sees is just a teleported qubit plus
-its two correction bits, whether it carries data or an authentication state.
-
-The phase arc per round is:
+``Initiator`` sends data qubits (``sample_payload``) and verifies the
+authentication qubits it receives; ``Responder`` receives data and proves
+its identity, and verifies as well under reverse authentication. Each steps
+once per scheduler turn of ``netsim.run_trial``. Both read the same key
+through identical cursors, so windows and authentication plans line up
+with nothing on the wire but teleported qubits. The phases of a round:
 
     initiator: COMPUTE_R -> DATA_TRANSFER -> AUTH_AWAIT [-> AUTH_PREPARE] -> COMPUTE_R ...
     responder: COMPUTE_R -> DATA_TRANSFER -> AUTH_PREPARE [-> AUTH_AWAIT] -> COMPUTE_R ...
 
-with the bracketed phase taken only under reverse authentication, the
-verdict checked on the AUTH_AWAIT turn that receives the qubit, and
-TERMINATED and COMPLETE absorbing. The initiator checks the delivery
-target when recomputing R, but a window that has fully transferred is always
-authenticated, even if it ends exactly on the target. On a failed verdict the
-initiator terminates silently: no message crosses the channel, the peer is
-left to time out.
+The bracketed phase runs only under reverse authentication; TERMINATED and
+COMPLETE are absorbing. A fully transferred window is always authenticated,
+even one that ends on the delivery target. A failed verdict terminates the
+verifier silently, and its peer times out.
 """
 
 from __future__ import annotations
@@ -148,7 +145,9 @@ class _Endpoint:
 
     Trace events are built only when ``trace`` is a list: every ``_emit``
     call sits behind a ``self.trace is not None`` test, so an untraced
-    session builds no event.
+    session builds no event. An event is the text of its JSON object, what
+    ``json.dumps`` gives for it: its role, state, basis and reason come
+    from fixed ASCII vocabularies and need no escaping.
     """
 
     role = ""
@@ -178,18 +177,19 @@ class _Endpoint:
         self.failed_round: int | None = None  # round of the failed verdict
         self.auth_qubits_sent = 0
 
-    def _emit(self, **record) -> None:
-        self.trace.append({"role": self.role, **record})
+    def _emit(self, fields: str) -> None:
+        """Append the event whose JSON members after ``role`` are ``fields``."""
+        self.trace.append(f'{{"role": "{self.role}", {fields}}}')
 
     def terminate(self, reason: str) -> None:
         self.state.phase = _TERMINATED
         if self.trace is not None:
-            self._emit(event="terminate", reason=reason)
+            self._emit(f'"event": "terminate", "reason": "{reason}"')
 
     def _complete(self) -> None:
         self.state.phase = _COMPLETE
         if self.trace is not None:
-            self._emit(event="complete")
+            self._emit('"event": "complete"')
 
     def _open_window(self) -> bool:
         """COMPUTE_R: complete once the delivery target is met, otherwise
@@ -215,14 +215,10 @@ class _Endpoint:
         passed = measured == plan.encoding_bit
         round_index = self.state.cursors.round_index
         if self.trace is not None:
-            self._emit(
-                event="verdict",
-                round=round_index,
-                passed=passed,
-                measured=measured,
-                expected=plan.encoding_bit,
-                basis=basis.value,
-            )
+            self._emit(f'"event": "verdict", "round": {round_index}, '
+                       f'"passed": {"true" if passed else "false"}, '
+                       f'"measured": {measured}, "expected": {plan.encoding_bit}, '
+                       f'"basis": "{basis.value}"')
         if not passed:
             self.failed_round = round_index
             self.terminate("authentication failed")
@@ -253,7 +249,8 @@ class Initiator(_Endpoint):
             if not self._open_window():
                 return None
             if self.trace is not None:
-                self._emit(event="window", round=st.cursors.round_index + 1, r=st.current_r)
+                self._emit(f'"event": "window", "round": {st.cursors.round_index + 1}, '
+                           f'"r": {st.current_r}')
             # fall through to start sending this turn
 
         if st.phase is _DATA_TRANSFER:
@@ -286,7 +283,7 @@ class Initiator(_Endpoint):
             qubit = self.sim.prepare(self.plan.encoding_bit, self.plan.basis)
             self.auth_qubits_sent += 1
             if self.trace is not None:
-                self._emit(event="prepare_auth", state=self.plan.expected_state)
+                self._emit(f'"event": "prepare_auth", "state": "{self.plan.expected_state}"')
             st.phase = _COMPUTE_R
             return qubit
 
@@ -327,7 +324,7 @@ class Responder(_Endpoint):
             qubit = self.sim.prepare(plan.encoding_bit, plan.basis)
             self.auth_qubits_sent += 1
             if self.trace is not None:
-                self._emit(event="prepare_auth", state=plan.expected_state)
+                self._emit(f'"event": "prepare_auth", "state": "{plan.expected_state}"')
             st.phase = _AUTH_AWAIT if self.config.reverse_auth else _COMPUTE_R
             return qubit
 

@@ -1,5 +1,7 @@
 """Simulator-state checks, the key-window walk and parsers shared by the tests."""
 
+import json
+
 import numpy as np
 
 from qauthsim.keyschedule import KeyMaterial
@@ -27,6 +29,11 @@ def assert_bell_pair(sim, a, b):
         f"qubits {a} and {b} are not maximally entangled"
         f" (reduced purity {purity:.6f})"
     )
+
+
+def decoded(entries) -> list[dict]:
+    """The event dicts of trace or intercept-log entries (JSON object texts)."""
+    return [json.loads(entry) for entry in entries]
 
 
 def key_from_bits(bits) -> KeyMaterial:

@@ -24,7 +24,7 @@ from qauthsim.experiments import (
 )
 from qauthsim.keyschedule import ScheduleConfig, capacity
 from qauthsim.protocol import SessionConfig
-from helpers import assert_bell_pair, window_value
+from helpers import assert_bell_pair, decoded, window_value
 from qauthsim.qsim import Simulator, make_rng, states_equal
 
 CHAIN = qa.Topology.chain(1)
@@ -129,13 +129,13 @@ def test_criterion_1_worked_example_golden_trace():
     )
     record = qa.run_trial(CHAIN, qa.Honest(), cfg, seed=1, trace=trace)
     assert record.completed and not record.detected
-    windows = [(r["round"], r["r"]) for r in trace if r.get("event") == "window"]
+    windows = [(r["round"], r["r"]) for r in decoded(trace) if r.get("event") == "window"]
     assert windows == [(1, 3), (2, 1)]
     # pairs (1, 1) and (0, 1), encoding bit first: |-> then |+>
-    states = [r["state"] for r in trace if r.get("event") == "prepare_auth"]
+    states = [r["state"] for r in decoded(trace) if r.get("event") == "prepare_auth"]
     assert states == ["-", "+"]
     verdicts = [
-        (r["round"], r["passed"]) for r in trace if r.get("event") == "verdict"
+        (r["round"], r["passed"]) for r in decoded(trace) if r.get("event") == "verdict"
     ]
     assert verdicts == [(1, True), (2, True)]
     print("ACCEPTANCE 1: PASS worked-example trace R=3,R=1 with |-> then |+>")

@@ -17,7 +17,7 @@ from qauthsim.adversary import (
 from qauthsim.keyschedule import ScheduleConfig
 from qauthsim.netsim import EntanglementFabric
 from qauthsim.protocol import SessionConfig
-from helpers import assert_bell_pair, group_of
+from helpers import assert_bell_pair, decoded, group_of
 from qauthsim.cli import main
 from qauthsim.experiments import trial_seed
 from qauthsim.qsim import (
@@ -75,10 +75,10 @@ def test_resend_is_the_measured_qubit_in_its_eigenstate():
         live = sim.live_count()
         assert handle_arrival(state, sim, q, "forward", rng) == q
         assert sim.live_count() == live
-        entry = state.log[-1]
+        entry = json.loads(state.log[-1])
         assert sim.amplitudes(q) == NAMED_STATES[labels[entry["basis"], entry["outcome"]]]
         sim.release(q)
-    assert {(e["basis"], e["outcome"]) for e in state.log} == set(labels)
+    assert {(e["basis"], e["outcome"]) for e in decoded(state.log)} == set(labels)
 
 
 def test_z_interceptor_smashes_minus_state():
@@ -96,7 +96,7 @@ def test_z_interceptor_smashes_minus_state():
         )
         fails += sim.measure(out, Basis.X, rng) != 1
         sim.release(out)
-    outcomes = [e["outcome"] for e in state.log]
+    outcomes = [e["outcome"] for e in decoded(state.log)]
     assert abs(sum(outcomes) / n - 0.5) < 0.02  # collapse is equiprobable
     assert abs(fails / n - 0.5) < 0.02  # verifier misses half the time
 
@@ -109,7 +109,7 @@ def test_intercept_log_contents_and_export(tmp_path, capsys):
         q = sim.allocate_qubit(NAMED_STATES["+"])
         out = handle_arrival(state, sim, q, "forward" if i % 2 else "reverse", rng)
         sim.release(out)
-    assert [e["seq"] for e in state.log] == list(range(6))
+    assert [e["seq"] for e in decoded(state.log)] == list(range(6))
 
     # The CLI exports each trial's log as JSON lines tagged with the trial.
     path = tmp_path / "intercepts.jsonl"
@@ -123,8 +123,8 @@ def test_intercept_log_contents_and_export(tmp_path, capsys):
         log = []
         qa.run_trial(CHAIN, InterceptResend("random_zx"), mitm_config(target=6),
                      trial_seed(9, 1, i), intercept_log=log)
-        assert [e["seq"] for e in log] == list(range(len(log)))
-        expected += [{"transfer_length": 1, "trial_index": i, **e} for e in log]
+        assert [e["seq"] for e in decoded(log)] == list(range(len(log)))
+        expected += [{"transfer_length": 1, "trial_index": i, **e} for e in decoded(log)]
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines == expected and lines
     assert set(lines[0]) == {
@@ -171,7 +171,7 @@ def test_only_an_interceptor_holds_a_random_stream(monkeypatch):
     assert honest.rng is None
     assert isinstance(mitm.rng, Draws)
     eve = make_rng(derive_seed(21, 1))
-    assert log and [e["basis"] for e in log] == [
+    assert log and [e["basis"] for e in decoded(log)] == [
         "X" if eve.integers(0, 2) else "Z" for _ in log
     ]
 
@@ -187,7 +187,7 @@ def test_a_fixed_policy_holds_no_stream_and_draws_nothing(policy, basis):
     for label in "01+-" * 5:
         sim.release(handle_arrival(state, sim, sim.allocate_qubit(NAMED_STATES[label]),
                                    "forward", rng))
-    assert [e["basis"] for e in state.log] == [basis.value] * 20
+    assert [e["basis"] for e in decoded(state.log)] == [basis.value] * 20
 
 
 def test_parse_behavior_labels():
@@ -288,7 +288,7 @@ def test_blindness_same_stream_same_bases():
         qa.run_trial(
             CHAIN, InterceptResend("random_zx"), cfg, seed=77, intercept_log=log
         )
-        return [e["basis"] for e in log]
+        return [e["basis"] for e in decoded(log)]
 
     a = bases("110100110100")
     b = bases("011011101001")

@@ -11,6 +11,7 @@ from qauthsim import cli, netsim, protocol, qsim
 from qauthsim import experiments as exp
 from qauthsim.cli import build_config, build_parser, load_config_file, main
 from qauthsim.keyschedule import MAX_KEY_LENGTH
+from helpers import decoded
 
 
 def run(argv, capsys):
@@ -191,6 +192,23 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["analytic", "--rounds", "2"],
+                                  ["capacity", "--key-length", "64", "-T", "2"]])
+@pytest.mark.parametrize("setting", [{"adversary": "bogus"}, {"payload": "nonsense"},
+                                     {"payload": "fixed:2"}])
+def test_table_experiments_check_the_campaign_labels(tmp_path, capsys, argv, setting):
+    # A table experiment runs no campaign, but a mistyped adversary or
+    # payload in its config file is still refused; valid ones change nothing.
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(setting))
+    code, out, err = run([*argv, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    path.write_text(json.dumps({"adversary": "honest", "payload": "fixed:-"}))
+    assert run([*argv, "--config", str(path)], capsys) == run(argv, capsys)
 
 
 @pytest.mark.parametrize(
@@ -463,39 +481,36 @@ json_text = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€\U0001d11
 json_values = st.one_of(json_text, st.booleans(), st.none(), st.integers(), st.floats(),
                         st.sampled_from([math.nan, math.inf, -math.inf]),
                         st.lists(st.integers(), max_size=4))
-#: trace records never carry the sink's own tags (checked below for run_trial)
-sink_records = st.dictionaries(
+#: trace entries are non-empty JSON objects that never carry the sink's own
+#: tags (checked below for run_trial), as json.dumps writes them
+sink_entries = st.dictionaries(
     json_text.filter(lambda k: k not in ("transfer_length", "trial_index")),
-    json_values, max_size=4,
-)
+    json_values, min_size=1, max_size=4,
+).map(json.dumps)
 
 
 @given(st.lists(st.tuples(st.integers(1, 16), st.integers(0, 10**6),
-                          st.lists(sink_records, max_size=4)), max_size=3))
+                          st.lists(sink_entries, max_size=4)), max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_sink_lines_equal_json_dumps(tmp_path_factory, trials):
     path = tmp_path_factory.getbasetemp() / "sink.jsonl"
     path.unlink(missing_ok=True)
     sink = cli._JsonlSink(str(path), "records")
     expected = ""
-    for t, i, records in trials:
-        sink.append({"transfer_length": t, "trial_index": i, "records": records})
+    for t, i, entries in trials:
+        sink.append({"transfer_length": t, "trial_index": i, "records": entries})
         tags = {"transfer_length": t, "trial_index": i}
-        expected += "".join(json.dumps({**tags, **r}) + "\n" for r in records)
+        expected += "".join(json.dumps({**tags, **json.loads(e)}) + "\n" for e in entries)
     sink.close()
     assert path.exists() == bool(trials)  # opened at the first trial
     if trials:
         assert path.read_text(encoding="utf-8") == expected
 
 
-def test_sink_encoder_without_the_c_accelerator_is_json_dumps(monkeypatch):
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    assert cli._make_encoder() is json.dumps
-
-
 def test_trial_records_carry_no_sink_tag():
-    # The sink writes its tags once and splices each record after them, which
-    # is json.dumps({**tags, **record}) only while no record has a tag key.
+    # The sink writes its tags once and splices each entry after them, which
+    # is json.dumps({**tags, **json.loads(entry)}) only while no entry has a
+    # tag key.
     events = set()
     for adversary, payload in (("intercept_random", "haar"), ("honest", "uniform4")):
         trace, log = [], []
@@ -505,10 +520,55 @@ def test_trial_records_carry_no_sink_tag():
             key_length=32,
         )
         exp.run_experiment(cfg, trace_sink=trace, intercept_sink=log)
-        records = [r for e in trace for r in e["records"]]
-        records += [r for e in log for r in e["events"]]
+        records = decoded(r for e in trace for r in e["records"])
+        records += decoded(r for e in log for r in e["events"])
         events |= {r.get("event") for r in records}
         assert not any(r.keys() & {"transfer_length", "trial_index"} for r in records)
     # every kind of record was seen, intercept-log entries (no "event") too
     assert events == {"window", "prepare_auth", "swap", "teleport", "verdict",
                       "complete", "terminate", None}
+
+
+#: a 3-repeater path whose names need JSON escapes: a quote, a backslash, a
+#: control character and non-ASCII (the interceptor's)
+ODD_PATH = ['a"lice', "r\\1", "ré€\U0001d11e", "r\x013", "bob"]
+
+
+@pytest.mark.parametrize("adversary", ["intercept_random", "honest"])
+def test_entries_are_canonical_json_and_lines_the_dict_form(tmp_path, capsys, adversary):
+    # Every entry is the text json.dumps gives for its own dict, and every
+    # written line is json.dumps of the tags and that dict together.
+    config = tmp_path / "odd.json"
+    config.write_text(json.dumps({"nodes": ODD_PATH, "path": ODD_PATH,
+                                  "edges": [list(e) for e in zip(ODD_PATH, ODD_PATH[1:])]}))
+    argv = ["custom", "--config", str(config), "--adversary", adversary, "-T", "1", "2",
+            "--trials", "6", "--data-qubits", "12", "--key-length", "32",
+            "--reverse-auth", "--seed", "4", "--format", "csv"]
+    paths = {"records": tmp_path / "trace.jsonl", "events": tmp_path / "log.jsonl"}
+    code, _, _ = run([*argv, "--trace", str(paths["records"]),
+                      "--intercept-log", str(paths["events"])], capsys)
+    assert code == 0
+    sinks = {"records": [], "events": []}
+    exp.run_experiment(build_config(build_parser().parse_args(argv)),
+                       trace_sink=sinks["records"], intercept_sink=sinks["events"])
+    kinds, names = set(), set()
+    for key, sink in sinks.items():
+        expected = ""
+        for trial in sink:
+            tags = {"transfer_length": trial["transfer_length"],
+                    "trial_index": trial["trial_index"]}
+            for entry in trial[key]:
+                record = json.loads(entry)
+                assert json.dumps(record) == entry
+                expected += json.dumps({**tags, **record}) + "\n"
+                kinds.add(record.get("event"))
+                names |= {record[k] for k in ("node", "applied_at", "from", "to")
+                          if k in record}
+        assert paths[key].read_text(encoding="utf-8") == expected
+    assert names == set(ODD_PATH)
+    if adversary == "honest":
+        assert kinds == {"window", "prepare_auth", "swap", "teleport", "verdict", "complete"}
+        assert not sinks["events"][0]["events"]
+    else:  # failed verdicts, the silent close-out and the intercept log
+        assert kinds >= {"window", "prepare_auth", "swap", "teleport", "verdict",
+                         "terminate", None}

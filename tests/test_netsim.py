@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qauthsim as qa
-from helpers import assert_bell_pair
+from helpers import assert_bell_pair, decoded
 from qauthsim.adversary import Honest, InterceptResend, RepeaterState, parse_behavior
 from qauthsim import netsim, protocol
 from qauthsim.cli import main
@@ -174,10 +174,10 @@ def test_conservation_honest():
     assert record.teleports == transfers
     assert record.bell_pairs_created == 2 * transfers  # one per edge per transfer
     assert record.swap_corrections == transfers  # one intermediate node
-    teleport_records = [r for r in trace if r.get("event") == "teleport"]
+    teleport_records = [r for r in decoded(trace) if r.get("event") == "teleport"]
     assert len(teleport_records) == record.teleports
     assert all(len(r["bits"]) == 2 for r in teleport_records)
-    verdicts = [r for r in trace if r.get("event") == "verdict"]
+    verdicts = [r for r in decoded(trace) if r.get("event") == "verdict"]
     assert record.auth_qubits_sent == len(verdicts)
 
 
@@ -231,7 +231,7 @@ def test_responder_timeout_after_silent_termination():
         if not record.detected:
             continue
         reasons = {
-            r["role"]: r["reason"] for r in trace if r.get("event") == "terminate"
+            r["role"]: r["reason"] for r in decoded(trace) if r.get("event") == "terminate"
         }
         assert reasons["initiator"] == "authentication failed"
         assert reasons["responder"] == "timeout"
@@ -383,11 +383,11 @@ def test_message_log_kinds_and_counts():
     fabric.provision()
     payload = sim.allocate_qubit(NAMED_STATES["+"])
     fabric.transfer(payload, "forward")
-    kinds = [r["event"] for r in trace]
+    kinds = [r["event"] for r in decoded(trace)]
     assert kinds.count("swap") == 4  # 2 intermediates x 2 provisions
     assert kinds.count("teleport") == 1
-    assert [r["seq"] for r in trace] == list(range(5))
-    assert all(len(r["bits"]) == 2 for r in trace)
+    assert [r["seq"] for r in decoded(trace)] == list(range(5))
+    assert all(len(r["bits"]) == 2 for r in decoded(trace))
     assert (fabric.swaps, fabric.teleports) == (4, 1)
 
 
@@ -402,6 +402,6 @@ def test_write_trace_jsonl(tmp_path, capsys):
     for i in range(2):
         trace = []
         run_trial(CHAIN, Honest(), config(target=5), trial_seed(12, 2, i), trace=trace)
-        expected += [{"transfer_length": 2, "trial_index": i, **r} for r in trace]
+        expected += [{"transfer_length": 2, "trial_index": i, **r} for r in decoded(trace)]
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines == expected

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qauthsim as qa
+from helpers import decoded
 from qauthsim.keyschedule import AuthPlan, ScheduleConfig
 from qauthsim.protocol import (
     PayloadDistribution,
@@ -72,13 +73,13 @@ def test_worked_example_trace():
     assert record.data_qubits_delivered == 4
     assert record.auth_qubits_sent == 2
 
-    windows = [(r["round"], r["r"]) for r in trace if r.get("event") == "window"]
+    windows = [(r["round"], r["r"]) for r in decoded(trace) if r.get("event") == "window"]
     assert windows == [(1, 3), (2, 1)]
-    preps = [r["state"] for r in trace if r.get("event") == "prepare_auth"]
+    preps = [r["state"] for r in decoded(trace) if r.get("event") == "prepare_auth"]
     assert preps == ["-", "+"]
     verdicts = [
         (r["round"], r["passed"], r["basis"])
-        for r in trace
+        for r in decoded(trace)
         if r.get("event") == "verdict"
     ]
     assert verdicts == [(1, True, "X"), (2, True, "X")]
@@ -86,7 +87,7 @@ def test_worked_example_trace():
     # window i carries exactly R_i forward teleports before its verdict
     forward = 0
     counts = []
-    for r in trace:
+    for r in decoded(trace):
         if r.get("event") == "teleport" and r["from"] == "alice":
             forward += 1
         elif r.get("event") == "verdict":
@@ -101,7 +102,7 @@ def test_zero_target_completes_without_authentication():
     assert record.completed
     assert record.data_qubits_delivered == 0
     assert record.auth_qubits_sent == 0
-    assert not any(r.get("event") == "verdict" for r in trace)
+    assert not any(r.get("event") == "verdict" for r in decoded(trace))
 
 
 def test_zero_window_authenticates_immediately():
@@ -111,9 +112,9 @@ def test_zero_window_authenticates_immediately():
         CHAIN, qa.Honest(), honest_config(2, 3, key="0011"), seed=4, trace=trace
     )
     assert record.completed
-    events = [r["event"] for r in trace if r.get("event") in ("window", "verdict")]
+    events = [r["event"] for r in decoded(trace) if r.get("event") in ("window", "verdict")]
     assert events[:2] == ["window", "verdict"]
-    windows = [r["r"] for r in trace if r.get("event") == "window"]
+    windows = [r["r"] for r in decoded(trace) if r.get("event") == "window"]
     assert windows == [0, 3]
 
 
@@ -151,7 +152,7 @@ def test_schedule_fidelity_against_key_windows():
             break
         expected_windows.append(value)
         total += value
-    got = [r["r"] for r in trace if r.get("event") == "window"]
+    got = [r["r"] for r in decoded(trace) if r.get("event") == "window"]
     assert got[: len(expected_windows)] == expected_windows
 
 
@@ -287,29 +288,30 @@ def test_fail_fast_stops_data_flow():
         if not record.detected:
             continue
         found += 1
+        records = decoded(trace)
         fail_at = next(
-            i for i, r in enumerate(trace)
+            i for i, r in enumerate(records)
             if r.get("event") == "verdict" and not r["passed"]
         )
-        tail = trace[fail_at + 1 :]
+        tail = records[fail_at + 1 :]
         assert not any(
             r.get("event") == "teleport" and r["from"] == "alice" for r in tail
         )
         assert any(
             r.get("event") == "terminate" and r["reason"] == "authentication failed"
             for r in tail
-        ) or trace[fail_at + 1]["event"] == "terminate"
+        ) or records[fail_at + 1]["event"] == "terminate"
     assert found > 0
 
 
 def test_wire_records_carry_no_role_metadata():
     trace = []
     qa.run_trial(CHAIN, qa.Honest(), honest_config(2, 6), seed=9, trace=trace)
-    teleports = [r for r in trace if r.get("event") == "teleport"]
+    teleports = [r for r in decoded(trace) if r.get("event") == "teleport"]
     assert teleports, "expected teleport records"
     shapes = {tuple(sorted(r)) for r in teleports}
     assert shapes == {("bits", "event", "from", "seq", "to")}
-    swaps = [r for r in trace if r.get("event") == "swap"]
+    swaps = [r for r in decoded(trace) if r.get("event") == "swap"]
     assert {tuple(sorted(r)) for r in swaps} == {
         ("applied_at", "bits", "event", "node", "seq")
     }
@@ -330,15 +332,15 @@ def test_untraced_trial_builds_no_trace_event(monkeypatch):
         trace = []
         record = qa.run_trial(CHAIN, behavior, cfg, seed, trace=trace)
         traced[behavior.name, seed] = record
-        kinds |= {r["event"] for r in trace if "role" in r}
-        failed = [r for r in trace if r.get("event") == "verdict" and not r["passed"]]
+        kinds |= {r["event"] for r in decoded(trace) if "role" in r}
+        failed = [r for r in decoded(trace) if r.get("event") == "verdict" and not r["passed"]]
         assert record.rounds_to_detect == (failed[0]["round"] if failed else None)
         failed_roles |= {r["role"] for r in failed}
     assert kinds == {"window", "prepare_auth", "verdict", "terminate", "complete"}
     assert failed_roles == {"initiator", "responder"}
 
-    def refuse(self, **record):
-        raise AssertionError(f"trace event built without a trace: {record}")
+    def refuse(self, fields):
+        raise AssertionError(f"trace event built without a trace: {fields}")
 
     monkeypatch.setattr(_Endpoint, "_emit", refuse)
     for behavior, seed in cases:
@@ -360,13 +362,13 @@ def test_reverse_auth_doubles_auth_qubits():
     )
     assert one_way.completed and both.completed
     rounds = sum(
-        1 for r in trace if r.get("event") == "verdict" and r["role"] == "initiator"
+        1 for r in decoded(trace) if r.get("event") == "verdict" and r["role"] == "initiator"
     )
     assert one_way.auth_qubits_sent == rounds
     assert both.auth_qubits_sent == 2 * rounds
     # both sides issue one verdict per round
     responder_verdicts = [
-        r for r in trace if r.get("event") == "verdict" and r["role"] == "responder"
+        r for r in decoded(trace) if r.get("event") == "verdict" and r["role"] == "responder"
     ]
     assert len(responder_verdicts) == rounds
     assert all(r["passed"] for r in responder_verdicts)
