@@ -142,8 +142,15 @@ class ExperimentConfig:
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"format must be one of {OUTPUT_FORMATS}")
         # parsed here too, so that a table experiment refuses a bad label
-        adv.parse_behavior(self.adversary)
+        behavior = adv.parse_behavior(self.adversary)
         proto.PayloadDistribution.parse(self.payload)
+        if self.malicious_node is not None:
+            if not isinstance(behavior, adv.InterceptResend):
+                raise ConfigError("an honest repeater path has no malicious node")
+            if self.malicious_node not in self.topology.intermediates:
+                raise ConfigError(
+                    f"malicious node {self.malicious_node!r} is not on the path interior"
+                )
         if self.key_length < max(max(self.t_values), 2):
             raise ConfigError("key length must cover the largest transfer length")
         if self.key_length > MAX_KEY_LENGTH:
@@ -160,6 +167,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"key_bits must be in [2, {MAX_KEY_LENGTH}], got {self.key_bits}"
             )
+        if self.key is not None:
+            parse_key(self.key, self.key_bits)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,12 @@ the Bell memo share them instead of copying; an operation replaces a
 group's tuple and never writes into one.
 
 ``bell_measure`` is the one Bell-measurement step, hops and swaps alike: a
-teleport over one pair, its correction included, whose outcome table is
-memoised per input (see ``_bell_table``). A repeater chain feeds it few
-distinct inputs, so most calls are one memo read and two draws.
+teleport over one pair, its correction included. Inputs that recur, pair
+halves and the lone ``NAMED_STATES`` tuples, have their outcome table
+memoised (see ``_bell_table``); a repeater chain feeds it few of them, so
+most calls are one memo read and two draws. Any other lone qubit, such as
+a Haar payload, is one-shot: no later call repeats it, so it gets the drawn
+outcome only, with no table.
 
 Every method that draws takes ``rng``, any object with ``random()``
 returning a float in [0, 1): a numpy Generator, or a :class:`Draws` stream.
@@ -80,6 +83,10 @@ NAMED_STATES = {
 #: ``EIGENSTATE_LABELS[basis is Basis.X][bit]``: the one spelling of this
 #: mapping, which the key schedule's and the payload's tables derive from.
 EIGENSTATE_LABELS = ("01", "+-")
+
+#: The lone states whose Bell tables the memo keeps: any other lone operand
+#: is one-shot (see ``Simulator.bell_measure``)
+_NAMED_AMPS = frozenset(NAMED_STATES.values())
 
 #: ``NAMED_STATES`` entries in the layout of ``EIGENSTATE_LABELS``
 _EIGENSTATES = tuple(
@@ -374,6 +381,14 @@ class Simulator:
         may serve many simulators; it is emptied when it holds
         ``BELL_CACHE_MAX`` entries. The survivors' group takes the table's
         corrected tuple itself, so equal inputs and draws share one tuple.
+
+        Only inputs that recur enter the memo: a pair-half ``q`` (a swap)
+        and a lone ``q`` holding a ``NAMED_STATES`` tuple (auth qubits,
+        named payloads, intercept resends). A miss on any other lone ``q``,
+        such as a Haar payload, is one-shot (``_bell_once``): the same norm
+        check and draws, and the drawn outcome's survivor equal bit for bit
+        to the table's, with no table built and the memo untouched, so it
+        never crowds the reusable tables out.
         """
         if q == near:
             raise ValueError("Bell measurement needs two distinct qubits")
@@ -392,14 +407,18 @@ class Simulator:
         cache = self._bell_cache
         key = (gq.amps, q_first, gn.amps, near_first)
         table = cache.get(key)
-        if table is None:
-            table = _bell_table(_halves(gq.amps, q_first), _halves(gn.amps, near_first))
-            if len(cache) >= BELL_CACHE_MAX:
-                cache.clear()
-            cache[key] = table
-        pa1, pb1s, corrected = table
-        m_a = rng.random() < pa1
-        o = 2 * m_a + (rng.random() < pb1s[m_a])  # the outcome's index
+        if table is None and len(qq) == 1 and gq.amps not in _NAMED_AMPS:
+            o, amps = _bell_once(gq.amps, gn.amps, near_first, rng)
+        else:
+            if table is None:
+                table = _bell_table(_halves(gq.amps, q_first), _halves(gn.amps, near_first))
+                if len(cache) >= BELL_CACHE_MAX:
+                    cache.clear()
+                cache[key] = table
+            pa1, pb1s, corrected = table
+            m_a = rng.random() < pa1
+            o = 2 * m_a + (rng.random() < pb1s[m_a])  # the outcome's index
+            amps = corrected[o]
 
         del groups[q], groups[near]
         # qq[q_first] is q's partner: index 1 when q is first, 0 when q is
@@ -410,7 +429,7 @@ class Simulator:
             groups[partner] = gn
         else:
             gn.qubits = [qn[near_first]]
-        gn.amps = corrected[o]
+        gn.amps = amps
         return _OUTCOMES[o]
 
 
@@ -470,6 +489,45 @@ def _bell_table(xs: tuple, ys: tuple) -> tuple:
             else:
                 corrected.append(())
     return pa1, tuple(pb1s), tuple(corrected)
+
+
+def _bell_once(xs: tuple, near_amps: tuple, near_first: bool, rng) -> tuple:
+    """A lone operand ``xs`` measured against the pair ``near_amps``: the
+    two draws and the drawn outcome's corrected survivor only, as
+    ``(index, survivor)``. ``_bell_table``'s expressions in its order
+    (branch products, weights summed branch 0 then 1, the norm check before
+    any draw, ``pa1``, ``pb1`` given m_a, the scale, X then Z), spelled out
+    for the lone operand's two branches, so bits and survivor are those of
+    the table's entry to the last bit."""
+    x0, x1 = xs
+    a0, a1, a2, a3 = near_amps
+    y0, y1, z0, z1 = (a0, a2, a1, a3) if near_first else near_amps
+    u, p, q, v = x0 * y0, x0 * y1, x1 * y0, x1 * y1
+    s0, t0, d0, e0 = u + v, p + q, u - v, p - q
+    u, p, q, v = x0 * z0, x0 * z1, x1 * z0, x1 * z1
+    s1, t1, d1, e1 = u + v, p + q, u - v, p - q
+    w00 = (s0.real * s0.real + s0.imag * s0.imag) + (s1.real * s1.real + s1.imag * s1.imag)
+    w01 = (t0.real * t0.real + t0.imag * t0.imag) + (t1.real * t1.real + t1.imag * t1.imag)
+    w10 = (d0.real * d0.real + d0.imag * d0.imag) + (d1.real * d1.real + d1.imag * d1.imag)
+    w11 = (e0.real * e0.real + e0.imag * e0.imag) + (e1.real * e1.real + e1.imag * e1.imag)
+    norm = 0.5 * (w00 + w01 + w10 + w11)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise SimulationError(f"state norm drifted to {norm!r}")
+    pa1 = 0.5 * (w10 + w11)
+    if rng.random() < pa1:
+        pb1 = 0.5 * w11 / pa1
+        if rng.random() < pb1:
+            scale = _SQRT2_INV / math.sqrt(pa1 * pb1)
+            return 3, (e1 * scale, -(e0 * scale))
+        scale = _SQRT2_INV / math.sqrt(pa1 * (1.0 - pb1))
+        return 2, (d0 * scale, -(d1 * scale))
+    pa = 1.0 - pa1
+    pb1 = 0.5 * w01 / pa
+    if rng.random() < pb1:
+        scale = _SQRT2_INV / math.sqrt(pa * pb1)
+        return 1, (t1 * scale, t0 * scale)
+    scale = _SQRT2_INV / math.sqrt(pa * (1.0 - pb1))
+    return 0, (s0 * scale, s1 * scale)
 
 
 def _halves(amps: tuple, first: bool) -> tuple:

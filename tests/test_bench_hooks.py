@@ -4,7 +4,9 @@ benchmark's own hook installer on a 1-trial campaign and checks that every
 wrapped layer is still reached, so a refactor that renames a layer or calls
 it by another path fails here instead of silently zeroing a metric."""
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -67,3 +69,19 @@ def test_honest_transfers_pass_through_the_wrapped_kernel():
     assert calls["netsim.transfer"] > 0
     assert (calls["qsim.make_bell_pair"] == calls["qsim.bell_measure"]
             == 4 * calls["netsim.transfer"])
+
+
+def test_every_workload_passes_its_own_oracle(monkeypatch):
+    # Each benchmark workload, at 2 trials per T, runs in the benchmark's own
+    # worker process and passes its oracle: the CSV columns, the JSON record
+    # fields and the resources per transfer. A campaign that exits non-zero
+    # or emits what the oracle rejects fails here, not first in a benchmark.
+    monkeypatch.syspath_prepend(str(ROOT / "campaignbench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "campaignbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    os.makedirs(run.RESULTS, exist_ok=True)
+    for name in run.WORKLOADS:
+        monkeypatch.setitem(run.WORKLOADS[name], "trials_per_t", 2)
+        result = run.campaign(name, 5, spans=False)
+        assert (result["failed"], result["failures"]) == (0, []), name

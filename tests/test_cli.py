@@ -197,18 +197,27 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
 @pytest.mark.parametrize("argv", [["analytic", "--rounds", "2"],
                                   ["capacity", "--key-length", "64", "-T", "2"]])
 @pytest.mark.parametrize("setting", [{"adversary": "bogus"}, {"payload": "nonsense"},
-                                     {"payload": "fixed:2"}])
+                                     {"payload": "fixed:2"}, {"key": "01x"},
+                                     {"key": "01x", "malicious_node": "zz"},
+                                     {"malicious_node": "zz"},
+                                     {"adversary": "honest", "malicious_node": "r1"}])
 def test_table_experiments_check_the_campaign_labels(tmp_path, capsys, argv, setting):
-    # A table experiment runs no campaign, but a mistyped adversary or
-    # payload in its config file is still refused; valid ones change nothing.
+    # A table experiment runs no campaign, but a mistyped adversary, payload
+    # or key, or a malicious node off the path interior or beside an honest
+    # adversary, in its config file is still refused, as custom refuses it;
+    # valid ones change nothing.
     path = tmp_path / "f.json"
     path.write_text(json.dumps(setting))
     code, out, err = run([*argv, "--config", str(path)], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    path.write_text(json.dumps({"adversary": "honest", "payload": "fixed:-"}))
-    assert run([*argv, "--config", str(path)], capsys) == run(argv, capsys)
+    code, _, custom_err = run(["custom", "--config", str(path)], capsys)
+    assert (code, custom_err) == (2, err)
+    for valid in ({"adversary": "honest", "payload": "fixed:-"},
+                  {"adversary": "intercept_x", "key": "0110", "malicious_node": "r1"}):
+        path.write_text(json.dumps(valid))
+        assert run([*argv, "--config", str(path)], capsys) == run(argv, capsys)
 
 
 @pytest.mark.parametrize(

@@ -386,7 +386,9 @@ def miss_then_hit(sim, states, where, seed):
         for x in left:
             assert group_of(sim, x) == tuple(left)
         runs.append((out, rng.bit_generator.state, sim.amplitudes(left[0])))
-    assert len(sim._bell_cache) == size  # the second copy was a memo hit
+    # the second copy was a memo hit (a lone q is one-shot: neither copy
+    # enters the memo)
+    assert len(sim._bell_cache) == size
     return runs
 
 
@@ -413,9 +415,53 @@ def test_bell_memo_hit_equals_miss(case):
                 break
 
 
+@st.composite
+def one_shot_cases(draw):
+    # a lone state other than the NAMED_STATES tuples, near's position, and
+    # whether near's pair is fresh or left by a swap
+    v = tuple(map(complex, random_state(draw, 1)))
+    assume(v not in NAMED_STATES.values())
+    return v, draw(st.integers(0, 1)), draw(st.booleans()), draw(st.integers(0, 2**63))
+
+
+@given(one_shot_cases())
+@settings(max_examples=100, deadline=None)
+def test_one_shot_operand_matches_its_table_entry(case):
+    # A lone operand that is not a NAMED_STATES tuple is measured without a
+    # table. On seeds from the given one until all four outcomes are drawn,
+    # it gives the bits, the draws and, repr for repr, the survivor of
+    # _bell_table's corrected entry for the drawn outcome, and leaves the
+    # memo (holding the swaps' tables) as it was.
+    v, inear, swapped, seed = case
+    sim = Simulator()
+    drawn = set()
+    for s in range(seed, seed + 64):  # each outcome has probability 1/4
+        pair = sim.make_bell_pair()
+        if swapped:
+            c, d = sim.make_bell_pair()
+            sim.bell_measure(pair[1], c, make_rng(s))
+            pair = (pair[0], d)
+        (q,), near, far = load_group(sim, v), pair[inear], pair[1 - inear]
+        pa1, pb1s, corrected = qsim._bell_table(
+            qsim._halves(v, True), qsim._halves(sim.amplitudes(near), inear == 0))
+        ref, rng = make_rng(s), make_rng(s)
+        m_a = ref.random() < pa1
+        o = 2 * m_a + (ref.random() < pb1s[m_a])
+        memo = dict(sim._bell_cache)
+        assert sim.bell_measure(q, near, rng) == (m_a, o % 2)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert list(map(repr, sim.amplitudes(far))) == list(map(repr, corrected[o]))
+        assert sim._bell_cache == memo
+        sim.release(far)
+        drawn.add(o)
+        if len(drawn) == 4:
+            break
+    assert len(drawn) == 4
+
+
 def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
-    # With the bound at 4, ten distinct Haar inputs, each measured twice in
-    # a row, overflow the memo; it is emptied and refilled, never holding
+    # With the bound at 4, ten distinct pair-half inputs, each measured twice
+    # in a row, overflow the memo; it is emptied and refilled, never holding
     # more than 4 entries, and every result equals a cold simulator's.
     monkeypatch.setattr(qsim, "BELL_CACHE_MAX", 4)
     assert Simulator()._bell_cache == {}
@@ -424,40 +470,46 @@ def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
     sizes = []
     for i in range(20):
         if i % 2 == 0:
-            v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
+            v = state_rng.normal(size=4) + 1j * state_rng.normal(size=4)
+            v /= np.linalg.norm(v)
         runs = []
         for s in (sim, Simulator()):
             rng = make_rng(i)
-            q = s.allocate_qubit(v)
-            a, b = s.make_bell_pair()
+            (q, _), (a, b) = load_group(s, v), s.make_bell_pair()
             runs.append((s.bell_measure(q, a, rng), rng.bit_generator.state, s.amplitudes(b)))
-            s.release(b)
         assert runs[0] == runs[1]
         sizes.append(len(sim._bell_cache))
     assert max(sizes) == 4 and sizes[-1] < 4  # reached the bound, then emptied
 
 
 def test_drifted_input_is_refused_before_any_draw():
-    # A lone (0.6, 0.8i) and a Bell pair, both written at 0.9 and at 1.2
-    # times their unit states. Bell-measuring the lone qubit against either
-    # pair half is refused on every seed before any draw, whichever outcome
-    # the draws would give: the RNG is untouched, both groups stay as
-    # written (no correction reaches the pair) and the memo stays empty.
+    # A lone (0.6, 0.8i), a pair half of (0.6, 0, 0, 0.8i) and a Bell pair,
+    # each written at 0.9 and at 1.2 times its unit state. Bell-measuring
+    # the lone qubit (one-shot) or the pair half (a table) against either
+    # half of the Bell pair is refused on every seed before any draw,
+    # whichever outcome the draws would give: the RNG is untouched, both
+    # groups stay as written (no correction reaches the pair) and the memo,
+    # holding one swap's table, is untouched.
     sim = Simulator()
-    for scale in (0.9, 1.2):
-        lone = [0.6 * scale, 0.8j * scale]
+    (a, b), (c, d) = sim.make_bell_pair(), sim.make_bell_pair()
+    sim.bell_measure(b, c, make_rng(0))
+    memo = dict(sim._bell_cache)
+    assert len(memo) == 1
+    for scale, kq in itertools.product((0.9, 1.2), (1, 2)):
+        state_q = [0.6 * scale, 0.8j * scale] if kq == 1 else [0.6 * scale, 0, 0, 0.8j * scale]
         pair = [SQ * scale, 0, 0, SQ * scale]
         for seed, inear in itertools.product(range(400), (0, 1)):
             rng = make_rng(seed)
             state = rng.bit_generator.state
-            (q,), halves = load_group(sim, lone), load_group(sim, pair)
+            group_q, halves = load_group(sim, state_q), load_group(sim, pair)
+            q = group_q[0]
             with pytest.raises(SimulationError, match="norm drifted"):
                 sim.bell_measure(q, halves[inear], rng)
             assert rng.bit_generator.state == state
             assert [(group_of(sim, q), sim.amplitudes(q)),
                     (group_of(sim, halves[inear]), sim.amplitudes(halves[1 - inear]))] == [
-                        ((q,), tuple(lone)), (tuple(halves), tuple(pair))]
-            assert sim._bell_cache == {}
+                        (tuple(group_q), tuple(state_q)), (tuple(halves), tuple(pair))]
+            assert sim._bell_cache == memo
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -614,13 +666,14 @@ def test_registry_invariants_under_random_operations(data):
         assert_registry(sim)
 
 
-def shared_teleports(sim, v):
-    """Teleport ``v`` twice with one seed whose bits are not (0, 0).
-    Returns the seed, the bits and the two far qubits."""
+def shared_teleports(sim):
+    """Teleport a prepared |+>, whose table the memo keeps, twice with one
+    seed whose bits are not (0, 0). Returns the seed, the bits and the two
+    far qubits."""
     for seed in range(64):  # P(0, 0) is 1/4 for a lone qubit against a pair
         fars = []
         for _ in range(2):
-            q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
+            q, (near, far) = sim.prepare(0, Basis.X), sim.make_bell_pair()
             bits = sim.bell_measure(q, near, make_rng(seed))
             fars.append(far)
         if bits != (0, 0):
@@ -631,16 +684,15 @@ def shared_teleports(sim, v):
 
 
 def test_teleports_share_the_corrected_survivor():
-    # Two teleports of equal operands with one seed (bits not (0, 0)) hand
-    # out one corrected tuple, in two groups: the dense gate sequence's
-    # teleported state.
-    v = (0.6 + 0j, 0.8j)
+    # Two teleports of equal memoised operands with one seed (bits not
+    # (0, 0)) hand out one corrected tuple, in two groups: the dense gate
+    # sequence's teleported state.
     sim = Simulator()
-    seed, _, fars = shared_teleports(sim, v)
+    seed, _, fars = shared_teleports(sim)
     shared = sim.amplitudes(fars[0])
     assert sim._groups[fars[0]] is not sim._groups[fars[1]]
     assert sim.amplitudes(fars[1]) is shared
-    _, expected = dense_bell_measure(np.kron(v, BELL), 0, 1, make_rng(seed))
+    _, expected = dense_bell_measure(np.kron(NAMED_STATES["+"], BELL), 0, 1, make_rng(seed))
     np.testing.assert_allclose(shared, expected, rtol=0, atol=1e-12)
     assert_registry(sim)
 
@@ -650,15 +702,14 @@ def test_a_correction_leaves_a_shared_survivor_alone():
     # tuple, and a third teleport of equal operands with that seed, a memo
     # hit, hands out the same tuple again: the other holder keeps it
     # unchanged, and the memo is unchanged.
-    v = (0.6 + 0j, 0.8j)
     sim = Simulator()
-    seed, bits, fars = shared_teleports(sim, v)
+    seed, bits, fars = shared_teleports(sim)
     shared = sim.amplitudes(fars[0])
     before = tuple(complex(x) for x in shared)
     table = dict(sim._bell_cache)
     sim.measure(fars[1], Basis.X, make_rng(seed))
     assert sim.amplitudes(fars[1]) is not shared
-    q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
+    q, (near, far) = sim.prepare(0, Basis.X), sim.make_bell_pair()
     assert sim.bell_measure(q, near, make_rng(seed)) == bits
     assert sim.amplitudes(far) is shared and sim.amplitudes(fars[0]) is shared
     assert shared == before and sim._bell_cache == table
