@@ -1,14 +1,16 @@
 """Repeater behaviors: the transparent swapper and the intercept-resend MitM.
 
-A malicious repeater simply keeps both halves of its adjacent entangled
-pairs instead of swapping them out, which silently splits the end-to-end
-channel into two segments that both terminate at the repeater. Every qubit
-teleported across then lands on the repeater's own half, where it is measured
-in a basis chosen by policy and re-sent as the collapsed eigenstate.
+A malicious repeater keeps both halves of its adjacent pairs instead of
+swapping them, which splits the channel into two segments that end at the
+repeater. Every qubit teleported across lands on the repeater's own half,
+where it is measured in a basis chosen by policy and resent collapsed.
 
-The behavior interface is deliberately blind: it receives qubits, a
-direction tag, and its own random stream. No key material or data/auth role
-information ever reaches it.
+A behavior gets each qubit, its direction and its own random stream, and
+no key material. The direction still tells roles apart: in this repo's
+reading (``PAPER.md`` holds only the abstract) the responder teleports its
+auth qubit back against the data, so with reverse authentication off every
+reverse transfer is an auth qubit. The fig2 detection result holds against
+a repeater that measures every transiting qubit, as ``InterceptResend`` does.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ _Z, _X = Basis.Z, Basis.X
 _FIXED_BASES = {"always_z": _Z, "always_x": _X}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Honest:
     """Swap at every intermediate node; never touches transiting states."""
 
@@ -34,7 +36,7 @@ class Honest:
         return "honest"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterceptResend:
     """Retain both pair halves and measure-and-resend every transit qubit."""
 
@@ -74,6 +76,8 @@ class RepeaterState:
     once, own random stream (a ``Draws`` of ``seed``, made only under
     ``random_zx``, the one policy that draws a basis; None otherwise), and
     the intercept log, if one is kept."""
+
+    __slots__ = ("behavior", "node", "basis", "rng", "log")
 
     def __init__(
         self, behavior: Behavior, node: str | None, seed: int, log: list | None = None

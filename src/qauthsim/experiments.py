@@ -144,13 +144,14 @@ class ExperimentConfig:
         # parsed here too, so that a table experiment refuses a bad label
         behavior = adv.parse_behavior(self.adversary)
         proto.PayloadDistribution.parse(self.payload)
-        if self.malicious_node is not None:
-            if not isinstance(behavior, adv.InterceptResend):
-                raise ConfigError("an honest repeater path has no malicious node")
-            if self.malicious_node not in self.topology.intermediates:
-                raise ConfigError(
-                    f"malicious node {self.malicious_node!r} is not on the path interior"
-                )
+        node, mids = self.malicious_node, self.topology.intermediates
+        if isinstance(behavior, adv.InterceptResend):
+            if not mids:
+                raise ConfigError(netsim.NO_INTERMEDIATE)
+            if node is not None and node not in mids:
+                raise ConfigError(f"malicious node {node!r} is not on the path interior")
+        elif node is not None:
+            raise ConfigError("an honest repeater path has no malicious node")
         if self.key_length < max(max(self.t_values), 2):
             raise ConfigError("key length must cover the largest transfer length")
         if self.key_length > MAX_KEY_LENGTH:

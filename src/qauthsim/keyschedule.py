@@ -27,7 +27,7 @@ def _check_key_length(length: int, what: str) -> None:
         raise ValueError(f"{what} must be in [2, {MAX_KEY_LENGTH}], got {length}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyMaterial:
     """Immutable shared secret bit string."""
 
@@ -74,7 +74,7 @@ def parse_key(text: str, bit_length: int | None = None) -> KeyMaterial:
     return KeyMaterial(tuple(int(c) for c in text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleConfig:
     """Session-constant schedule parameters.
 
@@ -95,7 +95,7 @@ class ScheduleConfig:
             raise ValueError("encoding index must be 0 or 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class KeyCursors:
     """Mutable per-session read positions into the key."""
 
@@ -104,7 +104,7 @@ class KeyCursors:
     round_index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthPlan:
     """One round's authentication qubit recipe: value bit plus basis bit."""
 

@@ -26,7 +26,7 @@ from .qsim import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Topology:
     """Node graph plus the fixed initiator-to-responder path."""
 
@@ -63,6 +63,8 @@ class Topology:
 
 
 TOPOLOGY_KEYS = ("nodes", "edges", "path")
+#: the refusal of an intercepting behavior on a path with no repeater
+NO_INTERMEDIATE = "intercept-resend needs at least one intermediate node"
 
 
 def _is_str_list(value) -> bool:
@@ -105,6 +107,9 @@ class EntanglementFabric:
     numbers those messages in order, swaps and teleports alike, and gets
     each as the JSON object text ``json.dumps`` gives for its event dict.
     """
+
+    __slots__ = ("sim", "topology", "repeater", "rng", "trace", "_swap_at", "_names",
+                 "_swap_heads", "pairs_created", "teleports", "swaps")
 
     def __init__(
         self,
@@ -205,7 +210,7 @@ class EntanglementFabric:
         return qubit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     seed: int
     transfer_length: int
@@ -225,7 +230,7 @@ class TrialRecord:
 def default_malicious_node(topology: Topology) -> str:
     mids = topology.intermediates
     if not mids:
-        raise ValueError("intercept-resend needs at least one intermediate node")
+        raise ValueError(NO_INTERMEDIATE)
     return mids[len(mids) // 2]
 
 
@@ -262,7 +267,7 @@ def run_trial(
 ) -> TrialRecord:
     """Drive one session end to end and summarize it.
 
-    The two endpoints step in a fixed round-robin sweep with FIFO inboxes;
+    Each sweep steps the initiator, then the responder, with FIFO inboxes;
     a sweep in which nothing moves closes the trial, which is how the
     responder's wait ends after the initiator terminates silently.
     Deterministic: the world, repeater, and key streams are all derived from
@@ -311,14 +316,10 @@ def run_trial(
     fabric = EntanglementFabric(sim, topology, repeater, rng_world, trace)
     alice = proto.Initiator(config, sim, rng_world, trace)
     bob = proto.Responder(config, sim, rng_world, trace)
+    alice_state, alice_step, alice_recv = alice.state, alice.step, alice.receive_phases
+    bob_state, bob_step, bob_recv = bob.state, bob.step, bob.receive_phases
     alice_inbox: deque[QubitRef] = deque()
     bob_inbox: deque[QubitRef] = deque()
-    # per endpoint: (machine, its state, its inbox, its peer's inbox,
-    # the direction of what it sends), in sweep order
-    endpoints = (
-        (alice, alice.state, alice_inbox, bob_inbox, "forward"),
-        (bob, bob.state, bob_inbox, alice_inbox, "reverse"),
-    )
     absorbing = proto.ABSORBING
     transfer = fabric.transfer
     amplitudes = sim.amplitudes
@@ -327,35 +328,42 @@ def run_trial(
     data_delivered = 0
     data_intact = 0
     sweeps = 0
-    while alice.state.phase not in absorbing or bob.state.phase not in absorbing:
-        progressed = False
-        for machine, state, inbox, peer_inbox, direction in endpoints:
-            phase = state.phase
-            if phase in absorbing:
-                while inbox:  # a terminated endpoint ignores late arrivals
-                    sim.release(inbox.popleft())
-                continue
-            arrival = (
-                inbox.popleft() if inbox and phase in machine.receive_phases else None
-            )
-            sent = machine.step(arrival)
-            # A step changes the endpoint's counters only when it sends,
-            # changes phase or consumes an arrival.
-            if sent is not None or arrival is not None or state.phase is not phase:
-                progressed = True
+    while alice_state.phase not in absorbing or bob_state.phase not in absorbing:
+        # Alice's turn, then bob's. A step moves the session only when it
+        # sends, changes phase or consumes an arrival.
+        phase = alice_state.phase
+        if phase in absorbing:
+            progressed = False
+            while alice_inbox:  # a terminated endpoint ignores late arrivals
+                sim.release(alice_inbox.popleft())
+        else:
+            arrival = alice_inbox.popleft() if alice_inbox and phase in alice_recv else None
+            sent = alice_step(arrival)
+            progressed = (sent is not None or arrival is not None
+                          or alice_state.phase is not phase)
             if sent is not None:
-                arrived = transfer(sent, direction)
+                arrived = transfer(sent, "forward")
                 truth = payload_truth.pop(sent, None)
                 if truth is not None:
                     data_delivered += 1
                     if states_equal(amplitudes(arrived), truth):
                         data_intact += 1
-                peer_inbox.append(arrived)
+                bob_inbox.append(arrived)
+        phase = bob_state.phase
+        if phase in absorbing:
+            while bob_inbox:
+                sim.release(bob_inbox.popleft())
+        else:
+            arrival = bob_inbox.popleft() if bob_inbox and phase in bob_recv else None
+            sent = bob_step(arrival)
+            if sent is not None:  # an auth qubit, never data
+                alice_inbox.append(transfer(sent, "reverse"))
+            progressed = (progressed or sent is not None or arrival is not None
+                          or bob_state.phase is not phase)
         if not progressed:
-            # Nothing moved in a full sweep: a peer stopped talking. Close
-            # out whoever is still waiting.
-            for machine, state, *_ in endpoints:
-                if state.phase not in absorbing:
+            # Nothing moved in a full sweep: close out whoever still waits.
+            for machine in (alice, bob):
+                if machine.state.phase not in absorbing:
                     machine.terminate("timeout")
             break
         sweeps += 1

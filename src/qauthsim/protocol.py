@@ -48,7 +48,7 @@ _TERMINATED = Phase.TERMINATED
 _COMPLETE = Phase.COMPLETE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PayloadDistribution:
     """How the initiator picks data-qubit states.
 
@@ -113,7 +113,7 @@ def sample_payload(
     return sim.prepare(bit, basis), truth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionConfig:
     key: ks.KeyMaterial | None
     sched: ks.ScheduleConfig
@@ -131,7 +131,7 @@ class SessionConfig:
             raise ValueError("key length shorter than max(transfer length, 2)")
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionState:
     phase: Phase = Phase.COMPUTE_R
     cursors: ks.KeyCursors = field(default_factory=ks.KeyCursors)
@@ -156,6 +156,9 @@ class _Endpoint:
     #: that runs ahead through zero-length windows may send before we have
     #: advanced into the matching receive phase
     receive_phases: tuple[Phase, ...] = (Phase.AUTH_AWAIT,)
+
+    __slots__ = ("config", "key", "sched", "sim", "rng", "trace", "state", "plan",
+                 "failed_round", "auth_qubits_sent")
 
     def __init__(
         self,
@@ -238,6 +241,7 @@ class Initiator(_Endpoint):
     """Data sender and verifier of the peer's authentication qubits."""
 
     role = "initiator"
+    __slots__ = ("payload_truth",)
 
     def __init__(self, config, sim, rng, trace=None):
         super().__init__(config, sim, rng, trace)
@@ -295,6 +299,7 @@ class Responder(_Endpoint):
 
     role = "responder"
     receive_phases = (Phase.DATA_TRANSFER, Phase.AUTH_AWAIT)
+    __slots__ = ()
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state

@@ -242,6 +242,8 @@ class Simulator:
     key. Without one, the simulator keeps a private memo.
     """
 
+    __slots__ = ("_groups", "_next_id", "_bell_cache")
+
     def __init__(self, bell_memo: dict | None = None):
         self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
         self._next_id = 0

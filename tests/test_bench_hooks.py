@@ -76,6 +76,8 @@ def test_every_workload_passes_its_own_oracle(monkeypatch):
     # worker process and passes its oracle: the CSV columns, the JSON record
     # fields and the resources per transfer. A campaign that exits non-zero
     # or emits what the oracle rejects fails here, not first in a benchmark.
+    # It runs once more with the layer spans every per-layer figure comes
+    # from, which must name every layer the benchmark reports in us.
     monkeypatch.syspath_prepend(str(ROOT / "campaignbench"))
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "campaignbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
@@ -83,5 +85,7 @@ def test_every_workload_passes_its_own_oracle(monkeypatch):
     os.makedirs(run.RESULTS, exist_ok=True)
     for name in run.WORKLOADS:
         monkeypatch.setitem(run.WORKLOADS[name], "trials_per_t", 2)
-        result = run.campaign(name, 5, spans=False)
-        assert (result["failed"], result["failures"]) == (0, []), name
+        for spans in (False, True):
+            result = run.campaign(name, 5, spans=spans)
+            assert (result["failed"], result["failures"]) == (0, []), (name, spans)
+        assert set(run.LAYER_US) <= set(result["layers"]), name

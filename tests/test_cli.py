@@ -194,30 +194,45 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+#: a path with no intermediate node, where no repeater can intercept
+DIRECT = {"topology": {"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a", "b"]}}
+
+
 @pytest.mark.parametrize("argv", [["analytic", "--rounds", "2"],
                                   ["capacity", "--key-length", "64", "-T", "2"]])
 @pytest.mark.parametrize("setting", [{"adversary": "bogus"}, {"payload": "nonsense"},
                                      {"payload": "fixed:2"}, {"key": "01x"},
                                      {"key": "01x", "malicious_node": "zz"},
                                      {"malicious_node": "zz"},
-                                     {"adversary": "honest", "malicious_node": "r1"}])
+                                     {"adversary": "honest", "malicious_node": "r1"},
+                                     DIRECT])
 def test_table_experiments_check_the_campaign_labels(tmp_path, capsys, argv, setting):
     # A table experiment runs no campaign, but a mistyped adversary, payload
-    # or key, or a malicious node off the path interior or beside an honest
-    # adversary, in its config file is still refused, as custom refuses it;
-    # valid ones change nothing.
+    # or key, a malicious node off the path interior or beside an honest
+    # adversary, or an intercepting adversary (the default) on a path with
+    # no intermediate node, in its config file is still refused, as every
+    # experiment whose default adversary intercepts refuses it; valid ones
+    # change nothing.
     path = tmp_path / "f.json"
     path.write_text(json.dumps(setting))
     code, out, err = run([*argv, "--config", str(path)], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    code, _, custom_err = run(["custom", "--config", str(path)], capsys)
-    assert (code, custom_err) == (2, err)
+    if setting is DIRECT:
+        assert err == f"error: {netsim.NO_INTERMEDIATE}\n"
+    for campaign in ("custom", "fig2_success", "fig3_rounds", "fig4_leakage"):
+        code, _, campaign_err = run([campaign, "--config", str(path)], capsys)
+        assert (code, campaign_err) == (2, err), campaign
     for valid in ({"adversary": "honest", "payload": "fixed:-"},
-                  {"adversary": "intercept_x", "key": "0110", "malicious_node": "r1"}):
+                  {"adversary": "intercept_x", "key": "0110", "malicious_node": "r1"},
+                  {**DIRECT, "adversary": "honest"}):
         path.write_text(json.dumps(valid))
         assert run([*argv, "--config", str(path)], capsys) == run(argv, capsys)
+    # the direct path under an honest repeater runs a campaign too
+    code, out, _ = run(["custom", "-T", "1", "--trials", "1", "--data-qubits", "2",
+                        "--config", str(path)], capsys)
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from qauthsim.adversary import Honest, InterceptResend, RepeaterState, parse_beh
 from qauthsim import netsim, protocol
 from qauthsim.cli import main
 from qauthsim.experiments import trial_seed
-from qauthsim.keyschedule import KeyMaterial, ScheduleConfig
+from qauthsim.keyschedule import AuthPlan, KeyCursors, KeyMaterial, ScheduleConfig
 from qauthsim.netsim import (
     EntanglementFabric,
     Topology,
@@ -21,8 +21,22 @@ from qauthsim.netsim import (
     run_trial,
     topology_from_json,
 )
-from qauthsim.protocol import PayloadDistribution, SessionConfig
-from qauthsim.qsim import BELL_CACHE_MAX, NAMED_STATES, SimulationError, Simulator, make_rng
+from qauthsim.protocol import (
+    Initiator,
+    PayloadDistribution,
+    Responder,
+    SessionConfig,
+    SessionState,
+)
+from qauthsim.qsim import (
+    BELL_CACHE_MAX,
+    NAMED_STATES,
+    Basis,
+    Draws,
+    SimulationError,
+    Simulator,
+    make_rng,
+)
 
 CHAIN = Topology.chain(1)
 
@@ -369,6 +383,33 @@ def test_random_trials_keep_invariants(case):
         assert not record.detected and record.completed
         assert record.data_qubits_intact == record.data_qubits_delivered
         assert record.data_qubits_delivered == session.data_qubit_target
+
+
+def test_per_trial_objects_hold_no_instance_dict():
+    # Every object made per trial or per transfer has fixed slots, which
+    # every step, hop and swap reads: a field or class added without one
+    # brings the instance dict back and fails here. The fabric is traced
+    # and the repeater logs and draws, so their optional slots are set.
+    key = KeyMaterial.random(8, make_rng(1))
+    cfg = config(key="0110", payload=PayloadDistribution("fixed", "+"))
+    sim = Simulator()
+    behavior = InterceptResend("random_zx")
+    repeater = RepeaterState(behavior, "r1", 7, [])
+    trace = []
+    fabric = EntanglementFabric(sim, CHAIN, repeater, Draws(3), trace)
+    sim.release(fabric.transfer(sim.prepare(0, Basis.Z), "forward"))
+    assert trace and repeater.log and repeater.rng is not None
+    sim.make_bell_pair()
+    objects = [
+        sim, next(iter(sim._groups.values())), Draws(1),
+        key, qa.parse_key("0110"), cfg.sched, KeyCursors(), AuthPlan(0, 1),
+        cfg.payload, cfg, SessionState(),
+        Initiator(cfg, sim, Draws(1), []), Responder(cfg, sim, Draws(1), []),
+        Honest(), behavior, repeater,
+        CHAIN, run_trial(CHAIN, behavior, cfg, seed=1), fabric,
+    ]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 # -- wire format ------------------------------------------------------------------------
