@@ -15,13 +15,7 @@ from typing import Callable, NamedTuple
 from . import adversary as adv
 from . import netsim
 from . import protocol as proto
-from .keyschedule import (
-    MAX_KEY_LENGTH,
-    MAX_TRANSFER_LENGTH,
-    ScheduleConfig,
-    capacity,
-    parse_key,
-)
+from .keyschedule import MAX_KEY_LENGTH, ScheduleConfig, capacity, parse_key
 from .qsim import derive_seed
 
 
@@ -121,8 +115,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.t_values:
             raise ConfigError("need at least one transfer length")
-        if any(not 1 <= t <= MAX_TRANSFER_LENGTH for t in self.t_values):
-            raise ConfigError(f"transfer lengths must be in [1, {MAX_TRANSFER_LENGTH}]")
         if len(set(self.t_values)) != len(self.t_values):
             # each T is one row and one batch of trials; a repeat would emit
             # its row twice and, in JSON, keep only one batch of trials
@@ -137,27 +129,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"master seed must be in [0, 2**64), got {self.master_seed}"
             )
-        if self.data_target < 0:
-            raise ConfigError("data target must be >= 0")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"format must be one of {OUTPUT_FORMATS}")
-        # parsed here too, so that a table experiment refuses a bad label
-        behavior = adv.parse_behavior(self.adversary)
-        proto.PayloadDistribution.parse(self.payload)
-        node, mids = self.malicious_node, self.topology.intermediates
-        if isinstance(behavior, adv.InterceptResend):
-            if not mids:
-                raise ConfigError(netsim.NO_INTERMEDIATE)
-            if node is not None and node not in mids:
-                raise ConfigError(f"malicious node {node!r} is not on the path interior")
-        elif node is not None:
-            raise ConfigError("an honest repeater path has no malicious node")
-        if self.key_length < max(max(self.t_values), 2):
-            raise ConfigError("key length must cover the largest transfer length")
-        if self.key_length > MAX_KEY_LENGTH:
-            raise ConfigError(
-                f"key length must be <= {MAX_KEY_LENGTH}, got {self.key_length}"
-            )
         if self.analytic_rounds < 1:
             raise ConfigError("analytic rounds must be >= 1")
         if self.key_bits is not None and not (
@@ -168,8 +141,33 @@ class ExperimentConfig:
             raise ConfigError(
                 f"key_bits must be in [2, {MAX_KEY_LENGTH}], got {self.key_bits}"
             )
-        if self.key is not None:
-            parse_key(self.key, self.key_bits)
+        try:
+            self.campaign()  # for every experiment, tables included
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+
+    def campaign(self) -> tuple[adv.Behavior, str | None, dict[int, proto.SessionConfig]]:
+        """The one path from this config to what a campaign runs: the
+        behavior, the malicious node ``netsim.intercept_node`` resolves, and
+        each transfer length's session, in order. Each value is checked by
+        the library constructor or parser that takes it, whose ValueError
+        this raises."""
+        behavior = adv.parse_behavior(self.adversary)
+        payload = proto.PayloadDistribution.parse(self.payload)
+        node = netsim.intercept_node(self.topology, behavior, self.malicious_node)
+        key = None if self.key is None else parse_key(self.key, self.key_bits)
+        sessions = {
+            t: proto.SessionConfig(
+                key=key,
+                sched=ScheduleConfig(t, self.encoding_index),
+                data_qubit_target=self.data_target,
+                reverse_auth=self.reverse_auth,
+                payload=payload,
+                key_length=self.key_length,
+            )
+            for t in self.t_values
+        }
+        return behavior, node, sessions
 
 
 @dataclass(frozen=True)
@@ -243,8 +241,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run a trial campaign and aggregate per transfer length.
 
-    The behaviour, key, payload and every transfer length's session are
-    built before the first trial, so a config error raises before any trial
+    What the trials run comes from ``cfg.campaign()``, which the config's
+    constructor has already run, so a config error raises before any trial
     runs or any sink is written. Each sink, when given, receives one
     ``append`` per trial as the trial ends: a dict with ``transfer_length``,
     ``trial_index`` and that trial's ``records`` (trace) or ``events``
@@ -253,20 +251,7 @@ def run_experiment(
     """
     if EXPERIMENT_SPECS[cfg.experiment].table is not None:
         raise ConfigError(f"{cfg.experiment} is not a trial campaign")
-    behavior = adv.parse_behavior(cfg.adversary)
-    key = None if cfg.key is None else parse_key(cfg.key, cfg.key_bits)
-    payload = proto.PayloadDistribution.parse(cfg.payload)
-    sessions = {
-        t: proto.SessionConfig(
-            key=key,
-            sched=ScheduleConfig(t, cfg.encoding_index),
-            data_qubit_target=cfg.data_target,
-            reverse_auth=cfg.reverse_auth,
-            payload=payload,
-            key_length=cfg.key_length,
-        )
-        for t in cfg.t_values
-    }
+    behavior, node, sessions = cfg.campaign()
 
     rows: list[MetricsRow] = []
     records: dict[int, list[netsim.TrialRecord]] = {}
@@ -281,7 +266,7 @@ def run_experiment(
                 behavior,
                 session,
                 trial_seed(cfg.master_seed, t, i),
-                malicious_node=cfg.malicious_node,
+                malicious_node=node,
                 trace=trace,
                 intercept_log=intercepts,
                 bell_memo=bell_memo,
@@ -387,20 +372,9 @@ def rows_to_table(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_json(cfg: ExperimentConfig) -> dict:
-    data = asdict(cfg)
-    data["t_values"] = list(cfg.t_values)
-    data["topology"] = {
-        "nodes": list(cfg.topology.nodes),
-        "edges": [list(e) for e in cfg.topology.edges],
-        "path": list(cfg.topology.path),
-    }
-    return data
-
-
 def campaign_json(result: ExperimentResult) -> str:
     payload = {
-        "config": _config_json(result.config),
+        "config": asdict(result.config),
         "rows": campaign_row_dicts(result),
         "trials": {
             str(t): [asdict(r) for r in batch]

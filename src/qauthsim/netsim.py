@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from . import adversary as adv
@@ -227,11 +227,25 @@ class TrialRecord:
     swap_corrections: int
 
 
-def default_malicious_node(topology: Topology) -> str:
+def intercept_node(
+    topology: Topology, behavior: adv.Behavior, node: str | None = None
+) -> str | None:
+    """The node at which ``behavior`` intercepts: ``node`` when given,
+    otherwise the middle intermediate; None for an honest behavior. Raises
+    ValueError for a node beside an honest behavior or off the path
+    interior, and for an intercepting behavior on a direct path."""
+    if not isinstance(behavior, adv.InterceptResend):
+        if node is not None:
+            raise ValueError("an honest repeater path has no malicious node")
+        return None
     mids = topology.intermediates
     if not mids:
         raise ValueError(NO_INTERMEDIATE)
-    return mids[len(mids) // 2]
+    if node is None:
+        return mids[len(mids) // 2]
+    if node not in mids:
+        raise ValueError(f"malicious node {node!r} is not on the path interior")
+    return node
 
 
 #: Scheduler sweeps one round takes beside its data sweeps, at most: the
@@ -280,42 +294,31 @@ def run_trial(
     ``json.loads`` of an entry gives the event's dict. ``bell_memo`` is
     handed to the trial's ``Simulator``; the memo it holds changes no result,
     only how many Bell tables are built.
-    Raises SimulationError when the session runs past ``sweep_bound``
+    Raises ValueError when ``intercept_node`` refuses the malicious node,
+    and SimulationError when the session runs past ``sweep_bound``
     scheduler sweeps or a qubit outlives the trial.
     """
     rng_world = Draws(derive_seed(seed, 0))
-    eve_seed = derive_seed(seed, 1)
-    if config.key is None:
+    key = config.key
+    if key is None:
         # A fresh key is drawn until it is non-zero: an all-zero key never
         # schedules a data window. At 1024 bits the first draw always is.
         key_rng = make_rng(derive_seed(seed, 2))
         key = KeyMaterial.random(config.key_length, key_rng)
         while not any(key.bits):
             key = KeyMaterial.random(config.key_length, key_rng)
-        config = replace(config, key=key)
-    if config.data_qubit_target > 0 and not any(config.key.bits):
-        raise ValueError("all-zero key never schedules a data window")
     bound = sweep_bound(
-        config.data_qubit_target, config.key.length, config.sched.transfer_length
+        config.data_qubit_target, key.length, config.sched.transfer_length
     )
-
-    node = None
-    if isinstance(behavior, adv.InterceptResend):
-        node = malicious_node
-        if node is None:
-            node = default_malicious_node(topology)
-        if node not in topology.intermediates:
-            raise ValueError(f"malicious node {node!r} is not on the path interior")
-    elif malicious_node is not None:
-        raise ValueError("an honest repeater path has no malicious node")
+    node = intercept_node(topology, behavior, malicious_node)
     # a per-trial log, so that seq restarts at 0 in every trial
     log = None if intercept_log is None else []
-    repeater = adv.RepeaterState(behavior, node, eve_seed, log)
+    repeater = adv.RepeaterState(behavior, node, derive_seed(seed, 1), log)
 
     sim = Simulator(bell_memo)
     fabric = EntanglementFabric(sim, topology, repeater, rng_world, trace)
-    alice = proto.Initiator(config, sim, rng_world, trace)
-    bob = proto.Responder(config, sim, rng_world, trace)
+    alice = proto.Initiator(config, key, sim, rng_world, trace)
+    bob = proto.Responder(config, key, sim, rng_world, trace)
     alice_state, alice_step, alice_recv = alice.state, alice.step, alice.receive_phases
     bob_state, bob_step, bob_recv = bob.state, bob.step, bob.receive_phases
     alice_inbox: deque[QubitRef] = deque()
@@ -323,7 +326,6 @@ def run_trial(
     absorbing = proto.ABSORBING
     transfer = fabric.transfer
     amplitudes = sim.amplitudes
-    payload_truth = alice.payload_truth
 
     data_delivered = 0
     data_intact = 0
@@ -343,7 +345,7 @@ def run_trial(
                           or alice_state.phase is not phase)
             if sent is not None:
                 arrived = transfer(sent, "forward")
-                truth = payload_truth.pop(sent, None)
+                truth = alice.payload_truth
                 if truth is not None:
                     data_delivered += 1
                     if states_equal(amplitudes(arrived), truth):

@@ -120,15 +120,22 @@ class SessionConfig:
     data_qubit_target: int
     reverse_auth: bool = False
     payload: PayloadDistribution = field(default_factory=PayloadDistribution)
-    key_length: int = 1024  # used when key is None and a fresh one is sampled
+    key_length: int = 1024  # a fresh key's length when key is None; checked always
 
     def __post_init__(self):
         if self.data_qubit_target < 0:
             raise ValueError("data qubit target must be >= 0")
-        if self.key is not None and self.key.length < max(self.sched.transfer_length, 2):
+        shortest = max(self.sched.transfer_length, 2)
+        if self.key is not None and self.key.length < shortest:
             raise ValueError("key shorter than max(transfer length, 2)")
-        if self.key is None and self.key_length < max(self.sched.transfer_length, 2):
+        if self.key_length < shortest:
             raise ValueError("key length shorter than max(transfer length, 2)")
+        if self.key_length > ks.MAX_KEY_LENGTH:
+            raise ValueError(
+                f"key length must be <= {ks.MAX_KEY_LENGTH}, got {self.key_length}"
+            )
+        if self.data_qubit_target > 0 and self.key is not None and not any(self.key.bits):
+            raise ValueError("all-zero key never schedules a data window")
 
 
 @dataclass(slots=True)
@@ -163,14 +170,13 @@ class _Endpoint:
     def __init__(
         self,
         config: SessionConfig,
+        key: ks.KeyMaterial,
         sim: Simulator,
         rng,
         trace: list | None = None,
     ):
-        if config.key is None:
-            raise ValueError("endpoint needs a resolved key")
         self.config = config
-        self.key = config.key
+        self.key = key  # config.key, or the key drawn for this session
         self.sched = config.sched
         self.sim = sim
         self.rng = rng
@@ -243,9 +249,10 @@ class Initiator(_Endpoint):
     role = "initiator"
     __slots__ = ("payload_truth",)
 
-    def __init__(self, config, sim, rng, trace=None):
-        super().__init__(config, sim, rng, trace)
-        self.payload_truth: dict[int, tuple[complex, complex]] = {}
+    def __init__(self, config, key, sim, rng, trace=None):
+        super().__init__(config, key, sim, rng, trace)
+        #: the truth of the data qubit the last step sent; None after an auth send
+        self.payload_truth: tuple[complex, complex] | None = None
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state
@@ -268,7 +275,7 @@ class Initiator(_Endpoint):
                 self._complete()
                 return None
             qubit, truth = sample_payload(self.sim, self.config.payload, self.rng)
-            self.payload_truth[qubit] = truth
+            self.payload_truth = truth
             st.sent_count += 1
             st.qubits_delivered += 1
             return qubit
@@ -285,6 +292,7 @@ class Initiator(_Endpoint):
             # Reverse authentication: prove our own identity with the same
             # round's plan, then resume the schedule.
             qubit = self.sim.prepare(self.plan.encoding_bit, self.plan.basis)
+            self.payload_truth = None
             self.auth_qubits_sent += 1
             if self.trace is not None:
                 self._emit(f'"event": "prepare_auth", "state": "{self.plan.expected_state}"')
@@ -319,9 +327,7 @@ class Responder(_Endpoint):
                 elif st.qubits_delivered >= self.config.data_qubit_target:
                     self._complete()
                 return None
-            else:
-                if st.qubits_delivered >= self.config.data_qubit_target:
-                    self._complete()
+            else:  # below the target, which only an arrival reaches
                 return None
 
         if st.phase is _AUTH_PREPARE:

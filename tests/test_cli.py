@@ -1,14 +1,17 @@
 """Command-line surface: subcommands, option layering, outputs, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qauthsim import cli, netsim, protocol, qsim
 from qauthsim import experiments as exp
+from qauthsim.adversary import BEHAVIOR_LABELS
 from qauthsim.cli import build_config, build_parser, load_config_file, main
 from qauthsim.keyschedule import MAX_KEY_LENGTH
 from helpers import decoded
@@ -196,6 +199,8 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
 
 #: a path with no intermediate node, where no repeater can intercept
 DIRECT = {"topology": {"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a", "b"]}}
+#: a key that covers a transfer length of up to 4 only
+KEY4 = {"key": "0110"}
 
 
 @pytest.mark.parametrize("argv", [["analytic", "--rounds", "2"],
@@ -205,16 +210,20 @@ DIRECT = {"topology": {"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a",
                                      {"key": "01x", "malicious_node": "zz"},
                                      {"malicious_node": "zz"},
                                      {"adversary": "honest", "malicious_node": "r1"},
-                                     DIRECT])
+                                     DIRECT, {"encoding_index": 7}, {"key": "00"}, KEY4])
 def test_table_experiments_check_the_campaign_labels(tmp_path, capsys, argv, setting):
     # A table experiment runs no campaign, but a mistyped adversary, payload
     # or key, a malicious node off the path interior or beside an honest
-    # adversary, or an intercepting adversary (the default) on a path with
-    # no intermediate node, in its config file is still refused, as every
-    # experiment whose default adversary intercepts refuses it; valid ones
-    # change nothing.
+    # adversary, an intercepting adversary (the default) on a path with no
+    # intermediate node, an encoding index other than 0 or 1, an all-zero
+    # key, or a key shorter than some transfer length, in its config file is
+    # still refused, as every experiment whose default adversary intercepts
+    # refuses it; valid ones change nothing.
     path = tmp_path / "f.json"
     path.write_text(json.dumps(setting))
+    if setting is KEY4 and "-T" in argv:  # capacity at T = 2, which 4 bits cover
+        assert run([*argv, "--config", str(path)], capsys) == run(argv, capsys)
+        return
     code, out, err = run([*argv, "--config", str(path)], capsys)
     assert code == 2
     assert out == ""
@@ -225,7 +234,7 @@ def test_table_experiments_check_the_campaign_labels(tmp_path, capsys, argv, set
         code, _, campaign_err = run([campaign, "--config", str(path)], capsys)
         assert (code, campaign_err) == (2, err), campaign
     for valid in ({"adversary": "honest", "payload": "fixed:-"},
-                  {"adversary": "intercept_x", "key": "0110", "malicious_node": "r1"},
+                  {"adversary": "intercept_x", "key": "01101", "malicious_node": "r1"},
                   {**DIRECT, "adversary": "honest"}):
         path.write_text(json.dumps(valid))
         assert run([*argv, "--config", str(path)], capsys) == run(argv, capsys)
@@ -596,3 +605,112 @@ def test_entries_are_canonical_json_and_lines_the_dict_form(tmp_path, capsys, ad
     else:  # failed verdicts, the silent close-out and the intercept log
         assert kinds >= {"window", "prepare_auth", "swap", "teleport", "verdict",
                          "terminate", None}
+
+
+# -- config fuzz -------------------------------------------------------------------
+
+#: wrong-typed values for any config key
+junk = st.sampled_from([None, True, 1.5, "1", [], {}, [1, "2"]])
+#: config-file values by key: (usual, refused or boundary) values. The usual
+#: ones keep a campaign so small that it costs milliseconds, but together
+#: they may still be refused (an all-zero key, a key shorter than some T);
+#: a key length past 64 bits is always refused. ``trials`` and
+#: ``data_target``, which alone size a campaign, are always set.
+config_values = {
+    "trials": (st.sampled_from([1, 2]), st.sampled_from([0, -1])),
+    "data_target": (st.sampled_from([2, 0, 3]), st.just(-1)),
+    "t_values": (st.one_of(st.lists(st.integers(1, 16), min_size=1, max_size=3, unique=True),
+                           st.integers(1, 16)),
+                 st.one_of(st.lists(st.integers(-1, 17), max_size=3), st.sampled_from([0, 17]))),
+    "master_seed": (st.sampled_from([7, 0, 2**64 - 1]), st.sampled_from([-1, 2**64])),
+    "output_format": (st.sampled_from(exp.OUTPUT_FORMATS), st.just("xml")),
+    "out": (st.sampled_from([None, "", "fuzz.out"]), st.nothing()),
+    "key_length": (st.sampled_from([64, 2, 5, 16]),
+                   st.sampled_from([-1, 0, 1, MAX_KEY_LENGTH + 1, 10**9])),
+    "key": (st.text("01", min_size=1, max_size=6),
+            st.sampled_from(["", "0x", "0xd", "0xZZ", "012", "1" * (MAX_KEY_LENGTH + 1)])),
+    "key_bits": (st.none(), st.sampled_from([-3, 1, 4, MAX_KEY_LENGTH + 1])),
+    "encoding_index": (st.sampled_from([0, 1]), st.sampled_from([-1, 2, 7])),
+    "reverse_auth": (st.booleans(), st.nothing()),
+    "payload": (st.sampled_from(["uniform4", "haar", "fixed:+", "fixed:-"]),
+                st.sampled_from(["fixed:2", "fixed:", "bogus"])),
+    "adversary": (st.sampled_from(sorted(BEHAVIOR_LABELS)), st.sampled_from(["bogus", ""])),
+    "malicious_node": (st.sampled_from([None, "r1"]),
+                       st.one_of(st.sampled_from(["", "alice", "zz"]), json_text)),
+    "analytic_rounds": (st.sampled_from([1, 3]), st.sampled_from([0, -1])),
+}
+
+
+@st.composite
+def topologies(draw):
+    """Topology keys: a chain through odd node names, flat or nested under
+    ``topology``, sometimes with one key missing or given junk."""
+    names = draw(st.lists(st.one_of(st.sampled_from(["r1", "m", "bob"]), json_text),
+                          max_size=3, unique=True))
+    path = ["alice", *names, "bob"]
+    obj = {"nodes": path, "edges": [list(e) for e in zip(path, path[1:])], "path": path}
+    bad = draw(st.sampled_from([None] * 6 + list(netsim.TOPOLOGY_KEYS)))
+    if bad and draw(st.booleans()):
+        del obj[bad]
+    elif bad:
+        obj[bad] = draw(junk)
+    return {"topology": obj} if draw(st.booleans()) else obj
+
+
+@st.composite
+def config_files(draw):
+    """A config-file object: usual values for some keys, then a refused,
+    boundary or wrong-typed value for up to two, maybe a topology and,
+    rarely, an unknown key."""
+    keys = sorted(config_values)
+    config = {key: draw(config_values[key][0]) for key in ("trials", "data_target")}
+    for key in draw(st.sets(st.sampled_from(keys), max_size=6)):
+        config[key] = draw(config_values[key][0])
+    if "key" not in config and draw(st.booleans()):  # a hex key and its length
+        config.update(key=draw(st.sampled_from(["0x1f", " 0X0"])),
+                      key_bits=draw(st.sampled_from([5, 8])))
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+        config[key] = draw(st.one_of(config_values[key][1], junk))
+    if draw(st.booleans()):
+        config.update(draw(topologies()))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        config[draw(st.sampled_from(["T", "seed", "experiment", "trial"]))] = 1
+    return config
+
+
+def _run_quiet(argv):
+    """``run`` without capsys, which hypothesis does not reset per example."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(config_files())
+@example({"trials": 1, "data_target": 2, "encoding_index": 7})
+@example({"trials": 1, "data_target": 2, "key": "00"})
+@example({"trials": 1, "data_target": 2, "key": "0110"})
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_config_files_are_refused_alike(tmp_path_factory, config):
+    # Every experiment reads a config through the one validation of
+    # ExperimentConfig, so each exits 0 or 2, a 2 with one error line, and
+    # refuses exactly what custom refuses under that experiment's defaults.
+    base = tmp_path_factory.getbasetemp()
+    if isinstance(config.get("out"), str) and config["out"]:
+        # every output file, junk names such as "1" too, stays in base
+        config["out"] = str(base / config["out"])
+    path, merged_path = base / "fuzz.json", base / "fuzz-merged.json"
+    path.write_text(json.dumps(config))
+    custom = {}  # custom's exit and stderr, by the settings it ran
+    for name, spec in exp.EXPERIMENT_SPECS.items():
+        merged = json.dumps({**spec.defaults, **config})
+        if merged not in custom:
+            merged_path.write_text(merged)
+            code, out, err = _run_quiet(["custom", "--config", str(merged_path)])
+            assert code in (0, 2), err
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            custom[merged] = code, err
+        if name != "custom":
+            code, _, err = _run_quiet([name, "--config", str(path)])
+            assert (code, err) == custom[merged], name

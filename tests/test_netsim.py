@@ -17,7 +17,7 @@ from qauthsim.keyschedule import AuthPlan, KeyCursors, KeyMaterial, ScheduleConf
 from qauthsim.netsim import (
     EntanglementFabric,
     Topology,
-    default_malicious_node,
+    intercept_node,
     run_trial,
     topology_from_json,
 )
@@ -58,7 +58,7 @@ def test_chain_topology_layout():
     topo = Topology.chain(3)
     assert topo.path == ("alice", "r1", "r2", "r3", "bob")
     assert topo.intermediates == ("r1", "r2", "r3")
-    assert default_malicious_node(topo) == "r2"
+    assert intercept_node(topo, InterceptResend()) == "r2"
 
 
 def test_direct_path_has_no_intermediates():
@@ -66,7 +66,7 @@ def test_direct_path_has_no_intermediates():
     assert topo.path == ("alice", "bob")
     assert topo.intermediates == ()
     with pytest.raises(ValueError):
-        default_malicious_node(topo)
+        intercept_node(topo, InterceptResend())
 
 
 def test_topology_validation():
@@ -404,7 +404,7 @@ def test_per_trial_objects_hold_no_instance_dict():
         sim, next(iter(sim._groups.values())), Draws(1),
         key, qa.parse_key("0110"), cfg.sched, KeyCursors(), AuthPlan(0, 1),
         cfg.payload, cfg, SessionState(),
-        Initiator(cfg, sim, Draws(1), []), Responder(cfg, sim, Draws(1), []),
+        Initiator(cfg, key, sim, Draws(1), []), Responder(cfg, key, sim, Draws(1), []),
         Honest(), behavior, repeater,
         CHAIN, run_trial(CHAIN, behavior, cfg, seed=1), fabric,
     ]
