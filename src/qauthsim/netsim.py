@@ -16,10 +16,12 @@ from . import adversary as adv
 from . import protocol as proto
 from .keyschedule import KeyMaterial
 from .qsim import (
+    PHI_PLUS,
     Draws,
     QubitRef,
     SimulationError,
     Simulator,
+    bell_step,
     derive_seed,
     make_rng,
     states_equal,
@@ -92,20 +94,19 @@ def topology_from_json(obj) -> Topology:
     return Topology(tuple(obj["nodes"]), tuple(map(tuple, edges)), tuple(obj["path"]))
 
 
-#: by correction bits, the JSON text of an event's bits and the seq key after
-#: them: a lookup is cheaper than formatting two ints per event
-_BITS_SEQ = {
-    bits: f'"bits": [{bits[0]}, {bits[1]}], "seq": ' for bits in product((0, 1), repeat=2)
-}
+#: by outcome index 2 m_a + m_b, the JSON text of an event's correction bits
+#: and the seq key after them: cheaper than formatting two ints per event
+_BITS_SEQ = tuple(f'"bits": [{m_a}, {m_b}], "seq": ' for m_a, m_b in product((0, 1), repeat=2))
 
 
 class EntanglementFabric:
     """Provisioning of end-to-end entanglement plus correction-bit routing.
 
-    Every swap and every hop is one ``Simulator.bell_measure``, whose two
-    correction bits are the classical message of that step. The trace
-    numbers those messages in order, swaps and teleports alike, and gets
-    each as the JSON object text ``json.dumps`` gives for its event dict.
+    Each pair on the path is an amplitude tuple, never registered qubits.
+    Every swap and hop is one ``qsim.bell_step`` with the simulator's
+    ``bell_memo``; its two correction bits are the step's classical message.
+    The trace numbers those messages in order, swaps and teleports alike,
+    each the JSON object text ``json.dumps`` gives for its event dict.
     """
 
     __slots__ = ("sim", "topology", "repeater", "rng", "trace", "_swap_at", "_names",
@@ -139,74 +140,78 @@ class EntanglementFabric:
         self.teleports = 0
         self.swaps = 0
 
-    def provision(self) -> list[tuple[str, QubitRef, str, QubitRef]]:
+    def provision(self) -> list[tuple[str, tuple, str]]:
         """Distribute one Bell pair per path edge and run the swap policy.
 
-        Honest nodes swap immediately (corrections applied at the pair end
-        farther from the initiator); a retaining node ends the current
-        segment instead, so the result is one segment per stretch of the
-        path between non-swapping boundaries, each a
-        ``(left_node, left_q, right_node, right_q)`` tuple.
+        Each fresh pair is ``PHI_PLUS``. Honest nodes swap immediately
+        (corrections applied at the pair end farther from the initiator); a
+        retaining node ends the current segment instead, so the result is one
+        segment per stretch of the path between non-swapping boundaries, each
+        a ``(left_node, pair_amps, right_node)`` tuple, the left node's half
+        first in ``pair_amps``. No qubit is registered.
         """
         path = self.topology.path
         swap_at = self._swap_at
-        sim = self.sim
+        memo = self.sim.bell_memo
         rng = self.rng
         trace = self.trace
         segments = []
-        left_node, left_q, right_q = None, None, None
-        for i in range(len(path) - 1):
-            a, b = sim.make_bell_pair()
-            if left_q is None:
-                left_node, left_q, right_q = path[i], a, b
-                continue
+        left_node, chain = path[0], PHI_PLUS
+        for i in range(1, len(path) - 1):
             node = path[i]
             if swap_at[i]:
-                bits = sim.bell_measure(right_q, a, rng)
+                o, chain = bell_step(memo, chain, False, PHI_PLUS, True, rng)
                 self.swaps += 1
                 if trace is not None:
-                    trace.append(f'{self._swap_heads[i]}{_BITS_SEQ[bits]}'
+                    trace.append(f'{self._swap_heads[i]}{_BITS_SEQ[o]}'
                                  f'{self.swaps + self.teleports - 1}}}')
-                right_q = b
             else:
-                segments.append((left_node, left_q, node, right_q))
-                left_node, left_q, right_q = node, a, b
-        segments.append((left_node, left_q, path[-1], right_q))
+                segments.append((left_node, chain, node))
+                left_node, chain = node, PHI_PLUS
+        segments.append((left_node, chain, path[-1]))
         self.pairs_created += len(path) - 1
         return segments
 
     def transfer(self, payload: QubitRef, direction: str) -> QubitRef:
-        """Move one qubit end to end; returns the handle at the destination.
+        """Move one lone qubit end to end; returns the handle at the
+        destination. A bad ``direction`` or an entangled payload is refused
+        before anything is provisioned.
 
-        Each segment costs one teleport from its near end to its far end. At
-        a non-swapping boundary the qubit materializes on the repeater's own
-        half and is handed to the behavior, whose resend continues over the
-        next segment.
+        Each segment costs one teleport of the qubit's amplitudes from its
+        near end to its far end. The qubit is released after its Bell
+        measurement (one refused for a drifted norm stays live) and the
+        survivor registered as a fresh qubit. At a non-swapping boundary it
+        lands on the repeater's half, and the behavior's resend goes on.
         """
-        segments = self.provision()
-        if direction == "reverse":
-            hops = [(rn, rq, ln, lq) for ln, lq, rn, rq in reversed(segments)]
-        elif direction == "forward":
-            hops = segments
-        else:
+        forward = direction == "forward"
+        if not forward and direction != "reverse":
             raise ValueError("direction must be 'forward' or 'reverse'")
-
         sim = self.sim
+        amps = sim.amplitudes(payload)
+        if len(amps) != 2:
+            raise SimulationError(f"qubit {payload} is entangled; transfer a lone qubit")
+        hops = self.provision()
+        if not forward:
+            hops = [(rn, pair, ln) for ln, pair, rn in reversed(hops)]
+
+        memo = sim.bell_memo
         rng = self.rng
         trace = self.trace
         last = len(hops) - 1
         qubit = payload
-        for i, (near_node, near_q, far_node, far_q) in enumerate(hops):
-            bits = sim.bell_measure(qubit, near_q, rng)
+        for i, (near_node, pair, far_node) in enumerate(hops):
+            o, amps = bell_step(memo, amps, True, pair, forward, rng)
+            sim.release(qubit)
+            qubit = sim.allocate_unit(amps)
             self.teleports += 1
             if trace is not None:
                 names = self._names
                 trace.append(f'{{"event": "teleport", "from": {names[near_node]}, '
-                             f'"to": {names[far_node]}, {_BITS_SEQ[bits]}'
+                             f'"to": {names[far_node]}, {_BITS_SEQ[o]}'
                              f'{self.swaps + self.teleports - 1}}}')
-            qubit = far_q
             if i < last:
                 qubit = adv.handle_arrival(self.repeater, sim, qubit, direction, rng)
+                amps = sim.amplitudes(qubit)
         return qubit
 
 

@@ -15,13 +15,15 @@ the random streams. A tuple is immutable, so groups, ``NAMED_STATES`` and
 the Bell memo share them instead of copying; an operation replaces a
 group's tuple and never writes into one.
 
-``bell_measure`` is the one Bell-measurement step, hops and swaps alike: a
-teleport over one pair, its correction included. Inputs that recur, pair
-halves and the lone ``NAMED_STATES`` tuples, have their outcome table
-memoised (see ``_bell_table``); a repeater chain feeds it few of them, so
-most calls are one memo read and two draws. Any other lone qubit, such as
-a Haar payload, is one-shot: no later call repeats it, so it gets the drawn
-outcome only, with no table.
+``bell_step`` is the one Bell-measurement kernel, hops and swaps alike: a
+pure function of two amplitude tuples, a corrected teleport. Inputs that
+recur, pair halves and the lone ``NAMED_STATES`` tuples, have their outcome
+table memoised (``_bell_table``), so most calls are one memo read and two
+draws; any other lone qubit, such as a Haar payload, is one-shot and gets
+the drawn outcome only. ``Simulator.bell_measure`` is the same step on
+registered qubits. The repeater path (``netsim.EntanglementFabric``) calls
+``bell_step`` on its pairs' tuples, so those pairs never enter the
+registry: only qubits that endpoints and repeaters act on do.
 
 Every method that draws takes ``rng``, any object with ``random()``
 returning a float in [0, 1): a numpy Generator, or a :class:`Draws` stream.
@@ -85,7 +87,7 @@ NAMED_STATES = {
 EIGENSTATE_LABELS = ("01", "+-")
 
 #: The lone states whose Bell tables the memo keeps: any other lone operand
-#: is one-shot (see ``Simulator.bell_measure``)
+#: is one-shot (see ``bell_step``)
 _NAMED_AMPS = frozenset(NAMED_STATES.values())
 
 #: ``NAMED_STATES`` entries in the layout of ``EIGENSTATE_LABELS``
@@ -94,7 +96,7 @@ _EIGENSTATES = tuple(
 )
 
 #: (|00> + |11>)/sqrt(2), the state of every fresh Bell pair
-_PHI_PLUS = (_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j)
+PHI_PLUS = (_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j)
 
 #: The Bell outcomes (m_a, m_b), indexed by 2 m_a + m_b
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -237,35 +239,19 @@ class _Group:
 class Simulator:
     """Registry of live qubits and their entanglement groups.
 
-    ``bell_memo`` is the Bell-measurement memo to fill and read: a dict that
-    several simulators may share, since a table is a pure function of its
-    key. Without one, the simulator keeps a private memo.
+    ``bell_memo`` is the ``bell_step`` memo for this simulator's qubits and
+    its callers' tuples: a dict that several simulators may share, since a
+    table is a pure function of its key; by default a private one.
     """
 
-    __slots__ = ("_groups", "_next_id", "_bell_cache")
+    __slots__ = ("_groups", "_next_id", "bell_memo")
 
     def __init__(self, bell_memo: dict | None = None):
         self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
         self._next_id = 0
-        # (q's amps, q first, near's amps, near first) -> _bell_table(q's
-        # halves, near's halves)
-        self._bell_cache: dict[tuple, tuple] = {} if bell_memo is None else bell_memo
+        self.bell_memo: dict[tuple, tuple] = {} if bell_memo is None else bell_memo
 
     # -- allocation / bookkeeping ------------------------------------------
-
-    def allocate_qubit(self, state=None) -> QubitRef:
-        """Allocate a fresh qubit, in |0> or in the given 2-amplitude state."""
-        if state is None:
-            amps = NAMED_STATES["0"]
-        else:
-            amps = list(map(complex, state))
-            if len(amps) != 2:
-                raise ValueError("single-qubit state needs exactly 2 amplitudes")
-            norm = math.sqrt(abs(amps[0]) ** 2 + abs(amps[1]) ** 2)
-            if not math.isfinite(norm) or norm < 1e-12:
-                raise ValueError("state amplitudes must be finite and non-zero")
-            amps = (amps[0] / norm, amps[1] / norm)
-        return self.allocate_unit(amps)
 
     def allocate_unit(self, amps: tuple[complex, complex]) -> QubitRef:
         """A fresh qubit holding ``amps``, two amplitudes whose norm the
@@ -348,7 +334,7 @@ class Simulator:
         qid = self._next_id
         self._next_id = qid + 2
         # Same result as H on a then CNOT(a, b); built directly for speed.
-        pair = _Group([qid, qid + 1], _PHI_PLUS)
+        pair = _Group([qid, qid + 1], PHI_PLUS)
         self._groups[qid] = self._groups[qid + 1] = pair
         return qid, qid + 1
 
@@ -360,37 +346,10 @@ class Simulator:
         pair this is an entanglement swap: far ends up paired with q's old
         partner, which comes first in their group.
 
-        One fused kernel with the outcome statistics and random draws of
-        CNOT(q->near), H on q, then Z measurements of q and near. For every
-        basis index r of the other qubits the four branches are
-
-            c[m_a][m_b](r) = (amp[r, 0, m_b] + (-1)^m_a amp[r, 1, 1-m_b]) / sqrt(2)
-
-        with amp[r, x, y] the amplitude at q = x and near = y, read from the
-        two groups as they stand. m_a is drawn with P(m_a = 1), then m_b
-        with P(m_b = 1 | m_a): exactly two ``rng.random()`` calls, against
-        the same thresholds as the gate sequence. A ``near`` that is not
-        half of a pair, dead qubits, q and near in one group, and operands
-        whose joint norm has drifted are refused before any draw, with every
-        group left as it was.
-
-        The outcome table (``_bell_table``) is memoised, keyed on each
-        operand group's amplitude tuple and whether the measured qubit is
-        its first. It is a pure function of the key, so a hit returns what a
-        miss computes and needs no norm check. Keys compare with ``==``, so
-        0.0 and -0.0 share an entry: a hit may differ from a miss in the
-        sign of a zero, which reaches no weight, draw or output. One memo
-        may serve many simulators; it is emptied when it holds
-        ``BELL_CACHE_MAX`` entries. The survivors' group takes the table's
-        corrected tuple itself, so equal inputs and draws share one tuple.
-
-        Only inputs that recur enter the memo: a pair-half ``q`` (a swap)
-        and a lone ``q`` holding a ``NAMED_STATES`` tuple (auth qubits,
-        named payloads, intercept resends). A miss on any other lone ``q``,
-        such as a Haar payload, is one-shot (``_bell_once``): the same norm
-        check and draws, and the drawn outcome's survivor equal bit for bit
-        to the table's, with no table built and the memo untouched, so it
-        never crowds the reusable tables out.
+        The registry bookkeeping around ``bell_step`` on the two groups'
+        tuples and ``bell_memo``. A ``near`` that is not half of a pair,
+        dead qubits, q and near in one group and (in ``bell_step``) a
+        drifted joint norm are refused before any draw, groups untouched.
         """
         if q == near:
             raise ValueError("Bell measurement needs two distinct qubits")
@@ -406,21 +365,7 @@ class Simulator:
             raise SimulationError(f"qubit {near} is not half of a pair")
         q_first = qq[0] == q
         near_first = qn[0] == near
-        cache = self._bell_cache
-        key = (gq.amps, q_first, gn.amps, near_first)
-        table = cache.get(key)
-        if table is None and len(qq) == 1 and gq.amps not in _NAMED_AMPS:
-            o, amps = _bell_once(gq.amps, gn.amps, near_first, rng)
-        else:
-            if table is None:
-                table = _bell_table(_halves(gq.amps, q_first), _halves(gn.amps, near_first))
-                if len(cache) >= BELL_CACHE_MAX:
-                    cache.clear()
-                cache[key] = table
-            pa1, pb1s, corrected = table
-            m_a = rng.random() < pa1
-            o = 2 * m_a + (rng.random() < pb1s[m_a])  # the outcome's index
-            amps = corrected[o]
+        o, amps = bell_step(self.bell_memo, gq.amps, q_first, gn.amps, near_first, rng)
 
         del groups[q], groups[near]
         # qq[q_first] is q's partner: index 1 when q is first, 0 when q is
@@ -433,6 +378,57 @@ class Simulator:
             gn.qubits = [qn[near_first]]
         gn.amps = amps
         return _OUTCOMES[o]
+
+
+def bell_step(memo: dict, q_amps: tuple, q_first: bool, near_amps: tuple,
+              near_first: bool, rng) -> tuple[int, tuple]:
+    """Teleport q over the pair (near, far) on amplitude tuples: ``q_amps``
+    is lone q's two amplitudes or the four of q's pair (q first when
+    ``q_first``), ``near_amps`` the four of near's pair (near first when
+    ``near_first``). Returns the outcome's index 2 m_a + m_b and the
+    survivor: the amplitudes of q's partner, if any, then far, with
+    X^(m_b) Z^(m_a) applied at far.
+
+    One fused kernel with the outcome statistics and random draws of
+    CNOT(q->near), H on q, then Z measurements of q and near. For every
+    basis index r of the other qubits the four branches are
+
+        c[m_a][m_b](r) = (amp[r, 0, m_b] + (-1)^m_a amp[r, 1, 1-m_b]) / sqrt(2)
+
+    with amp[r, x, y] the amplitude at q = x and near = y. m_a is drawn with
+    P(m_a = 1), then m_b with P(m_b = 1 | m_a): exactly two ``rng.random()``
+    calls, against the same thresholds as the gate sequence. Operands whose
+    joint norm has drifted are refused with ``SimulationError`` before any
+    draw, leaving ``memo`` as it was.
+
+    The outcome table (``_bell_table``) is memoised in ``memo``, keyed on
+    the arguments before ``rng``: a pure function of the key, so a hit
+    returns what a miss computes and needs no norm check. Keys compare with
+    ``==``, so 0.0 and -0.0 share an entry, which changes the sign of a zero
+    only, never a weight, draw or output. The memo is emptied when it holds
+    ``BELL_CACHE_MAX`` entries. Equal inputs and draws share the table's
+    survivor tuple.
+
+    Only inputs that recur enter the memo: a pair-half q (a swap) and a
+    lone q holding a ``NAMED_STATES`` tuple (auth qubits, named payloads,
+    intercept resends). A miss on any other lone q, such as a Haar payload,
+    is one-shot (``_bell_once``): the same norm check and draws and the
+    drawn outcome's survivor, bit for bit, with no table built and the memo
+    untouched.
+    """
+    key = (q_amps, q_first, near_amps, near_first)
+    table = memo.get(key)
+    if table is None:
+        if len(q_amps) == 2 and q_amps not in _NAMED_AMPS:
+            return _bell_once(q_amps, near_amps, near_first, rng)
+        table = _bell_table(_halves(q_amps, q_first), _halves(near_amps, near_first))
+        if len(memo) >= BELL_CACHE_MAX:
+            memo.clear()
+        memo[key] = table
+    pa1, pb1s, corrected = table
+    m_a = rng.random() < pa1
+    o = 2 * m_a + (rng.random() < pb1s[m_a])  # the outcome's index
+    return o, corrected[o]
 
 
 def _bell_table(xs: tuple, ys: tuple) -> tuple:
@@ -494,13 +490,11 @@ def _bell_table(xs: tuple, ys: tuple) -> tuple:
 
 
 def _bell_once(xs: tuple, near_amps: tuple, near_first: bool, rng) -> tuple:
-    """A lone operand ``xs`` measured against the pair ``near_amps``: the
-    two draws and the drawn outcome's corrected survivor only, as
-    ``(index, survivor)``. ``_bell_table``'s expressions in its order
-    (branch products, weights summed branch 0 then 1, the norm check before
-    any draw, ``pa1``, ``pb1`` given m_a, the scale, X then Z), spelled out
-    for the lone operand's two branches, so bits and survivor are those of
-    the table's entry to the last bit."""
+    """``bell_step`` for a lone operand ``xs`` without a table: the drawn
+    outcome only. ``_bell_table``'s expressions in its order (branch
+    products, weights summed branch 0 then 1, the norm check before any
+    draw, ``pa1``, ``pb1`` given m_a, the scale, X then Z), spelled out for
+    two branches, so bits and survivor equal the table's to the last bit."""
     x0, x1 = xs
     a0, a1, a2, a3 = near_amps
     y0, y1, z0, z1 = (a0, a2, a1, a3) if near_first else near_amps

@@ -20,14 +20,17 @@ def assert_bell_pair(sim, a, b):
     assert members == group_of(sim, b) and len(members) == 2, (
         f"qubits {a} and {b} are not an isolated entangled pair"
     )
-    t = np.array(sim.amplitudes(a), dtype=complex).reshape(2, 2)
-    if members[0] != a:
-        t = t.T
+    assert_maximally_entangled(sim.amplitudes(a))
+
+
+def assert_maximally_entangled(amps):
+    """Require that a pair's four amplitudes leave each of its qubits with a
+    reduced state of purity 1/2 (the two purities of a pure pair agree)."""
+    t = np.array(amps, dtype=complex).reshape(2, 2)
     rho = t @ t.conj().T
     purity = float(np.trace(rho @ rho).real)
     assert abs(purity - 0.5) <= 1e-9, (
-        f"qubits {a} and {b} are not maximally entangled"
-        f" (reduced purity {purity:.6f})"
+        f"the pair is not maximally entangled (reduced purity {purity:.6f})"
     )
 
 

@@ -332,7 +332,7 @@ def test_criterion_8c_teleport_and_swap_fidelity():
                 a, b = sim.make_bell_pair()
                 sim.bell_measure(right, a, rng)  # swap: the far half moves on
                 right = b
-            payload = sim.allocate_qubit(v)
+            payload = sim.allocate_unit(v)
             assert_bell_pair(sim, left, right)
             sim.bell_measure(payload, left, rng)
             assert states_equal(sim.amplitudes(right), v, tol=1e-9)

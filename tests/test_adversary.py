@@ -3,6 +3,7 @@ blindness, and the entanglement layout each behavior leaves behind."""
 
 import json
 
+import numpy as np
 import pytest
 
 import qauthsim as qa
@@ -17,7 +18,7 @@ from qauthsim.adversary import (
 from qauthsim.keyschedule import ScheduleConfig
 from qauthsim.netsim import EntanglementFabric
 from qauthsim.protocol import SessionConfig
-from helpers import assert_bell_pair, decoded, group_of
+from helpers import assert_maximally_entangled, decoded
 from qauthsim.cli import main
 from qauthsim.experiments import trial_seed
 from qauthsim.qsim import (
@@ -57,7 +58,7 @@ def test_matching_basis_forwarding_is_transparent():
     state = eve_state("always_z")
     rng = make_rng(1)
     for _ in range(20):
-        q = sim.allocate_qubit()  # |0>
+        q = sim.prepare(0, Basis.Z)  # |0>
         out = handle_arrival(state, sim, q, "forward", rng)
         assert states_equal(sim.amplitudes(out), NAMED_STATES["0"])
         sim.release(out)
@@ -71,7 +72,7 @@ def test_resend_is_the_measured_qubit_in_its_eigenstate():
     rng = make_rng(4)
     labels = {("Z", 0): "0", ("Z", 1): "1", ("X", 0): "+", ("X", 1): "-"}
     for i in range(40):
-        q = sim.allocate_qubit(NAMED_STATES["+-01"[i % 4]])
+        q = sim.allocate_unit(NAMED_STATES["+-01"[i % 4]])
         live = sim.live_count()
         assert handle_arrival(state, sim, q, "forward", rng) == q
         assert sim.live_count() == live
@@ -88,7 +89,7 @@ def test_z_interceptor_smashes_minus_state():
     fails = 0
     n = 10_000
     for _ in range(n):
-        q = sim.allocate_qubit(NAMED_STATES["-"])
+        q = sim.allocate_unit(NAMED_STATES["-"])
         out = handle_arrival(state, sim, q, "reverse", rng)
         # forwarded state is a Z eigenstate, never |->
         assert states_equal(sim.amplitudes(out), NAMED_STATES["0"]) or states_equal(
@@ -106,7 +107,7 @@ def test_intercept_log_contents_and_export(tmp_path, capsys):
     state = eve_state("random_zx", seed=9)
     rng = make_rng(3)
     for i in range(6):
-        q = sim.allocate_qubit(NAMED_STATES["+"])
+        q = sim.allocate_unit(NAMED_STATES["+"])
         out = handle_arrival(state, sim, q, "forward" if i % 2 else "reverse", rng)
         sim.release(out)
     assert [e["seq"] for e in decoded(state.log)] == list(range(6))
@@ -185,7 +186,7 @@ def test_a_fixed_policy_holds_no_stream_and_draws_nothing(policy, basis):
     sim = Simulator()
     rng = make_rng(6)
     for label in "01+-" * 5:
-        sim.release(handle_arrival(state, sim, sim.allocate_qubit(NAMED_STATES[label]),
+        sim.release(handle_arrival(state, sim, sim.allocate_unit(NAMED_STATES[label]),
                                    "forward", rng))
     assert [e["basis"] for e in decoded(state.log)] == [basis.value] * 20
 
@@ -219,18 +220,22 @@ def provision(topology, behavior, node=None, seed=0):
 
 
 def test_honest_single_repeater_leaves_end_to_end_pair():
+    # Segments are amplitude tuples, the left node's half first; provisioning
+    # registers no qubit.
     sim, segments = provision(CHAIN, Honest())
-    [(left, left_q, right, right_q)] = segments
+    [(left, amps, right)] = segments
     assert (left, right) == ("alice", "bob")
-    assert_bell_pair(sim, left_q, right_q)
-    assert states_equal(sim.amplitudes(left_q), [2**-0.5, 0, 0, 2**-0.5], tol=1e-9)
+    assert_maximally_entangled(amps)
+    assert states_equal(amps, [2**-0.5, 0, 0, 2**-0.5], tol=1e-9)
+    assert sim.live_count() == 0
 
 
 def test_honest_three_repeaters_leave_end_to_end_pair():
     topo = qa.Topology.chain(3)
     sim, segments = provision(topo, Honest())
-    [(_, left_q, _, right_q)] = segments
-    assert_bell_pair(sim, left_q, right_q)
+    [(_, amps, _)] = segments
+    assert_maximally_entangled(amps)
+    assert sim.live_count() == 0
 
 
 def test_interceptor_splits_the_channel():
@@ -238,16 +243,19 @@ def test_interceptor_splits_the_channel():
     # initiator's half is entangled with the interceptor's
     topo = qa.Topology.chain(3)
     sim, segments = provision(topo, InterceptResend("random_zx"), node="r2")
-    assert [(left, right) for left, _, right, _ in segments] == [
+    assert [(left, right) for left, _, right in segments] == [
         ("alice", "r2"),
         ("r2", "bob"),
     ]
-    (_, alice_q, _, eve_left_q), (_, eve_right_q, _, bob_q) = segments
-    assert_bell_pair(sim, alice_q, eve_left_q)
-    assert_bell_pair(sim, eve_right_q, bob_q)
-    with pytest.raises(AssertionError):
-        assert_bell_pair(sim, alice_q, bob_q)
-    assert eve_left_q in group_of(sim, alice_q)
+    (alice, alice_amps, eve_left), (_, eve_right_amps, _) = segments
+    assert_maximally_entangled(alice_amps)
+    assert_maximally_entangled(eve_right_amps)
+    assert (alice, eve_left) == ("alice", "r2")
+    # alice's and bob's halves share nothing: their reduced state is I/4
+    psi = np.kron(alice_amps, eve_right_amps).reshape(2, 2, 2, 2)
+    rho = np.einsum("aijb,cijd->abcd", psi, psi.conj()).reshape(4, 4)
+    np.testing.assert_allclose(rho, np.eye(4) / 4, atol=1e-12)
+    assert sim.live_count() == 0
 
 
 # -- detection statistics ---------------------------------------------------------

@@ -17,19 +17,26 @@ SCRIPT = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import worker
-from qauthsim import cli
+from qauthsim import cli, netsim, qsim
 
 spans = worker.Spans()
 steps = worker.install_spans(spans)
+# the one Bell kernel, counted under both names a caller can reach it by
+kernel = []
+def bell_step(*args, _inner=qsim.bell_step):
+    kernel.append(None)
+    return _inner(*args)
+qsim.bell_step = netsim.bell_step = bell_step
 with contextlib.redirect_stdout(io.StringIO()):
     status = cli.main(json.loads(sys.argv[3]))
-print(json.dumps({"status": status, "calls": spans.calls, "steps": steps}))
+print(json.dumps({"status": status, "calls": spans.calls, "steps": steps,
+                  "bell_step": len(kernel)}))
 """
 
 
 def spans_of(experiment, *argv):
-    """Calls per wrapped layer, and the step counts, of one 1-trial campaign
-    at T = 1 run under the benchmark's hooks."""
+    """Calls per wrapped layer, the step counts and the ``qsim.bell_step``
+    calls of one 1-trial campaign at T = 1 run under the benchmark's hooks."""
     argv = [experiment, *argv, "-T", "1", "--trials", "1", "--seed", "5", "--format", "csv"]
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "campaignbench"), str(ROOT / "src"),
@@ -42,33 +49,37 @@ def spans_of(experiment, *argv):
 
 
 def test_benchmark_spans_reach_every_layer():
-    # A MitM chain (two segments, no swaps) reaches every wrapped layer; an
-    # honest chain (one repeater that swaps) every layer but the intercept.
-    # On both, each transfer makes two pairs and Bell-measures twice, two
-    # hops or a swap and a hop, and every Bell measurement passes through
-    # the wrapped Simulator.bell_measure.
+    # A MitM chain (two segments, no swaps) reaches every wrapped layer but
+    # the registry's Bell kernels; an honest chain (one repeater that swaps)
+    # those and the intercept too. The repeater path holds its pairs as
+    # amplitude tuples, so it never makes a registered pair or calls
+    # Simulator.bell_measure. On both, each transfer makes two Bell
+    # measurements, two hops or a swap and a hop, and each is one call of
+    # the one kernel, qsim.bell_step.
     honest = ["fig5_overhead", "--adversary", "honest"]
-    for argv, unreached in ((["fig2_success"], set()),
-                            (honest, {"adversary.handle_arrival"})):
+    registry = {"qsim.bell_measure", "qsim.make_bell_pair"}
+    for argv, unreached in ((["fig2_success"], registry),
+                            (honest, registry | {"adversary.handle_arrival"})):
         out = spans_of(*argv)
         calls = out["calls"]
         for layer in ("protocol.step", "netsim.provision", "keyschedule.next_r"):
             assert calls[layer] > 0, layer
         assert {name for name, n in calls.items() if n == 0} == unreached
-        assert (calls["qsim.bell_measure"] == calls["qsim.make_bell_pair"]
-                == 2 * calls["netsim.transfer"]), argv
+        assert out["bell_step"] == 2 * calls["netsim.transfer"] > 0, argv
         assert 0 < out["steps"]["useful"] <= out["steps"]["all"]
 
 
 def test_honest_transfers_pass_through_the_wrapped_kernel():
-    # Three repeaters that swap: each transfer makes four pairs, swaps three
-    # times and teleports once over the joined pair, each a wrapped
-    # bell_measure, so a fabric that bypasses the wrapped kernel fails here.
-    calls = spans_of("custom", "--config", str(ROOT / "campaignbench" / "chain3.json"),
-                     "--adversary", "honest")["calls"]
+    # Three repeaters that swap: each transfer swaps three times and
+    # teleports once over the joined pair, each one qsim.bell_step call, so
+    # a fabric that bypasses the kernel fails here. No registered pair is
+    # made.
+    out = spans_of("custom", "--config", str(ROOT / "campaignbench" / "chain3.json"),
+                   "--adversary", "honest")
+    calls = out["calls"]
     assert calls["netsim.transfer"] > 0
-    assert (calls["qsim.make_bell_pair"] == calls["qsim.bell_measure"]
-            == 4 * calls["netsim.transfer"])
+    assert calls["qsim.make_bell_pair"] == calls["qsim.bell_measure"] == 0
+    assert out["bell_step"] == 4 * calls["netsim.transfer"]
 
 
 def test_every_workload_passes_its_own_oracle(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qauthsim as qa
-from helpers import assert_bell_pair, decoded
+from helpers import assert_maximally_entangled, decoded
 from qauthsim.adversary import Honest, InterceptResend, RepeaterState, parse_behavior
 from qauthsim import netsim, protocol
 from qauthsim.cli import main
@@ -122,12 +122,72 @@ def test_mitm_pair_layout_on_two_edge_path():
     repeater = RepeaterState(InterceptResend("random_zx"), "r1", 1)
     fabric = EntanglementFabric(sim, CHAIN, repeater, make_rng(1))
     segments = fabric.provision()
-    assert [(left, right) for left, _, right, _ in segments] == [
+    assert [(left, right) for left, _, right in segments] == [
         ("alice", "r1"),
         ("r1", "bob"),
     ]
-    for _, left_q, _, right_q in segments:
-        assert_bell_pair(sim, left_q, right_q)
+    for _, amps, _ in segments:
+        assert_maximally_entangled(amps)
+    assert sim.live_count() == 0
+
+
+def honest_fabric(topology):
+    """A traced honest fabric over ``topology`` and its simulator and trace,
+    with world stream ``Draws(3)``."""
+    sim, trace = Simulator(), []
+    repeater = RepeaterState(Honest(), None, 0)
+    return sim, EntanglementFabric(sim, topology, repeater, Draws(3), trace), trace
+
+
+def test_bad_direction_is_refused_before_provisioning():
+    # A mistyped direction on a traced three-repeater chain makes no pair,
+    # swap or trace event, draws nothing and leaves the payload live.
+    sim, fabric, trace = honest_fabric(Topology.chain(3))
+    payload = sim.prepare(0, Basis.X)
+    with pytest.raises(ValueError, match="direction"):
+        fabric.transfer(payload, "fwd")
+    assert (fabric.pairs_created, fabric.swaps, fabric.teleports, trace) == (0, 0, 0, [])
+    assert fabric.rng.random() == Draws(3).random()
+    assert sim.live_count() == 1 and sim.amplitudes(payload) == NAMED_STATES["+"]
+
+
+@pytest.mark.parametrize("operand, pairs, match", [("drifted", 1, "norm drifted"),
+                                                   ("pair half", 0, "entangled")])
+def test_refused_payload_stays_live_before_any_draw(operand, pairs, match):
+    # On a direct path, whose provisioning draws nothing, a payload whose
+    # norm drifted is refused by its hop, and half of a pair before the
+    # pair is provisioned: both before any draw, and the payload stays live
+    # with its state. No teleport is counted or traced, and the memo is
+    # untouched.
+    sim, fabric, trace = honest_fabric(Topology.chain(0))
+    qubits = (sim.allocate_unit((0.6, 0.9)),) if operand == "drifted" else sim.make_bell_pair()
+    before = [sim.amplitudes(q) for q in qubits]
+    with pytest.raises(SimulationError, match=match):
+        fabric.transfer(qubits[0], "forward")
+    assert (fabric.pairs_created, fabric.teleports, trace, sim.bell_memo) == (pairs, 0, [], {})
+    assert fabric.rng.random() == Draws(3).random()
+    assert sim.live_count() == len(qubits)
+    assert [sim.amplitudes(q) for q in qubits] == before
+
+
+def test_trials_register_no_repeater_pair(monkeypatch):
+    # The repeater path holds its pairs as amplitude tuples: three-repeater
+    # trials sharing a memo, as a campaign's do, honest and intercepted at
+    # r2, never make or Bell-measure a registered pair, and count every
+    # pair, swap and hop.
+    def refuse(*args):
+        raise AssertionError("a registered Bell pair on the repeater path")
+
+    monkeypatch.setattr(Simulator, "make_bell_pair", refuse)
+    monkeypatch.setattr(Simulator, "bell_measure", refuse)
+    cfg = config(t=2, target=20, reverse_auth=True, payload=PayloadDistribution.parse("haar"))
+    memo: dict = {}
+    for behavior, swaps, hops in ((Honest(), 3, 1), (InterceptResend("random_zx"), 2, 2)):
+        record = run_trial(Topology.chain(3), behavior, cfg, seed=21, bell_memo=memo)
+        transfers = record.data_qubits_delivered + record.auth_qubits_sent
+        assert transfers > 0
+        assert (record.bell_pairs_created, record.swap_corrections, record.teleports) == (
+            4 * transfers, swaps * transfers, hops * transfers)
 
 
 # -- trial determinism and bookkeeping -------------------------------------------------
@@ -423,7 +483,7 @@ def test_message_log_kinds_and_counts():
     trace = []
     fabric = EntanglementFabric(sim, Topology.chain(2), repeater, make_rng(3), trace)
     fabric.provision()
-    payload = sim.allocate_qubit(NAMED_STATES["+"])
+    payload = sim.allocate_unit(NAMED_STATES["+"])
     fabric.transfer(payload, "forward")
     kinds = [r["event"] for r in decoded(trace)]
     assert kinds.count("swap") == 4  # 2 intermediates x 2 provisions

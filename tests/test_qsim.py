@@ -46,7 +46,7 @@ def test_fresh_qubit_measures_zero():
     sim = Simulator()
     rng = make_rng(0)
     for _ in range(50):
-        q = sim.allocate_qubit()
+        q = sim.prepare(0, Basis.Z)
         assert sim.measure(q, Basis.Z, rng) == 0
         sim.release(q)
 
@@ -55,7 +55,7 @@ def test_h_zero_measures_plus():
     sim = Simulator()
     rng = make_rng(1)
     for _ in range(50):
-        q = sim.allocate_qubit()
+        q = sim.prepare(0, Basis.Z)
         sim.apply_h(q)
         assert sim.measure(q, Basis.X, rng) == 0
         sim.release(q)
@@ -63,8 +63,8 @@ def test_h_zero_measures_plus():
 
 def test_two_allocations_are_independent_groups():
     sim = Simulator()
-    a = sim.allocate_qubit()
-    b = sim.allocate_qubit()
+    a = sim.prepare(0, Basis.Z)
+    b = sim.prepare(0, Basis.Z)
     assert group_of(sim, a) == (a,)
     assert group_of(sim, b) == (b,)
     # joint state is the tensor product of the singletons
@@ -85,7 +85,7 @@ def test_h_is_involutory():
     rng = np.random.default_rng(42)
     for _ in range(20):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        q = sim.allocate_qubit(v)
+        q = sim.allocate_unit(v / np.linalg.norm(v))
         before = sim.amplitudes(q)
         sim.apply_h(q)
         sim.apply_h(q)
@@ -107,7 +107,7 @@ def test_bell_circuit_matches_dense_oracle():
     assert group_of(sim, a) == (a, d)
     assert states_equal(sim.amplitudes(a), expected, tol=1e-12)
     # and the pair carries |1> from a to d, measured there on its own
-    payload = sim.allocate_qubit(NAMED_STATES["1"])
+    payload = sim.allocate_unit(NAMED_STATES["1"])
     sim.bell_measure(payload, a, rng)
     assert sim.measure(d, Basis.Z, rng) == 1
 
@@ -116,7 +116,7 @@ def test_minus_in_x_basis_is_deterministic():
     sim = Simulator()
     rng = make_rng(3)
     for _ in range(50):
-        q = sim.allocate_qubit(NAMED_STATES["-"])
+        q = sim.allocate_unit(NAMED_STATES["-"])
         assert sim.measure(q, Basis.X, rng) == 1
         sim.release(q)
 
@@ -126,7 +126,7 @@ def test_minus_in_z_basis_is_fair():
     rng = make_rng(4)
     ones = 0
     for _ in range(10_000):
-        q = sim.allocate_qubit(NAMED_STATES["-"])
+        q = sim.allocate_unit(NAMED_STATES["-"])
         ones += sim.measure(q, Basis.Z, rng)
         sim.release(q)
     assert abs(ones / 10_000 - 0.5) < 0.02
@@ -135,7 +135,7 @@ def test_minus_in_z_basis_is_fair():
 def carries(sim, rng, near, far, label, basis):
     """Teleport the named state over (near, far) and measure it at far, on
     its own, in ``basis``. Returns the outcome and the correction bits."""
-    bits = sim.bell_measure(sim.allocate_qubit(NAMED_STATES[label]), near, rng)
+    bits = sim.bell_measure(sim.allocate_unit(NAMED_STATES[label]), near, rng)
     outcome = sim.measure(far, basis, rng)
     sim.release(far)
     return outcome, bits
@@ -202,7 +202,7 @@ def test_bell_measure_plus_against_bell_half_is_uniform():
     counts = {}
     n = 10_000
     for _ in range(n):
-        q = sim.allocate_qubit(NAMED_STATES["+"])
+        q = sim.allocate_unit(NAMED_STATES["+"])
         a, b = sim.make_bell_pair()
         out = sim.bell_measure(q, a, rng)
         assert out[0] in (0, 1) and out[1] in (0, 1)
@@ -216,7 +216,7 @@ def test_teleport_minus_state():
     sim = Simulator()
     rng = make_rng(9)
     for _ in range(50):
-        payload = sim.allocate_qubit(NAMED_STATES["-"])
+        payload = sim.allocate_unit(NAMED_STATES["-"])
         e1, e2 = sim.make_bell_pair()
         assert_bell_pair(sim, e1, e2)
         sim.bell_measure(payload, e1, rng)
@@ -227,7 +227,7 @@ def test_teleport_minus_state():
 def test_teleport_zero_state():
     sim = Simulator()
     rng = make_rng(10)
-    payload = sim.allocate_qubit()
+    payload = sim.prepare(0, Basis.Z)
     e1, e2 = sim.make_bell_pair()
     assert_bell_pair(sim, e1, e2)
     sim.bell_measure(payload, e1, rng)
@@ -241,7 +241,7 @@ def test_teleport_random_states_full_fidelity():
     for _ in range(100):
         v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
         v /= np.linalg.norm(v)
-        payload = sim.allocate_qubit(v)
+        payload = sim.allocate_unit(v)
         e1, e2 = sim.make_bell_pair()
         assert_bell_pair(sim, e1, e2)
         m_a, m_b = sim.bell_measure(payload, e1, rng)
@@ -291,7 +291,7 @@ def dense_bell_measure(state, ia, ib, rng):
 
 def load_group(sim, amps):
     """A lone qubit or a pair holding the given amplitudes."""
-    qubits = [sim.allocate_qubit()] if len(amps) == 2 else list(sim.make_bell_pair())
+    qubits = [sim.prepare(0, Basis.Z)] if len(amps) == 2 else list(sim.make_bell_pair())
     sim._groups[qubits[0]].amps = tuple(map(complex, amps))  # test-only: arbitrary state
     return qubits
 
@@ -334,7 +334,9 @@ def measure_case(case):
 @settings(max_examples=300, deadline=None)
 def test_fused_bell_measure_matches_gate_sequence(case):
     # The gate sequence's outcomes from the same draws, with q and near
-    # gone and q's partner, then far, left in one group.
+    # gone and q's partner, then far, left in one group. The pure kernel
+    # on the two groups' tuples gives the same bits, draws and survivor,
+    # and fills its memo as bell_measure fills its own.
     sim, group_q, q, near, far, (got, bits), (rng, ref_rng), _ = measure_case(case)
     assert got == bits
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
@@ -342,6 +344,12 @@ def test_fused_bell_measure_matches_gate_sequence(case):
     survivors = tuple(x for x in group_q if x != q) + (far,)
     for x in survivors:
         assert group_of(sim, x) == survivors
+    (state_q, state_pair), (iq, inear), seed = case
+    memo, step_rng = {}, make_rng(seed)
+    o, survivor = qsim.bell_step(memo, tuple(map(complex, state_q)), iq == 0,
+                                 tuple(map(complex, state_pair)), inear == 0, step_rng)
+    assert (divmod(o, 2), survivor, memo) == (got, sim.amplitudes(far), sim.bell_memo)
+    assert step_rng.bit_generator.state == rng.bit_generator.state
 
 
 @given(bell_measure_cases())
@@ -380,7 +388,7 @@ def miss_then_hit(sim, states, where, seed):
         rng = make_rng(seed)
         group_q, pair = load_group(sim, states[0]), load_group(sim, states[1])
         q, near = group_q[where[0]], pair[where[1]]
-        size = len(sim._bell_cache)
+        size = len(sim.bell_memo)
         out = sim.bell_measure(q, near, rng)
         left = [x for x in group_q + pair if x not in (q, near)]
         for x in left:
@@ -388,7 +396,7 @@ def miss_then_hit(sim, states, where, seed):
         runs.append((out, rng.bit_generator.state, sim.amplitudes(left[0])))
     # the second copy was a memo hit (a lone q is one-shot: neither copy
     # enters the memo)
-    assert len(sim._bell_cache) == size
+    assert len(sim.bell_memo) == size
     return runs
 
 
@@ -447,11 +455,11 @@ def test_one_shot_operand_matches_its_table_entry(case):
         ref, rng = make_rng(s), make_rng(s)
         m_a = ref.random() < pa1
         o = 2 * m_a + (ref.random() < pb1s[m_a])
-        memo = dict(sim._bell_cache)
+        memo = dict(sim.bell_memo)
         assert sim.bell_measure(q, near, rng) == (m_a, o % 2)
         assert rng.bit_generator.state == ref.bit_generator.state
         assert list(map(repr, sim.amplitudes(far))) == list(map(repr, corrected[o]))
-        assert sim._bell_cache == memo
+        assert sim.bell_memo == memo
         sim.release(far)
         drawn.add(o)
         if len(drawn) == 4:
@@ -464,7 +472,7 @@ def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
     # in a row, overflow the memo; it is emptied and refilled, never holding
     # more than 4 entries, and every result equals a cold simulator's.
     monkeypatch.setattr(qsim, "BELL_CACHE_MAX", 4)
-    assert Simulator()._bell_cache == {}
+    assert Simulator().bell_memo == {}
     sim = Simulator()
     state_rng = np.random.default_rng(26)
     sizes = []
@@ -478,7 +486,7 @@ def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
             (q, _), (a, b) = load_group(s, v), s.make_bell_pair()
             runs.append((s.bell_measure(q, a, rng), rng.bit_generator.state, s.amplitudes(b)))
         assert runs[0] == runs[1]
-        sizes.append(len(sim._bell_cache))
+        sizes.append(len(sim.bell_memo))
     assert max(sizes) == 4 and sizes[-1] < 4  # reached the bound, then emptied
 
 
@@ -493,7 +501,7 @@ def test_drifted_input_is_refused_before_any_draw():
     sim = Simulator()
     (a, b), (c, d) = sim.make_bell_pair(), sim.make_bell_pair()
     sim.bell_measure(b, c, make_rng(0))
-    memo = dict(sim._bell_cache)
+    memo = dict(sim.bell_memo)
     assert len(memo) == 1
     for scale, kq in itertools.product((0.9, 1.2), (1, 2)):
         state_q = [0.6 * scale, 0.8j * scale] if kq == 1 else [0.6 * scale, 0, 0, 0.8j * scale]
@@ -509,7 +517,7 @@ def test_drifted_input_is_refused_before_any_draw():
             assert [(group_of(sim, q), sim.amplitudes(q)),
                     (group_of(sim, halves[inear]), sim.amplitudes(halves[1 - inear]))] == [
                         (tuple(group_q), tuple(state_q)), (tuple(halves), tuple(pair))]
-            assert sim._bell_cache == memo
+            assert sim.bell_memo == memo
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -537,7 +545,7 @@ def test_bell_measure_of_named_states_matches_gate_sequence():
         vq, vnear, vfar = (NAMED_STATES[label] for label in labels)
         for seed, inear in itertools.product(range(4), (0, 1)):
             state = np.kron(vnear, vfar) if inear == 0 else np.kron(vfar, vnear)
-            q, pair = sim.allocate_qubit(vq), load_group(sim, state)
+            q, pair = sim.allocate_unit(vq), load_group(sim, state)
             bits, expected = dense_bell_measure(np.kron(vq, state), 0, 1 + inear, make_rng(seed))
             assert sim.bell_measure(q, pair[inear], make_rng(seed)) == bits, (labels, seed)
             np.testing.assert_allclose(sim.amplitudes(pair[1 - inear]), expected, atol=1e-12)
@@ -561,7 +569,7 @@ def test_swap_chain_equals_direct_pair_for_teleport():
         v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
         v /= np.linalg.norm(v)
         left, right = _swap_chain(sim, rng, hops=2)
-        payload = sim.allocate_qubit(v)
+        payload = sim.allocate_unit(v)
         assert_bell_pair(sim, left, right)
         sim.bell_measure(payload, left, rng)
         assert states_equal(sim.amplitudes(right), v, tol=1e-9)
@@ -592,7 +600,7 @@ def test_unitarity_under_random_gate_sequences():
     sim = Simulator()
     rng = np.random.default_rng(17)
     world = make_rng(17)
-    q = sim.allocate_qubit()
+    q = sim.prepare(0, Basis.Z)
     a, b = sim.make_bell_pair()
     for _ in range(2000):
         op = rng.integers(0, 4)
@@ -642,7 +650,7 @@ def test_registry_invariants_under_random_operations(data):
         lone = [q for q in live if len(groups[q].qubits) == 1]
         halves = [q for q in live if len(groups[q].qubits) == 2]
         if op == "allocate":
-            sim.allocate_qubit(random_state(data.draw, 1))
+            sim.allocate_unit(random_state(data.draw, 1))
         elif op == "prepare":
             sim.prepare(data.draw(st.integers(0, 1)), data.draw(st.sampled_from(Basis)))
         elif op == "pair":
@@ -706,13 +714,13 @@ def test_a_correction_leaves_a_shared_survivor_alone():
     seed, bits, fars = shared_teleports(sim)
     shared = sim.amplitudes(fars[0])
     before = tuple(complex(x) for x in shared)
-    table = dict(sim._bell_cache)
+    table = dict(sim.bell_memo)
     sim.measure(fars[1], Basis.X, make_rng(seed))
     assert sim.amplitudes(fars[1]) is not shared
     q, (near, far) = sim.prepare(0, Basis.X), sim.make_bell_pair()
     assert sim.bell_measure(q, near, make_rng(seed)) == bits
     assert sim.amplitudes(far) is shared and sim.amplitudes(fars[0]) is shared
-    assert shared == before and sim._bell_cache == table
+    assert shared == before and sim.bell_memo == table
     assert_registry(sim)
 
 
@@ -755,11 +763,11 @@ def test_lone_or_same_group_near_is_refused_before_any_draw():
     # unchanged.
     sim = Simulator()
     v = (0.6 + 0j, 0.8j)
-    q, (near, far) = sim.allocate_qubit(v), sim.make_bell_pair()
+    q, (near, far) = sim.allocate_unit(v), sim.make_bell_pair()
     sim.bell_measure(q, near, make_rng(28))  # a memo entry for these operands
     sim.release(far)
-    memo = dict(sim._bell_cache)
-    q, lone, (a, b) = sim.allocate_qubit(v), sim.allocate_qubit(v), sim.make_bell_pair()
+    memo = dict(sim.bell_memo)
+    q, lone, (a, b) = sim.allocate_unit(v), sim.allocate_unit(v), sim.make_bell_pair()
     rng = make_rng(28)
     draws = rng.bit_generator.state
     before = [(group_of(sim, x), sim.amplitudes(x)) for x in (q, lone, a, b)]
@@ -768,7 +776,7 @@ def test_lone_or_same_group_near_is_refused_before_any_draw():
             sim.bell_measure(x, near, rng)
     assert rng.bit_generator.state == draws
     assert [(group_of(sim, x), sim.amplitudes(x)) for x in (q, lone, a, b)] == before
-    assert sim._bell_cache == memo
+    assert sim.bell_memo == memo
 
 
 def test_repeat_measurement_is_stable():
@@ -776,7 +784,7 @@ def test_repeat_measurement_is_stable():
     rng = make_rng(18)
     for basis in (Basis.Z, Basis.X):
         for _ in range(200):
-            q = sim.allocate_qubit()
+            q = sim.prepare(0, Basis.Z)
             sim.apply_h(q)
             first = sim.measure(q, basis, rng)
             assert sim.measure(q, basis, rng) == first
@@ -790,7 +798,7 @@ def test_identical_seeds_replay_identical_outcomes():
         outcomes = []
         for _ in range(200):
             a, b = sim.make_bell_pair()
-            q = sim.allocate_qubit()
+            q = sim.prepare(0, Basis.Z)
             sim.apply_h(q)
             outcomes.append(sim.measure(q, Basis.Z, rng))
             outcomes.extend(sim.bell_measure(q, a, rng))
@@ -810,7 +818,7 @@ def test_cross_basis_measurement_disturbs():
     kept = 0
     n = 10_000
     for _ in range(n):
-        q = sim.allocate_qubit()  # |0>
+        q = sim.prepare(0, Basis.Z)  # |0>
         sim.measure(q, Basis.X, rng)
         kept += sim.measure(q, Basis.Z, rng) == 0
         sim.release(q)
@@ -951,7 +959,7 @@ def test_prepared_qubits_share_no_amplitudes():
 def test_dead_qubit_rejected():
     sim = Simulator()
     rng = make_rng(20)
-    q = sim.allocate_qubit()
+    q = sim.prepare(0, Basis.Z)
     sim.release(q)
     with pytest.raises(DeadQubitError):
         sim.apply_h(q)
@@ -962,7 +970,7 @@ def test_dead_qubit_rejected():
 def test_consumed_by_bell_measure_rejected():
     sim = Simulator()
     rng = make_rng(21)
-    q = sim.allocate_qubit()
+    q = sim.prepare(0, Basis.Z)
     a, b = sim.make_bell_pair()
     sim.bell_measure(q, a, rng)
     with pytest.raises(DeadQubitError):
@@ -992,7 +1000,7 @@ def test_pair_shape_checks_refuse_and_leave_state_alone():
         with pytest.raises(SimulationError):
             sim.apply_h(q)
     # near must be half of a pair, whichever side q is on
-    q, other = sim.allocate_qubit(), sim.allocate_qubit()
+    q, other = sim.prepare(0, Basis.Z), sim.prepare(0, Basis.Z)
     for x, near in ((q, other), (other, q)):
         with pytest.raises(SimulationError):
             sim.bell_measure(x, near, rng)
@@ -1004,7 +1012,7 @@ def test_pair_shape_checks_refuse_and_leave_state_alone():
 
 def test_bell_measure_needs_distinct_qubits():
     sim = Simulator()
-    q = sim.allocate_qubit()
+    q = sim.prepare(0, Basis.Z)
     with pytest.raises(ValueError):
         sim.bell_measure(q, q, make_rng(25))
     assert group_of(sim, q) == (q,)
@@ -1014,8 +1022,8 @@ def test_teleport_rejects_unentangled_pair():
     # The check these tests run before every teleport refuses separate
     # qubits and a product state within one group alike.
     sim = Simulator()
-    a = sim.allocate_qubit()
-    b = sim.allocate_qubit()
+    a = sim.prepare(0, Basis.Z)
+    b = sim.prepare(0, Basis.Z)
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, a, b)
     a, b = sim.make_bell_pair()
@@ -1033,12 +1041,19 @@ def test_release_rejects_entangled_qubit():
         sim.release(a)
 
 
-def test_allocate_rejects_bad_states():
+def test_allocate_unit_takes_two_amplitudes_and_bell_refuses_bad_norms():
+    # allocate_unit refuses any count of amplitudes but two. It stores a
+    # zero or NaN state as the caller vouched for it, and the next Bell
+    # measurement refuses that qubit before any draw.
     sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.allocate_qubit([1, 0, 0])
-    with pytest.raises(ValueError):
-        sim.allocate_qubit([0, 0])
-    with pytest.raises(ValueError):
-        sim.allocate_qubit([float("nan"), 1])
-
+    for amps in ([1, 0, 0], [1]):
+        with pytest.raises(ValueError):
+            sim.allocate_unit(amps)
+    assert sim.live_count() == 0
+    for amps in ([0, 0], [float("nan"), 1]):
+        q, (a, _) = sim.allocate_unit(amps), sim.make_bell_pair()
+        rng = make_rng(0)
+        draws = rng.bit_generator.state
+        with pytest.raises(SimulationError, match="norm drifted"):
+            sim.bell_measure(q, a, rng)
+        assert rng.bit_generator.state == draws
