@@ -6,7 +6,7 @@ prints the result or writes it (--out), and writes the --trace and
 
 Exit status is 0 on success, 2 for configuration problems, 1 for I/O
 failures and for a trial the simulator stops (a session stuck past its
-sweep bound).
+sweep bound). Each refusal, a flag given twice too, is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -62,6 +62,26 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses down main's one ``error:`` path, and each option's second value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)  # subparsers share the class
+
+    def error(self, message):
+        raise exp.ConfigError(message)
+
+
+class _Once(argparse.Action):
+    """Store an option's value; argparse alone would keep the last of two."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{'/'.join(self.option_strings)} is given twice")
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 def _add_campaign_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--transfer-length", "-T", type=int, nargs="+", metavar="T",
                      dest="t_values", help="transfer lengths to sweep (default 1 2 3 4 5)")
@@ -86,7 +106,7 @@ def _add_output_options(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qauthsim",
         description="Entanglement-based identity authentication: simulation "
         "campaigns and analytic tables.",
@@ -106,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--transfer-length", "-T", type=int, nargs="+",
                            metavar="T", dest="t_values")
         if name == "custom":
-            p.add_argument("--reverse-auth", action="store_true", default=None,
+            p.add_argument("--reverse-auth", nargs=0, const=True,
                            help="authenticate in both directions each round")
             p.add_argument("--payload", help="data-qubit distribution: "
                            "uniform4, haar, or fixed:<0|1|+|->")
@@ -194,8 +214,8 @@ class _JsonlSink:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = build_config(args)
         text = dispatch(cfg, args)
         if cfg.out:

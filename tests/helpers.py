@@ -1,10 +1,16 @@
-"""Simulator-state checks, the key-window walk and parsers shared by the tests."""
+"""Simulator-state checks, the key-window walk, parsers, and the session,
+CLI and stuck-endpoint builders shared by the tests."""
 
+import contextlib
+import io
 import json
+from itertools import product
 
 import numpy as np
 
-from qauthsim.keyschedule import KeyMaterial
+from qauthsim import protocol
+from qauthsim.cli import main
+from qauthsim.keyschedule import KeyMaterial, ScheduleConfig, parse_key
 
 
 def group_of(sim, q):
@@ -52,6 +58,39 @@ def window_value(bits, t, index):
     return value
 
 
+def exhaustive_capacity(length, t):
+    """The mean data-qubit count of one pass over a key (floor(L/T) windows,
+    no wrap), over every key of ``length`` bits, floored: what capacity()
+    must give."""
+    total = sum(
+        window_value(bits, t, k)
+        for bits in product((0, 1), repeat=length)
+        for k in range(length // t)
+    )
+    return total // 2**length
+
+
+def swap_chain(sim, rng, hops):
+    """Build an end-to-end pair from ``hops`` adjacent pairs via swaps: each
+    swap teleports the chain's far half over the next pair."""
+    left, right = sim.make_bell_pair()
+    for _ in range(hops - 1):
+        a, b = sim.make_bell_pair()
+        sim.bell_measure(right, a, rng)
+        right = b
+    return left, right
+
+
+def teleport(sim, rng, amps, hops=1):
+    """Teleport a fresh qubit holding ``amps`` over a ``swap_chain`` of
+    ``hops`` pairs, first checked to be a Bell pair. Returns the qubit that
+    holds the state at the far end and the correction bits."""
+    left, right = swap_chain(sim, rng, hops)
+    payload = sim.allocate_unit(amps)
+    assert_bell_pair(sim, left, right)
+    return right, sim.bell_measure(payload, left, rng)
+
+
 def parse_campaign_csv(text: str) -> list[dict]:
     """Parse an emitted campaign CSV back into row dicts (round-trip check)."""
     lines = [ln for ln in text.splitlines() if ln]
@@ -69,3 +108,32 @@ def parse_campaign_csv(text: str) -> list[dict]:
                     row[col] = float(cell)
         rows.append(row)
     return rows
+
+
+def session_config(t=2, target=20, key=None, key_length=64, index=0, **kwargs):
+    """A session at transfer length t and encoding index ``index``: a fixed
+    key (0/1 or hex text) or, without one, fresh keys of ``key_length`` bits."""
+    return protocol.SessionConfig(
+        key=parse_key(key) if key else None,
+        sched=ScheduleConfig(t, index),
+        data_qubit_target=target,
+        key_length=key_length,
+        **kwargs,
+    )
+
+
+def run_cli(argv):
+    """``cli.main`` in-process: its exit code, stdout and stderr. It reads
+    neither capsys nor capfd, which hypothesis does not reset per example."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def busy_forever(self, arrival):
+    """A stand-in ``Responder.step`` that always progresses (changes phase)
+    and never completes: a session only the sweep bound can stop."""
+    st = self.state
+    st.phase = (protocol.Phase.AUTH_PREPARE if st.phase is protocol.Phase.DATA_TRANSFER
+                else protocol.Phase.DATA_TRANSFER)

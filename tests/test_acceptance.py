@@ -22,9 +22,14 @@ from qauthsim.experiments import (
     emit_campaign,
     run_experiment,
 )
-from qauthsim.keyschedule import ScheduleConfig, capacity
-from qauthsim.protocol import SessionConfig
-from helpers import assert_bell_pair, decoded, window_value
+from qauthsim.keyschedule import capacity
+from helpers import (
+    decoded,
+    exhaustive_capacity,
+    session_config,
+    teleport,
+    window_value,
+)
 from qauthsim.qsim import Simulator, make_rng, states_equal
 
 CHAIN = qa.Topology.chain(1)
@@ -122,12 +127,7 @@ def overhead_campaign():
 
 def test_criterion_1_worked_example_golden_trace():
     trace = []
-    cfg = SessionConfig(
-        key=qa.parse_key("1101"),
-        sched=ScheduleConfig(transfer_length=2, encoding_index=0),
-        data_qubit_target=4,
-    )
-    record = qa.run_trial(CHAIN, qa.Honest(), cfg, seed=1, trace=trace)
+    record = qa.run_trial(CHAIN, qa.Honest(), session_config(2, 4, "1101"), seed=1, trace=trace)
     assert record.completed and not record.detected
     windows = [(r["round"], r["r"]) for r in decoded(trace) if r.get("event") == "window"]
     assert windows == [(1, 3), (2, 1)]
@@ -147,14 +147,7 @@ def test_criterion_2_capacity_formula():
     # brute force over every key for small lengths
     for length in range(2, 9):
         for t in range(1, length + 1):
-            windows = length // t
-            total = sum(
-                window_value(bits, t, k)
-                for bits in product((0, 1), repeat=length)
-                for k in range(windows)
-            )
-            # capacity is the floor of the exact mean over all 2^length keys
-            assert capacity(length, t) == total // 2**length
+            assert capacity(length, t) == exhaustive_capacity(length, t)
     print("ACCEPTANCE 2: PASS capacity 768/1193 and exhaustive small-key equivalence")
 
 
@@ -279,12 +272,7 @@ def test_criterion_8a_honest_completeness():
     failures = 0
     for i in range(10_000):
         t = 1 + i % 5
-        cfg = SessionConfig(
-            key=None,
-            sched=ScheduleConfig(t, i % 2),
-            data_qubit_target=2**t,
-            key_length=32,
-        )
+        cfg = session_config(t, 2**t, key_length=32, index=i % 2)
         record = qa.run_trial(CHAIN, qa.Honest(), cfg, seed=500_000 + i)
         assert record.completed
         failures += record.detected
@@ -299,14 +287,8 @@ def test_criterion_8b_per_round_detection(policy):
     rounds = detections = first = 0
     i = 0
     while rounds < 10_000:
-        cfg = SessionConfig(
-            key=None,
-            sched=ScheduleConfig(1, 0),
-            data_qubit_target=10**9,
-            key_length=64,
-        )
         record = qa.run_trial(
-            CHAIN, qa.InterceptResend(policy), cfg, seed=600_000 + i
+            CHAIN, qa.InterceptResend(policy), session_config(1, 10**9), seed=600_000 + i
         )
         assert record.detected
         rounds += record.rounds_to_detect
@@ -327,16 +309,9 @@ def test_criterion_8c_teleport_and_swap_fidelity():
         for _ in range(100):
             v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
             v /= np.linalg.norm(v)
-            left, right = sim.make_bell_pair()
-            for _ in range(hops - 1):
-                a, b = sim.make_bell_pair()
-                sim.bell_measure(right, a, rng)  # swap: the far half moves on
-                right = b
-            payload = sim.allocate_unit(v)
-            assert_bell_pair(sim, left, right)
-            sim.bell_measure(payload, left, rng)
-            assert states_equal(sim.amplitudes(right), v, tol=1e-9)
-            sim.release(right)
+            far, _ = teleport(sim, rng, v, hops)
+            assert states_equal(sim.amplitudes(far), v, tol=1e-9)
+            sim.release(far)
     print("ACCEPTANCE 8c: PASS teleport and chained-swap fidelity at 1e-9")
 
 

@@ -15,11 +15,8 @@ from qauthsim.adversary import (
     handle_arrival,
     parse_behavior,
 )
-from qauthsim.keyschedule import ScheduleConfig
 from qauthsim.netsim import EntanglementFabric
-from qauthsim.protocol import SessionConfig
-from helpers import assert_maximally_entangled, decoded
-from qauthsim.cli import main
+from helpers import assert_maximally_entangled, decoded, run_cli, session_config
 from qauthsim.experiments import trial_seed
 from qauthsim.qsim import (
     Basis,
@@ -102,7 +99,7 @@ def test_z_interceptor_smashes_minus_state():
     assert abs(fails / n - 0.5) < 0.02  # verifier misses half the time
 
 
-def test_intercept_log_contents_and_export(tmp_path, capsys):
+def test_intercept_log_contents_and_export(tmp_path):
     sim = Simulator()
     state = eve_state("random_zx", seed=9)
     rng = make_rng(3)
@@ -117,12 +114,11 @@ def test_intercept_log_contents_and_export(tmp_path, capsys):
     argv = ["custom", "-T", "1", "--trials", "2", "--data-qubits", "6",
             "--key-length", "64", "--seed", "9", "--format", "csv",
             "--intercept-log", str(path)]
-    assert main(argv) == 0
-    capsys.readouterr()
+    assert run_cli(argv)[0] == 0
     expected = []
     for i in range(2):
         log = []
-        qa.run_trial(CHAIN, InterceptResend("random_zx"), mitm_config(target=6),
+        qa.run_trial(CHAIN, InterceptResend("random_zx"), session_config(1, 6),
                      trial_seed(9, 1, i), intercept_log=log)
         assert [e["seq"] for e in decoded(log)] == list(range(len(log)))
         expected += [{"transfer_length": 1, "trial_index": i, **e} for e in decoded(log)]
@@ -143,7 +139,7 @@ def test_mitm_trial_without_a_log_builds_no_record(monkeypatch):
             repeaters.append(self)
 
     monkeypatch.setattr(adversary, "RepeaterState", Recorded)
-    behavior, cfg = InterceptResend("random_zx"), mitm_config(target=20)
+    behavior, cfg = InterceptResend("random_zx"), session_config(1, 20)
     log = []
     logged = qa.run_trial(CHAIN, behavior, cfg, seed=21, intercept_log=log)
     unlogged = qa.run_trial(CHAIN, behavior, cfg, seed=21)
@@ -164,7 +160,7 @@ def test_only_an_interceptor_holds_a_random_stream(monkeypatch):
             repeaters.append(self)
 
     monkeypatch.setattr(adversary, "RepeaterState", Recorded)
-    cfg = mitm_config(target=20)
+    cfg = session_config(1, 20)
     qa.run_trial(CHAIN, Honest(), cfg, seed=21)
     log = []
     qa.run_trial(CHAIN, InterceptResend("random_zx"), cfg, seed=21, intercept_log=log)
@@ -261,19 +257,13 @@ def test_interceptor_splits_the_channel():
 # -- detection statistics ---------------------------------------------------------
 
 
-def mitm_config(t=1, target=10**9):
-    return SessionConfig(
-        key=None, sched=ScheduleConfig(t, 0), data_qubit_target=target, key_length=64
-    )
-
-
 @pytest.mark.parametrize("policy", ["random_zx", "always_z", "always_x"])
 def test_per_round_detection_quarter(policy):
     rounds = detections = 0
     i = 0
     while rounds < 4000:
         record = qa.run_trial(
-            CHAIN, InterceptResend(policy), mitm_config(), seed=10_000 + i
+            CHAIN, InterceptResend(policy), session_config(1, 10**9), seed=10_000 + i
         )
         assert record.detected
         rounds += record.rounds_to_detect
@@ -287,11 +277,7 @@ def test_blindness_same_stream_same_bases():
     # arrival count: changing the key (and with it all protocol behavior)
     # leaves the basis sequence prefix unchanged.
     def bases(key):
-        cfg = SessionConfig(
-            key=qa.parse_key(key),
-            sched=ScheduleConfig(2, 0),
-            data_qubit_target=30,
-        )
+        cfg = session_config(2, 30, key)
         log = []
         qa.run_trial(
             CHAIN, InterceptResend("random_zx"), cfg, seed=77, intercept_log=log
@@ -308,13 +294,7 @@ def test_blindness_same_stream_same_bases():
 def test_honest_transparency_end_to_end():
     # every delivered state matches what was sent, for all payload kinds
     for dist in ("uniform4", "haar"):
-        cfg = SessionConfig(
-            key=None,
-            sched=ScheduleConfig(2, 0),
-            data_qubit_target=40,
-            payload=qa.PayloadDistribution.parse(dist),
-            key_length=64,
-        )
+        cfg = session_config(2, 40, payload=qa.PayloadDistribution.parse(dist))
         record = qa.run_trial(CHAIN, Honest(), cfg, seed=5)
         assert record.completed
         assert record.data_qubits_intact == record.data_qubits_delivered == 40

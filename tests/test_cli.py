@@ -1,9 +1,9 @@
 """Command-line surface: subcommands, option layering, outputs, exit codes."""
 
-import contextlib
-import io
 import json
 import math
+from collections import namedtuple
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,45 +12,36 @@ from hypothesis import strategies as st
 from qauthsim import cli, netsim, protocol, qsim
 from qauthsim import experiments as exp
 from qauthsim.adversary import BEHAVIOR_LABELS
-from qauthsim.cli import build_config, build_parser, load_config_file, main
+from qauthsim.cli import build_config, build_parser
 from qauthsim.keyschedule import MAX_KEY_LENGTH
-from helpers import decoded
+from helpers import busy_forever, decoded, run_cli
 
 
-def run(argv, capsys):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_analytic_table(capsys):
-    code, out, _ = run(["analytic", "--rounds", "4", "--format", "table"], capsys)
+def test_analytic_table():
+    code, out, _ = run_cli(["analytic", "--rounds", "4", "--format", "table"])
     assert code == 0
     assert "two_state_collapse" in out
     assert "0.9375" in out
 
 
-def test_analytic_csv(capsys):
-    code, out, _ = run(["analytic", "--rounds", "2", "--format", "csv"], capsys)
+def test_analytic_csv():
+    code, out, _ = run_cli(["analytic", "--rounds", "2", "--format", "csv"])
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "rounds,two_state_collapse,intercept_resend"
     assert lines[1] == "1,0.5,0.25"
 
 
-def test_capacity_report(capsys):
-    code, out, _ = run(
-        ["capacity", "--key-length", "1024", "-T", "2", "3", "--format", "csv"],
-        capsys,
-    )
+def test_capacity_report():
+    code, out, _ = run_cli(["capacity", "--key-length", "1024", "-T", "2", "3", "--format", "csv"])
     assert code == 0
     assert "2,512,768" in out
     assert "3,341,1193" in out
 
 
-def test_custom_campaign_to_file(tmp_path, capsys):
+def test_custom_campaign_to_file(tmp_path):
     out_path = tmp_path / "metrics.csv"
-    code, out, _ = run(
+    code, out, _ = run_cli(
         [
             "custom",
             "-T", "2",
@@ -61,8 +52,7 @@ def test_custom_campaign_to_file(tmp_path, capsys):
             "--key-length", "32",
             "--format", "csv",
             "--out", str(out_path),
-        ],
-        capsys,
+        ]
     )
     assert code == 0
     assert out == ""
@@ -71,10 +61,10 @@ def test_custom_campaign_to_file(tmp_path, capsys):
     assert "\n2,4," in text
 
 
-def test_custom_with_fixed_key_and_sinks(tmp_path, capsys):
+def test_custom_with_fixed_key_and_sinks(tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     log_path = tmp_path / "eve.jsonl"
-    code, out, _ = run(
+    code, out, _ = run_cli(
         [
             "custom",
             "-T", "2",
@@ -86,8 +76,7 @@ def test_custom_with_fixed_key_and_sinks(tmp_path, capsys):
             "--format", "json",
             "--trace", str(trace_path),
             "--intercept-log", str(log_path),
-        ],
-        capsys,
+        ]
     )
     assert code == 0
     payload = json.loads(out)
@@ -99,7 +88,7 @@ def test_custom_with_fixed_key_and_sinks(tmp_path, capsys):
     assert all(l["basis"] == "Z" for l in log_lines)
 
 
-def test_fig5_defaults(capsys):
+def test_fig5_defaults():
     parser = build_parser()
     args = parser.parse_args(["fig5_overhead"])
     cfg = build_config(args)
@@ -146,138 +135,391 @@ def test_config_file_layering(tmp_path):
     assert cfg.malicious_node == "m"
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"velocity": 3}))
-    with pytest.raises(Exception):
-        load_config_file(str(path))
+# -- refusals ------------------------------------------------------------------
 
-
-def test_bad_flag_value_exits_2(capsys):
-    code, _, err = run(["custom", "-T", "40", "--trials", "1"], capsys)
-    assert code == 2
-    assert "error" in err
-
-
-def test_fixed_key_shorter_than_transfer_length_exits_2(tmp_path, capsys):
-    # A campaign is checked at every T before its first trial, so the T=1
-    # trials of "-T 1 5" never run and neither sink opens its file.
-    trace_path, log_path = tmp_path / "trace.jsonl", tmp_path / "log.jsonl"
-    for t_flags in (["5"], ["1", "5"]):
-        code, _, err = run(
-            ["custom", "--key", "1101", "-T", *t_flags, "--trials", "2",
-             "--data-qubits", "10", "--trace", str(trace_path),
-             "--intercept-log", str(log_path)],
-            capsys,
-        )
-        assert code == 2
-        assert "key" in err
-        assert not trace_path.exists() and not log_path.exists()
-
-
-@pytest.mark.parametrize(
-    "setting",
-    [{"trials": 2.5}, {"trials": "3"}, {"reverse_auth": "no"}, {"t_values": [1, "2"]},
-     {"master_seed": True}, {"adversary": ["honest"]}, {"analytic_rounds": "8"},
-     {"path": ["alice", "r1", "bob"]}, {"topology": 5},
-     {"nodes": "ab", "edges": [["a", "b"]], "path": ["a", "b"]},
-     {"topology": {"nodes": ["a", "b"], "edges": [["a"]], "path": ["a", "b"]}},
-     {"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a", "b"], "topology": {}},
-     {"T": [3]},  # an old alias is an unknown key
-     pytest.param('{"trials": 2, "trials": 3}', id="repeated_key"),
-     {"adversary": "honest", "malicious_node": "zz"},  # no node intercepts
-     {"key": "011010", "key_bits": 8}, {"key_bits": 8}],  # key_bits needs a hex key
-)
-def test_mistyped_config_value_exits_2(tmp_path, capsys, setting):
-    path = tmp_path / "bad.json"
-    path.write_text(setting if isinstance(setting, str) else json.dumps(setting))
-    code, out, err = run(["custom", "--config", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
+#: One refused command line: its argv, the start of its one error line after
+#: "error: ", a config-file object or text that --config names, if any, and a
+#: test id where the generated one (argument name and index) will not do.
+#: "{tmp}" in argv and config is the directory the row runs in.
+Refusal = namedtuple("Refusal", "argv message config id", defaults=(None, None))
+row_id = attrgetter("id")
 
 #: a path with no intermediate node, where no repeater can intercept
 DIRECT = {"topology": {"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a", "b"]}}
 #: a key that covers a transfer length of up to 4 only
 KEY4 = {"key": "0110"}
+TWO_HOPS = ["custom", "--adversary", "intercept_random", "-T", "1", "--trials", "2",
+            "--data-qubits", "10", "--seed", "3"]
+SHORT_KEY = "key shorter than max(transfer length, 2)"
+MISSING_HEX = "hex key {!r} needs hex digits after 0x"
+
+#: Every refused command line, by the test that runs it. Each is refused with
+#: exit 2, no stdout, one stderr line, no trial started and no file written.
+REFUSALS = {
+    "bad_flag_value": [  # argparse's refusals, which print no usage block
+        Refusal(["custom", "-T", "40", "--trials", "1"], "transfer length must be in [1, 16]"),
+        Refusal(["custom", "--trials", "1e3"], "argument --trials: invalid int value: '1e3'"),
+        Refusal(["custom", "-T"], "argument --transfer-length/-T: expected at least one"),
+        Refusal(["fig2_success", "--payload", "haar"], "unrecognized arguments: --payload haar"),
+        Refusal(["custom", "--reverse-auth", "x"], "unrecognized arguments: x"),
+        Refusal(["custom", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ],
+    "unknown_subcommand": [
+        Refusal(["fig9_magic"], "argument experiment: invalid choice: 'fig9_magic'"),
+        Refusal([], "the following arguments are required: experiment"),
+    ],
+    "config_file_rejects_unknown_keys": [
+        Refusal(["custom"], "unknown config key 'velocity'", {"velocity": 3}),
+    ],
+    "missing_config_file": [
+        Refusal(["custom", "--config", "/no/such/file.json"], "reading config: "),
+    ],
+    # A campaign is checked at every T before its first trial, so the T=1
+    # trials of "-T 1 5" never run and neither sink opens its file.
+    "fixed_key_shorter_than_transfer_length": [
+        Refusal(["custom", "--key", "1101", "-T", *t, "--trials", "2", "--data-qubits", "10",
+                 "--trace", "{tmp}/trace.jsonl", "--intercept-log", "{tmp}/log.jsonl"], SHORT_KEY)
+        for t in (["5"], ["1", "5"])
+    ],
+    "mistyped_config_value": [
+        Refusal(["custom"], message, setting, "repeated_key" if isinstance(setting, str) else None)
+        for setting, message in [
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"trials": "3"}, "trials must be an integer, got '3'"),
+            ({"reverse_auth": "no"}, "reverse_auth must be true or false, got 'no'"),
+            ({"t_values": [1, "2"]}, "t_values must be a list of integers"),
+            ({"master_seed": True}, "master_seed must be an integer, got True"),
+            ({"adversary": ["honest"]}, "adversary must be a string"),
+            ({"analytic_rounds": "8"}, "analytic_rounds must be an integer"),
+            ({"path": ["alice", "r1", "bob"]}, "topology must be an object with the keys"),
+            ({"topology": 5}, "topology must be an object with the keys"),
+            ({"nodes": "ab", "edges": [["a", "b"]], "path": ["a", "b"]},
+             "topology nodes must be a list of node names"),
+            ({"topology": {"nodes": ["a", "b"], "edges": [["a"]], "path": ["a", "b"]}},
+             "topology edges must be a list of node-name pairs"),
+            ({"nodes": ["a", "b"], "edges": [["a", "b"]], "path": ["a", "b"], "topology": {}},
+             "give either topology or nodes, edges and path"),
+            ({"T": [3]}, "unknown config key 'T'"),  # an old alias is an unknown key
+            ('{"trials": 2, "trials": 3}', "config key 'trials' is given twice"),
+            ({"adversary": "honest", "malicious_node": "zz"},  # no node intercepts
+             "an honest repeater path has no malicious node"),
+            ({"key": "011010", "key_bits": 8}, "key_bits is only for a 0x-prefixed hex key"),
+            ({"key_bits": 8}, "key_bits is only for a 0x-prefixed hex key"),
+            ({"t_values": []}, "need at least one transfer length"),
+            ({"trials": 0}, "trials must be >= 1"),
+            ({"output_format": "xml"}, "format must be one of"),
+            ({"t_values": [17]}, "transfer length must be in [1, 16]"),
+            ({"t_values": [5], "key_length": 3}, "key length shorter than max(transfer length"),
+            ({"analytic_rounds": 0}, "analytic rounds must be >= 1"),
+        ]
+    ],
+    # A table experiment refuses, in its config file, what the campaign
+    # experiments refuse: a mistyped adversary, payload or key, a malicious
+    # node off the path interior or beside an honest adversary, an
+    # intercepting adversary (the default) on a path with no intermediate
+    # node, an encoding index other than 0 or 1, an all-zero key, or a key
+    # shorter than some transfer length.
+    "table_experiments_check_the_campaign_labels": [
+        Refusal(["custom"], message, setting) for setting, message in [
+            ({"adversary": "bogus"}, "unknown behavior 'bogus'"),
+            ({"payload": "nonsense"}, "unknown payload distribution 'nonsense'"),
+            ({"payload": "fixed:2"}, "fixed distribution needs a state in 0/1/+/-"),
+            ({"key": "01x"}, "key must be a 0/1 string or 0x-prefixed hex"),
+            ({"key": "01x", "malicious_node": "zz"}, "malicious node 'zz' is not on the path"),
+            ({"malicious_node": "zz"}, "malicious node 'zz' is not on the path interior"),
+            ({"adversary": "honest", "malicious_node": "r1"},
+             "an honest repeater path has no malicious node"),
+            (DIRECT, netsim.NO_INTERMEDIATE),
+            ({"encoding_index": 7}, "encoding index must be 0 or 1"),
+            ({"key": "00"}, "all-zero key never schedules a data window"),
+            (KEY4, SHORT_KEY),
+        ]
+    ],
+    # --key-bits sizes a 0x hex key; beside a 0/1 key or no key it would be
+    # dropped and another key length run than the one asked for. Below 2
+    # bits, from a flag or a config file, it names no usable key length.
+    "key_bits_without_hex_key": [
+        Refusal(["custom", "-T", "1", "--trials", "1", *flags], message, config)
+        for flags, config, message in [
+            (["--key", "0110", "--key-bits", "8"], None, "key_bits is only for a 0x-prefixed"),
+            (["--key-bits", "8"], None, "key_bits is only for a 0x-prefixed hex key"),
+            (["--key", "0x1", "--key-bits", "-3"], None, "key_bits must be in [2, "),
+            ([], {"key": "0x1", "key_bits": 1}, "key_bits must be in [2, "),
+        ]
+    ],
+    # Refused with one line before any trial: an oversized length before any
+    # key is drawn, a malformed hex key with a message of its own.
+    "oversized_or_malformed_key": [
+        Refusal([*argv, "-T", "1"], message, id=f"argv{i}-{old_id}")
+        for i, (argv, message, old_id) in enumerate([
+            (["custom", "--key-length", str(MAX_KEY_LENGTH + 1)],
+             f"key length must be <= {MAX_KEY_LENGTH}", "key length must be <="),
+            (["capacity", "--key-length", str(MAX_KEY_LENGTH + 1)],
+             f"key length must be <= {MAX_KEY_LENGTH}", "key length must be <="),
+            (["custom", "--key", "0x1", "--key-bits", str(MAX_KEY_LENGTH + 1)],
+             f"key_bits must be in [2, {MAX_KEY_LENGTH}]", "key_bits"),
+            (["custom", "--key", "0x", "--key-bits", "4"], MISSING_HEX.format("0x"),
+             "hex key '0x' needs hex digits"),
+            (["custom", "--key", "0xZZ", "--key-bits", "8"], MISSING_HEX.format("0xZZ"),
+             "hex key '0xZZ' needs hex digits"),
+        ])
+    ],
+    # A repeated T would print its row twice and, in JSON, keep one of its
+    # two batches of trials under one key.
+    "repeated_transfer_length": [
+        Refusal(argv, "transfer lengths must not repeat", config) for argv, config in [
+            (["fig2_success", "-T", "1", "1", "--trials", "3", "--format", "csv"], None),
+            (["fig2_success", "-T", "2", "1", "1", "--trials", "1", "--format", "json"], None),
+            (["capacity", "-T", "3", "3"], None),
+            (["custom", "--trials", "1"], {"t_values": [2, 1, 2]}),
+        ]
+    ],
+    # Trial seeds are mixed mod 2**64, so -5 and 2**64 - 5 (or 5 and
+    # 2**64 + 5) would print the same rows under two master seeds.
+    "master_seed_outside_64_bits": [
+        Refusal(["custom", "-T", "1", "2", "--trials", "5", "--format", "csv", *flags],
+                "master seed must be in [0, 2**64)", config)
+        for flags, config in [(["--seed", "-5"], None), (["--seed", str(2**64 + 5)], None),
+                              ([], {"master_seed": -1}), ([], {"master_seed": 2**64})]
+    ],
+    # The second spelling reaches the same file through a symlinked directory.
+    "one_file_for_two_outputs": [
+        Refusal([*TWO_HOPS, first, "{tmp}/real/f", second, "{tmp}/link/f"],
+                f"{first} and {second} name the same file", id=f"{first}-{second}")
+        for first, second in [("--trace", "--intercept-log"), ("--trace", "--out"),
+                              ("--intercept-log", "--out")]
+    ],
+    "out_from_a_config_file_is_checked_too": [
+        Refusal(["custom", "-T", "1", "--trials", "1", "--trace", "{tmp}/f"],
+                "--trace and --out name the same file", {"out": "{tmp}/f"}),
+    ],
+    # An empty string is a value, not "unset": it must not run fresh keys or
+    # intercept at the default node.
+    "empty_key_or_malicious_node": [
+        Refusal([*TWO_HOPS, "--trace", "{tmp}/trace.jsonl",
+                 *([] if via_config else ["--" + key.replace("_", "-"), ""])],
+                message, {key: ""} if via_config else None, id=f"{key}-{via_config}")
+        for key, message in [("key", "key must be a 0/1 string or 0x-prefixed hex"),
+                             ("malicious_node", "malicious node '' is not on the path")]
+        for via_config in (False, True)
+    ],
+    # An option given twice, under one spelling or two, is refused like a
+    # config key given twice; argparse alone would keep the last value.
+    "repeated_flag": [
+        Refusal(["custom", "-T", "1", "-T", "2", "--trials", "1", "--data-qubits", "2",
+                 "--format", "csv"], "--transfer-length/-T is given twice", id="T"),
+        Refusal(["custom", "-T", "1", "--transfer-length", "2"],
+                "--transfer-length/-T is given twice", id="T_and_transfer_length"),
+        Refusal(["custom", "--trials", "3", "--trials", "4"], "--trials is given twice",
+                id="trials"),
+        Refusal(["custom", "--reverse-auth", "--reverse-auth"],
+                "--reverse-auth is given twice", id="reverse_auth"),
+        Refusal(["custom", "--out", "{tmp}/f", "--out", "{tmp}/g"], "--out is given twice",
+                id="out"),
+        Refusal(["custom", "--trials", "1", "--trials", "1"], "--trials is given twice",
+                {"trials": 2}, id="same_value_over_a_config_value"),
+        Refusal(["analytic", "--rounds", "2", "--rounds", "3"], "--rounds is given twice",
+                id="rounds"),
+        Refusal(["capacity", "--key-length", "8", "--key-length", "8"],
+                "--key-length is given twice", id="capacity_key_length"),
+    ],
+}
+
+
+def command(tmp, row):
+    """The row's argv in ``tmp``, with its config, if any, written to a file
+    that --config names. ``tmp`` gets ``real/`` and a symlink ``link`` to it:
+    two spellings of one directory."""
+    (tmp / "real").mkdir(exist_ok=True)
+    if not (tmp / "link").exists():
+        (tmp / "link").symlink_to(tmp / "real")
+    argv = [arg.replace("{tmp}", str(tmp)) for arg in row.argv]
+    if row.config is not None:
+        text = row.config if isinstance(row.config, str) else json.dumps(row.config)
+        path = tmp / "config.json"
+        path.write_text(text.replace("{tmp}", str(tmp)))
+        argv += ["--config", str(path)]
+    return argv
+
+
+def assert_refused(tmp, monkeypatch, row):
+    """Run a REFUSALS row: exit 2, no stdout, one stderr line "error: "
+    followed by the row's message, no trial started and no file written."""
+    argv = command(tmp, row)
+    files = sorted(tmp.rglob("*"))
+    monkeypatch.setattr(netsim, "run_trial", None)  # no trial may start
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"error: {row.message}") and err.count("\n") == 1, err
+    assert sorted(tmp.rglob("*")) == files
+
+
+# Each test below runs its rows of REFUSALS through assert_refused.
+
+
+def test_bad_flag_value_exits_2(tmp_path, monkeypatch):
+    for row in REFUSALS["bad_flag_value"]:
+        assert_refused(tmp_path, monkeypatch, row)
+
+
+def test_unknown_subcommand_exits_2(tmp_path, monkeypatch):
+    for row in REFUSALS["unknown_subcommand"]:
+        assert_refused(tmp_path, monkeypatch, row)
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
+    for row in REFUSALS["config_file_rejects_unknown_keys"]:
+        assert_refused(tmp_path, monkeypatch, row)
+
+
+def test_missing_config_file_exits_2(tmp_path, monkeypatch):
+    for row in REFUSALS["missing_config_file"]:
+        assert_refused(tmp_path, monkeypatch, row)
+
+
+def test_fixed_key_shorter_than_transfer_length_exits_2(tmp_path, monkeypatch):
+    for row in REFUSALS["fixed_key_shorter_than_transfer_length"]:
+        assert_refused(tmp_path, monkeypatch, row)
+
+
+def test_out_from_a_config_file_is_checked_too(tmp_path, monkeypatch):
+    for row in REFUSALS["out_from_a_config_file_is_checked_too"]:
+        assert_refused(tmp_path, monkeypatch, row)
+
+
+@pytest.mark.parametrize("setting", REFUSALS["mistyped_config_value"], ids=row_id)
+def test_mistyped_config_value_exits_2(tmp_path, monkeypatch, setting):
+    assert_refused(tmp_path, monkeypatch, setting)
+
+
+@pytest.mark.parametrize("key_flags", REFUSALS["key_bits_without_hex_key"], ids=row_id)
+def test_key_bits_without_hex_key_exits_2(tmp_path, monkeypatch, key_flags):
+    assert_refused(tmp_path, monkeypatch, key_flags)
+
+
+@pytest.mark.parametrize("row", REFUSALS["oversized_or_malformed_key"], ids=row_id)
+def test_oversized_or_malformed_key_exits_2(tmp_path, monkeypatch, row):
+    assert_refused(tmp_path, monkeypatch, row)
+
+
+@pytest.mark.parametrize("t_flags", REFUSALS["repeated_transfer_length"], ids=row_id)
+def test_repeated_transfer_length_exits_2(tmp_path, monkeypatch, t_flags):
+    assert_refused(tmp_path, monkeypatch, t_flags)
+
+
+@pytest.mark.parametrize("seed_flags", REFUSALS["master_seed_outside_64_bits"], ids=row_id)
+def test_master_seed_outside_64_bits_exits_2(tmp_path, monkeypatch, seed_flags):
+    assert_refused(tmp_path, monkeypatch, seed_flags)
+
+
+@pytest.mark.parametrize("row", REFUSALS["one_file_for_two_outputs"], ids=row_id)
+def test_one_file_for_two_outputs_exits_2(tmp_path, monkeypatch, row):
+    assert_refused(tmp_path, monkeypatch, row)
+
+
+@pytest.mark.parametrize("row", REFUSALS["empty_key_or_malicious_node"], ids=row_id)
+def test_empty_key_or_malicious_node_exits_2(tmp_path, monkeypatch, row):
+    assert_refused(tmp_path, monkeypatch, row)
+
+
+@pytest.mark.parametrize("row", REFUSALS["repeated_flag"], ids=row_id)
+def test_repeated_flag_exits_2(tmp_path, monkeypatch, row):
+    assert_refused(tmp_path, monkeypatch, row)
 
 
 @pytest.mark.parametrize("argv", [["analytic", "--rounds", "2"],
                                   ["capacity", "--key-length", "64", "-T", "2"]])
-@pytest.mark.parametrize("setting", [{"adversary": "bogus"}, {"payload": "nonsense"},
-                                     {"payload": "fixed:2"}, {"key": "01x"},
-                                     {"key": "01x", "malicious_node": "zz"},
-                                     {"malicious_node": "zz"},
-                                     {"adversary": "honest", "malicious_node": "r1"},
-                                     DIRECT, {"encoding_index": 7}, {"key": "00"}, KEY4])
-def test_table_experiments_check_the_campaign_labels(tmp_path, capsys, argv, setting):
-    # A table experiment runs no campaign, but a mistyped adversary, payload
-    # or key, a malicious node off the path interior or beside an honest
-    # adversary, an intercepting adversary (the default) on a path with no
-    # intermediate node, an encoding index other than 0 or 1, an all-zero
-    # key, or a key shorter than some transfer length, in its config file is
-    # still refused, as every experiment whose default adversary intercepts
-    # refuses it; valid ones change nothing.
+@pytest.mark.parametrize("setting", REFUSALS["table_experiments_check_the_campaign_labels"])
+def test_table_experiments_check_the_campaign_labels(tmp_path, argv, setting):
+    # Each row is refused by every campaign experiment with one error line,
+    # and by the table experiments alike; valid ones change nothing.
     path = tmp_path / "f.json"
-    path.write_text(json.dumps(setting))
-    if setting is KEY4 and "-T" in argv:  # capacity at T = 2, which 4 bits cover
-        assert run([*argv, "--config", str(path)], capsys) == run(argv, capsys)
+    path.write_text(json.dumps(setting.config))
+    if setting.config is KEY4 and "-T" in argv:  # capacity at T = 2, which 4 bits cover
+        assert run_cli([*argv, "--config", str(path)]) == run_cli(argv)
         return
-    code, out, err = run([*argv, "--config", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if setting is DIRECT:
-        assert err == f"error: {netsim.NO_INTERMEDIATE}\n"
+    code, out, err = run_cli([*argv, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {setting.message}") and err.count("\n") == 1
     for campaign in ("custom", "fig2_success", "fig3_rounds", "fig4_leakage"):
-        code, _, campaign_err = run([campaign, "--config", str(path)], capsys)
+        code, _, campaign_err = run_cli([campaign, "--config", str(path)])
         assert (code, campaign_err) == (2, err), campaign
     for valid in ({"adversary": "honest", "payload": "fixed:-"},
                   {"adversary": "intercept_x", "key": "01101", "malicious_node": "r1"},
                   {**DIRECT, "adversary": "honest"}):
         path.write_text(json.dumps(valid))
-        assert run([*argv, "--config", str(path)], capsys) == run(argv, capsys)
+        assert run_cli([*argv, "--config", str(path)]) == run_cli(argv)
     # the direct path under an honest repeater runs a campaign too
-    code, out, _ = run(["custom", "-T", "1", "--trials", "1", "--data-qubits", "2",
-                        "--config", str(path)], capsys)
+    code, out, _ = run_cli(["custom", "-T", "1", "--trials", "1", "--data-qubits", "2",
+                            "--config", str(path)])
     assert code == 0 and out
 
 
-@pytest.mark.parametrize(
-    "key_flags",
-    [["--key", "0110", "--key-bits", "8"], ["--key-bits", "8"],
-     ["--key", "0x1", "--key-bits", "-3"], {"key": "0x1", "key_bits": 1}],
-)
-def test_key_bits_without_hex_key_exits_2(tmp_path, capsys, key_flags):
-    # --key-bits sizes a 0x hex key; beside a 0/1 key or no key it would be
-    # dropped and another key length run than the one asked for. Below 2
-    # bits, from a flag or a config file, it names no usable key length.
-    if isinstance(key_flags, dict):
-        path = tmp_path / "key.json"
-        path.write_text(json.dumps(key_flags))
-        key_flags = ["--config", str(path)]
-    code, out, err = run(["custom", "-T", "1", "--trials", "1", *key_flags], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "key_bits" in err and err.count("\n") == 1
+# -- flag fuzz -----------------------------------------------------------------
+
+#: flag values: usual ones keep a campaign to milliseconds; oversized ones
+#: appear only where they are refused before anything is allocated
+T_VALUES = st.lists(st.sampled_from(["1", "2", "5", "16", "0", "17", "x"]), max_size=3)
+FLAG_VALUES = {
+    "-T": T_VALUES, "--transfer-length": T_VALUES,
+    "--trials": st.sampled_from(["1", "2", "0", "-1", "1e3"]),
+    "--data-qubits": st.sampled_from(["0", "2", "3", "-1"]),
+    "--adversary": st.sampled_from([*sorted(BEHAVIOR_LABELS), "bogus"]),
+    "--key-length": st.sampled_from(["2", "5", "16", "64", "0", "-1",
+                                     str(MAX_KEY_LENGTH + 1), str(10**9)]),
+    "--key": st.sampled_from(["0110", "1", "00", "", "0x", "0xd", "0xZZ", "012",
+                              "1" * (MAX_KEY_LENGTH + 1)]),
+    "--key-bits": st.sampled_from(["4", "8", "1", "-3", str(MAX_KEY_LENGTH + 1)]),
+    "--malicious-node": st.sampled_from(["r1", "", "zz", "alice"]),
+    "--encoding-index": st.sampled_from(["0", "1", "2"]),
+    "--seed": st.sampled_from(["7", "0", str(2**64 - 1), "-1", str(2**64)]),
+    "--format": st.sampled_from([*exp.OUTPUT_FORMATS, "xml"]),
+    "--payload": st.sampled_from(["haar", "fixed:+", "fixed:2", "bogus"]),
+    "--reverse-auth": st.just([]),
+    "--rounds": st.sampled_from(["1", "3", "0", "-1"]),
+    "--out": st.sampled_from(["{tmp}/real/a", "{tmp}/link/a", "{tmp}/b"]),
+    "--trace": st.sampled_from(["{tmp}/real/a", "{tmp}/link/a", "{tmp}/c"]),
+    "--intercept-log": st.sampled_from(["{tmp}/real/a", "{tmp}/d"]),
+}
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [(["custom", "--key-length", str(MAX_KEY_LENGTH + 1)], "key length must be <="),
-     (["capacity", "--key-length", str(MAX_KEY_LENGTH + 1)], "key length must be <="),
-     (["custom", "--key", "0x1", "--key-bits", str(MAX_KEY_LENGTH + 1)], "key_bits"),
-     (["custom", "--key", "0x", "--key-bits", "4"], "hex key '0x' needs hex digits"),
-     (["custom", "--key", "0xZZ", "--key-bits", "8"], "hex key '0xZZ' needs hex digits")],
-)
-def test_oversized_or_malformed_key_exits_2(capsys, argv, message):
-    # Refused with one line before any trial: an oversized length before
-    # any key is drawn, a malformed hex key with a message of its own.
-    code, out, err = run([*argv, "-T", "1"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+@st.composite
+def flag_sets(draw):
+    """A subcommand and up to five flags, any of them repeated or foreign to
+    the subcommand. A campaign always gets a trial count and a data-qubit
+    target of at most 3, so a flag set that is not refused runs in
+    milliseconds."""
+    name = draw(st.sampled_from(sorted(exp.EXPERIMENT_SPECS)))
+    argv = [name]
+    if exp.EXPERIMENT_SPECS[name].table is None:
+        argv += ["--trials", draw(st.sampled_from(["1", "2"])),
+                 "--data-qubits", draw(st.sampled_from(["2", "3"]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=5)):
+        value = draw(FLAG_VALUES[flag])
+        argv += [flag, *value] if isinstance(value, list) else [flag, value]
+    return Refusal(argv, "")
+
+
+def with_refusal_examples(test):
+    for rows in REFUSALS.values():
+        for row in rows:
+            test = example(row)(test)
+    return test
+
+
+@given(flag_sets())
+@with_refusal_examples
+@settings(max_examples=60)
+def test_fuzzed_flags_exit_0_or_2_with_one_error_line(tmp_path_factory, row):
+    # In-process, nothing raises out of main: a flag set runs (exit 0) or is
+    # refused (exit 2) with no stdout and one "error: " line.
+    code, out, err = run_cli(command(tmp_path_factory.getbasetemp(), row))
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# -- exit 1 and what a run writes ---------------------------------------------------
 
 
 def test_config_refuses_an_oversized_key():
@@ -289,100 +531,46 @@ def test_config_refuses_an_oversized_key():
     assert exp.ExperimentConfig(key_length=MAX_KEY_LENGTH).key_length == MAX_KEY_LENGTH
 
 
-@pytest.mark.parametrize(
-    "t_flags",
-    [["fig2_success", "-T", "1", "1", "--trials", "3", "--format", "csv"],
-     ["fig2_success", "-T", "2", "1", "1", "--trials", "1", "--format", "json"],
-     ["capacity", "-T", "3", "3"],
-     {"t_values": [2, 1, 2]}],
-)
-def test_repeated_transfer_length_exits_2(tmp_path, capsys, t_flags):
-    # A repeated T would print its row twice and, in JSON, keep one of its
-    # two batches of trials under one key.
-    if isinstance(t_flags, dict):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps(t_flags))
-        t_flags = ["custom", "--trials", "1", "--config", str(path)]
-    code, out, err = run(t_flags, capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: transfer lengths must not repeat")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "seed_flags",
-    [["--seed", "-5"], ["--seed", str(2**64 + 5)], {"master_seed": -1},
-     {"master_seed": 2**64}],
-)
-def test_master_seed_outside_64_bits_exits_2(tmp_path, capsys, seed_flags):
-    # Trial seeds are mixed mod 2**64, so -5 and 2**64 - 5 (or 5 and
-    # 2**64 + 5) would print the same rows under two master seeds.
-    if isinstance(seed_flags, dict):
-        path = tmp_path / "seed.json"
-        path.write_text(json.dumps(seed_flags))
-        seed_flags = ["--config", str(path)]
-    code, out, err = run(
-        ["custom", "-T", "1", "2", "--trials", "5", "--format", "csv", *seed_flags],
-        capsys,
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: master seed must be in [0, 2**64)")
-    assert err.count("\n") == 1
-
-
-def test_master_seed_range_ends_are_accepted(capsys):
+def test_master_seed_range_ends_are_accepted():
     for seed in (0, 2**64 - 1):
-        code, out, err = run(
+        code, out, err = run_cli(
             ["custom", "-T", "1", "--trials", "2", "--data-qubits", "4",
-             "--format", "csv", "--seed", str(seed)],
-            capsys,
+             "--format", "csv", "--seed", str(seed)]
         )
         assert code == 0 and err == ""
         assert out.splitlines()[1].endswith(f",{seed}")
 
 
-def test_short_fresh_keys_are_redrawn_until_non_zero(capsys):
+def test_short_fresh_keys_are_redrawn_until_non_zero():
     # A 2-bit fresh key is all zero in a quarter of the draws; such a draw
     # is replaced from the trial's key stream instead of ending the
     # campaign. A fixed all-zero key still exits 2.
-    code, out, err = run(
-        ["custom", "--key-length", "2", "-T", "1", "--trials", "20", "--format", "csv"],
-        capsys,
+    code, out, err = run_cli(
+        ["custom", "--key-length", "2", "-T", "1", "--trials", "20", "--format", "csv"]
     )
     assert code == 0 and err == ""
     assert out.splitlines()[1].startswith("1,20,")
-    code, out, err = run(["custom", "--key", "00", "-T", "1", "--trials", "1"], capsys)
+    code, out, err = run_cli(["custom", "--key", "00", "-T", "1", "--trials", "1"])
     assert code == 2 and out == ""
     assert err == "error: all-zero key never schedules a data window\n"
 
 
-def test_stuck_session_exits_1_instead_of_hanging(monkeypatch, capsys):
-    def busy_forever(self, arrival):
-        # always progresses (changes phase), never completes
-        st = self.state
-        st.phase = (protocol.Phase.AUTH_PREPARE if st.phase is protocol.Phase.DATA_TRANSFER
-                    else protocol.Phase.DATA_TRANSFER)
-        return None
-
+def test_stuck_session_exits_1_instead_of_hanging(monkeypatch):
     monkeypatch.setattr(protocol.Responder, "step", busy_forever)
-    code, out, err = run(
+    code, out, err = run_cli(
         ["custom", "-T", "1", "--trials", "1", "--data-qubits", "3",
-         "--key-length", "8", "--adversary", "honest"],
-        capsys,
+         "--key-length", "8", "--adversary", "honest"]
     )
     assert code == 1
     assert out == ""
     assert "sweeps" in err and err.count("\n") == 1
 
 
-def test_leaked_qubit_exits_1(monkeypatch, capsys):
+def test_leaked_qubit_exits_1(monkeypatch):
     monkeypatch.setattr(qsim.Simulator, "release", lambda self, q: None)
-    code, out, err = run(
+    code, out, err = run_cli(
         ["custom", "-T", "1", "--trials", "1", "--data-qubits", "3",
-         "--key-length", "8", "--adversary", "honest"],
-        capsys,
+         "--key-length", "8", "--adversary", "honest"]
     )
     assert code == 1
     assert out == ""
@@ -390,7 +578,7 @@ def test_leaked_qubit_exits_1(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
-def test_trace_is_written_as_each_trial_ends(tmp_path, monkeypatch, capsys):
+def test_trace_is_written_as_each_trial_ends(tmp_path, monkeypatch):
     trace_path = tmp_path / "trace.jsonl"
     seen = []
     inner = netsim.run_trial
@@ -401,40 +589,27 @@ def test_trace_is_written_as_each_trial_ends(tmp_path, monkeypatch, capsys):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(netsim, "run_trial", run_trial)
-    code, _, _ = run(
+    code, _, _ = run_cli(
         ["custom", "-T", "2", "--trials", "3", "--data-qubits", "4",
          "--adversary", "honest", "--key-length", "16", "--format", "csv",
-         "--trace", str(trace_path)],
-        capsys,
+         "--trace", str(trace_path)]
     )
     assert code == 0
     assert seen == [set(), {0}, {0, 1}]
 
 
-def test_missing_config_file_exits_2(capsys):
-    code, _, err = run(["custom", "--config", "/no/such/file.json"], capsys)
-    assert code == 2
-
-
-def test_unwritable_output_exits_1(tmp_path, capsys):
-    code, _, err = run(
+def test_unwritable_output_exits_1(tmp_path):
+    code, _, err = run_cli(
         [
             "analytic",
             "--rounds", "2",
             "--out", str(tmp_path / "missing" / "out.csv"),
-        ],
-        capsys,
+        ]
     )
     assert code == 1
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["fig9_magic"])
-    assert exc.value.code == 2
-
-
-def test_determinism_across_invocations(tmp_path, capsys):
+def test_determinism_across_invocations():
     argv = [
         "custom",
         "-T", "1", "2",
@@ -444,66 +619,10 @@ def test_determinism_across_invocations(tmp_path, capsys):
         "--key-length", "32",
         "--format", "csv",
     ]
-    code1, out1, _ = run(argv, capsys)
-    code2, out2, _ = run(argv, capsys)
+    code1, out1, _ = run_cli(argv)
+    code2, out2, _ = run_cli(argv)
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-SHARED_PATH_FLAGS = [("--trace", "--intercept-log"), ("--trace", "--out"),
-                     ("--intercept-log", "--out")]
-
-
-@pytest.mark.parametrize("first,second", SHARED_PATH_FLAGS)
-def test_one_file_for_two_outputs_exits_2(tmp_path, monkeypatch, capsys, first, second):
-    # The second spelling reaches the same file through a symlinked directory.
-    (tmp_path / "real").mkdir()
-    (tmp_path / "link").symlink_to(tmp_path / "real")
-    monkeypatch.setattr(netsim, "run_trial", None)  # no trial may start
-    code, out, err = run(
-        ["custom", "--adversary", "intercept_random", "-T", "1", "--trials", "2",
-         "--data-qubits", "10", "--seed", "3",
-         first, str(tmp_path / "real" / "f"), second, str(tmp_path / "link" / "f")],
-        capsys,
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: {first} and {second} ") and err.count("\n") == 1
-    assert list((tmp_path / "real").iterdir()) == []
-
-
-def test_out_from_a_config_file_is_checked_too(tmp_path, capsys):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"out": str(tmp_path / "f")}))
-    code, _, err = run(
-        ["custom", "-T", "1", "--trials", "1", "--config", str(config),
-         "--trace", str(tmp_path / "f")],
-        capsys,
-    )
-    assert code == 2
-    assert err.startswith("error: --trace and --out ")
-    assert not (tmp_path / "f").exists()
-
-
-@pytest.mark.parametrize("via_config", [False, True])
-@pytest.mark.parametrize("key", ["key", "malicious_node"])
-def test_empty_key_or_malicious_node_exits_2(tmp_path, capsys, key, via_config):
-    # An empty string is a value, not "unset": it must not run fresh keys or
-    # intercept at the default node.
-    trace = tmp_path / "trace.jsonl"
-    argv = ["custom", "--adversary", "intercept_random", "-T", "1", "--trials", "2",
-            "--data-qubits", "10", "--seed", "3", "--trace", str(trace)]
-    if via_config:
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({key: ""}))
-        argv += ["--config", str(config)]
-    else:
-        argv += ["--" + key.replace("_", "-"), ""]
-    code, out, err = run(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not trace.exists()  # no trial ended
 
 
 # -- the JSONL sinks -----------------------------------------------------------
@@ -524,7 +643,7 @@ sink_entries = st.dictionaries(
 
 @given(st.lists(st.tuples(st.integers(1, 16), st.integers(0, 10**6),
                           st.lists(sink_entries, max_size=4)), max_size=3))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_sink_lines_equal_json_dumps(tmp_path_factory, trials):
     path = tmp_path_factory.getbasetemp() / "sink.jsonl"
     path.unlink(missing_ok=True)
@@ -568,7 +687,7 @@ ODD_PATH = ['a"lice', "r\\1", "ré€\U0001d11e", "r\x013", "bob"]
 
 
 @pytest.mark.parametrize("adversary", ["intercept_random", "honest"])
-def test_entries_are_canonical_json_and_lines_the_dict_form(tmp_path, capsys, adversary):
+def test_entries_are_canonical_json_and_lines_the_dict_form(tmp_path, adversary):
     # Every entry is the text json.dumps gives for its own dict, and every
     # written line is json.dumps of the tags and that dict together.
     config = tmp_path / "odd.json"
@@ -578,8 +697,8 @@ def test_entries_are_canonical_json_and_lines_the_dict_form(tmp_path, capsys, ad
             "--trials", "6", "--data-qubits", "12", "--key-length", "32",
             "--reverse-auth", "--seed", "4", "--format", "csv"]
     paths = {"records": tmp_path / "trace.jsonl", "events": tmp_path / "log.jsonl"}
-    code, _, _ = run([*argv, "--trace", str(paths["records"]),
-                      "--intercept-log", str(paths["events"])], capsys)
+    code, _, _ = run_cli([*argv, "--trace", str(paths["records"]),
+                          "--intercept-log", str(paths["events"])])
     assert code == 0
     sinks = {"records": [], "events": []}
     exp.run_experiment(build_config(build_parser().parse_args(argv)),
@@ -678,19 +797,17 @@ def config_files(draw):
     return config
 
 
-def _run_quiet(argv):
-    """``run`` without capsys, which hypothesis does not reset per example."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+def with_label_examples(test):
+    """Each campaign-label refusal of REFUSALS as an example, in a campaign of
+    one trial per T that delivers two data qubits."""
+    for row in REFUSALS["table_experiments_check_the_campaign_labels"]:
+        test = example({"trials": 1, "data_target": 2, **row.config})(test)
+    return test
 
 
 @given(config_files())
-@example({"trials": 1, "data_target": 2, "encoding_index": 7})
-@example({"trials": 1, "data_target": 2, "key": "00"})
-@example({"trials": 1, "data_target": 2, "key": "0110"})
-@settings(max_examples=50, deadline=None)
+@with_label_examples
+@settings(max_examples=50)
 def test_fuzzed_config_files_are_refused_alike(tmp_path_factory, config):
     # Every experiment reads a config through the one validation of
     # ExperimentConfig, so each exits 0 or 2, a 2 with one error line, and
@@ -706,11 +823,11 @@ def test_fuzzed_config_files_are_refused_alike(tmp_path_factory, config):
         merged = json.dumps({**spec.defaults, **config})
         if merged not in custom:
             merged_path.write_text(merged)
-            code, out, err = _run_quiet(["custom", "--config", str(merged_path)])
+            code, out, err = run_cli(["custom", "--config", str(merged_path)])
             assert code in (0, 2), err
             if code == 2:
                 assert out == "" and err.startswith("error: ") and err.count("\n") == 1
             custom[merged] = code, err
         if name != "custom":
-            code, _, err = _run_quiet([name, "--config", str(path)])
+            code, _, err = run_cli([name, "--config", str(path)])
             assert (code, err) == custom[merged], name

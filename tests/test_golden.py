@@ -10,7 +10,7 @@ purpose updates these values and says why.
 import hashlib
 import json
 
-from qauthsim.cli import main
+from helpers import run_cli
 
 COMMON = ["-T", "1", "2", "3", "4", "5", "--seed", "7", "--key-length", "1024"]
 
@@ -77,47 +77,46 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv, capsys) -> str:
-    assert main(argv + COMMON) == 0
-    return capsys.readouterr().out
+def run(argv) -> str:
+    code, out, err = run_cli(argv + COMMON)
+    assert (code, err) == (0, "")
+    return out
 
 
-def test_fig5_honest_csv(capsys):
-    assert run(["fig5_overhead", "--trials", "20", "--format", "csv"], capsys) == FIG5_CSV
+def test_fig5_honest_csv():
+    assert run(["fig5_overhead", "--trials", "20", "--format", "csv"]) == FIG5_CSV
 
 
-def test_fig2_mitm_csv(capsys):
-    assert run(["fig2_success", "--trials", "60", "--format", "csv"], capsys) == FIG2_CSV
+def test_fig2_mitm_csv():
+    assert run(["fig2_success", "--trials", "60", "--format", "csv"]) == FIG2_CSV
 
 
-def test_three_repeater_haar_reverse_auth_json_and_trace(tmp_path, capsys):
+def test_three_repeater_haar_reverse_auth_json_and_trace(tmp_path):
     config = tmp_path / "chain3.json"
     config.write_text(json.dumps(CHAIN3))
     trace = tmp_path / "trace.jsonl"
     out = run(
         ["custom", "--config", str(config), "--adversary", "honest",
          "--payload", "haar", "--reverse-auth", "--trials", "4",
-         "--format", "json", "--trace", str(trace)],
-        capsys,
+         "--format", "json", "--trace", str(trace)]
     )
     assert sha256(out.encode()) == CHAIN3_JSON_SHA256
     assert sha256(trace.read_bytes()) == CHAIN3_TRACE_SHA256
 
 
-def test_mitm_trace_and_intercept_log(tmp_path, capsys):
+def test_mitm_trace_and_intercept_log(tmp_path):
     trace = tmp_path / "trace.jsonl"
     log = tmp_path / "eve.jsonl"
     out = run(
         ["custom", "--adversary", "intercept_random", "--trials", "3",
-         "--format", "csv", "--trace", str(trace), "--intercept-log", str(log)],
-        capsys,
+         "--format", "csv", "--trace", str(trace), "--intercept-log", str(log)]
     )
     assert out == MITM_CSV
     assert sha256(trace.read_bytes()) == MITM_TRACE_SHA256
     assert sha256(log.read_bytes()) == MITM_INTERCEPT_SHA256
 
 
-def test_three_repeater_swap_and_intercept_csv_and_log(tmp_path, capsys):
+def test_three_repeater_swap_and_intercept_csv_and_log(tmp_path):
     # r2 intercepts a qubit that arrives over pairs the swaps at r1 and r3
     # built, so this pins a Bell measurement of one pair against another
     # together with the interceptor's measurements.
@@ -127,22 +126,20 @@ def test_three_repeater_swap_and_intercept_csv_and_log(tmp_path, capsys):
     out = run(
         ["custom", "--config", str(config), "--adversary", "intercept_random",
          "--malicious-node", "r2", "--payload", "haar", "--reverse-auth",
-         "--trials", "3", "--format", "csv", "--intercept-log", str(log)],
-        capsys,
+         "--trials", "3", "--format", "csv", "--intercept-log", str(log)]
     )
     assert out == CHAIN3_MITM_CSV
     assert sha256(log.read_bytes()) == CHAIN3_MITM_INTERCEPT_SHA256
 
 
-def test_fixed_payload_z_interceptor_encoding_index_1(tmp_path, capsys):
+def test_fixed_payload_z_interceptor_encoding_index_1(tmp_path):
     # The fixed payload, the always-Z interceptor and encoding index 1 are
     # reached by no other value here.
     log = tmp_path / "eve.jsonl"
     out = run(
         ["custom", "--payload", "fixed:-", "--adversary", "intercept_z",
          "--encoding-index", "1", "--trials", "3", "--format", "csv",
-         "--intercept-log", str(log)],
-        capsys,
+         "--intercept-log", str(log)]
     )
     assert out == FIXED_INTERCEPT_Z_CSV
     assert sha256(log.read_bytes()) == FIXED_INTERCEPT_Z_LOG_SHA256

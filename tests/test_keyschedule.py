@@ -5,13 +5,12 @@ and capacity against exhaustive enumeration of all keys for small lengths.
 """
 
 import math
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import key_from_bits, window_value
+from helpers import exhaustive_capacity, key_from_bits, window_value
 from qauthsim.keyschedule import (
     AUTH_STATE_TABLE,
     AuthPlan,
@@ -86,7 +85,7 @@ def test_plan_table_covers_all_four_states():
     t=st.integers(1, 16),
     rounds=st.integers(1, 40),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_window_sequence_matches_oracle(bits, t, rounds):
     key = key_from_bits(bits)
     cfg = ScheduleConfig(t)
@@ -101,7 +100,7 @@ def test_window_sequence_matches_oracle(bits, t, rounds):
     t=st.integers(1, 8),
     order=st.lists(st.booleans(), min_size=1, max_size=60),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_cursors_are_independent(bits, t, order):
     # Interleaving pair draws arbitrarily never changes the R sequence, and
     # vice versa.
@@ -124,7 +123,7 @@ def test_cursors_are_independent(bits, t, order):
     bits=st.lists(st.integers(0, 1), min_size=2, max_size=24),
     t=st.integers(1, 8),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_window_sequence_periodicity(bits, t):
     key = key_from_bits(bits)
     cfg = ScheduleConfig(t)
@@ -158,25 +157,10 @@ def test_capacity_reference_values():
     assert capacity(4, 4) == 7
 
 
-def test_capacity_validates_arguments():
-    with pytest.raises(ValueError):
-        capacity(2, 3)
-    with pytest.raises(ValueError):
-        capacity(8, 0)
-
-
 @pytest.mark.parametrize("length", [2, 3, 4, 5, 6, 7, 8])
 def test_capacity_equals_exhaustive_mean(length):
-    # Enumerate every key of this length; the mean data-qubit count over one
-    # full pass (floor(L/T) windows, no wrap) must floor to capacity().
     for t in range(1, length + 1):
-        windows = length // t
-        total = sum(
-            window_value(bits, t, k)
-            for bits in product((0, 1), repeat=length)
-            for k in range(windows)
-        )
-        assert capacity(length, t) == total // 2**length
+        assert capacity(length, t) == exhaustive_capacity(length, t)
 
 
 # -- key parsing / validation ---------------------------------------------------
@@ -192,29 +176,11 @@ def test_parse_key_hex_with_length():
 
 
 @given(data=st.data(), n=st.integers(2, 96))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_parse_key_hex_reads_bits_msb_first(data, n):
     value = data.draw(st.integers(0, (1 << n) - 1))
     expected = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
     assert parse_key(hex(value), bit_length=n).bits == expected
-
-
-def test_parse_key_rejects_bad_input():
-    with pytest.raises(ValueError):
-        parse_key("0xd")  # hex needs a bit length
-    with pytest.raises(ValueError):
-        parse_key("0x1f", bit_length=4)  # does not fit
-    with pytest.raises(ValueError):
-        parse_key("12")
-    with pytest.raises(ValueError):
-        parse_key("")
-
-
-def test_key_material_validation():
-    with pytest.raises(ValueError):
-        KeyMaterial((1,))
-    with pytest.raises(ValueError):
-        KeyMaterial((1, 2))
 
 
 @pytest.mark.parametrize("length", [2, 3, 17, 1024])
@@ -231,13 +197,6 @@ def test_a_drawn_key_is_the_generator_draw(length):
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def test_keys_from_outside_keep_the_bit_check():
-    with pytest.raises(ValueError, match="0 or 1"):
-        KeyMaterial((0, 2))
-    with pytest.raises(ValueError):
-        parse_key("012")
-
-
 def test_a_key_out_of_length_bounds_is_refused_before_any_draw():
     rng = make_rng(1)
     state = rng.bit_generator.state
@@ -251,10 +210,56 @@ def test_a_key_out_of_length_bounds_is_refused_before_any_draw():
         parse_key("1" * (MAX_KEY_LENGTH + 1))
 
 
+#: Refused key-schedule inputs, by the test that runs them: the call, its
+#: arguments and the start of its ValueError message.
+KEY_REFUSALS = {
+    "capacity_validates_arguments": [
+        (capacity, (2, 3), "key length must be >= transfer length"),
+        (capacity, (8, 0), "transfer length must be >= 1"),
+    ],
+    "parse_key_rejects_bad_input": [
+        (parse_key, ("0xd",), "hex keys need an explicit bit length"),
+        (parse_key, ("0x1f", 4), "hex value does not fit in 4 bits"),
+        (parse_key, ("12",), "key must be a 0/1 string or 0x-prefixed hex"),
+        (parse_key, ("",), "key must be a 0/1 string or 0x-prefixed hex"),
+    ],
+    "key_material_validation": [
+        (KeyMaterial, ((1,),), "key needs at least 2 bits"),
+        (KeyMaterial, ((1, 2),), "key bits must be 0 or 1"),
+    ],
+    "keys_from_outside_keep_the_bit_check": [
+        (KeyMaterial, ((0, 2),), "key bits must be 0 or 1"),
+        (parse_key, ("012",), "key must be a 0/1 string or 0x-prefixed hex"),
+    ],
+    "schedule_config_validation": [
+        (ScheduleConfig, (0,), r"transfer length must be in \[1, 16\]"),
+        (ScheduleConfig, (17,), r"transfer length must be in \[1, 16\]"),
+        (ScheduleConfig, (2, 2), "encoding index must be 0 or 1"),
+    ],
+}
+
+
+def run_key_refusals(name):
+    for call, args, message in KEY_REFUSALS[name]:
+        with pytest.raises(ValueError, match="^" + message):
+            call(*args)
+
+
+def test_capacity_validates_arguments():
+    run_key_refusals("capacity_validates_arguments")
+
+
+def test_parse_key_rejects_bad_input():
+    run_key_refusals("parse_key_rejects_bad_input")
+
+
+def test_key_material_validation():
+    run_key_refusals("key_material_validation")
+
+
+def test_keys_from_outside_keep_the_bit_check():
+    run_key_refusals("keys_from_outside_keep_the_bit_check")
+
+
 def test_schedule_config_validation():
-    with pytest.raises(ValueError):
-        ScheduleConfig(0)
-    with pytest.raises(ValueError):
-        ScheduleConfig(17)
-    with pytest.raises(ValueError):
-        ScheduleConfig(2, encoding_index=2)
+    run_key_refusals("schedule_config_validation")

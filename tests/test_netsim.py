@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qauthsim as qa
-from helpers import assert_maximally_entangled, decoded
+from helpers import assert_maximally_entangled, busy_forever, decoded, run_cli, session_config
 from qauthsim.adversary import Honest, InterceptResend, RepeaterState, parse_behavior
 from qauthsim import netsim, protocol
-from qauthsim.cli import main
 from qauthsim.experiments import trial_seed
 from qauthsim.keyschedule import AuthPlan, KeyCursors, KeyMaterial, ScheduleConfig
 from qauthsim.netsim import (
@@ -39,16 +38,6 @@ from qauthsim.qsim import (
 )
 
 CHAIN = Topology.chain(1)
-
-
-def config(t=2, target=20, key=None, key_length=64, **kwargs):
-    return SessionConfig(
-        key=qa.parse_key(key) if key else None,
-        sched=ScheduleConfig(t, 0),
-        data_qubit_target=target,
-        key_length=key_length,
-        **kwargs,
-    )
 
 
 # -- topology ---------------------------------------------------------------------
@@ -180,7 +169,8 @@ def test_trials_register_no_repeater_pair(monkeypatch):
 
     monkeypatch.setattr(Simulator, "make_bell_pair", refuse)
     monkeypatch.setattr(Simulator, "bell_measure", refuse)
-    cfg = config(t=2, target=20, reverse_auth=True, payload=PayloadDistribution.parse("haar"))
+    cfg = session_config(t=2, target=20, reverse_auth=True,
+                         payload=PayloadDistribution.parse("haar"))
     memo: dict = {}
     for behavior, swaps, hops in ((Honest(), 3, 1), (InterceptResend("random_zx"), 2, 2)):
         record = run_trial(Topology.chain(3), behavior, cfg, seed=21, bell_memo=memo)
@@ -194,7 +184,7 @@ def test_trials_register_no_repeater_pair(monkeypatch):
 
 
 def test_identical_seeds_identical_records_and_traces():
-    cfg = config(t=2, target=25)
+    cfg = session_config(t=2, target=25)
     t1, t2 = [], []
     r1 = run_trial(CHAIN, InterceptResend("random_zx"), cfg, seed=99, trace=t1)
     r2 = run_trial(CHAIN, InterceptResend("random_zx"), cfg, seed=99, trace=t2)
@@ -212,11 +202,12 @@ def test_a_shared_bell_memo_changes_no_trial(case):
     # lone state other than the NAMED_STATES tuples, here the haar
     # payloads) ever enters it.
     if case == "intercept_uniform4":
-        topology, behavior, cfg = CHAIN, InterceptResend("random_zx"), config(t=2, target=30)
+        topology, behavior = CHAIN, InterceptResend("random_zx")
+        cfg = session_config(t=2, target=30)
     else:
         topology, behavior = Topology.chain(3), Honest()
-        cfg = config(t=2, target=20, reverse_auth=True,
-                     payload=PayloadDistribution.parse("haar"))
+        cfg = session_config(t=2, target=20, reverse_auth=True,
+                             payload=PayloadDistribution.parse("haar"))
     memo: dict = {}
     sizes = []
     named = set(NAMED_STATES.values())
@@ -236,7 +227,7 @@ def test_a_shared_bell_memo_changes_no_trial(case):
 def test_honest_baseline_never_detects():
     for i in range(200):
         t = 1 + i % 5
-        record = run_trial(CHAIN, Honest(), config(t=t, target=30), seed=3000 + i)
+        record = run_trial(CHAIN, Honest(), session_config(t=t, target=30), seed=3000 + i)
         assert not record.detected
         assert record.completed
         assert record.data_qubits_delivered == 30
@@ -244,7 +235,7 @@ def test_honest_baseline_never_detects():
 
 def test_conservation_honest():
     trace = []
-    record = run_trial(CHAIN, Honest(), config(t=2, target=20), seed=4, trace=trace)
+    record = run_trial(CHAIN, Honest(), session_config(t=2, target=20), seed=4, trace=trace)
     transfers = record.data_qubits_delivered + record.auth_qubits_sent
     assert record.teleports == transfers
     assert record.bell_pairs_created == 2 * transfers  # one per edge per transfer
@@ -257,7 +248,7 @@ def test_conservation_honest():
 
 
 def test_conservation_under_interception():
-    record = run_trial(CHAIN, InterceptResend("random_zx"), config(target=50), seed=5)
+    record = run_trial(CHAIN, InterceptResend("random_zx"), session_config(target=50), seed=5)
     transfers = record.data_qubits_delivered + record.auth_qubits_sent
     assert record.teleports == 2 * transfers  # re-sent at the interceptor
     assert record.bell_pairs_created == 2 * transfers
@@ -268,7 +259,7 @@ def test_detected_record_invariants():
     hits = 0
     for i in range(30):
         record = run_trial(
-            CHAIN, InterceptResend("random_zx"), config(t=3, target=60), seed=6000 + i
+            CHAIN, InterceptResend("random_zx"), session_config(t=3, target=60), seed=6000 + i
         )
         assert record.data_qubits_delivered <= record.data_qubit_target
         if record.detected:
@@ -290,7 +281,7 @@ def test_leakage_is_delivery_count_at_detection():
         record = run_trial(
             CHAIN,
             InterceptResend("random_zx"),
-            config(t=2, target=90, key="11" * 8),
+            session_config(t=2, target=90, key="11" * 8),
             seed=7000 + i,
         )
         if record.detected:
@@ -301,7 +292,8 @@ def test_responder_timeout_after_silent_termination():
     for i in range(40):
         trace = []
         record = run_trial(
-            CHAIN, InterceptResend("random_zx"), config(target=80), seed=8000 + i, trace=trace
+            CHAIN, InterceptResend("random_zx"), session_config(target=80), seed=8000 + i,
+            trace=trace,
         )
         if not record.detected:
             continue
@@ -316,12 +308,12 @@ def test_responder_timeout_after_silent_termination():
 
 def test_mitm_needs_an_interior_node():
     with pytest.raises(ValueError):
-        run_trial(Topology.chain(0), InterceptResend("random_zx"), config(), seed=1)
+        run_trial(Topology.chain(0), InterceptResend("random_zx"), session_config(), seed=1)
     with pytest.raises(ValueError):
         run_trial(
             CHAIN,
             InterceptResend("random_zx"),
-            config(),
+            session_config(),
             seed=1,
             malicious_node="bob",
         )
@@ -329,7 +321,7 @@ def test_mitm_needs_an_interior_node():
 
 def test_zero_capacity_key_rejected():
     with pytest.raises(ValueError):
-        run_trial(CHAIN, Honest(), config(key="0000"), seed=1)
+        run_trial(CHAIN, Honest(), session_config(key="0000"), seed=1)
 
 
 def test_trial_with_malicious_node_choice():
@@ -337,7 +329,7 @@ def test_trial_with_malicious_node_choice():
     record = run_trial(
         topo,
         InterceptResend("random_zx"),
-        config(t=1, target=10**9),
+        session_config(t=1, target=10**9),
         seed=11,
         malicious_node="r3",
     )
@@ -356,20 +348,13 @@ def cap_sweeps_at_worst_case(monkeypatch, fraction):
 def test_sweep_cap_guard(monkeypatch):
     monkeypatch.setattr(netsim, "sweep_bound", lambda *args: 10)
     with pytest.raises(SimulationError, match="10 scheduler sweeps"):
-        run_trial(CHAIN, Honest(), config(target=500), seed=2)
+        run_trial(CHAIN, Honest(), session_config(target=500), seed=2)
 
 
 def test_stuck_session_raises_without_a_given_bound(monkeypatch):
-    def busy_forever(self, arrival):
-        # always progresses (changes phase), never completes
-        st = self.state
-        st.phase = (protocol.Phase.AUTH_PREPARE if st.phase is protocol.Phase.DATA_TRANSFER
-                    else protocol.Phase.DATA_TRANSFER)
-        return None
-
     monkeypatch.setattr(protocol.Responder, "step", busy_forever)
     with pytest.raises(SimulationError, match="scheduler sweeps"):
-        run_trial(CHAIN, Honest(), config(target=3, key_length=8), seed=1)
+        run_trial(CHAIN, Honest(), session_config(target=3, key_length=8), seed=1)
 
 
 def test_leaked_qubit_fails_the_trial(monkeypatch):
@@ -386,7 +371,7 @@ def test_leaked_qubit_fails_the_trial(monkeypatch):
 
     monkeypatch.setattr(Simulator, "release", release_all_but_first)
     with pytest.raises(SimulationError, match="^1 qubits outlived the trial$"):
-        run_trial(CHAIN, Honest(), config(target=3, key_length=8), seed=1)
+        run_trial(CHAIN, Honest(), session_config(target=3, key_length=8), seed=1)
     assert len(skipped) == 1
 
 
@@ -398,7 +383,7 @@ def test_leaked_qubit_fails_the_trial(monkeypatch):
 def test_sweep_bound_covers_sparse_keys(monkeypatch, key, t, reverse):
     # These keys give one 1-qubit window per key cycle, or per round under
     # reverse auth: the derived worst case.
-    cfg = config(t=t, target=13, key=key, reverse_auth=reverse)
+    cfg = session_config(t=t, target=13, key=key, reverse_auth=reverse)
     cap_sweeps_at_worst_case(monkeypatch, 1.0)
     assert run_trial(CHAIN, Honest(), cfg, seed=3).completed
 
@@ -406,7 +391,7 @@ def test_sweep_bound_covers_sparse_keys(monkeypatch, key, t, reverse):
 def test_sweep_bound_worst_case_is_nearly_reached(monkeypatch):
     # 1-qubit windows with reverse authentication take 4 sweeps per round
     # beside the data sweep, which the derivation assumes.
-    cfg = config(t=2, target=13, key="01", reverse_auth=True)
+    cfg = session_config(t=2, target=13, key="01", reverse_auth=True)
     cap_sweeps_at_worst_case(monkeypatch, 0.9)
     with pytest.raises(SimulationError):
         run_trial(CHAIN, Honest(), cfg, seed=3)
@@ -433,7 +418,7 @@ def trial_cases(draw):
 
 
 @given(trial_cases())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_random_trials_keep_invariants(case):
     # run_trial raises SimulationError if a qubit outlives the trial or the
     # session runs past its sweep bound.
@@ -451,7 +436,7 @@ def test_per_trial_objects_hold_no_instance_dict():
     # brings the instance dict back and fails here. The fabric is traced
     # and the repeater logs and draws, so their optional slots are set.
     key = KeyMaterial.random(8, make_rng(1))
-    cfg = config(key="0110", payload=PayloadDistribution("fixed", "+"))
+    cfg = session_config(key="0110", payload=PayloadDistribution("fixed", "+"))
     sim = Simulator()
     behavior = InterceptResend("random_zx")
     repeater = RepeaterState(behavior, "r1", 7, [])
@@ -493,17 +478,16 @@ def test_message_log_kinds_and_counts():
     assert (fabric.swaps, fabric.teleports) == (4, 1)
 
 
-def test_write_trace_jsonl(tmp_path, capsys):
+def test_write_trace_jsonl(tmp_path):
     path = tmp_path / "trace.jsonl"
     argv = ["custom", "-T", "2", "--trials", "2", "--data-qubits", "5",
             "--adversary", "honest", "--key-length", "64", "--seed", "12",
             "--format", "csv", "--trace", str(path)]
-    assert main(argv) == 0
-    capsys.readouterr()
+    assert run_cli(argv)[0] == 0
     expected = []
     for i in range(2):
         trace = []
-        run_trial(CHAIN, Honest(), config(target=5), trial_seed(12, 2, i), trace=trace)
+        run_trial(CHAIN, Honest(), session_config(target=5), trial_seed(12, 2, i), trace=trace)
         expected += [{"transfer_length": 2, "trial_index": i, **r} for r in decoded(trace)]
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines == expected

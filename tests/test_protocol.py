@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import qauthsim as qa
-from helpers import decoded
-from qauthsim.keyschedule import AuthPlan, ScheduleConfig
+from helpers import decoded, session_config
+from qauthsim.keyschedule import AuthPlan
 from qauthsim.protocol import (
     PayloadDistribution,
-    SessionConfig,
     _Endpoint,
     sample_payload,
 )
@@ -23,15 +22,8 @@ from qauthsim.qsim import (
 )
 
 CHAIN = qa.Topology.chain(1)
-
-
-def honest_config(t, target, key="1101", **kwargs):
-    return SessionConfig(
-        key=qa.parse_key(key) if key else None,
-        sched=ScheduleConfig(t, 0),
-        data_qubit_target=target,
-        **kwargs,
-    )
+#: the worked example's key
+KEY = "1101"
 
 
 # -- auth qubit preparation ----------------------------------------------------
@@ -67,7 +59,7 @@ def test_prepare_matches_expected_state_table():
 def test_worked_example_trace():
     trace = []
     record = qa.run_trial(
-        CHAIN, qa.Honest(), honest_config(2, 4), seed=11, trace=trace
+        CHAIN, qa.Honest(), session_config(2, 4, KEY), seed=11, trace=trace
     )
     assert record.completed and not record.detected
     assert record.data_qubits_delivered == 4
@@ -98,7 +90,7 @@ def test_worked_example_trace():
 
 def test_zero_target_completes_without_authentication():
     trace = []
-    record = qa.run_trial(CHAIN, qa.Honest(), honest_config(2, 0), seed=3, trace=trace)
+    record = qa.run_trial(CHAIN, qa.Honest(), session_config(2, 0, KEY), seed=3, trace=trace)
     assert record.completed
     assert record.data_qubits_delivered == 0
     assert record.auth_qubits_sent == 0
@@ -109,7 +101,7 @@ def test_zero_window_authenticates_immediately():
     # key 0011 with T=2: first window R=0, so round 1 runs with no data.
     trace = []
     record = qa.run_trial(
-        CHAIN, qa.Honest(), honest_config(2, 3, key="0011"), seed=4, trace=trace
+        CHAIN, qa.Honest(), session_config(2, 3, "0011"), seed=4, trace=trace
     )
     assert record.completed
     events = [r["event"] for r in decoded(trace) if r.get("event") in ("window", "verdict")]
@@ -121,12 +113,7 @@ def test_zero_window_authenticates_immediately():
 def test_honest_sessions_never_fail():
     for i in range(300):
         t = 1 + i % 5
-        cfg = SessionConfig(
-            key=None,
-            sched=ScheduleConfig(t, i % 2),
-            data_qubit_target=2**t,
-            key_length=32,
-        )
+        cfg = session_config(t, 2**t, key_length=32, index=i % 2)
         record = qa.run_trial(CHAIN, qa.Honest(), cfg, seed=20_000 + i)
         assert not record.detected
         assert record.completed
@@ -135,7 +122,7 @@ def test_honest_sessions_never_fail():
 def test_schedule_fidelity_against_key_windows():
     # fixed key: window values are predictable, and the trace must respect them
     key = "110100101101"
-    cfg = honest_config(3, 20, key=key)
+    cfg = session_config(3, 20, key)
     trace = []
     record = qa.run_trial(CHAIN, qa.Honest(), cfg, seed=8, trace=trace)
     assert record.completed
@@ -263,7 +250,7 @@ def test_z_interceptor_corrupts_half_the_payloads():
     key = "10" * 8
     delivered = intact = 0
     for i in range(36):
-        cfg = honest_config(2, 300, key=key)
+        cfg = session_config(2, 300, key)
         record = qa.run_trial(
             CHAIN, qa.InterceptResend("always_z"), cfg, seed=40_000 + i
         )
@@ -281,7 +268,7 @@ def test_fail_fast_stops_data_flow():
     found = 0
     for i in range(20):
         trace = []
-        cfg = honest_config(2, 150, key=None, key_length=64)
+        cfg = session_config(2, 150)
         record = qa.run_trial(
             CHAIN, qa.InterceptResend("random_zx"), cfg, seed=60_000 + i, trace=trace
         )
@@ -306,7 +293,7 @@ def test_fail_fast_stops_data_flow():
 
 def test_wire_records_carry_no_role_metadata():
     trace = []
-    qa.run_trial(CHAIN, qa.Honest(), honest_config(2, 6), seed=9, trace=trace)
+    qa.run_trial(CHAIN, qa.Honest(), session_config(2, 6, KEY), seed=9, trace=trace)
     teleports = [r for r in decoded(trace) if r.get("event") == "teleport"]
     assert teleports, "expected teleport records"
     shapes = {tuple(sorted(r)) for r in teleports}
@@ -322,7 +309,7 @@ def test_untraced_trial_builds_no_trace_event(monkeypatch):
     # never called, and the record equals that of a traced run of the same
     # seed. Reverse authentication under interception reaches every endpoint
     # event, failed verdicts on both sides and the timeout close-out.
-    cfg = honest_config(1, 12, key=None, key_length=64, reverse_auth=True)
+    cfg = session_config(1, 12, reverse_auth=True)
     cases = [(behavior, seed) for behavior in (qa.Honest(), qa.InterceptResend("random_zx"))
              for seed in range(30)]
     traced = {}
@@ -351,12 +338,12 @@ def test_untraced_trial_builds_no_trace_event(monkeypatch):
 
 
 def test_reverse_auth_doubles_auth_qubits():
-    one_way = qa.run_trial(CHAIN, qa.Honest(), honest_config(2, 8), seed=12)
+    one_way = qa.run_trial(CHAIN, qa.Honest(), session_config(2, 8, KEY), seed=12)
     trace = []
     both = qa.run_trial(
         CHAIN,
         qa.Honest(),
-        honest_config(2, 8, reverse_auth=True),
+        session_config(2, 8, KEY, reverse_auth=True),
         seed=12,
         trace=trace,
     )
@@ -380,13 +367,7 @@ def test_reverse_auth_per_round_detection():
     rounds = detections = 0
     i = 0
     while rounds < 6000:
-        cfg = SessionConfig(
-            key=None,
-            sched=ScheduleConfig(1, 0),
-            data_qubit_target=10**9,
-            reverse_auth=True,
-            key_length=64,
-        )
+        cfg = session_config(1, 10**9, reverse_auth=True)
         record = qa.run_trial(
             CHAIN, qa.InterceptResend("random_zx"), cfg, seed=70_000 + i
         )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_bell_pair, group_of
+from helpers import assert_bell_pair, group_of, swap_chain, teleport
 from qauthsim import qsim
 from qauthsim.qsim import (
     Basis,
@@ -42,23 +42,104 @@ def born_probs(state: np.ndarray) -> np.ndarray:
     return np.abs(state) ** 2
 
 
+# -- single-qubit cases ----------------------------------------------------------
+
+#: an outcome that is 0 or 1 with probability 1/2, checked to 0.02 over the
+#: row's repetitions; one equal to the outcome before it; one left unchecked
+FAIR, SAME, ANY = "fair", "same", None
+#: the eigenvectors of outcomes 0 and 1, by basis name
+EIGEN = {"Z": (I2[0], I2[1]), "X": (H_MAT @ I2[0], H_MAT @ I2[1])}
+
+#: Single-qubit cases, by the test that runs them: the prepared state (a
+#: ``prepare`` bit and basis, or a NAMED_STATES label), the number of H gates,
+#: the bases measured in turn, the expected outcome of each, and the
+#: repetitions and seed.
+SINGLE_QUBIT = {
+    "fresh_qubit_measures_zero": [((0, Basis.Z), 0, "Z", (0,), 50, 0)],
+    "h_zero_measures_plus": [((0, Basis.Z), 1, "X", (0,), 50, 1)],
+    "x_then_h_gives_minus": [((1, Basis.Z), 1, "", (), 1, 0)],
+    "minus_in_x_basis_is_deterministic": [("-", 0, "X", (1,), 50, 3)],
+    "minus_in_z_basis_is_fair": [("-", 0, "Z", (FAIR,), 10_000, 4)],
+    "repeat_measurement_is_stable": [((0, Basis.Z), 1, bases, (ANY, SAME), 200, 18)
+                                     for bases in ("ZZ", "XX")],
+    # a Z eigenstate measured in X keeps its value in Z only half the time
+    "cross_basis_measurement_disturbs": [((0, Basis.Z), 0, "XZ", (ANY, FAIR), 10_000, 19)],
+    "prepare_tables_equal_the_gate_sequence": [((bit, basis), 0, "", (), 1, 0)
+                                               for bit in (0, 1) for basis in Basis],
+}
+
+
+def run_single_qubit(name):
+    """Run the SINGLE_QUBIT rows of ``name`` against the dense oracle: the
+    prepared amplitudes are exactly X^bit, then H for the X basis, on |0>
+    (or the named state), each gate is H_MAT to 1e-12, and each expected
+    outcome has the Born probability it claims in the state the outcomes
+    before it left. Every repetition then gives those outcomes."""
+    for prep, gates, bases, expected, n, seed in SINGLE_QUBIT[name]:
+        if isinstance(prep, str):
+            state = np.array(NAMED_STATES[prep])
+        else:
+            state = np.linalg.matrix_power(X_MAT, prep[0]) @ [1, 0]
+            state = H_MAT @ state if prep[1] is Basis.X else state
+        after = np.linalg.matrix_power(H_MAT, gates) @ state
+        sim, rng = Simulator(), make_rng(seed)
+        ones = [0] * len(bases)
+        for rep in range(n):
+            q = sim.allocate_unit(state) if isinstance(prep, str) else sim.prepare(*prep)
+            if rep == 0:
+                np.testing.assert_array_equal(sim.amplitudes(q), state)
+            for _ in range(gates):
+                sim.apply_h(q)
+            if rep == 0:
+                np.testing.assert_allclose(sim.amplitudes(q), after, atol=1e-12)
+            outcomes = [sim.measure(q, Basis[b], rng) for b in bases]
+            sim.release(q)
+            v = after
+            for i, (b, m, want) in enumerate(zip(bases, outcomes, expected)):
+                p1 = abs(np.vdot(EIGEN[b][1], v)) ** 2  # the oracle's Born probability
+                v = EIGEN[b][m]
+                if want is FAIR:
+                    assert abs(p1 - 0.5) < 1e-12
+                    ones[i] += m
+                elif want is SAME:
+                    assert abs(p1 - outcomes[i - 1]) < 1e-12 and m == outcomes[i - 1]
+                elif want is not ANY:
+                    assert abs(p1 - want) < 1e-12 and m == want
+        for i, want in enumerate(expected):
+            if want is FAIR:
+                assert abs(ones[i] / n - 0.5) < 0.02
+
+
 def test_fresh_qubit_measures_zero():
-    sim = Simulator()
-    rng = make_rng(0)
-    for _ in range(50):
-        q = sim.prepare(0, Basis.Z)
-        assert sim.measure(q, Basis.Z, rng) == 0
-        sim.release(q)
+    run_single_qubit("fresh_qubit_measures_zero")
 
 
 def test_h_zero_measures_plus():
-    sim = Simulator()
-    rng = make_rng(1)
-    for _ in range(50):
-        q = sim.prepare(0, Basis.Z)
-        sim.apply_h(q)
-        assert sim.measure(q, Basis.X, rng) == 0
-        sim.release(q)
+    run_single_qubit("h_zero_measures_plus")
+
+
+def test_x_then_h_gives_minus():
+    run_single_qubit("x_then_h_gives_minus")
+
+
+def test_minus_in_x_basis_is_deterministic():
+    run_single_qubit("minus_in_x_basis_is_deterministic")
+
+
+def test_minus_in_z_basis_is_fair():
+    run_single_qubit("minus_in_z_basis_is_fair")
+
+
+def test_repeat_measurement_is_stable():
+    run_single_qubit("repeat_measurement_is_stable")
+
+
+def test_cross_basis_measurement_disturbs():
+    run_single_qubit("cross_basis_measurement_disturbs")
+
+
+def test_prepare_tables_equal_the_gate_sequence():
+    run_single_qubit("prepare_tables_equal_the_gate_sequence")
 
 
 def test_two_allocations_are_independent_groups():
@@ -70,14 +151,6 @@ def test_two_allocations_are_independent_groups():
     # joint state is the tensor product of the singletons
     joint = np.kron(sim.amplitudes(a), sim.amplitudes(b))
     assert states_equal(joint, np.array([1, 0, 0, 0], dtype=complex))
-
-
-def test_x_then_h_gives_minus():
-    sim = Simulator()
-    q = sim.prepare(1, Basis.Z)
-    np.testing.assert_array_equal(sim.amplitudes(q), X_MAT @ [1, 0])
-    sim.apply_h(q)
-    np.testing.assert_allclose(sim.amplitudes(q), np.array([SQ, -SQ]), atol=1e-12)
 
 
 def test_h_is_involutory():
@@ -110,26 +183,6 @@ def test_bell_circuit_matches_dense_oracle():
     payload = sim.allocate_unit(NAMED_STATES["1"])
     sim.bell_measure(payload, a, rng)
     assert sim.measure(d, Basis.Z, rng) == 1
-
-
-def test_minus_in_x_basis_is_deterministic():
-    sim = Simulator()
-    rng = make_rng(3)
-    for _ in range(50):
-        q = sim.allocate_unit(NAMED_STATES["-"])
-        assert sim.measure(q, Basis.X, rng) == 1
-        sim.release(q)
-
-
-def test_minus_in_z_basis_is_fair():
-    sim = Simulator()
-    rng = make_rng(4)
-    ones = 0
-    for _ in range(10_000):
-        q = sim.allocate_unit(NAMED_STATES["-"])
-        ones += sim.measure(q, Basis.Z, rng)
-        sim.release(q)
-    assert abs(ones / 10_000 - 0.5) < 0.02
 
 
 def carries(sim, rng, near, far, label, basis):
@@ -216,22 +269,16 @@ def test_teleport_minus_state():
     sim = Simulator()
     rng = make_rng(9)
     for _ in range(50):
-        payload = sim.allocate_unit(NAMED_STATES["-"])
-        e1, e2 = sim.make_bell_pair()
-        assert_bell_pair(sim, e1, e2)
-        sim.bell_measure(payload, e1, rng)
-        assert sim.measure(e2, Basis.X, rng) == 1
-        sim.release(e2)
+        far, _ = teleport(sim, rng, NAMED_STATES["-"])
+        assert sim.measure(far, Basis.X, rng) == 1
+        sim.release(far)
 
 
 def test_teleport_zero_state():
     sim = Simulator()
     rng = make_rng(10)
-    payload = sim.prepare(0, Basis.Z)
-    e1, e2 = sim.make_bell_pair()
-    assert_bell_pair(sim, e1, e2)
-    sim.bell_measure(payload, e1, rng)
-    assert sim.measure(e2, Basis.Z, rng) == 0
+    far, _ = teleport(sim, rng, NAMED_STATES["0"])
+    assert sim.measure(far, Basis.Z, rng) == 0
 
 
 def test_teleport_random_states_full_fidelity():
@@ -249,17 +296,6 @@ def test_teleport_random_states_full_fidelity():
         assert m_a in (0, 1) and m_b in (0, 1)
         assert group_of(sim, payload) == group_of(sim, e1) == ()
         sim.release(e2)
-
-
-def _swap_chain(sim, rng, hops):
-    """Build an end-to-end pair from `hops` adjacent pairs via swaps: each
-    swap teleports the chain's far half over the next pair."""
-    left, right = sim.make_bell_pair()
-    for _ in range(hops - 1):
-        a, b = sim.make_bell_pair()
-        sim.bell_measure(right, a, rng)
-        right = b
-    return left, right
 
 
 # -- fused Bell measurement against the gate sequence ---------------------------
@@ -331,7 +367,7 @@ def measure_case(case):
 
 
 @given(bell_measure_cases())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_fused_bell_measure_matches_gate_sequence(case):
     # The gate sequence's outcomes from the same draws, with q and near
     # gone and q's partner, then far, left in one group. The pure kernel
@@ -353,7 +389,7 @@ def test_fused_bell_measure_matches_gate_sequence(case):
 
 
 @given(bell_measure_cases())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_teleport_matches_bell_measure_then_corrections(case):
     # The state left behind is the gate sequence's, with X^m_b, then Z^m_a,
     # applied at far.
@@ -401,7 +437,7 @@ def miss_then_hit(sim, states, where, seed):
 
 
 @given(memo_cases())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_bell_memo_hit_equals_miss(case):
     # q of every shape and near either half of its pair, in one simulator,
     # each run on two copies of the same groups: the first fills the memo
@@ -433,7 +469,7 @@ def one_shot_cases(draw):
 
 
 @given(one_shot_cases())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_one_shot_operand_matches_its_table_entry(case):
     # A lone operand that is not a NAMED_STATES tuple is measured without a
     # table. On seeds from the given one until all four outcomes are drawn,
@@ -557,7 +593,7 @@ def test_swap_then_z_measurement_correlates():
     sim = Simulator()
     rng = make_rng(13)
     for i in range(300):
-        left, right = _swap_chain(sim, rng, hops=2)
+        left, right = swap_chain(sim, rng, hops=2)
         assert carries(sim, rng, left, right, str(i % 2), Basis.Z)[0] == i % 2
 
 
@@ -568,12 +604,9 @@ def test_swap_chain_equals_direct_pair_for_teleport():
     for _ in range(100):
         v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
         v /= np.linalg.norm(v)
-        left, right = _swap_chain(sim, rng, hops=2)
-        payload = sim.allocate_unit(v)
-        assert_bell_pair(sim, left, right)
-        sim.bell_measure(payload, left, rng)
-        assert states_equal(sim.amplitudes(right), v, tol=1e-9)
-        sim.release(right)
+        far, _ = teleport(sim, rng, v, hops=2)
+        assert states_equal(sim.amplitudes(far), v, tol=1e-9)
+        sim.release(far)
 
 
 @pytest.mark.parametrize("hops", [2, 3, 4, 5])
@@ -582,7 +615,7 @@ def test_chained_swaps_keep_bell_correlation(hops):
     sim = Simulator()
     rng = make_rng(16)
     for _ in range(100):
-        left, right = _swap_chain(sim, rng, hops=hops)
+        left, right = swap_chain(sim, rng, hops=hops)
         assert_bell_pair(sim, left, right)
         np.testing.assert_allclose(
             np.abs(sim.amplitudes(left)), np.abs(BELL), atol=1e-9
@@ -640,7 +673,7 @@ OPS = ("allocate", "prepare", "pair", "bell", "measure", "h", "release")
 
 
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_registry_invariants_under_random_operations(data):
     sim = Simulator()
     rng = make_rng(data.draw(st.integers(0, 2**64 - 1)))
@@ -779,18 +812,6 @@ def test_lone_or_same_group_near_is_refused_before_any_draw():
     assert sim.bell_memo == memo
 
 
-def test_repeat_measurement_is_stable():
-    sim = Simulator()
-    rng = make_rng(18)
-    for basis in (Basis.Z, Basis.X):
-        for _ in range(200):
-            q = sim.prepare(0, Basis.Z)
-            sim.apply_h(q)
-            first = sim.measure(q, basis, rng)
-            assert sim.measure(q, basis, rng) == first
-            sim.release(q)
-
-
 def test_identical_seeds_replay_identical_outcomes():
     def script(seed):
         sim = Simulator()
@@ -808,21 +829,6 @@ def test_identical_seeds_replay_identical_outcomes():
 
     assert script(99) == script(99)
     assert script(99) != script(100)  # astronomically unlikely to collide
-
-
-def test_cross_basis_measurement_disturbs():
-    # Z eigenstate measured in X then re-measured in Z: original value
-    # survives only half the time.
-    sim = Simulator()
-    rng = make_rng(19)
-    kept = 0
-    n = 10_000
-    for _ in range(n):
-        q = sim.prepare(0, Basis.Z)  # |0>
-        sim.measure(q, Basis.X, rng)
-        kept += sim.measure(q, Basis.Z, rng) == 0
-        sim.release(q)
-    assert abs(kept / n - 0.5) < 0.02
 
 
 def test_derive_seed_is_deterministic_and_spreads():
@@ -867,7 +873,7 @@ TAIL = [("integers", 2**32, 0), ("random", 1), ("normal", 2), ("integers", 2**32
 
 
 @given(st.integers(0, 2**64 - 1), st.lists(draw_calls, max_size=40))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_draws_replay_the_generator_value_for_value(seed, calls):
     # Up to 40 calls of up to 300 draws each cross the 8-to-256-word block
     # boundaries.
@@ -875,56 +881,68 @@ def test_draws_replay_the_generator_value_for_value(seed, calls):
     assert replay(draws, calls + TAIL) == replay(gen, calls + TAIL)
 
 
-def test_draws_keep_a_split_word_across_a_normal_call():
+#: checks after a segment of a call mix: the Generator keeps the high half
+#: of a 32-bit word; every word the stream read is used; each call is refused
+KEEPS_HALF, USED_UP, REFUSED = "keeps half", "used up", "refused"
+BLOCK = qsim.DRAWS_BLOCK_MIN
+
+#: Draws call mixes, by the test that runs them: segments of calls, each
+#: replayed from a Draws and a Generator of one seed, then checked.
+DRAW_MIXES = {
     # integers(0, 2) uses the low half of a word and keeps the high half,
     # which the next 32-bit draw takes, whether or not a normal call comes
     # between; the first block's 8 words are read before the normal call.
-    calls = [("integers", 2, 0), ("random", 3), ("normal", 2), ("integers", 2, 0),
-             ("integers", 2, 0), ("normal", 1), ("random", 40), ("integers", 4, 0)]
-    for seed in range(50):
-        draws, gen = Draws(seed), make_rng(seed)
-        assert replay(draws, calls[:3]) == replay(gen, calls[:3])
-        assert gen.bit_generator.state["has_uint32"] == 1
-        assert replay(draws, calls[2:] + TAIL) == replay(gen, calls[2:] + TAIL)
-
-
-def test_draws_normal_at_the_end_of_a_block():
+    "keep_a_split_word_across_a_normal_call": [
+        ([("integers", 2, 0), ("random", 3), ("normal", 2)], KEEPS_HALF),
+        ([("normal", 2), ("integers", 2, 0), ("integers", 2, 0), ("normal", 1),
+          ("random", 40), ("integers", 4, 0), *TAIL], None),
+    ],
     # Blocks after a normal call hold 8, then 16 words. Each normal call
     # below comes when every word read is used, so it moves nothing back:
     # with no half kept, at the end of the second block, with a half kept,
     # and with that half used.
-    block = qsim.DRAWS_BLOCK_MIN
-    steps = [
-        [("random", block)],
-        [("random", 3 * block)],
-        [("integers", 2, 0), ("random", block - 1)],
-        [("integers", 2, 0), ("random", block)],
-    ]
+    "normal_at_the_end_of_a_block": [
+        segment
+        for calls in ([("random", BLOCK)], [("random", 3 * BLOCK)],
+                      [("integers", 2, 0), ("random", BLOCK - 1)],
+                      [("integers", 2, 0), ("random", BLOCK)])
+        for segment in ((calls, USED_UP), ([("normal", 2)], None))
+    ] + [(TAIL, None)],
+    # a span above 32 bits or an empty range draws nothing
+    "refuse_a_range_above_32_bits": [
+        ([("integers", 2**32 + 1, 0), ("integers", 0, 5), ("integers", -2, 3)], REFUSED),
+        (TAIL, None),
+    ],
+}
+
+
+def run_draw_mix(name):
+    """Run the DRAW_MIXES mix ``name`` on seeds 0 to 49."""
     for seed in range(50):
         draws, gen = Draws(seed), make_rng(seed)
-        for calls in steps:
+        for calls, check in DRAW_MIXES[name]:
+            if check is REFUSED:
+                for call in calls:
+                    with pytest.raises(ValueError, match="integers needs"):
+                        replay(draws, [call])
+                continue
             assert replay(draws, calls) == replay(gen, calls)
-            assert draws._words == []  # the block is used up
-            assert draws.normal(size=2).tolist() == gen.normal(size=2).tolist()
-        assert replay(draws, TAIL) == replay(gen, TAIL)
+            if check is KEEPS_HALF:
+                assert gen.bit_generator.state["has_uint32"] == 1
+            elif check is USED_UP:
+                assert draws._words == []  # test-only: the unread block
+
+
+def test_draws_keep_a_split_word_across_a_normal_call():
+    run_draw_mix("keep_a_split_word_across_a_normal_call")
+
+
+def test_draws_normal_at_the_end_of_a_block():
+    run_draw_mix("normal_at_the_end_of_a_block")
 
 
 def test_draws_refuse_a_range_above_32_bits():
-    draws = Draws(1)
-    for low, high in ((0, 2**32 + 1), (5, 5), (3, 1)):
-        with pytest.raises(ValueError):
-            draws.integers(low, high)
-    assert replay(draws, TAIL) == replay(make_rng(1), TAIL)  # nothing drawn
-
-
-def test_prepare_tables_equal_the_gate_sequence():
-    sim = Simulator()
-    for bit in (0, 1):
-        for basis in Basis:
-            v = np.linalg.matrix_power(X_MAT, bit) @ [1, 0]
-            if basis is Basis.X:
-                v = H_MAT @ v
-            np.testing.assert_array_equal(sim.amplitudes(sim.prepare(bit, basis)), v)
+    run_draw_mix("refuse_a_range_above_32_bits")
 
 
 def test_prepared_qubits_share_no_amplitudes():
@@ -956,66 +974,106 @@ def test_prepared_qubits_share_no_amplitudes():
 # -- errors and edge cases -----------------------------------------------------
 
 
-def test_dead_qubit_rejected():
-    sim = Simulator()
-    rng = make_rng(20)
+def released(sim):
     q = sim.prepare(0, Basis.Z)
     sim.release(q)
-    with pytest.raises(DeadQubitError):
-        sim.apply_h(q)
-    with pytest.raises(DeadQubitError):
-        sim.measure(q, Basis.Z, rng)
+    return {"q": q}
+
+
+def consumed(sim):
+    """q and a, spent by a teleport of q over (a, b), and a fresh pair c, d."""
+    q, (a, b) = sim.prepare(0, Basis.Z), sim.make_bell_pair()
+    sim.bell_measure(q, a, make_rng(21))
+    c, d = sim.make_bell_pair()
+    return {"q": q, "a": a, "c": c}
+
+
+def shapes(sim):
+    """A Bell pair a, b and two lone qubits q and other."""
+    (a, b), q, other = sim.make_bell_pair(), sim.prepare(0, Basis.Z), sim.prepare(0, Basis.Z)
+    return {"a": a, "b": b, "q": q, "other": other}
+
+
+def vouched(amps):
+    """A lone q stored with ``amps`` as its caller vouched for them, and a
+    Bell pair a, b."""
+    def setup(sim):
+        q, (a, b) = sim.allocate_unit(amps), sim.make_bell_pair()
+        return {"q": q, "a": a, "b": b}
+    return setup
+
+
+#: Refused simulator calls, by the test that runs them: a setup that names
+#: qubits (and values) in a fresh simulator, the call as a method name and
+#: argument names, and the error it raises with the start of its message.
+REGISTRY_REFUSALS = {
+    "dead_qubit_rejected": [(released, call, DeadQubitError, "qubit 0 is not live")
+                            for call in ("apply_h q", "measure q Z rng")],
+    "consumed_by_bell_measure_rejected": [
+        (consumed, call, DeadQubitError, "qubit . is not live")
+        for call in ("apply_h a", "bell_measure a c rng", "bell_measure c q rng")],
+    # Groups hold at most one pair: a Bell measurement within one group, a
+    # single-qubit measurement of or gate on a pair half and a Bell
+    # measurement against a lone near, whichever side q is on, are refused.
+    "pair_shape_checks_refuse_and_leave_state_alone": [
+        (shapes, "bell_measure a b rng", SimulationError, "qubits 0 and 1 share a group"),
+        *[(shapes, call, SimulationError, "qubit . is still entangled")
+          for call in ("measure a Z rng", "measure b X rng", "apply_h a", "apply_h b")],
+        (shapes, "bell_measure q other rng", SimulationError, "qubit 3 is not half of a pair"),
+        (shapes, "bell_measure other q rng", SimulationError, "qubit 2 is not half of a pair"),
+    ],
+    "bell_measure_needs_distinct_qubits": [
+        (shapes, "bell_measure q q rng", ValueError, "Bell measurement needs two distinct")],
+    "release_rejects_entangled_qubit": [
+        (shapes, "release a", SimulationError, "qubit 0 is still entangled")],
+    # allocate_unit refuses any count of amplitudes but two. It stores a zero
+    # or NaN state as its caller vouched for it, and the next Bell
+    # measurement refuses that qubit before any draw.
+    "allocate_unit_takes_two_amplitudes_and_bell_refuses_bad_norms": [
+        (lambda sim: {"three": [1, 0, 0], "one": [1]}, call, ValueError, "")
+        for call in ("allocate_unit three", "allocate_unit one")
+    ] + [(vouched(amps), "bell_measure q a rng", SimulationError, "state norm drifted")
+         for amps in ([0, 0], [float("nan"), 1])],
+}
+
+
+def run_registry_refusals(name):
+    """Run the REGISTRY_REFUSALS rows of ``name``: each call raises its
+    error, and every group, live_count() and the RNG are as they were."""
+    for setup, call, error, message in REGISTRY_REFUSALS[name]:
+        sim, rng = Simulator(), make_rng(20)
+        values = {**setup(sim), "rng": rng, "Z": Basis.Z, "X": Basis.X}
+        method, *args = call.split()
+        groups = {q: (tuple(g.qubits), g.amps) for q, g in sim._groups.items()}  # test-only
+        before = groups, sim.live_count(), rng.bit_generator.state
+        with pytest.raises(error, match="^" + message):
+            getattr(sim, method)(*(values[a] for a in args))
+        groups = {q: (tuple(g.qubits), g.amps) for q, g in sim._groups.items()}
+        assert (groups, sim.live_count(), rng.bit_generator.state) == before, call
+
+
+def test_dead_qubit_rejected():
+    run_registry_refusals("dead_qubit_rejected")
 
 
 def test_consumed_by_bell_measure_rejected():
-    sim = Simulator()
-    rng = make_rng(21)
-    q = sim.prepare(0, Basis.Z)
-    a, b = sim.make_bell_pair()
-    sim.bell_measure(q, a, rng)
-    with pytest.raises(DeadQubitError):
-        sim.apply_h(a)
-    c, d = sim.make_bell_pair()
-    with pytest.raises(DeadQubitError):
-        sim.bell_measure(a, c, rng)
-    with pytest.raises(DeadQubitError):
-        sim.bell_measure(c, q, rng)
-    assert group_of(sim, c) == (c, d)
+    run_registry_refusals("consumed_by_bell_measure_rejected")
 
 
 def test_pair_shape_checks_refuse_and_leave_state_alone():
-    # Groups hold at most one pair: a Bell measurement within one group, a
-    # single-qubit measurement of or gate on a pair half and a Bell
-    # measurement against a lone near are refused, before any draw
-    sim = Simulator()
-    rng = make_rng(24)
-    draws = rng.bit_generator.state
-    a, b = sim.make_bell_pair()
-    with pytest.raises(SimulationError):
-        sim.bell_measure(a, b, rng)
-    for q, basis in ((a, Basis.Z), (b, Basis.X)):
-        with pytest.raises(SimulationError):
-            sim.measure(q, basis, rng)
-    for q in (a, b):
-        with pytest.raises(SimulationError):
-            sim.apply_h(q)
-    # near must be half of a pair, whichever side q is on
-    q, other = sim.prepare(0, Basis.Z), sim.prepare(0, Basis.Z)
-    for x, near in ((q, other), (other, q)):
-        with pytest.raises(SimulationError):
-            sim.bell_measure(x, near, rng)
-    assert group_of(sim, q) == (q,) and group_of(sim, other) == (other,)
-    assert group_of(sim, a) == group_of(sim, b) == (a, b)
-    assert sim.amplitudes(a) == (SQ + 0j, 0j, 0j, SQ + 0j)
-    assert rng.bit_generator.state == draws
+    run_registry_refusals("pair_shape_checks_refuse_and_leave_state_alone")
 
 
 def test_bell_measure_needs_distinct_qubits():
-    sim = Simulator()
-    q = sim.prepare(0, Basis.Z)
-    with pytest.raises(ValueError):
-        sim.bell_measure(q, q, make_rng(25))
-    assert group_of(sim, q) == (q,)
+    run_registry_refusals("bell_measure_needs_distinct_qubits")
+
+
+def test_release_rejects_entangled_qubit():
+    run_registry_refusals("release_rejects_entangled_qubit")
+
+
+def test_allocate_unit_takes_two_amplitudes_and_bell_refuses_bad_norms():
+    run_registry_refusals("allocate_unit_takes_two_amplitudes_and_bell_refuses_bad_norms")
 
 
 def test_teleport_rejects_unentangled_pair():
@@ -1032,28 +1090,3 @@ def test_teleport_rejects_unentangled_pair():
         assert_bell_pair(sim, a, b)
     c, d = sim.make_bell_pair()
     assert_bell_pair(sim, d, c)
-
-
-def test_release_rejects_entangled_qubit():
-    sim = Simulator()
-    a, b = sim.make_bell_pair()
-    with pytest.raises(SimulationError):
-        sim.release(a)
-
-
-def test_allocate_unit_takes_two_amplitudes_and_bell_refuses_bad_norms():
-    # allocate_unit refuses any count of amplitudes but two. It stores a
-    # zero or NaN state as the caller vouched for it, and the next Bell
-    # measurement refuses that qubit before any draw.
-    sim = Simulator()
-    for amps in ([1, 0, 0], [1]):
-        with pytest.raises(ValueError):
-            sim.allocate_unit(amps)
-    assert sim.live_count() == 0
-    for amps in ([0, 0], [float("nan"), 1]):
-        q, (a, _) = sim.allocate_unit(amps), sim.make_bell_pair()
-        rng = make_rng(0)
-        draws = rng.bit_generator.state
-        with pytest.raises(SimulationError, match="norm drifted"):
-            sim.bell_measure(q, a, rng)
-        assert rng.bit_generator.state == draws
