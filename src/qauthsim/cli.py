@@ -6,7 +6,7 @@ prints the result or writes it (--out), and writes the --trace and
 
 Exit status is 0 on success, 2 for configuration problems, 1 for I/O
 failures and for a trial the simulator stops (a session stuck past its
-sweep bound). Each refusal, a flag given twice too, is one ``error:`` line.
+endpoint-step bound). Each refusal, a flag given twice too, is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_campaign_options(p)
         if name == "analytic":
             p.add_argument("--rounds", type=int, dest="analytic_rounds",
-                           help="table rows 1..N (default 8)")
+                           help=f"table rows 1..N, N <= {exp.MAX_ANALYTIC_ROUNDS} (default 8)")
         if name == "capacity":
             p.add_argument("--key-length", type=int,
                            help="key length in bits (default 1024)")

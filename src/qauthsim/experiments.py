@@ -46,6 +46,10 @@ EXPERIMENT_SPECS = {
 
 OUTPUT_FORMATS = ("csv", "json", "table")
 
+#: the most rows ``analytic`` builds: every value past about 50 rounds
+#: prints as 1, and each row costs time and memory before any is printed
+MAX_ANALYTIC_ROUNDS = 1000
+
 #: overhead percentages the paper reports for transfer lengths 1..5, emitted
 #: for comparison only. They track auth/(auth+data), the authentication share
 #: of all qubits sent (exactly E[M/(M+100)] = 66.6/39.9/22.1/11.5/5.8 % at
@@ -133,6 +137,9 @@ class ExperimentConfig:
             raise ConfigError(f"format must be one of {OUTPUT_FORMATS}")
         if self.analytic_rounds < 1:
             raise ConfigError("analytic rounds must be >= 1")
+        if self.analytic_rounds > MAX_ANALYTIC_ROUNDS:
+            raise ConfigError(f"analytic rounds must be <= {MAX_ANALYTIC_ROUNDS}, "
+                              f"got {self.analytic_rounds}")
         if self.key_bits is not None and not (
             self.key and self.key.strip().lower().startswith("0x")
         ):

@@ -1,6 +1,6 @@
 """One trial, end to end: the repeater path (``Topology``), the Bell pairs,
 swaps and hops that carry each qubit across it (``EntanglementFabric``),
-and the loop that runs both endpoints to the end of a session
+and the direct exchange that runs both endpoints to the end of a session
 (``run_trial``).
 """
 
@@ -253,24 +253,20 @@ def intercept_node(
     return node
 
 
-#: Scheduler sweeps one round takes beside its data sweeps, at most: the
-#: responder's auth send, the initiator's verification and, with reverse
-#: authentication, the second auth exchange (reached by 1-qubit windows).
-SWEEPS_PER_ROUND = 4
+def step_bound(data_target: int, key_length: int, transfer_length: int) -> int:
+    """Endpoint steps after which a session is taken to be stuck.
 
-
-def sweep_bound(data_target: int, key_length: int, transfer_length: int) -> int:
-    """Scheduler sweeps after which a session is taken to be stuck.
-
-    Data qubits cost at most one sweep each. The window cursor starts every
-    gcd(L, T)-th key bit within one cycle of L / gcd(L, T) rounds, so each
-    cycle reads every bit of the key and, the key being non-zero, delivers
-    at least one data qubit: no session runs more than data_target full
-    cycles plus the round that sees the target met. The bound is twice that
-    worst case.
+    Per window the initiator steps once per data qubit and once to verify,
+    the responder once to send its auth qubit and, under reverse
+    authentication, once to open the window and once to verify: at most
+    transfers + 2 windows + 2 (the completions) <= data + 4 windows + 2
+    steps. The window cursor starts every gcd(L, T)-th key bit within one
+    cycle of L / gcd(L, T) windows, so each cycle reads every key bit and,
+    the key being non-zero, has a window with data: no session opens more
+    than data_target cycles. The bound is twice that worst case.
     """
-    rounds = data_target * (key_length // math.gcd(key_length, transfer_length)) + 1
-    return 2 * (data_target + SWEEPS_PER_ROUND * rounds)
+    windows = data_target * (key_length // math.gcd(key_length, transfer_length))
+    return 2 * (data_target + 4 * windows + 2)
 
 
 def run_trial(
@@ -286,9 +282,10 @@ def run_trial(
 ) -> TrialRecord:
     """Drive one session end to end and summarize it.
 
-    Each sweep steps the initiator, then the responder, with FIFO inboxes;
-    a sweep in which nothing moves closes the trial, which is how the
-    responder's wait ends after the initiator terminates silently.
+    A direct exchange: an endpoint steps only when it can move, and a sent
+    qubit is transferred and handed to the peer at once, data through
+    ``Responder.receive`` and an auth qubit as the peer's next step's
+    argument. When neither can move, whoever still waits times out.
     Deterministic: the world, repeater, and key streams are all derived from
     ``seed``, so identical arguments give an identical record (and trace).
     The world and repeater streams, drawn one value at a time, are
@@ -300,8 +297,8 @@ def run_trial(
     handed to the trial's ``Simulator``; the memo it holds changes no result,
     only how many Bell tables are built.
     Raises ValueError when ``intercept_node`` refuses the malicious node,
-    and SimulationError when the session runs past ``sweep_bound``
-    scheduler sweeps or a qubit outlives the trial.
+    and SimulationError when the session takes more than ``step_bound``
+    endpoint steps or a qubit outlives the trial.
     """
     rng_world = Draws(derive_seed(seed, 0))
     key = config.key
@@ -312,9 +309,7 @@ def run_trial(
         key = KeyMaterial.random(config.key_length, key_rng)
         while not any(key.bits):
             key = KeyMaterial.random(config.key_length, key_rng)
-    bound = sweep_bound(
-        config.data_qubit_target, key.length, config.sched.transfer_length
-    )
+    bound = step_bound(config.data_qubit_target, key.length, config.sched.transfer_length)
     node = intercept_node(topology, behavior, malicious_node)
     # a per-trial log, so that seq restarts at 0 in every trial
     log = None if intercept_log is None else []
@@ -324,66 +319,90 @@ def run_trial(
     fabric = EntanglementFabric(sim, topology, repeater, rng_world, trace)
     alice = proto.Initiator(config, key, sim, rng_world, trace)
     bob = proto.Responder(config, key, sim, rng_world, trace)
-    alice_state, alice_step, alice_recv = alice.state, alice.step, alice.receive_phases
-    bob_state, bob_step, bob_recv = bob.state, bob.step, bob.receive_phases
-    alice_inbox: deque[QubitRef] = deque()
-    bob_inbox: deque[QubitRef] = deque()
+    a_state, a_step = alice.state, alice.step
+    b_state, b_step, receive = bob.state, bob.step, bob.receive
     absorbing = proto.ABSORBING
-    transfer = fabric.transfer
-    amplitudes = sim.amplitudes
+    computing, sending, preparing, awaiting = (proto.Phase.COMPUTE_R, proto.Phase.DATA_TRANSFER,
+                                               proto.Phase.AUTH_PREPARE, proto.Phase.AUTH_AWAIT)
+    transfer, amplitudes, release = fabric.transfer, sim.amplitudes, sim.release
 
-    data_delivered = 0
-    data_intact = 0
-    sweeps = 0
-    while alice_state.phase not in absorbing or bob_state.phase not in absorbing:
-        # Alice's turn, then bob's. A step moves the session only when it
-        # sends, changes phase or consumes an arrival.
-        phase = alice_state.phase
-        if phase in absorbing:
-            progressed = False
-            while alice_inbox:  # a terminated endpoint ignores late arrivals
-                sim.release(alice_inbox.popleft())
-        else:
-            arrival = alice_inbox.popleft() if alice_inbox and phase in alice_recv else None
-            sent = alice_step(arrival)
-            progressed = (sent is not None or arrival is not None
-                          or alice_state.phase is not phase)
-            if sent is not None:
-                arrived = transfer(sent, "forward")
+    # Each endpoint moves on its next turn, ta or tb, the initiator first at
+    # equal turns: the initiator in COMPUTE_R, DATA_TRANSFER and, with an auth
+    # qubit held for it, AUTH_AWAIT; the responder in COMPUTE_R, AUTH_PREPARE.
+    held: deque[QubitRef] = deque()  # auth qubits the initiator has yet to verify
+    ta = tb = steps = data_delivered = data_intact = 0
+    while steps <= bound:
+        pa, pb = a_state.phase, b_state.phase
+        if (held if pa is awaiting else pa is sending or pa is computing) and (
+                ta <= tb or pb is not computing and pb is not preparing):
+            turn = ta
+            ta += 1
+            steps += 1
+            sent = a_step(held.popleft() if pa is awaiting else None)
+            if sent is None:
+                continue
+            arrived = transfer(sent, "forward")
+            truth = alice.payload_truth
+            if tb < turn:  # the responder moves right after, at the earliest
+                tb = turn
+            if truth is None:  # reverse authentication, which the responder awaits
+                if pb is awaiting:
+                    tb += 1
+                    steps += 1
+                    b_step(arrived)
+                else:
+                    release(arrived)
+                continue
+            if pb is computing:  # it opens this window now and takes data next turn
+                tb += 1
+                steps += 1
+                b_step(None)
+                pb = b_state.phase
+            # While the responder waits for data, the initiator keeps the
+            # turn: the rest of the window goes out at one turn a qubit.
+            while True:
+                data_delivered += 1
+                data_intact += states_equal(amplitudes(arrived), truth)
+                if pb is not sending:  # the responder's session is over
+                    release(arrived)
+                    break
+                receive(arrived)
+                tb += 1
+                if a_state.phase is not sending or (pb := b_state.phase) is not sending:
+                    break
+                ta += 1
+                steps += 1
+                arrived = transfer(a_step(None), "forward")
                 truth = alice.payload_truth
-                if truth is not None:
-                    data_delivered += 1
-                    if states_equal(amplitudes(arrived), truth):
-                        data_intact += 1
-                bob_inbox.append(arrived)
-        phase = bob_state.phase
-        if phase in absorbing:
-            while bob_inbox:
-                sim.release(bob_inbox.popleft())
-        else:
-            arrival = bob_inbox.popleft() if bob_inbox and phase in bob_recv else None
-            sent = bob_step(arrival)
+            if pb is computing:  # it completes on the turn it took the last qubit
+                tb -= 1
+        elif pb is computing or pb is preparing:
+            tb += 1
+            steps += 1
+            sent = b_step(None)
             if sent is not None:  # an auth qubit, never data
-                alice_inbox.append(transfer(sent, "reverse"))
-            progressed = (progressed or sent is not None or arrival is not None
-                          or bob_state.phase is not phase)
-        if not progressed:
-            # Nothing moved in a full sweep: close out whoever still waits.
+                arrived = transfer(sent, "reverse")
+                if pa in absorbing:
+                    release(arrived)
+                else:
+                    if pa is awaiting and not held and ta < tb:  # it verifies next turn
+                        ta = tb
+                    held.append(arrived)
+        else:  # neither can move: whoever still waits times out
             for machine in (alice, bob):
                 if machine.state.phase not in absorbing:
                     machine.terminate("timeout")
             break
-        sweeps += 1
-        if sweeps > bound:
-            raise SimulationError(f"trial exceeded {bound} scheduler sweeps")
+    else:
+        raise SimulationError(f"trial exceeded {bound} endpoint steps")
+    for qubit in held:
+        release(qubit)
 
     if sim.live_count():
         raise SimulationError(f"{sim.live_count()} qubits outlived the trial")
     if log is not None:
         intercept_log.extend(log)
-    failed_round = alice.failed_round
-    if failed_round is None:
-        failed_round = bob.failed_round
+    failed_round = bob.failed_round if alice.failed_round is None else alice.failed_round
     return TrialRecord(
         seed=seed,
         transfer_length=config.sched.transfer_length,

@@ -3,14 +3,16 @@
 ``Initiator`` sends data qubits (``sample_payload``) and verifies the
 authentication qubits it receives; ``Responder`` receives data and proves
 its identity, and verifies as well under reverse authentication. Each steps
-once per scheduler turn of ``netsim.run_trial``. Both read the same key
+only when it can move (``netsim.run_trial``). Both read the same key
 through identical cursors, so windows and authentication plans line up
 with nothing on the wire but teleported qubits. The phases of a round:
 
-    initiator: COMPUTE_R -> DATA_TRANSFER -> AUTH_AWAIT [-> AUTH_PREPARE] -> COMPUTE_R ...
+    initiator: COMPUTE_R -> DATA_TRANSFER -> AUTH_AWAIT -> COMPUTE_R ...
     responder: COMPUTE_R -> DATA_TRANSFER -> AUTH_PREPARE [-> AUTH_AWAIT] -> COMPUTE_R ...
 
-The bracketed phase runs only under reverse authentication; TERMINATED and
+The bracketed phase runs only under reverse authentication, in which the
+initiator's verifying step sends its own auth qubit. An endpoint waits for
+its peer in AUTH_AWAIT, the responder in DATA_TRANSFER too; TERMINATED and
 COMPLETE are absorbing. A fully transferred window is always authenticated,
 even one that ends on the delivery target. A failed verdict terminates the
 verifier silently, and its peer times out.
@@ -39,13 +41,10 @@ ABSORBING = (Phase.TERMINATED, Phase.COMPLETE)
 
 # The members as module globals: on Python 3.11 ``Phase.X`` goes through the
 # Enum class on every read, over ten times the cost of a global, and the
-# endpoint steps read a phase on every scheduler turn.
-_COMPUTE_R = Phase.COMPUTE_R
-_DATA_TRANSFER = Phase.DATA_TRANSFER
-_AUTH_PREPARE = Phase.AUTH_PREPARE
-_AUTH_AWAIT = Phase.AUTH_AWAIT
-_TERMINATED = Phase.TERMINATED
-_COMPLETE = Phase.COMPLETE
+# endpoint steps read a phase on every step. ``_BASES`` is an auth plan's
+# basis by its base bit, without the Enum reads of ``AuthPlan.basis``.
+_COMPUTE_R, _DATA_TRANSFER, _AUTH_PREPARE, _AUTH_AWAIT, _TERMINATED, _COMPLETE = Phase
+_BASES = (Basis.Z, Basis.X)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,26 +157,17 @@ class _Endpoint:
     """
 
     role = ""
-    #: phases in which a step consumes a delivered qubit; the scheduler
-    #: holds arrivals until the endpoint is in one of them, since a peer
-    #: that runs ahead through zero-length windows may send before we have
-    #: advanced into the matching receive phase
-    receive_phases: tuple[Phase, ...] = (Phase.AUTH_AWAIT,)
 
-    __slots__ = ("config", "key", "sched", "sim", "rng", "trace", "state", "plan",
-                 "failed_round", "auth_qubits_sent")
+    __slots__ = ("config", "key", "sched", "target", "reverse", "sim", "rng", "trace",
+                 "state", "plan", "failed_round", "auth_qubits_sent")
 
-    def __init__(
-        self,
-        config: SessionConfig,
-        key: ks.KeyMaterial,
-        sim: Simulator,
-        rng,
-        trace: list | None = None,
-    ):
+    def __init__(self, config: SessionConfig, key: ks.KeyMaterial, sim: Simulator, rng,
+                 trace: list | None = None):
         self.config = config
         self.key = key  # config.key, or the key drawn for this session
         self.sched = config.sched
+        self.target = config.data_qubit_target
+        self.reverse = config.reverse_auth
         self.sim = sim
         self.rng = rng
         self.trace = trace
@@ -200,25 +190,28 @@ class _Endpoint:
         if self.trace is not None:
             self._emit('"event": "complete"')
 
-    def _open_window(self) -> bool:
-        """COMPUTE_R: complete once the delivery target is met, otherwise
-        read the next window R and enter DATA_TRANSFER. Returns whether a
-        window opened."""
+    def _next_window(self) -> int:
+        """Read the next window R and enter DATA_TRANSFER; returns R."""
         st = self.state
-        if st.qubits_delivered >= self.config.data_qubit_target:
-            self._complete()
-            return False
-        st.current_r = ks.next_r(self.key, self.sched, st.cursors)
+        st.current_r = r = ks.next_r(self.key, self.sched, st.cursors)
         st.sent_count = 0
         st.phase = _DATA_TRANSFER
-        return True
+        return r
+
+    def _prove(self, plan: ks.AuthPlan) -> QubitRef:
+        """Prepare the auth qubit of ``plan``, to send to the peer."""
+        qubit = self.sim.prepare(plan.encoding_bit, _BASES[plan.base_bit])
+        self.auth_qubits_sent += 1
+        if self.trace is not None:
+            self._emit(f'"event": "prepare_auth", "state": "{plan.expected_state}"')
+        return qubit
 
     def _verify(self, qubit: QubitRef) -> bool:
         """Measure an incoming auth qubit against the current plan. On a
         mismatch, record the round and terminate. Returns whether it
         passed."""
         plan = self.plan
-        basis = plan.basis
+        basis = _BASES[plan.base_bit]
         measured = self.sim.measure(qubit, basis, self.rng)
         self.sim.release(qubit)
         passed = measured == plan.encoding_bit
@@ -234,12 +227,8 @@ class _Endpoint:
         return passed
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
-        """Advance one scheduler turn, consuming ``arrival`` if given.
-
-        Returns the qubit to teleport to the peer, if this turn sends one.
-        No phase branch handles TERMINATED or COMPLETE, so a step in either
-        does nothing.
-        """
+        """Move, in AUTH_AWAIT on the peer's auth qubit ``arrival``; returns
+        the qubit to teleport to the peer, if this step sends one."""
         raise NotImplementedError
 
 
@@ -256,94 +245,86 @@ class Initiator(_Endpoint):
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state
-        if st.phase is _COMPUTE_R:
-            if not self._open_window():
+        if st.phase is _AUTH_AWAIT:
+            if not self._verify(arrival):
                 return None
+            st.phase = _COMPUTE_R
+            if self.reverse:  # prove our own identity at once: the responder waits
+                self.payload_truth = None
+                return self._prove(self.plan)
+            # The responder waits for the next window's data unless the
+            # target is met or the window is empty: open it and send at once.
+            if st.qubits_delivered >= self.target or not self._next_window():
+                return None
+        elif st.phase is _COMPUTE_R:
+            if st.qubits_delivered >= self.target:
+                self._complete()
+                return None
+            self._next_window()
+
+        # DATA_TRANSFER
+        if st.sent_count == 0:  # the window's first step
             if self.trace is not None:
                 self._emit(f'"event": "window", "round": {st.cursors.round_index + 1}, '
                            f'"r": {st.current_r}')
-            # fall through to start sending this turn
-
-        if st.phase is _DATA_TRANSFER:
-            if st.sent_count == st.current_r:
-                # A fully transferred window is always authenticated, even
-                # when it ends exactly on the delivery target.
+            if st.current_r == 0:
                 self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
                 st.phase = _AUTH_AWAIT
                 return None
-            if st.qubits_delivered >= self.config.data_qubit_target:
-                self._complete()
-                return None
-            qubit, truth = sample_payload(self.sim, self.config.payload, self.rng)
-            self.payload_truth = truth
-            st.sent_count += 1
-            st.qubits_delivered += 1
-            return qubit
-
-        if st.phase is _AUTH_AWAIT:
-            if arrival is None:
-                return None
-            if self._verify(arrival):
-                reverse = self.config.reverse_auth
-                st.phase = _AUTH_PREPARE if reverse else _COMPUTE_R
+        elif st.qubits_delivered >= self.target:
+            self._complete()
             return None
-
-        if st.phase is _AUTH_PREPARE:
-            # Reverse authentication: prove our own identity with the same
-            # round's plan, then resume the schedule.
-            qubit = self.sim.prepare(self.plan.encoding_bit, self.plan.basis)
-            self.payload_truth = None
-            self.auth_qubits_sent += 1
-            if self.trace is not None:
-                self._emit(f'"event": "prepare_auth", "state": "{self.plan.expected_state}"')
-            st.phase = _COMPUTE_R
-            return qubit
-
-        return None
+        qubit, truth = sample_payload(self.sim, self.config.payload, self.rng)
+        self.payload_truth = truth
+        st.sent_count += 1
+        st.qubits_delivered += 1
+        if st.sent_count == st.current_r:
+            # A fully transferred window is always authenticated, even when
+            # it ends exactly on the delivery target.
+            self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
+            st.phase = _AUTH_AWAIT
+        return qubit
 
 
 class Responder(_Endpoint):
     """Data receiver and prover; verifier too when reverse auth is on."""
 
     role = "responder"
-    receive_phases = (Phase.DATA_TRANSFER, Phase.AUTH_AWAIT)
     __slots__ = ()
+
+    def receive(self, qubit: QubitRef) -> None:
+        """Take the window's next data qubit, in DATA_TRANSFER. The window
+        ends at its R-th qubit (AUTH_PREPARE) or, short of it, at the
+        delivery target (COMPUTE_R, whose next step completes)."""
+        self.sim.release(qubit)
+        st = self.state
+        st.sent_count += 1
+        st.qubits_delivered += 1
+        if st.sent_count == st.current_r:
+            st.phase = _AUTH_PREPARE
+        elif st.qubits_delivered >= self.target:
+            st.phase = _COMPUTE_R
 
     def step(self, arrival: QubitRef | None) -> QubitRef | None:
         st = self.state
-        if st.phase is _COMPUTE_R and not self._open_window():
-            return None
-
-        if st.phase is _DATA_TRANSFER:
-            if st.sent_count == st.current_r:
-                st.phase = _AUTH_PREPARE
-                # prepare on this same turn
-            elif arrival is not None:
-                self.sim.release(arrival)
-                st.sent_count += 1
-                st.qubits_delivered += 1
-                if st.sent_count == st.current_r:
-                    st.phase = _AUTH_PREPARE
-                elif st.qubits_delivered >= self.config.data_qubit_target:
-                    self._complete()
-                return None
-            else:  # below the target, which only an arrival reaches
-                return None
-
-        if st.phase is _AUTH_PREPARE:
-            plan = self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
-            qubit = self.sim.prepare(plan.encoding_bit, plan.basis)
-            self.auth_qubits_sent += 1
-            if self.trace is not None:
-                self._emit(f'"event": "prepare_auth", "state": "{plan.expected_state}"')
-            st.phase = _AUTH_AWAIT if self.config.reverse_auth else _COMPUTE_R
-            return qubit
-
         if st.phase is _AUTH_AWAIT:
-            if arrival is None:
-                return None
             if self._verify(arrival):
                 st.phase = _COMPUTE_R
             return None
+        if st.phase is _COMPUTE_R:
+            if st.qubits_delivered >= self.target:
+                self._complete()
+                return None
+            if self._next_window():
+                return None  # wait for the window's data
 
-        return None
+        # AUTH_PREPARE, or an r = 0 window just opened
+        plan = self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
+        qubit = self._prove(plan)
+        if self.reverse:
+            st.phase = _AUTH_AWAIT
+        elif st.qubits_delivered >= self.target:
+            st.phase = _COMPUTE_R  # the next step completes
+        elif not self._next_window():  # opened unseen; an r = 0 one's auth waits a turn
+            st.phase = _AUTH_PREPARE
+        return qubit

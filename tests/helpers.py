@@ -132,8 +132,9 @@ def run_cli(argv):
 
 
 def busy_forever(self, arrival):
-    """A stand-in ``Responder.step`` that always progresses (changes phase)
-    and never completes: a session only the sweep bound can stop."""
+    """A stand-in ``Responder.step`` that always leaves the responder able to
+    move (it flips between COMPUTE_R and AUTH_PREPARE) but never sends or
+    completes: a session only the step bound can stop."""
     st = self.state
-    st.phase = (protocol.Phase.AUTH_PREPARE if st.phase is protocol.Phase.DATA_TRANSFER
-                else protocol.Phase.DATA_TRANSFER)
+    st.phase = (protocol.Phase.AUTH_PREPARE if st.phase is protocol.Phase.COMPUTE_R
+                else protocol.Phase.COMPUTE_R)

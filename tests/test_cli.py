@@ -264,6 +264,15 @@ REFUSALS = {
              "hex key '0xZZ' needs hex digits"),
         ])
     ],
+    # Every analytic value past about 50 rounds prints as 1, and each row
+    # costs time and memory before the first is printed.
+    "oversized_analytic_table": [
+        Refusal(["analytic", *flags], f"analytic rounds must be <= {cap}, got {cap + 1}",
+                config, id=label)
+        for cap in [exp.MAX_ANALYTIC_ROUNDS]
+        for label, flags, config in [("flag", ["--rounds", str(cap + 1)], None),
+                                     ("config_key", [], {"analytic_rounds": cap + 1})]
+    ],
     # A repeated T would print its row twice and, in JSON, keep one of its
     # two batches of trials under one key.
     "repeated_transfer_length": [
@@ -399,6 +408,11 @@ def test_key_bits_without_hex_key_exits_2(tmp_path, monkeypatch, key_flags):
 
 @pytest.mark.parametrize("row", REFUSALS["oversized_or_malformed_key"], ids=row_id)
 def test_oversized_or_malformed_key_exits_2(tmp_path, monkeypatch, row):
+    assert_refused(tmp_path, monkeypatch, row)
+
+
+@pytest.mark.parametrize("row", REFUSALS["oversized_analytic_table"], ids=row_id)
+def test_oversized_analytic_table_exits_2(tmp_path, monkeypatch, row):
     assert_refused(tmp_path, monkeypatch, row)
 
 
@@ -561,9 +575,8 @@ def test_stuck_session_exits_1_instead_of_hanging(monkeypatch):
         ["custom", "-T", "1", "--trials", "1", "--data-qubits", "3",
          "--key-length", "8", "--adversary", "honest"]
     )
-    assert code == 1
-    assert out == ""
-    assert "sweeps" in err and err.count("\n") == 1
+    assert (code, out) == (1, "")
+    assert err == f"error: trial exceeded {netsim.step_bound(3, 8, 1)} endpoint steps\n"
 
 
 def test_leaked_qubit_exits_1(monkeypatch):

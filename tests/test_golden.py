@@ -143,3 +143,33 @@ def test_fixed_payload_z_interceptor_encoding_index_1(tmp_path):
     )
     assert out == FIXED_INTERCEPT_Z_CSV
     assert sha256(log.read_bytes()) == FIXED_INTERCEPT_Z_LOG_SHA256
+
+
+#: campaigns whose sessions end every way the scheduler orders: a delivery
+#: target met mid-window in round 1 and in later rounds, with reverse
+#: authentication off and on; a responder's failed reverse verdict followed
+#: by the initiator's next window; r = 0 windows, through which the
+#: responder runs ahead of the initiator; and a target of 0
+END_OF_SESSION = [
+    ["custom", "--adversary", "intercept_random", "--data-qubits", "3", "--trials", "8",
+     "-T", "1", "2", "3"],
+    ["custom", "--adversary", "intercept_random", "--data-qubits", "3", "--trials", "8",
+     "-T", "1", "2", "3", "--reverse-auth"],
+    ["custom", "--adversary", "honest", "--data-qubits", "5", "--trials", "3", "-T", "1", "2"],
+    ["custom", "--adversary", "honest", "--data-qubits", "0", "--trials", "1", "-T", "1"],
+]
+END_OF_SESSION_TRACE_SHA256 = "92006cb948ee586f3e9b9ce71b2c3cf7279fc3f8c6e90b5e7a0682c528a8cf71"
+END_OF_SESSION_INTERCEPT_SHA256 = "018f2c4e140cffd2a172926853e7b918b4eae919597e0578e2392527480456a6"
+
+
+def test_end_of_session_event_order(tmp_path):
+    traces, logs = b"", b""
+    for argv in END_OF_SESSION:
+        trace, log = tmp_path / "trace.jsonl", tmp_path / "eve.jsonl"
+        code, _, err = run_cli(argv + ["--seed", "3", "--format", "csv", "--trace", str(trace),
+                                      "--intercept-log", str(log)])
+        assert (code, err) == (0, "")
+        traces += trace.read_bytes()
+        logs += log.read_bytes()
+    assert sha256(traces) == END_OF_SESSION_TRACE_SHA256
+    assert sha256(logs) == END_OF_SESSION_INTERCEPT_SHA256

@@ -2,6 +2,8 @@
 end-of-session bookkeeping."""
 
 import json
+from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import qauthsim as qa
 from helpers import assert_maximally_entangled, busy_forever, decoded, run_cli, session_config
 from qauthsim.adversary import Honest, InterceptResend, RepeaterState, parse_behavior
-from qauthsim import netsim, protocol
+from qauthsim import keyschedule, netsim, protocol
 from qauthsim.experiments import trial_seed
 from qauthsim.keyschedule import AuthPlan, KeyCursors, KeyMaterial, ScheduleConfig
 from qauthsim.netsim import (
@@ -336,24 +338,25 @@ def test_trial_with_malicious_node_choice():
     assert record.detected
 
 
-def cap_sweeps_at_worst_case(monkeypatch, fraction):
-    # Half of sweep_bound is the derived worst case; run_trial enforces
+def cap_steps_at_worst_case(monkeypatch, fraction):
+    # Half of step_bound is the derived worst case; run_trial enforces
     # this fraction of it instead.
-    inner = netsim.sweep_bound
+    inner = netsim.step_bound
     monkeypatch.setattr(
-        netsim, "sweep_bound", lambda *args: int(fraction * (inner(*args) // 2))
+        netsim, "step_bound", lambda *args: int(fraction * (inner(*args) // 2))
     )
 
 
 def test_sweep_cap_guard(monkeypatch):
-    monkeypatch.setattr(netsim, "sweep_bound", lambda *args: 10)
-    with pytest.raises(SimulationError, match="10 scheduler sweeps"):
+    monkeypatch.setattr(netsim, "step_bound", lambda *args: 10)
+    with pytest.raises(SimulationError, match="^trial exceeded 10 endpoint steps$"):
         run_trial(CHAIN, Honest(), session_config(target=500), seed=2)
 
 
 def test_stuck_session_raises_without_a_given_bound(monkeypatch):
     monkeypatch.setattr(protocol.Responder, "step", busy_forever)
-    with pytest.raises(SimulationError, match="scheduler sweeps"):
+    bound = netsim.step_bound(3, 8, 2)
+    with pytest.raises(SimulationError, match=f"^trial exceeded {bound} endpoint steps$"):
         run_trial(CHAIN, Honest(), session_config(target=3, key_length=8), seed=1)
 
 
@@ -382,17 +385,18 @@ def test_leaked_qubit_fails_the_trial(monkeypatch):
 )
 def test_sweep_bound_covers_sparse_keys(monkeypatch, key, t, reverse):
     # These keys give one 1-qubit window per key cycle, or per round under
-    # reverse auth: the derived worst case.
+    # reverse auth: the derived worst case of step_bound.
     cfg = session_config(t=t, target=13, key=key, reverse_auth=reverse)
-    cap_sweeps_at_worst_case(monkeypatch, 1.0)
+    cap_steps_at_worst_case(monkeypatch, 1.0)
     assert run_trial(CHAIN, Honest(), cfg, seed=3).completed
 
 
 def test_sweep_bound_worst_case_is_nearly_reached(monkeypatch):
-    # 1-qubit windows with reverse authentication take 4 sweeps per round
-    # beside the data sweep, which the derivation assumes.
+    # 1-qubit windows with reverse authentication take 4 steps per window
+    # beside the data qubit's, which the derivation assumes: the session
+    # takes the whole worst case.
     cfg = session_config(t=2, target=13, key="01", reverse_auth=True)
-    cap_sweeps_at_worst_case(monkeypatch, 0.9)
+    cap_steps_at_worst_case(monkeypatch, 0.9)
     with pytest.raises(SimulationError):
         run_trial(CHAIN, Honest(), cfg, seed=3)
 
@@ -428,6 +432,36 @@ def test_random_trials_keep_invariants(case):
         assert not record.detected and record.completed
         assert record.data_qubits_intact == record.data_qubits_delivered
         assert record.data_qubits_delivered == session.data_qubit_target
+
+
+@given(trial_cases())
+@settings(max_examples=200)
+def test_random_trials_keep_the_step_budget(case):
+    # step_bound's accounting: run_trial steps the endpoints at most
+    # transfers + 2 windows + 2 times, windows being the most either endpoint
+    # opens, and that is within the worst case, half the bound.
+    topo, behavior, session, seed = case
+    steps, windows = [], Counter()
+
+    def counted(step):
+        def wrapper(self, arrival):
+            steps.append(self.role)
+            return step(self, arrival)
+        return wrapper
+
+    def next_r(key, sched, cursors, _inner=keyschedule.next_r):
+        windows[id(cursors)] += 1
+        return _inner(key, sched, cursors)
+
+    with patch.object(Initiator, "step", counted(Initiator.step)), \
+            patch.object(Responder, "step", counted(Responder.step)), \
+            patch.object(keyschedule, "next_r", next_r):
+        record = run_trial(topo, behavior, session, seed)
+    transfers = record.data_qubits_delivered + record.auth_qubits_sent
+    assert len(steps) <= transfers + 2 * max(windows.values(), default=0) + 2
+    key = session.key
+    assert len(steps) <= netsim.step_bound(
+        session.data_qubit_target, key.length, session.sched.transfer_length) // 2
 
 
 def test_per_trial_objects_hold_no_instance_dict():
