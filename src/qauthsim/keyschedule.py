@@ -11,10 +11,13 @@ import numpy as np
 
 from .qsim import EIGENSTATE_LABELS, Basis
 
-#: expected state label by (encoding_bit, base_bit); base bit 1 is Basis.X
+#: expected state label by (encoding_bit, base_bit)
 AUTH_STATE_TABLE = {
     (e, b): EIGENSTATE_LABELS[b][e] for e in (0, 1) for b in (0, 1)
 }
+#: the basis of an auth qubit or payload by its base bit: the one spelling
+#: of this mapping, in the order of ``EIGENSTATE_LABELS``
+AUTH_BASES = (Basis.Z, Basis.X)
 
 MAX_TRANSFER_LENGTH = 16
 #: Longest key, in bits, that a key length, a hex key's bit count or a 0/1
@@ -110,10 +113,6 @@ class AuthPlan:
 
     encoding_bit: int
     base_bit: int
-
-    @property
-    def basis(self) -> Basis:
-        return Basis.X if self.base_bit else Basis.Z
 
     @property
     def expected_state(self) -> str:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import keyschedule as ks
-from .qsim import EIGENSTATE_LABELS, NAMED_STATES, Basis, QubitRef, Simulator
+from .keyschedule import AUTH_BASES
+from .qsim import EIGENSTATE_LABELS, NAMED_STATES, QubitRef, Simulator
 
 
 class Phase(Enum):
@@ -41,10 +42,9 @@ ABSORBING = (Phase.TERMINATED, Phase.COMPLETE)
 
 # The members as module globals: on Python 3.11 ``Phase.X`` goes through the
 # Enum class on every read, over ten times the cost of a global, and the
-# endpoint steps read a phase on every step. ``_BASES`` is an auth plan's
-# basis by its base bit, without the Enum reads of ``AuthPlan.basis``.
+# endpoint steps read a phase on every step. A plan's basis is read from
+# the tuple ``AUTH_BASES`` for the same reason.
 _COMPUTE_R, _DATA_TRANSFER, _AUTH_PREPARE, _AUTH_AWAIT, _TERMINATED, _COMPLETE = Phase
-_BASES = (Basis.Z, Basis.X)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +75,7 @@ class PayloadDistribution:
 #: order in which a ``uniform4`` draw indexes them
 _UNIFORM4 = tuple(
     (bit, basis, NAMED_STATES[label])
-    for basis, labels in zip((Basis.Z, Basis.X), EIGENSTATE_LABELS)
+    for basis, labels in zip(AUTH_BASES, EIGENSTATE_LABELS)
     for bit, label in enumerate(labels)
 )
 #: the same entries by label, for a ``fixed`` payload
@@ -200,7 +200,7 @@ class _Endpoint:
 
     def _prove(self, plan: ks.AuthPlan) -> QubitRef:
         """Prepare the auth qubit of ``plan``, to send to the peer."""
-        qubit = self.sim.prepare(plan.encoding_bit, _BASES[plan.base_bit])
+        qubit = self.sim.prepare(plan.encoding_bit, AUTH_BASES[plan.base_bit])
         self.auth_qubits_sent += 1
         if self.trace is not None:
             self._emit(f'"event": "prepare_auth", "state": "{plan.expected_state}"')
@@ -211,7 +211,7 @@ class _Endpoint:
         mismatch, record the round and terminate. Returns whether it
         passed."""
         plan = self.plan
-        basis = _BASES[plan.base_bit]
+        basis = AUTH_BASES[plan.base_bit]
         measured = self.sim.measure(qubit, basis, self.rng)
         self.sim.release(qubit)
         passed = measured == plan.encoding_bit

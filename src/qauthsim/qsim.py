@@ -1,19 +1,18 @@
 """Minimal noiseless state-vector simulator for lone qubits and Bell pairs.
 
-Qubits live in independent *groups* of at most two: a lone qubit, or one
-pair, whose amplitudes are indexed most-significant-qubit-first in the
-group's qubit order. The repeater path never needs more: each edge holds one
-pair, a swap or hop Bell-measures one qubit against a half of another
+A qubit is lone, held as its own two amplitudes, or half of one pair (a
+*group*), whose four amplitudes are indexed most-significant-qubit-first in
+the group's qubit order. The repeater path never needs more: each edge holds
+one pair, a swap or hop Bell-measures one qubit against a half of another
 pair, and an intercepted qubit is measured on its own. So there is no
-two-qubit gate and no group merging, and every group keeps at most two
-qubits by construction. Qubit handles are plain ints, the qubit's id in its
-simulator.
+two-qubit gate and no merging, and nothing holds more than two qubits by
+construction. Qubit handles are plain ints, the qubit's id in its simulator.
 
 Amplitudes are plain Python complex tuples: at 2 or 4 amplitudes scalar
 arithmetic beats array dispatch by a wide margin, and numpy appears only in
-the random streams. A tuple is immutable, so groups, ``NAMED_STATES`` and
+the random streams. A tuple is immutable, so qubits, ``NAMED_STATES`` and
 the Bell memo share them instead of copying; an operation replaces a
-group's tuple and never writes into one.
+qubit's or group's tuple and never writes into one.
 
 ``bell_step`` is the one Bell-measurement kernel, hops and swaps alike: a
 pure function of two amplitude tuples, a corrected teleport. Inputs that
@@ -23,7 +22,7 @@ draws; any other lone qubit, such as a Haar payload, is one-shot and gets
 the drawn outcome only. ``Simulator.bell_measure`` is the same step on
 registered qubits. The repeater path (``netsim.EntanglementFabric``) calls
 ``bell_step`` on its pairs' tuples, so those pairs never enter the
-registry: only qubits that endpoints and repeaters act on do.
+registry: only qubits that endpoints and repeaters act on do, all lone.
 
 Every method that draws takes ``rng``, any object with ``random()``
 returning a float in [0, 1): a numpy Generator, or a :class:`Draws` stream.
@@ -225,9 +224,8 @@ def states_equal(a, b, tol: float = NORM_TOL) -> bool:
 
 
 class _Group:
-    """The qubits of a lone qubit or a pair, and their amplitudes: a tuple
-    that other groups and the Bell memo may share, so it is replaced, never
-    written into."""
+    """A pair's two qubits and four amplitudes: a tuple that lone qubits and
+    the Bell memo may share, so it is replaced, never written into."""
 
     __slots__ = ("qubits", "amps")
 
@@ -237,17 +235,22 @@ class _Group:
 
 
 class Simulator:
-    """Registry of live qubits and their entanglement groups.
+    """Registry of live qubits in two disjoint dicts: each lone qubit's id
+    maps to its two amplitudes, and each pair half's id to its pair's
+    ``_Group``, which both halves share. Only ``make_bell_pair`` and
+    ``bell_measure`` write the pair dict; the lone-qubit methods succeed on
+    the lone dict alone and read the pair dict only to choose a refusal.
 
     ``bell_memo`` is the ``bell_step`` memo for this simulator's qubits and
     its callers' tuples: a dict that several simulators may share, since a
     table is a pure function of its key; by default a private one.
     """
 
-    __slots__ = ("_groups", "_next_id", "bell_memo")
+    __slots__ = ("_lone", "_pairs", "_next_id", "bell_memo")
 
     def __init__(self, bell_memo: dict | None = None):
-        self._groups: dict[int, _Group] = {}  # qubit id -> its group (shared object)
+        self._lone: dict[int, tuple[complex, complex]] = {}  # lone qubit id -> its amplitudes
+        self._pairs: dict[int, _Group] = {}  # pair half id -> its pair (shared object)
         self._next_id = 0
         self.bell_memo: dict[tuple, tuple] = {} if bell_memo is None else bell_memo
 
@@ -259,38 +262,36 @@ class Simulator:
         qid = self._next_id
         self._next_id = qid + 1
         a0, a1 = amps
-        self._groups[qid] = _Group([qid], (complex(a0), complex(a1)))
+        self._lone[qid] = (complex(a0), complex(a1))
         return qid
 
     def live_count(self) -> int:
-        return len(self._groups)
+        return len(self._lone) + len(self._pairs)
 
     def release(self, q: QubitRef) -> None:
-        """Discard a qubit. Only unentangled (singleton-group) qubits qualify."""
-        group = self._groups.get(q)
-        if group is None or len(group.qubits) != 1:
-            self._lone(q)  # raises
-        del self._groups[q]
+        """Discard a qubit. Only a lone qubit qualifies."""
+        try:
+            del self._lone[q]
+        except KeyError:
+            raise self._refusal(q) from None
 
     def amplitudes(self, q: QubitRef) -> tuple[complex, ...]:
-        """Amplitudes of the group holding this qubit, as Python complex: the
-        group's own tuple, which no later operation changes."""
-        group = self._groups.get(q)
-        if group is None:
-            self._require(q)  # raises
-        return group.amps
-
-    def _require(self, q: QubitRef) -> _Group:
-        group = self._groups.get(q)
-        if group is None:
+        """Amplitudes of a lone qubit, or of the pair holding a pair half,
+        as Python complex: the registry's own tuple, which no later
+        operation changes."""
+        try:
+            return self._lone[q]
+        except KeyError:
+            pair = self._pairs.get(q)
+        if pair is None:
             raise DeadQubitError(f"qubit {q} is not live")
-        return group
+        return pair.amps
 
-    def _lone(self, q: QubitRef) -> _Group:
-        group = self._require(q)
-        if len(group.qubits) != 1:
-            raise SimulationError(f"qubit {q} is still entangled; Bell-measure it")
-        return group
+    def _refusal(self, q: QubitRef) -> SimulationError:
+        """The error for a lone-qubit operation on ``q``, which is not lone."""
+        if q in self._pairs:
+            return SimulationError(f"qubit {q} is still entangled; Bell-measure it")
+        return DeadQubitError(f"qubit {q} is not live")
 
     # -- preparation and gates on a lone qubit ---------------------------------
 
@@ -299,32 +300,37 @@ class Simulator:
         measures ``bit`` in ``basis``, holding its ``NAMED_STATES`` entry."""
         qid = self._next_id
         self._next_id = qid + 1
-        self._groups[qid] = _Group([qid], _EIGENSTATES[basis is _BASIS_X][bit])
+        self._lone[qid] = _EIGENSTATES[basis is _BASIS_X][bit]
         return qid
 
     def apply_h(self, q: QubitRef) -> None:
-        group = self._lone(q)
-        a0, a1 = group.amps
-        group.amps = ((a0 + a1) * _SQRT2_INV, (a0 - a1) * _SQRT2_INV)
+        lone = self._lone
+        try:
+            a0, a1 = lone[q]
+        except KeyError:
+            raise self._refusal(q) from None
+        lone[q] = ((a0 + a1) * _SQRT2_INV, (a0 - a1) * _SQRT2_INV)
 
     # -- measurement ---------------------------------------------------------
 
     def measure(self, q: QubitRef, basis: Basis, rng) -> int:
         """Born-rule measurement of an unentangled qubit. An X-basis
-        measurement first rotates the qubit by H; the outcome is drawn from
-        the weight of |1>. The qubit stays live, collapsed onto the
-        ``NAMED_STATES`` eigenstate of the outcome in the requested basis,
-        so an immediate re-measurement repeats the outcome.
+        measurement first rotates the qubit by H (``apply_h``, which refuses
+        a qubit that is not lone); the outcome is drawn from the weight of
+        |1>. The qubit stays live, collapsed onto the ``NAMED_STATES``
+        eigenstate of the outcome in the requested basis, so an immediate
+        re-measurement repeats the outcome.
         """
-        group = self._groups.get(q)
-        if group is None or len(group.qubits) != 1:
-            self._lone(q)  # raises
         x = basis is _BASIS_X
         if x:
             self.apply_h(q)
-        a = group.amps[1]
+        lone = self._lone
+        try:
+            a = lone[q][1]
+        except KeyError:
+            raise self._refusal(q) from None
         outcome = int(rng.random() < a.real * a.real + a.imag * a.imag)
-        group.amps = _EIGENSTATES[x][outcome]
+        lone[q] = _EIGENSTATES[x][outcome]
         return outcome
 
     # -- entanglement primitives ---------------------------------------------
@@ -335,48 +341,52 @@ class Simulator:
         self._next_id = qid + 2
         # Same result as H on a then CNOT(a, b); built directly for speed.
         pair = _Group([qid, qid + 1], PHI_PLUS)
-        self._groups[qid] = self._groups[qid + 1] = pair
+        self._pairs[qid] = self._pairs[qid + 1] = pair
         return qid, qid + 1
 
     def bell_measure(self, q: QubitRef, near: QubitRef, rng) -> tuple[int, int]:
         """Teleport ``q`` over the pair (near, far): Bell-measure (q, near),
         consuming both, and leave q's state on far, near's partner, with
         X^(m_b) Z^(m_a) applied. Returns (m_a, m_b), the two correction bits
-        a classical channel carries. With ``q`` the half of a neighbouring
-        pair this is an entanglement swap: far ends up paired with q's old
-        partner, which comes first in their group.
+        a classical channel carries; a lone ``q`` leaves far lone. With
+        ``q`` the half of a neighbouring pair this is an entanglement swap:
+        far ends up paired with q's old partner, first in their group.
 
-        The registry bookkeeping around ``bell_step`` on the two groups'
+        The registry bookkeeping around ``bell_step`` on the two operands'
         tuples and ``bell_memo``. A ``near`` that is not half of a pair,
         dead qubits, q and near in one group and (in ``bell_step``) a
-        drifted joint norm are refused before any draw, groups untouched.
+        drifted joint norm are refused before any draw, registry untouched.
         """
         if q == near:
             raise ValueError("Bell measurement needs two distinct qubits")
-        groups = self._groups
-        gq = groups.get(q)
-        gn = groups.get(near)
-        if gq is None or gn is None:
-            raise DeadQubitError(f"qubit {near if gq else q} is not live")
+        lone, pairs = self._lone, self._pairs
+        gq = pairs.get(q)
+        gn = pairs.get(near)
+        if gq is None and q not in lone:
+            raise DeadQubitError(f"qubit {q} is not live")
+        if gn is None:
+            if near in lone:
+                raise SimulationError(f"qubit {near} is not half of a pair")
+            raise DeadQubitError(f"qubit {near} is not live")
         if gq is gn:
             raise SimulationError(f"qubits {q} and {near} share a group")
-        qq, qn = gq.qubits, gn.qubits
-        if len(qn) != 2:
-            raise SimulationError(f"qubit {near} is not half of a pair")
-        q_first = qq[0] == q
+        qn = gn.qubits
         near_first = qn[0] == near
-        o, amps = bell_step(self.bell_memo, gq.amps, q_first, gn.amps, near_first, rng)
-
-        del groups[q], groups[near]
-        # qq[q_first] is q's partner: index 1 when q is first, 0 when q is
-        # second; likewise qn[near_first] is far
-        if len(qq) == 2:
-            partner = qq[q_first]
-            gn.qubits = [partner, qn[near_first]]
-            groups[partner] = gn
+        q_amps, q_first = (lone[q], True) if gq is None else (gq.amps, gq.qubits[0] == q)
+        o, amps = bell_step(self.bell_memo, q_amps, q_first, gn.amps, near_first, rng)
+        # q's partner is gq.qubits[q_first]: index 1 when q is first, 0 when
+        # q is second; likewise far is qn[near_first]
+        far = qn[near_first]
+        del pairs[near]
+        if gq is None:
+            del lone[q], pairs[far]
+            lone[far] = amps
         else:
-            gn.qubits = [qn[near_first]]
-        gn.amps = amps
+            del pairs[q]
+            partner = gq.qubits[q_first]
+            gn.qubits = [partner, far]
+            gn.amps = amps
+            pairs[partner] = gn
         return _OUTCOMES[o]
 
 

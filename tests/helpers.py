@@ -11,12 +11,63 @@ import numpy as np
 from qauthsim import protocol
 from qauthsim.cli import main
 from qauthsim.keyschedule import KeyMaterial, ScheduleConfig, parse_key
+from qauthsim.qsim import NORM_TOL
+
+
+# The simulator's layout, which only the helpers below read or write: a dict
+# of lone qubits' amplitude tuples and a dict of pair halves' shared groups.
 
 
 def group_of(sim, q):
-    """Qubit ids of the group holding q, in index order; () once q is gone."""
-    group = sim._groups.get(q)  # test-only: the simulator's layout
+    """Qubit ids of the group holding q, in index order: (q,) for a lone
+    qubit, both halves for a pair half; () once q is gone."""
+    if q in sim._lone:
+        return (q,)
+    group = sim._pairs.get(q)
     return tuple(group.qubits) if group else ()
+
+
+def pair_group(sim, q):
+    """The group object that pair half q shares with its partner."""
+    return sim._pairs[q]
+
+
+def load_group(sim, amps):
+    """A lone qubit or a pair holding the given amplitudes, as a list of its
+    qubit ids."""
+    if len(amps) == 2:
+        return [sim.allocate_unit(amps)]
+    qubits = list(sim.make_bell_pair())
+    sim._pairs[qubits[0]].amps = tuple(map(complex, amps))  # an arbitrary state
+    return qubits
+
+
+def registry(sim):
+    """A snapshot of every live qubit: the amplitudes of each lone qubit, and
+    the (qubit ids, amplitudes) of each pair half's group."""
+    pairs = {q: (tuple(g.qubits), g.amps) for q, g in sim._pairs.items()}
+    return dict(sim._lone), pairs
+
+
+def assert_registry(sim):
+    """The lone and pair-half ids are disjoint, and live_count() counts
+    both. Each pair half maps to a group that lists it among two distinct
+    ids, each mapping back to that same group object. Each lone entry is a
+    tuple of two complex amplitudes, and each group's a tuple of four, of
+    norm 1."""
+    lone, pairs = sim._lone, sim._pairs
+    assert not lone.keys() & pairs.keys(), sorted(lone.keys() & pairs.keys())
+    assert sim.live_count() == len(lone) + len(pairs)
+    for qid, group in pairs.items():
+        assert qid in group.qubits and len(set(group.qubits)) == len(group.qubits) == 2
+        for other in group.qubits:
+            assert pairs.get(other) is group, (qid, other)
+    states = [(amps, 2) for amps in lone.values()] + [(g.amps, 4) for g in pairs.values()]
+    for amps, size in states:
+        assert type(amps) is tuple and len(amps) == size, amps
+        assert all(type(x) is complex for x in amps), amps
+        norm = sum(x.real * x.real + x.imag * x.imag for x in amps)
+        assert abs(norm - 1.0) <= NORM_TOL, amps
 
 
 def assert_bell_pair(sim, a, b):

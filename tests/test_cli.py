@@ -245,6 +245,7 @@ REFUSALS = {
             (["--key-bits", "8"], None, "key_bits is only for a 0x-prefixed hex key"),
             (["--key", "0x1", "--key-bits", "-3"], None, "key_bits must be in [2, "),
             ([], {"key": "0x1", "key_bits": 1}, "key_bits must be in [2, "),
+            (["--key", "0x1", "--key-bits", "1"], None, "key_bits must be in [2, "),
         ]
     ],
     # Refused with one line before any trial: an oversized length before any
@@ -289,7 +290,8 @@ REFUSALS = {
         Refusal(["custom", "-T", "1", "2", "--trials", "5", "--format", "csv", *flags],
                 "master seed must be in [0, 2**64)", config)
         for flags, config in [(["--seed", "-5"], None), (["--seed", str(2**64 + 5)], None),
-                              ([], {"master_seed": -1}), ([], {"master_seed": 2**64})]
+                              ([], {"master_seed": -1}), ([], {"master_seed": 2**64}),
+                              (["--seed", "-1"], None), (["--seed", str(2**64)], None)]
     ],
     # The second spelling reaches the same file through a symlinked directory.
     "one_file_for_two_outputs": [
@@ -334,6 +336,16 @@ REFUSALS = {
     ],
 }
 
+#: Rows of REFUSALS that give one setting as a flag and as a config key, as
+#: (flag row, config row) indices by group: each pair must be refused with
+#: the same error line, whole.
+TWO_SPELLINGS = {
+    "key_bits_without_hex_key": [(4, 3)],
+    "master_seed_outside_64_bits": [(4, 2), (5, 3)],
+    "empty_key_or_malicious_node": [(0, 1), (2, 3)],
+    "oversized_analytic_table": [(0, 1)],
+}
+
 
 def command(tmp, row):
     """The row's argv in ``tmp``, with its config, if any, written to a file
@@ -353,7 +365,8 @@ def command(tmp, row):
 
 def assert_refused(tmp, monkeypatch, row):
     """Run a REFUSALS row: exit 2, no stdout, one stderr line "error: "
-    followed by the row's message, no trial started and no file written."""
+    followed by the row's message, no trial started and no file written.
+    Returns that line."""
     argv = command(tmp, row)
     files = sorted(tmp.rglob("*"))
     monkeypatch.setattr(netsim, "run_trial", None)  # no trial may start
@@ -361,6 +374,7 @@ def assert_refused(tmp, monkeypatch, row):
     assert (code, out) == (2, ""), err
     assert err.startswith(f"error: {row.message}") and err.count("\n") == 1, err
     assert sorted(tmp.rglob("*")) == files
+    return err
 
 
 # Each test below runs its rows of REFUSALS through assert_refused.
@@ -439,6 +453,15 @@ def test_empty_key_or_malicious_node_exits_2(tmp_path, monkeypatch, row):
 @pytest.mark.parametrize("row", REFUSALS["repeated_flag"], ids=row_id)
 def test_repeated_flag_exits_2(tmp_path, monkeypatch, row):
     assert_refused(tmp_path, monkeypatch, row)
+
+
+@pytest.mark.parametrize("group", TWO_SPELLINGS)
+def test_a_flag_and_its_config_key_are_refused_with_one_line(tmp_path, monkeypatch, group):
+    for pair in TWO_SPELLINGS[group]:
+        flag, config = (REFUSALS[group][i] for i in pair)
+        assert config.config is not None and flag.config is None, pair
+        assert assert_refused(tmp_path, monkeypatch, flag) == assert_refused(
+            tmp_path, monkeypatch, config), pair
 
 
 @pytest.mark.parametrize("argv", [["analytic", "--rounds", "2"],

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import exhaustive_capacity, key_from_bits, window_value
 from qauthsim.keyschedule import (
+    AUTH_BASES,
     AUTH_STATE_TABLE,
     AuthPlan,
     KeyCursors,
@@ -76,8 +77,8 @@ def test_plan_table_covers_all_four_states():
     assert AuthPlan(1, 0).expected_state == "1"
     assert AuthPlan(0, 1).expected_state == "+"
     assert AuthPlan(1, 1).expected_state == "-"
-    assert AuthPlan(1, 0).basis.value == "Z"
-    assert AuthPlan(1, 1).basis.value == "X"
+    assert AUTH_BASES[AuthPlan(1, 0).base_bit].value == "Z"
+    assert AUTH_BASES[AuthPlan(1, 1).base_bit].value == "X"
 
 
 @given(

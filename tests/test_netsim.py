@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qauthsim as qa
-from helpers import assert_maximally_entangled, busy_forever, decoded, run_cli, session_config
+from helpers import (
+    assert_maximally_entangled,
+    busy_forever,
+    decoded,
+    pair_group,
+    run_cli,
+    session_config,
+)
 from qauthsim.adversary import Honest, InterceptResend, RepeaterState, parse_behavior
-from qauthsim import keyschedule, netsim, protocol
+from qauthsim import keyschedule, netsim, protocol, qsim
 from qauthsim.experiments import trial_seed
 from qauthsim.keyschedule import AuthPlan, KeyCursors, KeyMaterial, ScheduleConfig
 from qauthsim.netsim import (
@@ -164,13 +171,15 @@ def test_refused_payload_stays_live_before_any_draw(operand, pairs, match):
 def test_trials_register_no_repeater_pair(monkeypatch):
     # The repeater path holds its pairs as amplitude tuples: three-repeater
     # trials sharing a memo, as a campaign's do, honest and intercepted at
-    # r2, never make or Bell-measure a registered pair, and count every
-    # pair, swap and hop.
+    # r2, never make or Bell-measure a registered pair, build no group
+    # object (every qubit they register is lone), and count every pair,
+    # swap and hop.
     def refuse(*args):
-        raise AssertionError("a registered Bell pair on the repeater path")
+        raise AssertionError("a registered Bell pair or group on the repeater path")
 
     monkeypatch.setattr(Simulator, "make_bell_pair", refuse)
     monkeypatch.setattr(Simulator, "bell_measure", refuse)
+    monkeypatch.setattr(qsim, "_Group", refuse)
     cfg = session_config(t=2, target=20, reverse_auth=True,
                          payload=PayloadDistribution.parse("haar"))
     memo: dict = {}
@@ -478,9 +487,8 @@ def test_per_trial_objects_hold_no_instance_dict():
     fabric = EntanglementFabric(sim, CHAIN, repeater, Draws(3), trace)
     sim.release(fabric.transfer(sim.prepare(0, Basis.Z), "forward"))
     assert trace and repeater.log and repeater.rng is not None
-    sim.make_bell_pair()
     objects = [
-        sim, next(iter(sim._groups.values())), Draws(1),
+        sim, pair_group(sim, sim.make_bell_pair()[0]), Draws(1),
         key, qa.parse_key("0110"), cfg.sched, KeyCursors(), AuthPlan(0, 1),
         cfg.payload, cfg, SessionState(),
         Initiator(cfg, key, sim, Draws(1), []), Responder(cfg, key, sim, Draws(1), []),

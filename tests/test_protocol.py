@@ -6,7 +6,7 @@ import pytest
 
 import qauthsim as qa
 from helpers import decoded, session_config
-from qauthsim.keyschedule import AuthPlan
+from qauthsim.keyschedule import AUTH_BASES, AuthPlan
 from qauthsim.protocol import (
     PayloadDistribution,
     _Endpoint,
@@ -46,7 +46,7 @@ def test_prepare_matches_expected_state_table():
     for enc in (0, 1):
         for base in (0, 1):
             plan = AuthPlan(enc, base)
-            q = sim.prepare(plan.encoding_bit, plan.basis)
+            q = sim.prepare(plan.encoding_bit, AUTH_BASES[plan.base_bit])
             assert states_equal(
                 sim.amplitudes(q), NAMED_STATES[plan.expected_state], tol=1e-12
             )

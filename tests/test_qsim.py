@@ -9,7 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_bell_pair, group_of, swap_chain, teleport
+from helpers import (
+    assert_bell_pair,
+    assert_registry,
+    group_of,
+    load_group,
+    registry,
+    swap_chain,
+    teleport,
+)
 from qauthsim import qsim
 from qauthsim.qsim import (
     Basis,
@@ -323,13 +331,6 @@ def dense_bell_measure(state, ia, ib, rng):
     rest = psi[tuple(m_a if k == ia else m_b if k == ib else slice(None) for k in range(n))]
     pauli = np.linalg.matrix_power(Z_MAT, m_a) @ np.linalg.matrix_power(X_MAT, m_b)
     return (m_a, m_b), (rest.reshape(-1, 2) @ pauli.T).reshape(-1)
-
-
-def load_group(sim, amps):
-    """A lone qubit or a pair holding the given amplitudes."""
-    qubits = [sim.prepare(0, Basis.Z)] if len(amps) == 2 else list(sim.make_bell_pair())
-    sim._groups[qubits[0]].amps = tuple(map(complex, amps))  # test-only: arbitrary state
-    return qubits
 
 
 def random_state(draw, n_qubits):
@@ -654,21 +655,6 @@ def test_unitarity_under_random_gate_sequences():
         assert abs(np.linalg.norm(sim.amplitudes(x)) - 1.0) <= 1e-9
 
 
-def assert_registry(sim):
-    """Each live id maps to a group that lists it, every listed id maps back
-    to that same group object, and each group holds one or two qubits and a
-    tuple of amplitudes of norm 1."""
-    groups = sim._groups  # test-only: the simulator's layout
-    for qid, group in groups.items():
-        assert qid in group.qubits
-        assert len(group.qubits) in (1, 2) and len(set(group.qubits)) == len(group.qubits)
-        for other in group.qubits:
-            assert groups.get(other) is group, (qid, other)
-        assert type(group.amps) is tuple and len(group.amps) == 2 ** len(group.qubits)
-        norm = sum(x.real * x.real + x.imag * x.imag for x in group.amps)
-        assert abs(norm - 1.0) <= qsim.NORM_TOL
-
-
 OPS = ("allocate", "prepare", "pair", "bell", "measure", "h", "release")
 
 
@@ -678,10 +664,7 @@ def test_registry_invariants_under_random_operations(data):
     sim = Simulator()
     rng = make_rng(data.draw(st.integers(0, 2**64 - 1)))
     for op in data.draw(st.lists(st.sampled_from(OPS), max_size=40)):
-        groups = sim._groups
-        live = sorted(groups)
-        lone = [q for q in live if len(groups[q].qubits) == 1]
-        halves = [q for q in live if len(groups[q].qubits) == 2]
+        lone, halves = map(sorted, registry(sim))
         if op == "allocate":
             sim.allocate_unit(random_state(data.draw, 1))
         elif op == "prepare":
@@ -692,7 +675,7 @@ def test_registry_invariants_under_random_operations(data):
             if not halves:
                 continue
             near = data.draw(st.sampled_from(halves))
-            others = [x for x in live if groups[x] is not groups[near]]
+            others = [x for x in lone + halves if x not in group_of(sim, near)]
             if not others:
                 continue
             sim.bell_measure(data.draw(st.sampled_from(others)), near, rng)
@@ -726,12 +709,12 @@ def shared_teleports(sim):
 
 def test_teleports_share_the_corrected_survivor():
     # Two teleports of equal memoised operands with one seed (bits not
-    # (0, 0)) hand out one corrected tuple, in two groups: the dense gate
-    # sequence's teleported state.
+    # (0, 0)) hand out one corrected tuple, to two lone qubits: the dense
+    # gate sequence's teleported state.
     sim = Simulator()
     seed, _, fars = shared_teleports(sim)
     shared = sim.amplitudes(fars[0])
-    assert sim._groups[fars[0]] is not sim._groups[fars[1]]
+    assert [group_of(sim, far) for far in fars] == [(far,) for far in fars]
     assert sim.amplitudes(fars[1]) is shared
     _, expected = dense_bell_measure(np.kron(NAMED_STATES["+"], BELL), 0, 1, make_rng(seed))
     np.testing.assert_allclose(shared, expected, rtol=0, atol=1e-12)
@@ -1039,17 +1022,16 @@ REGISTRY_REFUSALS = {
 
 def run_registry_refusals(name):
     """Run the REGISTRY_REFUSALS rows of ``name``: each call raises its
-    error, and every group, live_count() and the RNG are as they were."""
+    error, and every lone qubit and pair (``registry``), live_count() and
+    the RNG are as they were."""
     for setup, call, error, message in REGISTRY_REFUSALS[name]:
         sim, rng = Simulator(), make_rng(20)
         values = {**setup(sim), "rng": rng, "Z": Basis.Z, "X": Basis.X}
         method, *args = call.split()
-        groups = {q: (tuple(g.qubits), g.amps) for q, g in sim._groups.items()}  # test-only
-        before = groups, sim.live_count(), rng.bit_generator.state
+        before = registry(sim), sim.live_count(), rng.bit_generator.state
         with pytest.raises(error, match="^" + message):
             getattr(sim, method)(*(values[a] for a in args))
-        groups = {q: (tuple(g.qubits), g.amps) for q, g in sim._groups.items()}
-        assert (groups, sim.live_count(), rng.bit_generator.state) == before, call
+        assert (registry(sim), sim.live_count(), rng.bit_generator.state) == before, call
 
 
 def test_dead_qubit_rejected():
@@ -1084,8 +1066,7 @@ def test_teleport_rejects_unentangled_pair():
     b = sim.prepare(0, Basis.Z)
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, a, b)
-    a, b = sim.make_bell_pair()
-    sim._groups[a].amps = (1, 0, 0, 0)  # test-only: |00> in one group
+    a, b = load_group(sim, (1, 0, 0, 0))  # |00> in one group
     with pytest.raises(AssertionError):
         assert_bell_pair(sim, a, b)
     c, d = sim.make_bell_pair()
