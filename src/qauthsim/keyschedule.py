@@ -1,6 +1,8 @@
-"""Everything derived from the shared secret key: the key itself, the two
-wrapping cursors that read each round's transfer window (``next_r``) and
-authentication qubit (``next_auth_pair``) from it, and the capacity formula.
+"""Everything derived from the shared secret key: the key itself, each
+round's transfer window (``next_r``) and authentication qubit
+(``next_auth_pair``) as pure functions of the round index, the one
+schedule per session that both endpoints read them through
+(``RoundSchedule``), and the capacity formula.
 """
 
 from __future__ import annotations
@@ -9,12 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import EIGENSTATE_LABELS, Basis
+from .qsim import EIGENSTATE_LABELS, Basis, SimulationError
 
-#: expected state label by (encoding_bit, base_bit)
-AUTH_STATE_TABLE = {
-    (e, b): EIGENSTATE_LABELS[b][e] for e in (0, 1) for b in (0, 1)
-}
 #: the basis of an auth qubit or payload by its base bit: the one spelling
 #: of this mapping, in the order of ``EIGENSTATE_LABELS``
 AUTH_BASES = (Basis.Z, Basis.X)
@@ -41,10 +39,6 @@ class KeyMaterial:
             raise ValueError("key needs at least 2 bits")
         if not set(self.bits) <= {0, 1}:
             raise ValueError("key bits must be 0 or 1")
-
-    @property
-    def length(self) -> int:
-        return len(self.bits)
 
     @classmethod
     def random(cls, length: int, rng: np.random.Generator) -> "KeyMaterial":
@@ -98,15 +92,6 @@ class ScheduleConfig:
             raise ValueError("encoding index must be 0 or 1")
 
 
-@dataclass(slots=True)
-class KeyCursors:
-    """Mutable per-session read positions into the key."""
-
-    r_cursor: int = 0
-    pair_cursor: int = 0
-    round_index: int = 0
-
-
 @dataclass(frozen=True, slots=True)
 class AuthPlan:
     """One round's authentication qubit recipe: value bit plus basis bit."""
@@ -116,38 +101,72 @@ class AuthPlan:
 
     @property
     def expected_state(self) -> str:
-        return AUTH_STATE_TABLE[(self.encoding_bit, self.base_bit)]
+        return EIGENSTATE_LABELS[self.base_bit][self.encoding_bit]
 
 
 #: The four plans, by [encoding_bit][base_bit]; every round shares them.
 _AUTH_PLANS = tuple(tuple(AuthPlan(e, b) for b in (0, 1)) for e in (0, 1))
 
 
-def next_r(key: KeyMaterial, cfg: ScheduleConfig, cursors: KeyCursors) -> int:
-    """Read the next transfer window: T key bits, MSB first, wrapping."""
+def next_r(key: KeyMaterial, cfg: ScheduleConfig, index: int) -> int:
+    """Round ``index``'s transfer window: the T key bits from bit index * T,
+    MSB first, wrapping."""
     bits = key.bits
     n = len(bits)
-    start = cursors.r_cursor
-    end = start + cfg.transfer_length
+    start = index * cfg.transfer_length
     value = 0
-    for i in range(start, end):
+    for i in range(start, start + cfg.transfer_length):
         value = (value << 1) | bits[i % n]
-    cursors.r_cursor = end % n
     return value
 
 
-def next_auth_pair(
-    key: KeyMaterial, cfg: ScheduleConfig, cursors: KeyCursors
-) -> AuthPlan:
-    """Read the next two key bits and split them into an AuthPlan."""
+def next_auth_pair(key: KeyMaterial, cfg: ScheduleConfig, index: int) -> AuthPlan:
+    """Round ``index``'s AuthPlan, split from key bits 2 index and
+    2 index + 1, wrapping."""
     bits = key.bits
     n = len(bits)
-    c = cursors.pair_cursor
-    pair = (bits[c % n], bits[(c + 1) % n])
-    cursors.pair_cursor = (c + 2) % n
-    cursors.round_index += 1
+    c = 2 * index % n
+    pair = (bits[c], bits[(c + 1) % n])
     e = cfg.encoding_index
     return _AUTH_PLANS[pair[e]][pair[1 - e]]
+
+
+class RoundSchedule:
+    """One session's rounds, held by both endpoints: ``window(i)`` reads
+    round i's window R into ``rs[i]`` and its plan into ``plans[i]`` the
+    first time either endpoint opens round i, each opening them in order.
+    It refuses a round whose earlier windows already hold the data target,
+    which no session opens, honest or not. ``guard`` is ``slack`` times the
+    most endpoint steps the rounds read can take: per round its data qubits
+    and four more (verify, open, prove, reverse verify), and two completions.
+    """
+
+    slack = 2
+
+    __slots__ = ("key", "cfg", "target", "rs", "plans", "reach", "guard")
+
+    def __init__(self, key: KeyMaterial, cfg: ScheduleConfig, target: int):
+        self.key = key
+        self.cfg = cfg
+        self.target = target
+        self.rs: list[int] = []
+        self.plans: list[AuthPlan] = []
+        self.reach = 0  # the data qubits of the windows read
+        self.guard = self.slack * 2
+
+    def window(self, index: int) -> int:
+        """Round ``index``'s window R, read with its plan on the first ask.
+        Raises SimulationError for a round past the honest end."""
+        rs = self.rs
+        if index == len(rs):
+            if self.reach >= self.target:
+                raise SimulationError(f"round {index + 1} is past the end of the session")
+            # module globals, so that a wrapper set on the module sees each read
+            rs.append(r := next_r(self.key, self.cfg, index))
+            self.plans.append(next_auth_pair(self.key, self.cfg, index))
+            self.reach += r
+            self.guard = self.slack * (min(self.reach, self.target) + 4 * len(rs) + 2)
+        return rs[index]
 
 
 def capacity(key_length: int, transfer_length: int) -> int:

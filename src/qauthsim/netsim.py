@@ -7,14 +7,13 @@ and the direct exchange that runs both endpoints to the end of a session
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
 from . import adversary as adv
 from . import protocol as proto
-from .keyschedule import KeyMaterial
+from .keyschedule import KeyMaterial, RoundSchedule
 from .qsim import (
     PHI_PLUS,
     Draws,
@@ -253,22 +252,6 @@ def intercept_node(
     return node
 
 
-def step_bound(data_target: int, key_length: int, transfer_length: int) -> int:
-    """Endpoint steps after which a session is taken to be stuck.
-
-    Per window the initiator steps once per data qubit and once to verify,
-    the responder once to send its auth qubit and, under reverse
-    authentication, once to open the window and once to verify: at most
-    transfers + 2 windows + 2 (the completions) <= data + 4 windows + 2
-    steps. The window cursor starts every gcd(L, T)-th key bit within one
-    cycle of L / gcd(L, T) windows, so each cycle reads every key bit and,
-    the key being non-zero, has a window with data: no session opens more
-    than data_target cycles. The bound is twice that worst case.
-    """
-    windows = data_target * (key_length // math.gcd(key_length, transfer_length))
-    return 2 * (data_target + 4 * windows + 2)
-
-
 def run_trial(
     topology: Topology,
     behavior: adv.Behavior,
@@ -296,9 +279,10 @@ def run_trial(
     ``json.loads`` of an entry gives the event's dict. ``bell_memo`` is
     handed to the trial's ``Simulator``; the memo it holds changes no result,
     only how many Bell tables are built.
+    Both endpoints read the key's rounds from one ``keyschedule.RoundSchedule``.
     Raises ValueError when ``intercept_node`` refuses the malicious node,
-    and SimulationError when the session takes more than ``step_bound``
-    endpoint steps or a qubit outlives the trial.
+    and SimulationError when the session outsteps the schedule's ``guard``,
+    opens a round past its honest end, or a qubit outlives the trial.
     """
     rng_world = Draws(derive_seed(seed, 0))
     key = config.key
@@ -306,10 +290,8 @@ def run_trial(
         # A fresh key is drawn until it is non-zero: an all-zero key never
         # schedules a data window. At 1024 bits the first draw always is.
         key_rng = make_rng(derive_seed(seed, 2))
-        key = KeyMaterial.random(config.key_length, key_rng)
-        while not any(key.bits):
+        while key is None or not any(key.bits):
             key = KeyMaterial.random(config.key_length, key_rng)
-    bound = step_bound(config.data_qubit_target, key.length, config.sched.transfer_length)
     node = intercept_node(topology, behavior, malicious_node)
     # a per-trial log, so that seq restarts at 0 in every trial
     log = None if intercept_log is None else []
@@ -317,8 +299,9 @@ def run_trial(
 
     sim = Simulator(bell_memo)
     fabric = EntanglementFabric(sim, topology, repeater, rng_world, trace)
-    alice = proto.Initiator(config, key, sim, rng_world, trace)
-    bob = proto.Responder(config, key, sim, rng_world, trace)
+    schedule = RoundSchedule(key, config.sched, config.data_qubit_target)
+    alice = proto.Initiator(config, schedule, sim, rng_world, trace)
+    bob = proto.Responder(config, schedule, sim, rng_world, trace)
     a_state, a_step = alice.state, alice.step
     b_state, b_step, receive = bob.state, bob.step, bob.receive
     absorbing = proto.ABSORBING
@@ -331,7 +314,7 @@ def run_trial(
     # qubit held for it, AUTH_AWAIT; the responder in COMPUTE_R, AUTH_PREPARE.
     held: deque[QubitRef] = deque()  # auth qubits the initiator has yet to verify
     ta = tb = steps = data_delivered = data_intact = 0
-    while steps <= bound:
+    while steps <= schedule.guard:
         pa, pb = a_state.phase, b_state.phase
         if (held if pa is awaiting else pa is sending or pa is computing) and (
                 ta <= tb or pb is not computing and pb is not preparing):
@@ -394,7 +377,7 @@ def run_trial(
                     machine.terminate("timeout")
             break
     else:
-        raise SimulationError(f"trial exceeded {bound} endpoint steps")
+        raise SimulationError(f"trial exceeded {schedule.guard} endpoint steps")
     for qubit in held:
         release(qubit)
 

@@ -3,9 +3,10 @@
 ``Initiator`` sends data qubits (``sample_payload``) and verifies the
 authentication qubits it receives; ``Responder`` receives data and proves
 its identity, and verifies as well under reverse authentication. Each steps
-only when it can move (``netsim.run_trial``). Both read the same key
-through identical cursors, so windows and authentication plans line up
-with nothing on the wire but teleported qubits. The phases of a round:
+only when it can move (``netsim.run_trial``). Both read each round's
+window and authentication plan from one ``keyschedule.RoundSchedule`` by
+the round's index, so they line up with nothing on the wire but teleported
+qubits. The phases of a round:
 
     initiator: COMPUTE_R -> DATA_TRANSFER -> AUTH_AWAIT -> COMPUTE_R ...
     responder: COMPUTE_R -> DATA_TRANSFER -> AUTH_PREPARE [-> AUTH_AWAIT] -> COMPUTE_R ...
@@ -125,7 +126,7 @@ class SessionConfig:
         if self.data_qubit_target < 0:
             raise ValueError("data qubit target must be >= 0")
         shortest = max(self.sched.transfer_length, 2)
-        if self.key is not None and self.key.length < shortest:
+        if self.key is not None and len(self.key.bits) < shortest:
             raise ValueError("key shorter than max(transfer length, 2)")
         if self.key_length < shortest:
             raise ValueError("key length shorter than max(transfer length, 2)")
@@ -140,7 +141,7 @@ class SessionConfig:
 @dataclass(slots=True)
 class SessionState:
     phase: Phase = Phase.COMPUTE_R
-    cursors: ks.KeyCursors = field(default_factory=ks.KeyCursors)
+    round: int = 0  # rounds opened: the current round's number, from 1
     qubits_delivered: int = 0  # data qubits sent (initiator) / received (responder)
     sent_count: int = 0  # progress within the current window
     current_r: int = 0
@@ -158,21 +159,19 @@ class _Endpoint:
 
     role = ""
 
-    __slots__ = ("config", "key", "sched", "target", "reverse", "sim", "rng", "trace",
-                 "state", "plan", "failed_round", "auth_qubits_sent")
+    __slots__ = ("config", "schedule", "target", "reverse", "sim", "rng", "trace",
+                 "state", "failed_round", "auth_qubits_sent")
 
-    def __init__(self, config: SessionConfig, key: ks.KeyMaterial, sim: Simulator, rng,
-                 trace: list | None = None):
+    def __init__(self, config: SessionConfig, schedule: ks.RoundSchedule, sim: Simulator,
+                 rng, trace: list | None = None):
         self.config = config
-        self.key = key  # config.key, or the key drawn for this session
-        self.sched = config.sched
+        self.schedule = schedule  # the session's rounds, shared with the peer
         self.target = config.data_qubit_target
         self.reverse = config.reverse_auth
         self.sim = sim
         self.rng = rng
         self.trace = trace
         self.state = SessionState()
-        self.plan: ks.AuthPlan | None = None
         self.failed_round: int | None = None  # round of the failed verdict
         self.auth_qubits_sent = 0
 
@@ -193,7 +192,8 @@ class _Endpoint:
     def _next_window(self) -> int:
         """Read the next window R and enter DATA_TRANSFER; returns R."""
         st = self.state
-        st.current_r = r = ks.next_r(self.key, self.sched, st.cursors)
+        st.current_r = r = self.schedule.window(st.round)
+        st.round += 1
         st.sent_count = 0
         st.phase = _DATA_TRANSFER
         return r
@@ -207,15 +207,15 @@ class _Endpoint:
         return qubit
 
     def _verify(self, qubit: QubitRef) -> bool:
-        """Measure an incoming auth qubit against the current plan. On a
-        mismatch, record the round and terminate. Returns whether it
+        """Measure an incoming auth qubit against the current round's plan.
+        On a mismatch, record the round and terminate. Returns whether it
         passed."""
-        plan = self.plan
+        round_index = self.state.round
+        plan = self.schedule.plans[round_index - 1]
         basis = AUTH_BASES[plan.base_bit]
         measured = self.sim.measure(qubit, basis, self.rng)
         self.sim.release(qubit)
         passed = measured == plan.encoding_bit
-        round_index = self.state.cursors.round_index
         if self.trace is not None:
             self._emit(f'"event": "verdict", "round": {round_index}, '
                        f'"passed": {"true" if passed else "false"}, '
@@ -238,8 +238,8 @@ class Initiator(_Endpoint):
     role = "initiator"
     __slots__ = ("payload_truth",)
 
-    def __init__(self, config, key, sim, rng, trace=None):
-        super().__init__(config, key, sim, rng, trace)
+    def __init__(self, config, schedule, sim, rng, trace=None):
+        super().__init__(config, schedule, sim, rng, trace)
         #: the truth of the data qubit the last step sent; None after an auth send
         self.payload_truth: tuple[complex, complex] | None = None
 
@@ -251,7 +251,7 @@ class Initiator(_Endpoint):
             st.phase = _COMPUTE_R
             if self.reverse:  # prove our own identity at once: the responder waits
                 self.payload_truth = None
-                return self._prove(self.plan)
+                return self._prove(self.schedule.plans[st.round - 1])
             # The responder waits for the next window's data unless the
             # target is met or the window is empty: open it and send at once.
             if st.qubits_delivered >= self.target or not self._next_window():
@@ -265,10 +265,8 @@ class Initiator(_Endpoint):
         # DATA_TRANSFER
         if st.sent_count == 0:  # the window's first step
             if self.trace is not None:
-                self._emit(f'"event": "window", "round": {st.cursors.round_index + 1}, '
-                           f'"r": {st.current_r}')
+                self._emit(f'"event": "window", "round": {st.round}, "r": {st.current_r}')
             if st.current_r == 0:
-                self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
                 st.phase = _AUTH_AWAIT
                 return None
         elif st.qubits_delivered >= self.target:
@@ -281,7 +279,6 @@ class Initiator(_Endpoint):
         if st.sent_count == st.current_r:
             # A fully transferred window is always authenticated, even when
             # it ends exactly on the delivery target.
-            self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
             st.phase = _AUTH_AWAIT
         return qubit
 
@@ -319,8 +316,7 @@ class Responder(_Endpoint):
                 return None  # wait for the window's data
 
         # AUTH_PREPARE, or an r = 0 window just opened
-        plan = self.plan = ks.next_auth_pair(self.key, self.sched, st.cursors)
-        qubit = self._prove(plan)
+        qubit = self._prove(self.schedule.plans[st.round - 1])
         if self.reverse:
             st.phase = _AUTH_AWAIT
         elif st.qubits_delivered >= self.target:

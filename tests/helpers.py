@@ -1,5 +1,5 @@
 """Simulator-state checks, the key-window walk, parsers, and the session,
-CLI and stuck-endpoint builders shared by the tests."""
+CLI and endpoint stand-ins shared by the tests."""
 
 import contextlib
 import io
@@ -11,7 +11,7 @@ import numpy as np
 from qauthsim import protocol
 from qauthsim.cli import main
 from qauthsim.keyschedule import KeyMaterial, ScheduleConfig, parse_key
-from qauthsim.qsim import NORM_TOL
+from qauthsim.qsim import NORM_TOL, PHI_PLUS, states_equal
 
 
 # The simulator's layout, which only the helpers below read or write: a dict
@@ -109,6 +109,15 @@ def window_value(bits, t, index):
     return value
 
 
+def honest_windows(bits, t, target):
+    """The windows R, in round order, of an honest session with this target:
+    rounds until their data reach it, and none for a target of 0."""
+    rs = []
+    while sum(rs) < target:
+        rs.append(window_value(bits, t, len(rs)))
+    return rs
+
+
 def exhaustive_capacity(length, t):
     """The mean data-qubit count of one pass over a key (floor(L/T) windows,
     no wrap), over every key of ``length`` bits, floored: what capacity()
@@ -121,25 +130,35 @@ def exhaustive_capacity(length, t):
     return total // 2**length
 
 
-def swap_chain(sim, rng, hops):
-    """Build an end-to-end pair from ``hops`` adjacent pairs via swaps: each
-    swap teleports the chain's far half over the next pair."""
+def teleport(sim, rng, amps, hops=1):
+    """Teleport a fresh qubit holding ``amps`` over a pair swapped end to end
+    from ``hops`` adjacent pairs and checked to be a Bell pair with the
+    magnitudes of ``PHI_PLUS``; the payload and the near half are gone
+    after. Returns the qubit holding the state at the far end and the
+    correction bits."""
     left, right = sim.make_bell_pair()
     for _ in range(hops - 1):
         a, b = sim.make_bell_pair()
         sim.bell_measure(right, a, rng)
         right = b
-    return left, right
-
-
-def teleport(sim, rng, amps, hops=1):
-    """Teleport a fresh qubit holding ``amps`` over a ``swap_chain`` of
-    ``hops`` pairs, first checked to be a Bell pair. Returns the qubit that
-    holds the state at the far end and the correction bits."""
-    left, right = swap_chain(sim, rng, hops)
     payload = sim.allocate_unit(amps)
     assert_bell_pair(sim, left, right)
-    return right, sim.bell_measure(payload, left, rng)
+    assert np.allclose(np.abs(sim.amplitudes(left)), np.abs(PHI_PLUS), rtol=0, atol=1e-9)
+    bits = sim.bell_measure(payload, left, rng)
+    assert group_of(sim, payload) == group_of(sim, left) == ()
+    assert set(bits) <= {0, 1}
+    return right, bits
+
+
+def assert_teleports_intact(sim, rng, state_rng, hops, count=100):
+    """``teleport`` ``count`` random states from ``state_rng`` over chains of
+    ``hops`` pairs: each arrives within 1e-9."""
+    for _ in range(count):
+        v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        far, _ = teleport(sim, rng, v, hops)
+        assert states_equal(sim.amplitudes(far), v, tol=1e-9)
+        sim.release(far)
 
 
 def parse_campaign_csv(text: str) -> list[dict]:
@@ -185,7 +204,15 @@ def run_cli(argv):
 def busy_forever(self, arrival):
     """A stand-in ``Responder.step`` that always leaves the responder able to
     move (it flips between COMPUTE_R and AUTH_PREPARE) but never sends or
-    completes: a session only the step bound can stop."""
+    completes: a session only the step guard can stop."""
     st = self.state
     st.phase = (protocol.Phase.AUTH_PREPARE if st.phase is protocol.Phase.COMPUTE_R
                 else protocol.Phase.COMPUTE_R)
+
+
+def one_window_more(self, arrival, _step=protocol.Initiator.step):
+    """A stand-in ``Initiator.step`` that, where the initiator would complete
+    on a met target, opens one window more: a round past the honest end."""
+    if self.state.phase is protocol.Phase.COMPUTE_R and self.state.qubits_delivered >= self.target:
+        self._next_window()
+    return _step(self, arrival)

@@ -24,13 +24,13 @@ from qauthsim.experiments import (
 )
 from qauthsim.keyschedule import capacity
 from helpers import (
+    assert_teleports_intact,
     decoded,
     exhaustive_capacity,
     session_config,
-    teleport,
     window_value,
 )
-from qauthsim.qsim import Simulator, make_rng, states_equal
+from qauthsim.qsim import Simulator, make_rng
 
 CHAIN = qa.Topology.chain(1)
 MISS = 0.75  # per-round miss probability of a basis-measuring interceptor
@@ -306,12 +306,7 @@ def test_criterion_8c_teleport_and_swap_fidelity():
     rng = make_rng(31)
     state_rng = np.random.default_rng(32)
     for hops in (1, 2, 3, 4, 5):  # up to 4 intermediate swaps
-        for _ in range(100):
-            v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
-            v /= np.linalg.norm(v)
-            far, _ = teleport(sim, rng, v, hops)
-            assert states_equal(sim.amplitudes(far), v, tol=1e-9)
-            sim.release(far)
+        assert_teleports_intact(sim, rng, state_rng, hops)
     print("ACCEPTANCE 8c: PASS teleport and chained-swap fidelity at 1e-9")
 
 

@@ -130,7 +130,8 @@ def test_intercept_log_contents_and_export(tmp_path):
     assert {line["basis"] for line in lines} <= {"Z", "X"}
 
 
-def test_mitm_trial_without_a_log_builds_no_record(monkeypatch):
+def recorded_repeaters(monkeypatch):
+    """The RepeaterState of every trial run after this call, in order."""
     repeaters = []
 
     class Recorded(RepeaterState):
@@ -139,6 +140,11 @@ def test_mitm_trial_without_a_log_builds_no_record(monkeypatch):
             repeaters.append(self)
 
     monkeypatch.setattr(adversary, "RepeaterState", Recorded)
+    return repeaters
+
+
+def test_mitm_trial_without_a_log_builds_no_record(monkeypatch):
+    repeaters = recorded_repeaters(monkeypatch)
     behavior, cfg = InterceptResend("random_zx"), session_config(1, 20)
     log = []
     logged = qa.run_trial(CHAIN, behavior, cfg, seed=21, intercept_log=log)
@@ -152,14 +158,7 @@ def test_only_an_interceptor_holds_a_random_stream(monkeypatch):
     # An honest repeater never draws a basis, so it holds no stream. An
     # interceptor's stream is still the Draws of the repeater seed, apart
     # from the world stream: its logged bases replay that seed's draws.
-    repeaters = []
-
-    class Recorded(RepeaterState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            repeaters.append(self)
-
-    monkeypatch.setattr(adversary, "RepeaterState", Recorded)
+    repeaters = recorded_repeaters(monkeypatch)
     cfg = session_config(1, 20)
     qa.run_trial(CHAIN, Honest(), cfg, seed=21)
     log = []

@@ -13,8 +13,8 @@ from qauthsim import cli, netsim, protocol, qsim
 from qauthsim import experiments as exp
 from qauthsim.adversary import BEHAVIOR_LABELS
 from qauthsim.cli import build_config, build_parser
-from qauthsim.keyschedule import MAX_KEY_LENGTH
-from helpers import busy_forever, decoded, run_cli
+from qauthsim.keyschedule import MAX_KEY_LENGTH, RoundSchedule, ScheduleConfig, parse_key
+from helpers import busy_forever, decoded, one_window_more, run_cli
 
 
 def test_analytic_table():
@@ -592,26 +592,34 @@ def test_short_fresh_keys_are_redrawn_until_non_zero():
     assert err == "error: all-zero key never schedules a data window\n"
 
 
+def exits_1(monkeypatch, owner, attr, stand_in, *argv):
+    """The stderr of a 1-trial honest ``custom`` campaign with ``owner.attr``
+    replaced by ``stand_in``, which exits 1 with no output, one line."""
+    monkeypatch.setattr(owner, attr, stand_in)
+    code, out, err = run_cli(["custom", "--trials", "1", "--adversary", "honest", *argv])
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    return err
+
+
 def test_stuck_session_exits_1_instead_of_hanging(monkeypatch):
-    monkeypatch.setattr(protocol.Responder, "step", busy_forever)
-    code, out, err = run_cli(
-        ["custom", "-T", "1", "--trials", "1", "--data-qubits", "3",
-         "--key-length", "8", "--adversary", "honest"]
-    )
-    assert (code, out) == (1, "")
-    assert err == f"error: trial exceeded {netsim.step_bound(3, 8, 1)} endpoint steps\n"
+    # the guard of the schedule's round 0, all it reads before the responder sticks
+    err = exits_1(monkeypatch, protocol.Responder, "step", busy_forever,
+                  "-T", "1", "--data-qubits", "3", "--key", "10110111")
+    schedule = RoundSchedule(parse_key("10110111"), ScheduleConfig(1), 3)
+    schedule.window(0)
+    assert err == f"error: trial exceeded {schedule.guard} endpoint steps\n"
+
+
+def test_a_round_past_the_end_exits_1(monkeypatch):
+    err = exits_1(monkeypatch, protocol.Initiator, "step", one_window_more,
+                  "-T", "2", "--data-qubits", "4", "--key", "1101")
+    assert err == "error: round 3 is past the end of the session\n"
 
 
 def test_leaked_qubit_exits_1(monkeypatch):
-    monkeypatch.setattr(qsim.Simulator, "release", lambda self, q: None)
-    code, out, err = run_cli(
-        ["custom", "-T", "1", "--trials", "1", "--data-qubits", "3",
-         "--key-length", "8", "--adversary", "honest"]
-    )
-    assert code == 1
-    assert out == ""
+    err = exits_1(monkeypatch, qsim.Simulator, "release", lambda self, q: None,
+                  "-T", "1", "--data-qubits", "3", "--key-length", "8")
     assert err.startswith("error: ") and "outlived the trial" in err
-    assert err.count("\n") == 1
 
 
 def test_trace_is_written_as_each_trial_ends(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Key schedule tests: window arithmetic, auth-plan extraction, capacity.
+"""Key schedule tests: window reads, auth plans, the round schedule, capacity.
 
 The wrap-around reads are checked against a plain index-arithmetic oracle,
 and capacity against exhaustive enumeration of all keys for small lengths.
@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 from helpers import exhaustive_capacity, key_from_bits, window_value
 from qauthsim.keyschedule import (
     AUTH_BASES,
-    AUTH_STATE_TABLE,
     AuthPlan,
-    KeyCursors,
     KeyMaterial,
     MAX_KEY_LENGTH,
+    RoundSchedule,
     ScheduleConfig,
     capacity,
     next_auth_pair,
@@ -30,9 +29,8 @@ from qauthsim.qsim import make_rng
 def test_worked_example_windows():
     key = parse_key("1101")
     cfg = ScheduleConfig(transfer_length=2, encoding_index=0)
-    cur = KeyCursors()
-    assert next_r(key, cfg, cur) == 3
-    assert next_r(key, cfg, cur) == 1
+    assert next_r(key, cfg, 0) == 3
+    assert next_r(key, cfg, 1) == 1
 
 
 def test_worked_example_auth_plans():
@@ -41,11 +39,10 @@ def test_worked_example_auth_plans():
     key = parse_key("1101")
     for e, second_plan, second_state in ((0, (0, 1), "+"), (1, (1, 0), "1")):
         cfg = ScheduleConfig(transfer_length=2, encoding_index=e)
-        cur = KeyCursors()
-        first = next_auth_pair(key, cfg, cur)
+        first = next_auth_pair(key, cfg, 0)
         assert (first.encoding_bit, first.base_bit) == (1, 1)
         assert first.expected_state == "-"
-        second = next_auth_pair(key, cfg, cur)
+        second = next_auth_pair(key, cfg, 1)
         assert (second.encoding_bit, second.base_bit) == second_plan
         assert second.expected_state == second_state
 
@@ -53,26 +50,26 @@ def test_worked_example_auth_plans():
 def test_equal_pair_bits_ignore_index_order():
     key = parse_key("1101")
     for e in (0, 1):
-        plan = next_auth_pair(key, ScheduleConfig(2, e), KeyCursors())
+        plan = next_auth_pair(key, ScheduleConfig(2, e), 0)
         assert plan.expected_state == "-"
 
 
 def test_all_zero_window():
     key = parse_key("0000")
-    assert next_r(key, ScheduleConfig(3), KeyCursors()) == 0
+    assert next_r(key, ScheduleConfig(3), 0) == 0
 
 
 def test_wraparound_windows_match_oracle():
     key = parse_key("101")
     cfg = ScheduleConfig(2)
-    cur = KeyCursors()
-    got = [next_r(key, cfg, cur) for _ in range(12)]
+    got = [next_r(key, cfg, i) for i in range(12)]
     assert got[:3] == [2, 3, 1]  # "10", "11" (wrapping), "01" (wrapping)
     assert got == [window_value(key.bits, 2, i) for i in range(12)]
 
 
 def test_plan_table_covers_all_four_states():
-    assert sorted(AUTH_STATE_TABLE.values()) == ["+", "-", "0", "1"]
+    assert sorted(AuthPlan(e, b).expected_state for e in (0, 1) for b in (0, 1)) == [
+        "+", "-", "0", "1"]
     assert AuthPlan(0, 0).expected_state == "0"
     assert AuthPlan(1, 0).expected_state == "1"
     assert AuthPlan(0, 1).expected_state == "+"
@@ -90,8 +87,7 @@ def test_plan_table_covers_all_four_states():
 def test_window_sequence_matches_oracle(bits, t, rounds):
     key = key_from_bits(bits)
     cfg = ScheduleConfig(t)
-    cur = KeyCursors()
-    got = [next_r(key, cfg, cur) for _ in range(rounds)]
+    got = [next_r(key, cfg, i) for i in range(rounds)]
     assert got == [window_value(bits, t, i) for i in range(rounds)]
     assert all(0 <= r < 2**t for r in got)
 
@@ -99,25 +95,25 @@ def test_window_sequence_matches_oracle(bits, t, rounds):
 @given(
     bits=st.lists(st.integers(0, 1), min_size=2, max_size=32),
     t=st.integers(1, 8),
+    e=st.integers(0, 1),
     order=st.lists(st.booleans(), min_size=1, max_size=60),
 )
 @settings(max_examples=200)
-def test_cursors_are_independent(bits, t, order):
-    # Interleaving pair draws arbitrarily never changes the R sequence, and
-    # vice versa.
+def test_cursors_are_independent(bits, t, e, order):
+    # Two readers of one schedule, each opening its rounds in order and
+    # interleaved arbitrarily, see the same rounds: each round's window is
+    # the index oracle's, its plan the round's pair of key bits, and the
+    # schedule holds each round once, whichever reader comes first.
     key = key_from_bits(bits)
-    cfg = ScheduleConfig(t)
-    cur = KeyCursors()
-    rs, plans = [], []
-    for draw_r in order:
-        if draw_r:
-            rs.append(next_r(key, cfg, cur))
-        else:
-            plans.append(next_auth_pair(key, cfg, cur))
-    pure_r = KeyCursors()
-    assert rs == [next_r(key, cfg, pure_r) for _ in range(len(rs))]
-    pure_p = KeyCursors()
-    assert plans == [next_auth_pair(key, cfg, pure_p) for _ in range(len(plans))]
+    schedule = RoundSchedule(key, ScheduleConfig(t, e), target=10**9)
+    cursors = [0, 0]
+    for reader in order:
+        i = cursors[reader]
+        assert schedule.window(i) == window_value(bits, t, i)
+        pair = (bits[2 * i % len(bits)], bits[(2 * i + 1) % len(bits)])
+        assert schedule.plans[i] == AuthPlan(pair[e], pair[1 - e])
+        cursors[reader] += 1
+    assert len(schedule.rs) == len(schedule.plans) == max(cursors)
 
 
 @given(
@@ -128,9 +124,8 @@ def test_cursors_are_independent(bits, t, order):
 def test_window_sequence_periodicity(bits, t):
     key = key_from_bits(bits)
     cfg = ScheduleConfig(t)
-    cur = KeyCursors()
     period = math.lcm(len(bits), t) // t
-    seq = [next_r(key, cfg, cur) for _ in range(3 * period)]
+    seq = [next_r(key, cfg, i) for i in range(3 * period)]
     assert seq[:period] == seq[period : 2 * period] == seq[2 * period :]
 
 
@@ -139,11 +134,8 @@ def test_determinism_of_schedule():
     cfg = ScheduleConfig(3, encoding_index=1)
 
     def draw():
-        cur = KeyCursors()
-        return (
-            [next_r(key, cfg, cur) for _ in range(20)],
-            [next_auth_pair(key, cfg, cur) for _ in range(20)],
-        )
+        schedule = RoundSchedule(key, cfg, target=10**9)
+        return [schedule.window(i) for i in range(20)], schedule.plans
 
     assert draw() == draw()
 
@@ -194,7 +186,7 @@ def test_a_drawn_key_is_the_generator_draw(length):
         key = KeyMaterial.random(length, rng)
         assert key.bits == tuple(twin.integers(0, 2, size=length).tolist())
         assert {type(b) for b in key.bits} == {int}
-        assert key == KeyMaterial(key.bits) and key.length == length
+        assert key == KeyMaterial(key.bits) and len(key.bits) == length
         assert rng.bit_generator.state == twin.bit_generator.state
 
 

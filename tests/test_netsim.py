@@ -2,7 +2,7 @@
 end-of-session bookkeeping."""
 
 import json
-from collections import Counter
+from itertools import product
 from unittest.mock import patch
 
 import pytest
@@ -14,6 +14,8 @@ from helpers import (
     assert_maximally_entangled,
     busy_forever,
     decoded,
+    honest_windows,
+    one_window_more,
     pair_group,
     run_cli,
     session_config,
@@ -21,7 +23,7 @@ from helpers import (
 from qauthsim.adversary import Honest, InterceptResend, RepeaterState, parse_behavior
 from qauthsim import keyschedule, netsim, protocol, qsim
 from qauthsim.experiments import trial_seed
-from qauthsim.keyschedule import AuthPlan, KeyCursors, KeyMaterial, ScheduleConfig
+from qauthsim.keyschedule import AuthPlan, KeyMaterial, RoundSchedule, ScheduleConfig
 from qauthsim.netsim import (
     EntanglementFabric,
     Topology,
@@ -68,18 +70,14 @@ def test_direct_path_has_no_intermediates():
 
 
 def test_topology_validation():
-    with pytest.raises(ValueError):
-        Topology(nodes=("a", "b"), edges=(("a", "b"),), path=("a",))
-    with pytest.raises(ValueError):
-        Topology(nodes=("a", "b"), edges=(("a", "b"),), path=("a", "c"))
-    with pytest.raises(ValueError):
-        Topology(nodes=("a", "b", "c"), edges=(("a", "b"),), path=("a", "c"))
-    with pytest.raises(ValueError):
-        Topology(
-            nodes=("a", "b", "c"),
-            edges=(("a", "b"), ("b", "c")),
-            path=("a", "b", "a"),
-        )
+    for nodes, edges, path, match in [
+        (("a", "b"), (("a", "b"),), ("a",), "at least two nodes"),
+        (("a", "b"), (("a", "b"),), ("a", "c"), "unknown nodes"),
+        (("a", "b", "c"), (("a", "b"),), ("a", "c"), r"hop \(a, c\) is not an edge"),
+        (("a", "b", "c"), (("a", "b"), ("b", "c")), ("a", "b", "a"), "revisit"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            Topology(nodes=nodes, edges=edges, path=path)
 
 
 def test_topology_accepts_reversed_edge_order():
@@ -347,28 +345,6 @@ def test_trial_with_malicious_node_choice():
     assert record.detected
 
 
-def cap_steps_at_worst_case(monkeypatch, fraction):
-    # Half of step_bound is the derived worst case; run_trial enforces
-    # this fraction of it instead.
-    inner = netsim.step_bound
-    monkeypatch.setattr(
-        netsim, "step_bound", lambda *args: int(fraction * (inner(*args) // 2))
-    )
-
-
-def test_sweep_cap_guard(monkeypatch):
-    monkeypatch.setattr(netsim, "step_bound", lambda *args: 10)
-    with pytest.raises(SimulationError, match="^trial exceeded 10 endpoint steps$"):
-        run_trial(CHAIN, Honest(), session_config(target=500), seed=2)
-
-
-def test_stuck_session_raises_without_a_given_bound(monkeypatch):
-    monkeypatch.setattr(protocol.Responder, "step", busy_forever)
-    bound = netsim.step_bound(3, 8, 2)
-    with pytest.raises(SimulationError, match=f"^trial exceeded {bound} endpoint steps$"):
-        run_trial(CHAIN, Honest(), session_config(target=3, key_length=8), seed=1)
-
-
 def test_leaked_qubit_fails_the_trial(monkeypatch):
     # The first release of the trial is skipped, so one qubit outlives it:
     # run_trial raises instead of returning a record.
@@ -387,27 +363,81 @@ def test_leaked_qubit_fails_the_trial(monkeypatch):
     assert len(skipped) == 1
 
 
-@pytest.mark.parametrize(
-    "key, t, reverse",
-    [("01", 2, True), ("10", 1, True), ("1" + "0" * 15, 1, False),
-     ("0" * 15 + "1", 4, True)],
-)
-def test_sweep_bound_covers_sparse_keys(monkeypatch, key, t, reverse):
-    # These keys give one 1-qubit window per key cycle, or per round under
-    # reverse auth: the derived worst case of step_bound.
+#: Step-guard cases by id: (key, T, reverse auth, the guard's multiple of the
+#: read rounds' step count, whether the responder is stuck, and completion
+#: or the error). Each 1-qubit window of the sparse keys under reverse auth
+#: takes all 4 steps the count allows beside its data's: it is reached.
+STEP_GUARDS = {
+    "01-T2-reverse-1.0x": ("01", 2, True, 1.0, False, True),
+    "10-T1-reverse-1.0x": ("10", 1, True, 1.0, False, True),
+    "1000000000000000-T1-1.0x": ("1" + "0" * 15, 1, False, 1.0, False, True),
+    "0000000000000001-T4-reverse-1.0x": ("0" * 15 + "1", 4, True, 1.0, False, True),
+    "01-T2-reverse-0.9x": ("01", 2, True, 0.9, False, r"trial exceeded [\d.]+ endpoint steps"),
+    # only round 0, R = 2, is read: twice 2 data + 4 x 1 round + 2
+    "stuck-responder": ("10110111", 2, False, 2, True, "trial exceeded 16 endpoint steps"),
+}
+
+
+@pytest.mark.parametrize("name", STEP_GUARDS)
+def test_step_guard(monkeypatch, name):
+    key, t, reverse, slack, stuck, end = STEP_GUARDS[name]
+    monkeypatch.setattr(keyschedule.RoundSchedule, "slack", slack)
+    if stuck:
+        monkeypatch.setattr(protocol.Responder, "step", busy_forever)
     cfg = session_config(t=t, target=13, key=key, reverse_auth=reverse)
-    cap_steps_at_worst_case(monkeypatch, 1.0)
-    assert run_trial(CHAIN, Honest(), cfg, seed=3).completed
+    if end is True:
+        assert run_trial(CHAIN, Honest(), cfg, seed=3).completed
+    else:
+        with pytest.raises(SimulationError, match=f"^{end}$"):
+            run_trial(CHAIN, Honest(), cfg, seed=3)
 
 
-def test_sweep_bound_worst_case_is_nearly_reached(monkeypatch):
-    # 1-qubit windows with reverse authentication take 4 steps per window
-    # beside the data qubit's, which the derivation assumes: the session
-    # takes the whole worst case.
-    cfg = session_config(t=2, target=13, key="01", reverse_auth=True)
-    cap_steps_at_worst_case(monkeypatch, 0.9)
-    with pytest.raises(SimulationError):
-        run_trial(CHAIN, Honest(), cfg, seed=3)
+def test_a_round_past_the_honest_end_is_refused(monkeypatch):
+    # An initiator opening a window where it would complete is refused it
+    # before any draw: the world stream's next draw follows the honest run's.
+    streams = []
+    monkeypatch.setattr(netsim, "Draws", lambda seed: streams.append(Draws(seed)) or streams[-1])
+    cfg = session_config(2, 4, "1101")  # windows R = 3 and 1 end on the target
+    assert run_trial(CHAIN, Honest(), cfg, seed=11).completed
+    monkeypatch.setattr(Initiator, "step", one_window_more)
+    with pytest.raises(SimulationError, match="^round 3 is past the end of the session$"):
+        run_trial(CHAIN, Honest(), cfg, seed=11)
+    assert len(streams) == 2 and streams[0].random() == streams[1].random()
+
+
+def counted_trial(topo, behavior, session, seed):
+    """``run_trial``'s record, the role of each endpoint step and each key
+    read, as (round index, ``keyschedule`` function name)."""
+    steps, reads = [], []
+
+    def counted(cls):
+        return lambda self, arrival, _step=cls.step: steps.append(self.role) or _step(self, arrival)
+
+    def read(name, _inner):
+        return lambda key, cfg, index: reads.append((index, name)) or _inner(key, cfg, index)
+
+    with patch.object(Initiator, "step", counted(Initiator)), \
+            patch.object(Responder, "step", counted(Responder)), \
+            patch.multiple(keyschedule, next_r=read("next_r", keyschedule.next_r),
+                           next_auth_pair=read("next_auth_pair", keyschedule.next_auth_pair)):
+        return run_trial(topo, behavior, session, seed), steps, reads
+
+
+@pytest.mark.parametrize("behavior, reverse", product(["honest", "intercept_random"],
+                                                      [False, True]))
+def test_each_round_is_read_from_the_key_once(behavior, reverse):
+    # Both endpoints open every round they reach, the responder at T = 1
+    # running ahead through r = 0 windows without reverse auth, yet each
+    # round is read from the key once: all of an honest session's rounds,
+    # and a prefix of them for one cut short.
+    for t, seed in product((1, 2, 3), range(4)):
+        bits = KeyMaterial.random(64, make_rng(seed)).bits
+        cfg = session_config(t, 30, "".join(map(str, bits)), reverse_auth=reverse)
+        reads = counted_trial(CHAIN, parse_behavior(behavior), cfg, seed)[2]
+        honest = len(honest_windows(bits, t, 30))
+        rounds = honest if behavior == "honest" else len(reads) // 2
+        assert reads == list(product(range(rounds), ("next_r", "next_auth_pair")))
+        assert 0 < rounds <= honest
 
 
 @st.composite
@@ -433,8 +463,8 @@ def trial_cases(draw):
 @given(trial_cases())
 @settings(max_examples=200)
 def test_random_trials_keep_invariants(case):
-    # run_trial raises SimulationError if a qubit outlives the trial or the
-    # session runs past its sweep bound.
+    # run_trial raises SimulationError if a qubit outlives the trial, the
+    # session runs past its step guard or opens a round past its end.
     topo, behavior, session, seed = case
     record = run_trial(topo, behavior, session, seed)
     if behavior == Honest():
@@ -446,31 +476,23 @@ def test_random_trials_keep_invariants(case):
 @given(trial_cases())
 @settings(max_examples=200)
 def test_random_trials_keep_the_step_budget(case):
-    # step_bound's accounting: run_trial steps the endpoints at most
-    # transfers + 2 windows + 2 times, windows being the most either endpoint
-    # opens, and that is within the worst case, half the bound.
-    topo, behavior, session, seed = case
-    steps, windows = [], Counter()
-
-    def counted(step):
-        def wrapper(self, arrival):
-            steps.append(self.role)
-            return step(self, arrival)
-        return wrapper
-
-    def next_r(key, sched, cursors, _inner=keyschedule.next_r):
-        windows[id(cursors)] += 1
-        return _inner(key, sched, cursors)
-
-    with patch.object(Initiator, "step", counted(Initiator.step)), \
-            patch.object(Responder, "step", counted(Responder.step)), \
-            patch.object(keyschedule, "next_r", next_r):
-        record = run_trial(topo, behavior, session, seed)
+    # run_trial steps the endpoints at most transfers + 2 rounds + 2 times,
+    # and at most the read rounds' data + 4 rounds + 2, half the guard. Each
+    # round is read once, and only the honest session's rounds are, so the
+    # guard is at most twice the honest session's own count.
+    record, steps, reads = counted_trial(*case)
+    session = case[2]
+    target = session.data_qubit_target
+    honest = honest_windows(session.key.bits, session.sched.transfer_length, target)
+    rounds = honest[:len(reads) // 2]
+    assert reads == list(product(range(len(rounds)), ("next_r", "next_auth_pair")))
     transfers = record.data_qubits_delivered + record.auth_qubits_sent
-    assert len(steps) <= transfers + 2 * max(windows.values(), default=0) + 2
-    key = session.key
-    assert len(steps) <= netsim.step_bound(
-        session.data_qubit_target, key.length, session.sched.transfer_length) // 2
+    assert len(steps) <= transfers + 2 * len(rounds) + 2
+
+    def count(rs):
+        return min(sum(rs), target) + 4 * len(rs) + 2
+
+    assert len(steps) <= count(rounds) <= count(honest)
 
 
 def test_per_trial_objects_hold_no_instance_dict():
@@ -480,6 +502,8 @@ def test_per_trial_objects_hold_no_instance_dict():
     # and the repeater logs and draws, so their optional slots are set.
     key = KeyMaterial.random(8, make_rng(1))
     cfg = session_config(key="0110", payload=PayloadDistribution("fixed", "+"))
+    schedule = RoundSchedule(key, cfg.sched, cfg.data_qubit_target)
+    schedule.window(0)
     sim = Simulator()
     behavior = InterceptResend("random_zx")
     repeater = RepeaterState(behavior, "r1", 7, [])
@@ -489,9 +513,9 @@ def test_per_trial_objects_hold_no_instance_dict():
     assert trace and repeater.log and repeater.rng is not None
     objects = [
         sim, pair_group(sim, sim.make_bell_pair()[0]), Draws(1),
-        key, qa.parse_key("0110"), cfg.sched, KeyCursors(), AuthPlan(0, 1),
+        key, qa.parse_key("0110"), cfg.sched, schedule, AuthPlan(0, 1),
         cfg.payload, cfg, SessionState(),
-        Initiator(cfg, key, sim, Draws(1), []), Responder(cfg, key, sim, Draws(1), []),
+        Initiator(cfg, schedule, sim, Draws(1), []), Responder(cfg, schedule, sim, Draws(1), []),
         Honest(), behavior, repeater,
         CHAIN, run_trial(CHAIN, behavior, cfg, seed=1), fabric,
     ]

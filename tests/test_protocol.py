@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qauthsim as qa
-from helpers import decoded, session_config
+from helpers import decoded, honest_windows, session_config
 from qauthsim.keyschedule import AUTH_BASES, AuthPlan
 from qauthsim.protocol import (
     PayloadDistribution,
@@ -122,25 +122,11 @@ def test_honest_sessions_never_fail():
 def test_schedule_fidelity_against_key_windows():
     # fixed key: window values are predictable, and the trace must respect them
     key = "110100101101"
-    cfg = session_config(3, 20, key)
     trace = []
-    record = qa.run_trial(CHAIN, qa.Honest(), cfg, seed=8, trace=trace)
+    record = qa.run_trial(CHAIN, qa.Honest(), session_config(3, 20, key), seed=8, trace=trace)
     assert record.completed
-    expected_windows = []
-    bits = [int(c) for c in key]
-    pos = 0
-    total = 0
-    while total < 20:
-        value = 0
-        for i in range(3):
-            value = (value << 1) | bits[(pos + i) % len(bits)]
-        pos = (pos + 3) % len(bits)
-        if total + value > 20:
-            break
-        expected_windows.append(value)
-        total += value
     got = [r["r"] for r in decoded(trace) if r.get("event") == "window"]
-    assert got[: len(expected_windows)] == expected_windows
+    assert got == honest_windows([int(c) for c in key], 3, 20)
 
 
 # -- payload sourcing ------------------------------------------------------------

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from helpers import (
     assert_bell_pair,
     assert_registry,
+    assert_teleports_intact,
     group_of,
     load_group,
     registry,
-    swap_chain,
     teleport,
 )
 from qauthsim import qsim
@@ -193,10 +193,11 @@ def test_bell_circuit_matches_dense_oracle():
     assert sim.measure(d, Basis.Z, rng) == 1
 
 
-def carries(sim, rng, near, far, label, basis):
-    """Teleport the named state over (near, far) and measure it at far, on
-    its own, in ``basis``. Returns the outcome and the correction bits."""
-    bits = sim.bell_measure(sim.allocate_unit(NAMED_STATES[label]), near, rng)
+def carries(sim, rng, label, basis, hops=1):
+    """Teleport the named state over a chain of ``hops`` fresh pairs and
+    measure it at the far end, on its own, in ``basis``. Returns the outcome
+    and the correction bits."""
+    far, bits = teleport(sim, rng, NAMED_STATES[label], hops)
     outcome = sim.measure(far, basis, rng)
     sim.release(far)
     return outcome, bits
@@ -209,9 +210,8 @@ def test_bell_pair_z_correlation_and_marginals():
     rng = make_rng(5)
     ones = 0
     for i in range(10_000):
-        a, b = sim.make_bell_pair()
         v = i % 2
-        outcome, (_, m_b) = carries(sim, rng, a, b, str(v), Basis.Z)
+        outcome, (_, m_b) = carries(sim, rng, str(v), Basis.Z)
         assert outcome == v
         ones += m_b ^ v
     assert abs(ones / 10_000 - 0.5) < 0.02
@@ -221,9 +221,8 @@ def test_bell_pair_x_correlation():
     sim = Simulator()
     rng = make_rng(6)
     for i in range(500):
-        a, b = sim.make_bell_pair()
         label, want = ("+", 0) if i % 2 else ("-", 1)
-        assert carries(sim, rng, a, b, label, Basis.X)[0] == want
+        assert carries(sim, rng, label, Basis.X)[0] == want
 
 
 def test_swap_outcome_names_the_bell_state_left_behind():
@@ -277,33 +276,17 @@ def test_teleport_minus_state():
     sim = Simulator()
     rng = make_rng(9)
     for _ in range(50):
-        far, _ = teleport(sim, rng, NAMED_STATES["-"])
-        assert sim.measure(far, Basis.X, rng) == 1
-        sim.release(far)
+        assert carries(sim, rng, "-", Basis.X)[0] == 1
 
 
 def test_teleport_zero_state():
     sim = Simulator()
     rng = make_rng(10)
-    far, _ = teleport(sim, rng, NAMED_STATES["0"])
-    assert sim.measure(far, Basis.Z, rng) == 0
+    assert carries(sim, rng, "0", Basis.Z)[0] == 0
 
 
 def test_teleport_random_states_full_fidelity():
-    sim = Simulator()
-    rng = make_rng(11)
-    state_rng = np.random.default_rng(12)
-    for _ in range(100):
-        v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        payload = sim.allocate_unit(v)
-        e1, e2 = sim.make_bell_pair()
-        assert_bell_pair(sim, e1, e2)
-        m_a, m_b = sim.bell_measure(payload, e1, rng)
-        assert states_equal(sim.amplitudes(e2), v, tol=1e-9)
-        assert m_a in (0, 1) and m_b in (0, 1)
-        assert group_of(sim, payload) == group_of(sim, e1) == ()
-        sim.release(e2)
+    assert_teleports_intact(Simulator(), make_rng(11), np.random.default_rng(12), hops=1)
 
 
 # -- fused Bell measurement against the gate sequence ---------------------------
@@ -594,34 +577,21 @@ def test_swap_then_z_measurement_correlates():
     sim = Simulator()
     rng = make_rng(13)
     for i in range(300):
-        left, right = swap_chain(sim, rng, hops=2)
-        assert carries(sim, rng, left, right, str(i % 2), Basis.Z)[0] == i % 2
+        assert carries(sim, rng, str(i % 2), Basis.Z, hops=2)[0] == i % 2
 
 
 def test_swap_chain_equals_direct_pair_for_teleport():
-    sim = Simulator()
-    rng = make_rng(14)
-    state_rng = np.random.default_rng(15)
-    for _ in range(100):
-        v = state_rng.normal(size=2) + 1j * state_rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        far, _ = teleport(sim, rng, v, hops=2)
-        assert states_equal(sim.amplitudes(far), v, tol=1e-9)
-        sim.release(far)
+    assert_teleports_intact(Simulator(), make_rng(14), np.random.default_rng(15), hops=2)
 
 
 @pytest.mark.parametrize("hops", [2, 3, 4, 5])
 def test_chained_swaps_keep_bell_correlation(hops):
-    # up to 4 intermediate swaps still leaves a maximally entangled pair
+    # up to 4 intermediate swaps still leave a maximally entangled pair with
+    # the magnitudes of |Bell> (teleport checks both)
     sim = Simulator()
     rng = make_rng(16)
     for _ in range(100):
-        left, right = swap_chain(sim, rng, hops=hops)
-        assert_bell_pair(sim, left, right)
-        np.testing.assert_allclose(
-            np.abs(sim.amplitudes(left)), np.abs(BELL), atol=1e-9
-        )
-        assert carries(sim, rng, left, right, "1", Basis.Z)[0] == 1
+        assert carries(sim, rng, "1", Basis.Z, hops)[0] == 1
 
 
 # -- invariants ---------------------------------------------------------------
@@ -747,12 +717,9 @@ def test_corrected_survivor_is_the_explicit_correction(label):
     # dense gate sequence with X^m_b Z^m_a applied, for all four outcomes.
     # A pair q leaves a two-qubit survivor, corrected at its last qubit.
     g = np.random.default_rng(27).normal(size=8)
-    if label == "haar":
-        state = tuple(complex(a, b) for a, b in zip(g[:2], g[2:4]))
-        norm = math.sqrt(sum(abs(x) ** 2 for x in state))
-        state = tuple(x / norm for x in state)
-    elif label == "pair":
-        state = tuple(complex(a, b) for a, b in zip(g[:4], g[4:]))
+    if label in ("haar", "pair"):  # 2 or 4 gaussian amplitudes, normalised
+        n = 2 if label == "haar" else 4
+        state = tuple(complex(a, b) for a, b in zip(g[:n], g[n:2 * n]))
         norm = math.sqrt(sum(abs(x) ** 2 for x in state))
         state = tuple(x / norm for x in state)
     else:
