@@ -366,13 +366,13 @@ def test_leaked_qubit_fails_the_trial(monkeypatch):
 #: Step-guard cases by id: (key, T, reverse auth, the guard's multiple of the
 #: read rounds' step count, whether the responder is stuck, and completion
 #: or the error). Each 1-qubit window of the sparse keys under reverse auth
-#: takes all 4 steps the count allows beside its data's: it is reached.
+#: takes all 4 steps the count allows beside its data's: it is reached
+#: (test_sweep_bound_worst_case_is_nearly_reached).
 STEP_GUARDS = {
     "01-T2-reverse-1.0x": ("01", 2, True, 1.0, False, True),
     "10-T1-reverse-1.0x": ("10", 1, True, 1.0, False, True),
     "1000000000000000-T1-1.0x": ("1" + "0" * 15, 1, False, 1.0, False, True),
     "0000000000000001-T4-reverse-1.0x": ("0" * 15 + "1", 4, True, 1.0, False, True),
-    "01-T2-reverse-0.9x": ("01", 2, True, 0.9, False, r"trial exceeded [\d.]+ endpoint steps"),
     # only round 0, R = 2, is read: twice 2 data + 4 x 1 round + 2
     "stuck-responder": ("10110111", 2, False, 2, True, "trial exceeded 16 endpoint steps"),
 }
@@ -390,6 +390,31 @@ def test_step_guard(monkeypatch, name):
     else:
         with pytest.raises(SimulationError, match=f"^{end}$"):
             run_trial(CHAIN, Honest(), cfg, seed=3)
+
+
+def test_sweep_bound_worst_case_is_nearly_reached(monkeypatch):
+    # 1-qubit windows with reverse authentication take 4 steps per window
+    # beside the data qubit's, which the guard's count assumes: at 0.9x of
+    # it the session is stopped.
+    monkeypatch.setattr(keyschedule.RoundSchedule, "slack", 0.9)
+    cfg = session_config(t=2, target=13, key="01", reverse_auth=True)
+    with pytest.raises(SimulationError, match=r"^trial exceeded [\d.]+ endpoint steps$"):
+        run_trial(CHAIN, Honest(), cfg, seed=3)
+
+
+def test_sweep_cap_guard(monkeypatch):
+    # A guard pinned at 10 after each round read stops a 500-qubit session
+    # and names the guard it exceeded.
+    inner = keyschedule.RoundSchedule.window
+
+    def window(self, index):
+        r = inner(self, index)
+        self.guard = 10
+        return r
+
+    monkeypatch.setattr(keyschedule.RoundSchedule, "window", window)
+    with pytest.raises(SimulationError, match="^trial exceeded 10 endpoint steps$"):
+        run_trial(CHAIN, Honest(), session_config(target=500), seed=2)
 
 
 def test_a_round_past_the_honest_end_is_refused(monkeypatch):
