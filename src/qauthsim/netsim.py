@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 from . import adversary as adv
 from . import protocol as proto
@@ -108,8 +108,8 @@ class EntanglementFabric:
     each the JSON object text ``json.dumps`` gives for its event dict.
     """
 
-    __slots__ = ("sim", "topology", "repeater", "rng", "trace", "_swap_at", "_names",
-                 "_swap_heads", "pairs_created", "teleports", "swaps")
+    __slots__ = ("sim", "topology", "repeater", "rng", "trace", "_interior", "_names",
+                 "pairs_created", "teleports", "swaps")
 
     def __init__(
         self,
@@ -124,17 +124,16 @@ class EntanglementFabric:
         self.repeater = repeater
         self.rng = rng_world
         self.trace = trace
-        # per path node, whether it swaps: resolved once, read per transfer
+        # the plan every provision walks: per interior node, whether it
+        # swaps and, when traced, the text of a swap event there up to its bits
         path = topology.path
-        self._swap_at = tuple(map(repeater.swaps_at, path))
+        interior = path[1:-1]
+        heads = repeat(None)
         if trace is not None:
-            # each node's name as JSON, and by path index the text of a swap
-            # event there up to its bits
             names = self._names = {node: json.dumps(node) for node in path}
-            self._swap_heads = tuple(
-                f'{{"event": "swap", "node": {names[node]}, "applied_at": {names[after]}, '
-                for node, after in zip(path, path[1:])
-            )
+            heads = [f'{{"event": "swap", "node": {names[node]}, "applied_at": {names[after]}, '
+                     for node, after in zip(interior, path[2:])]
+        self._interior = tuple(zip(interior, map(repeater.swaps_at, interior), heads))
         self.pairs_created = 0
         self.teleports = 0
         self.swaps = 0
@@ -150,20 +149,17 @@ class EntanglementFabric:
         first in ``pair_amps``. No qubit is registered.
         """
         path = self.topology.path
-        swap_at = self._swap_at
         memo = self.sim.bell_memo
         rng = self.rng
         trace = self.trace
         segments = []
         left_node, chain = path[0], PHI_PLUS
-        for i in range(1, len(path) - 1):
-            node = path[i]
-            if swap_at[i]:
+        for node, swaps, head in self._interior:
+            if swaps:
                 o, chain = bell_step(memo, chain, False, PHI_PLUS, True, rng)
                 self.swaps += 1
                 if trace is not None:
-                    trace.append(f'{self._swap_heads[i]}{_BITS_SEQ[o]}'
-                                 f'{self.swaps + self.teleports - 1}}}')
+                    trace.append(f'{head}{_BITS_SEQ[o]}{self.swaps + self.teleports - 1}}}')
             else:
                 segments.append((left_node, chain, node))
                 left_node, chain = node, PHI_PLUS
@@ -172,46 +168,37 @@ class EntanglementFabric:
         return segments
 
     def transfer(self, payload: QubitRef, direction: str) -> QubitRef:
-        """Move one lone qubit end to end; returns the handle at the
-        destination. A bad ``direction`` or an entangled payload is refused
-        before anything is provisioned.
-
-        Each segment costs one teleport of the qubit's amplitudes from its
-        near end to its far end. The qubit is released after its Bell
-        measurement (one refused for a drifted norm stays live) and the
-        survivor registered as a fresh qubit. At a non-swapping boundary it
-        lands on the repeater's half, and the behavior's resend goes on.
-        """
+        """Move one lone qubit end to end and return its handle, the
+        payload's own; a bad ``direction`` or an entangled payload is refused
+        before anything is provisioned. Each segment is one ``Simulator.hop``
+        from its near end to its far end, in place: a hop refused for a
+        drifted norm leaves the qubit as it was. At a non-swapping boundary
+        the qubit lands on the repeater's half, and the behavior's resend
+        goes on."""
         forward = direction == "forward"
         if not forward and direction != "reverse":
             raise ValueError("direction must be 'forward' or 'reverse'")
         sim = self.sim
-        amps = sim.amplitudes(payload)
-        if len(amps) != 2:
+        if len(sim.amplitudes(payload)) != 2:
             raise SimulationError(f"qubit {payload} is entangled; transfer a lone qubit")
-        hops = self.provision()
+        segments = self.provision()
         if not forward:
-            hops = [(rn, pair, ln) for ln, pair, rn in reversed(hops)]
-
-        memo = sim.bell_memo
+            segments.reverse()
+        hop = sim.hop
         rng = self.rng
         trace = self.trace
-        last = len(hops) - 1
-        qubit = payload
-        for i, (near_node, pair, far_node) in enumerate(hops):
-            o, amps = bell_step(memo, amps, True, pair, forward, rng)
-            sim.release(qubit)
-            qubit = sim.allocate_unit(amps)
+        for i, (left_node, pair, right_node) in enumerate(segments):
+            if i:
+                adv.handle_arrival(self.repeater, sim, payload, direction, rng)
+            o = hop(payload, pair, forward, rng)
             self.teleports += 1
             if trace is not None:
                 names = self._names
-                trace.append(f'{{"event": "teleport", "from": {names[near_node]}, '
-                             f'"to": {names[far_node]}, {_BITS_SEQ[o]}'
+                near, far = (left_node, right_node) if forward else (right_node, left_node)
+                trace.append(f'{{"event": "teleport", "from": {names[near]}, '
+                             f'"to": {names[far]}, {_BITS_SEQ[o]}'
                              f'{self.swaps + self.teleports - 1}}}')
-            if i < last:
-                qubit = adv.handle_arrival(self.repeater, sim, qubit, direction, rng)
-                amps = sim.amplitudes(qubit)
-        return qubit
+        return payload
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,8 @@ draws; any other lone qubit, such as a Haar payload, is one-shot and gets
 the drawn outcome only. ``Simulator.bell_measure`` is the same step on
 registered qubits. The repeater path (``netsim.EntanglementFabric``) calls
 ``bell_step`` on its pairs' tuples, so those pairs never enter the
-registry: only qubits that endpoints and repeaters act on do, all lone.
+registry, and ``Simulator.hop`` teleports a lone qubit over such a tuple in
+place: the qubit keeps its handle from end to end of a transfer.
 
 Every method that draws takes ``rng``, any object with ``random()``
 returning a float in [0, 1): a numpy Generator, or a :class:`Draws` stream.
@@ -334,6 +335,18 @@ class Simulator:
         return outcome
 
     # -- entanglement primitives ---------------------------------------------
+
+    def hop(self, q: QubitRef, pair: tuple, forward: bool, rng) -> int:
+        """Teleport lone ``q`` over a pair's four amplitudes, near half first
+        when ``forward``: ``bell_step`` with ``bell_memo``, whose survivor
+        becomes q's entry. Returns the outcome's index 2 m_a + m_b. A refusal
+        (q not lone, or a drifted norm) comes before any draw, q untouched."""
+        try:
+            amps = self._lone[q]
+        except KeyError:
+            raise self._refusal(q) from None
+        o, self._lone[q] = bell_step(self.bell_memo, amps, True, pair, forward, rng)
+        return o
 
     def make_bell_pair(self) -> tuple[QubitRef, QubitRef]:
         """Two fresh qubits in (|00> + |11>)/sqrt(2), one shared group."""

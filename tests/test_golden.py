@@ -55,6 +55,7 @@ T,trials,detection_rate,detection_rate_ci,mean_rounds,mean_rounds_ci,mean_leakag
 5,3,1,0,2,0,44.3333,7.27521,,,7
 """
 CHAIN3_MITM_INTERCEPT_SHA256 = "bf6fe39ef5d99d6fcce662d9e013193f9b110369635d42d58c3680a3d69a4044"
+CHAIN3_MITM_TRACE_SHA256 = "89a3bcf31e0c8aeef7ddd881653605f734dd1f3d6a59bac42a5d8f2db9cb6657"
 
 FIXED_INTERCEPT_Z_CSV = """\
 T,trials,detection_rate,detection_rate_ci,mean_rounds,mean_rounds_ci,mean_leakage,mean_leakage_ci,overhead,overhead_ci,master_seed
@@ -119,17 +120,22 @@ def test_mitm_trace_and_intercept_log(tmp_path):
 def test_three_repeater_swap_and_intercept_csv_and_log(tmp_path):
     # r2 intercepts a qubit that arrives over pairs the swaps at r1 and r3
     # built, so this pins a Bell measurement of one pair against another
-    # together with the interceptor's measurements.
+    # together with the interceptor's measurements. Its trace is the one
+    # golden where a reverse transfer crosses two segments, with a swap on
+    # each side of the interceptor.
     config = tmp_path / "chain3.json"
     config.write_text(json.dumps(CHAIN3))
     log = tmp_path / "eve.jsonl"
+    trace = tmp_path / "trace.jsonl"
     out = run(
         ["custom", "--config", str(config), "--adversary", "intercept_random",
          "--malicious-node", "r2", "--payload", "haar", "--reverse-auth",
-         "--trials", "3", "--format", "csv", "--intercept-log", str(log)]
+         "--trials", "3", "--format", "csv", "--intercept-log", str(log),
+         "--trace", str(trace)]
     )
     assert out == CHAIN3_MITM_CSV
     assert sha256(log.read_bytes()) == CHAIN3_MITM_INTERCEPT_SHA256
+    assert sha256(trace.read_bytes()) == CHAIN3_MITM_TRACE_SHA256
 
 
 def test_fixed_payload_z_interceptor_encoding_index_1(tmp_path):

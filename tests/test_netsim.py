@@ -46,6 +46,7 @@ from qauthsim.qsim import (
     SimulationError,
     Simulator,
     make_rng,
+    states_equal,
 )
 
 CHAIN = Topology.chain(1)
@@ -164,6 +165,41 @@ def test_refused_payload_stays_live_before_any_draw(operand, pairs, match):
     assert fabric.rng.random() == Draws(3).random()
     assert sim.live_count() == len(qubits)
     assert [sim.amplitudes(q) for q in qubits] == before
+
+
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("repeaters, node", [(0, None), (1, None), (1, "r1"), (3, None),
+                                             (3, "r2")])
+def test_a_transfer_keeps_one_handle(monkeypatch, repeaters, node, direction):
+    # Each hop writes its survivor into the payload's own entry: with
+    # allocate_unit and release refused, a traced transfer, honest or
+    # intercepted at ``node``, returns the payload's id with one qubit live,
+    # counts its pairs, swaps and teleports as ever, and teleports over its
+    # segments in the transfer's direction. An honest one delivers |->.
+    def refuse(*args):
+        raise AssertionError("a hop registered or released a qubit")
+
+    topo = Topology.chain(repeaters)
+    behavior = Honest() if node is None else InterceptResend("random_zx")
+    repeater = RepeaterState(behavior, node, 5, [])
+    sim, trace = Simulator(), []
+    fabric = EntanglementFabric(sim, topo, repeater, Draws(3), trace)
+    payload = sim.prepare(1, Basis.X)
+    monkeypatch.setattr(Simulator, "allocate_unit", refuse)
+    monkeypatch.setattr(Simulator, "release", refuse)
+    assert fabric.transfer(payload, direction) == payload
+    assert sim.live_count() == 1
+    stops = [topo.path[0]] + ([] if node is None else [node]) + [topo.path[-1]]
+    if direction == "reverse":
+        stops.reverse()
+    hops = len(stops) - 1
+    assert (fabric.pairs_created, fabric.swaps, fabric.teleports) == (
+        repeaters + 1, repeaters + 1 - hops, hops)
+    teleports = [(e["from"], e["to"]) for e in decoded(trace) if e["event"] == "teleport"]
+    assert teleports == list(zip(stops, stops[1:]))
+    assert len(repeater.log) == hops - 1
+    if node is None:
+        assert states_equal(sim.amplitudes(payload), NAMED_STATES["-"])
 
 
 def test_trials_register_no_repeater_pair(monkeypatch):

@@ -958,17 +958,18 @@ def vouched(amps):
 #: argument names, and the error it raises with the start of its message.
 REGISTRY_REFUSALS = {
     "dead_qubit_rejected": [(released, call, DeadQubitError, "qubit 0 is not live")
-                            for call in ("apply_h q", "measure q Z rng")],
+                            for call in ("apply_h q", "measure q Z rng", "hop q PHI fwd rng")],
     "consumed_by_bell_measure_rejected": [
         (consumed, call, DeadQubitError, "qubit . is not live")
         for call in ("apply_h a", "bell_measure a c rng", "bell_measure c q rng")],
     # Groups hold at most one pair: a Bell measurement within one group, a
-    # single-qubit measurement of or gate on a pair half and a Bell
+    # single-qubit measurement of, gate on or hop of a pair half and a Bell
     # measurement against a lone near, whichever side q is on, are refused.
     "pair_shape_checks_refuse_and_leave_state_alone": [
         (shapes, "bell_measure a b rng", SimulationError, "qubits 0 and 1 share a group"),
         *[(shapes, call, SimulationError, "qubit . is still entangled")
-          for call in ("measure a Z rng", "measure b X rng", "apply_h a", "apply_h b")],
+          for call in ("measure a Z rng", "measure b X rng", "apply_h a", "apply_h b",
+                       "hop b PHI fwd rng")],
         (shapes, "bell_measure q other rng", SimulationError, "qubit 3 is not half of a pair"),
         (shapes, "bell_measure other q rng", SimulationError, "qubit 2 is not half of a pair"),
     ],
@@ -978,12 +979,13 @@ REGISTRY_REFUSALS = {
         (shapes, "release a", SimulationError, "qubit 0 is still entangled")],
     # allocate_unit refuses any count of amplitudes but two. It stores a zero
     # or NaN state as its caller vouched for it, and the next Bell
-    # measurement refuses that qubit before any draw.
+    # measurement or hop refuses that qubit before any draw.
     "allocate_unit_takes_two_amplitudes_and_bell_refuses_bad_norms": [
         (lambda sim: {"three": [1, 0, 0], "one": [1]}, call, ValueError, "")
         for call in ("allocate_unit three", "allocate_unit one")
-    ] + [(vouched(amps), "bell_measure q a rng", SimulationError, "state norm drifted")
-         for amps in ([0, 0], [float("nan"), 1])],
+    ] + [(vouched(amps), call, SimulationError, "state norm drifted")
+         for amps in ([0, 0], [float("nan"), 1])
+         for call in ("bell_measure q a rng", "hop q PHI fwd rng")],
 }
 
 
@@ -993,12 +995,30 @@ def run_registry_refusals(name):
     the RNG are as they were."""
     for setup, call, error, message in REGISTRY_REFUSALS[name]:
         sim, rng = Simulator(), make_rng(20)
-        values = {**setup(sim), "rng": rng, "Z": Basis.Z, "X": Basis.X}
+        values = {**setup(sim), "rng": rng, "Z": Basis.Z, "X": Basis.X,
+                  "PHI": qsim.PHI_PLUS, "fwd": True}
         method, *args = call.split()
         before = registry(sim), sim.live_count(), rng.bit_generator.state
         with pytest.raises(error, match="^" + message):
             getattr(sim, method)(*(values[a] for a in args))
         assert (registry(sim), sim.live_count(), rng.bit_generator.state) == before, call
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_hop_is_bell_step_in_place(forward):
+    # Simulator.hop is bell_step on a lone qubit's entry over a pair tuple,
+    # with the simulator's memo: the same outcome, draws and survivor, kept
+    # under the qubit's own id, for named (memoised) and one-shot operands.
+    pair = (0.6 + 0j, 0j, 0.48j, 0.64 + 0j)
+    lone = [*NAMED_STATES.values(), (0.6 + 0j, 0.8j)]
+    for seed, amps in itertools.product(range(8), lone):
+        sim, memo = Simulator(), {}
+        q = sim.allocate_unit(amps)
+        rng, step_rng = make_rng(seed), make_rng(seed)
+        o = sim.hop(q, pair, forward, rng)
+        assert (o, sim.amplitudes(q)) == qsim.bell_step(memo, amps, True, pair, forward, step_rng)
+        assert (sim.live_count(), sim.bell_memo) == (1, memo)
+        assert rng.bit_generator.state == step_rng.bit_generator.state
 
 
 def test_dead_qubit_rejected():
