@@ -93,9 +93,10 @@ def topology_from_json(obj) -> Topology:
     return Topology(tuple(obj["nodes"]), tuple(map(tuple, edges)), tuple(obj["path"]))
 
 
-#: by outcome index 2 m_a + m_b, the JSON text of an event's correction bits
-#: and the seq key after them: cheaper than formatting two ints per event
-_BITS_SEQ = tuple(f'"bits": [{m_a}, {m_b}], "seq": ' for m_a, m_b in product((0, 1), repeat=2))
+def _event_texts(fields: str) -> tuple[str, ...]:
+    """By outcome index 2 m_a + m_b, an event's JSON text up to its seq value."""
+    return tuple(f'{{"event": {fields}, "bits": [{m_a}, {m_b}], "seq": '
+                 for m_a, m_b in product((0, 1), repeat=2))
 
 
 class EntanglementFabric:
@@ -105,10 +106,12 @@ class EntanglementFabric:
     Every swap and hop is one ``qsim.bell_step`` with the simulator's
     ``bell_memo``; its two correction bits are the step's classical message.
     The trace numbers those messages in order, swaps and teleports alike,
-    each the JSON object text ``json.dumps`` gives for its event dict.
+    each the JSON object text ``json.dumps`` gives for its event dict. Which
+    nodes swap is fixed for the fabric's life, and so are the segments: a
+    traced fabric builds each event's text once, up to its seq.
     """
 
-    __slots__ = ("sim", "topology", "repeater", "rng", "trace", "_interior", "_names",
+    __slots__ = ("sim", "topology", "repeater", "rng", "trace", "_interior", "_hop_texts",
                  "pairs_created", "teleports", "swaps")
 
     def __init__(
@@ -124,16 +127,21 @@ class EntanglementFabric:
         self.repeater = repeater
         self.rng = rng_world
         self.trace = trace
-        # the plan every provision walks: per interior node, whether it
-        # swaps and, when traced, the text of a swap event there up to its bits
+        # the plan provision walks: per interior node, whether it swaps and its event texts
         path = topology.path
         interior = path[1:-1]
-        heads = repeat(None)
+        swapping = tuple(map(repeater.swaps_at, interior))
+        swap_texts = repeat(None)
         if trace is not None:
-            names = self._names = {node: json.dumps(node) for node in path}
-            heads = [f'{{"event": "swap", "node": {names[node]}, "applied_at": {names[after]}, '
-                     for node, after in zip(interior, path[2:])]
-        self._interior = tuple(zip(interior, map(repeater.swaps_at, interior), heads))
+            names = {node: json.dumps(node) for node in path}
+            swap_texts = [_event_texts(f'"swap", "node": {names[node]}, "applied_at": {names[at]}')
+                          for node, at in zip(interior, path[2:])]
+            # by forward: each segment's teleport texts, in the transfer's order
+            stops = [names[node] for node, s in zip(path, (False, *swapping, False)) if not s]
+            self._hop_texts = tuple(
+                [_event_texts(f'"teleport", "from": {a}, "to": {b}') for a, b in zip(way, way[1:])]
+                for way in (stops[::-1], stops))
+        self._interior = tuple(zip(interior, swapping, swap_texts))
         self.pairs_created = 0
         self.teleports = 0
         self.swaps = 0
@@ -153,17 +161,19 @@ class EntanglementFabric:
         rng = self.rng
         trace = self.trace
         segments = []
+        swaps = self.swaps
         left_node, chain = path[0], PHI_PLUS
-        for node, swaps, head in self._interior:
-            if swaps:
+        for node, swapping, texts in self._interior:
+            if swapping:
                 o, chain = bell_step(memo, chain, False, PHI_PLUS, True, rng)
-                self.swaps += 1
                 if trace is not None:
-                    trace.append(f'{head}{_BITS_SEQ[o]}{self.swaps + self.teleports - 1}}}')
+                    trace.append(f'{texts[o]}{swaps + self.teleports}}}')
+                swaps += 1
             else:
                 segments.append((left_node, chain, node))
                 left_node, chain = node, PHI_PLUS
         segments.append((left_node, chain, path[-1]))
+        self.swaps = swaps
         self.pairs_created += len(path) - 1
         return segments
 
@@ -174,7 +184,7 @@ class EntanglementFabric:
         from its near end to its far end, in place: a hop refused for a
         drifted norm leaves the qubit as it was. At a non-swapping boundary
         the qubit lands on the repeater's half, and the behavior's resend
-        goes on."""
+        goes on. A one-segment transfer, every honest one, is one hop."""
         forward = direction == "forward"
         if not forward and direction != "reverse":
             raise ValueError("direction must be 'forward' or 'reverse'")
@@ -182,22 +192,23 @@ class EntanglementFabric:
         if len(sim.amplitudes(payload)) != 2:
             raise SimulationError(f"qubit {payload} is entangled; transfer a lone qubit")
         segments = self.provision()
-        if not forward:
-            segments.reverse()
-        hop = sim.hop
         rng = self.rng
         trace = self.trace
-        for i, (left_node, pair, right_node) in enumerate(segments):
+        if len(segments) == 1:  # no retaining repeater, as on every honest path
+            o = sim.hop(payload, segments[0][1], forward, rng)
+            if trace is not None:
+                trace.append(f'{self._hop_texts[forward][0][o]}{self.swaps + self.teleports}}}')
+            self.teleports += 1
+            return payload
+        if not forward:
+            segments.reverse()
+        for i, (_, pair, _) in enumerate(segments):
             if i:
                 adv.handle_arrival(self.repeater, sim, payload, direction, rng)
-            o = hop(payload, pair, forward, rng)
-            self.teleports += 1
+            o = sim.hop(payload, pair, forward, rng)
             if trace is not None:
-                names = self._names
-                near, far = (left_node, right_node) if forward else (right_node, left_node)
-                trace.append(f'{{"event": "teleport", "from": {names[near]}, '
-                             f'"to": {names[far]}, {_BITS_SEQ[o]}'
-                             f'{self.swaps + self.teleports - 1}}}')
+                trace.append(f'{self._hop_texts[forward][i][o]}{self.swaps + self.teleports}}}')
+            self.teleports += 1
         return payload
 
 

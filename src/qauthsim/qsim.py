@@ -17,9 +17,9 @@ qubit's or group's tuple and never writes into one.
 ``bell_step`` is the one Bell-measurement kernel, hops and swaps alike: a
 pure function of two amplitude tuples, a corrected teleport. Inputs that
 recur, pair halves and the lone ``NAMED_STATES`` tuples, have their outcome
-table memoised (``_bell_table``), so most calls are one memo read and two
-draws; any other lone qubit, such as a Haar payload, is one-shot and gets
-the drawn outcome only. ``Simulator.bell_measure`` is the same step on
+table memoised (``_bell_table``) by the tuples' ids, so most calls are one
+hash-free memo read and two draws; any other lone qubit, such as a Haar
+payload, is one-shot. ``Simulator.bell_measure`` is the same step on
 registered qubits. The repeater path (``netsim.EntanglementFabric``) calls
 ``bell_step`` on its pairs' tuples, so those pairs never enter the
 registry, and ``Simulator.hop`` teleports a lone qubit over such a tuple in
@@ -86,10 +86,6 @@ NAMED_STATES = {
 #: mapping, which the key schedule's and the payload's tables derive from.
 EIGENSTATE_LABELS = ("01", "+-")
 
-#: The lone states whose Bell tables the memo keeps: any other lone operand
-#: is one-shot (see ``bell_step``)
-_NAMED_AMPS = frozenset(NAMED_STATES.values())
-
 #: ``NAMED_STATES`` entries in the layout of ``EIGENSTATE_LABELS``
 _EIGENSTATES = tuple(
     tuple(NAMED_STATES[label] for label in labels) for labels in EIGENSTATE_LABELS
@@ -97,6 +93,12 @@ _EIGENSTATES = tuple(
 
 #: (|00> + |11>)/sqrt(2), the state of every fresh Bell pair
 PHI_PLUS = (_SQRT2_INV + 0j, 0j, 0j, _SQRT2_INV + 0j)
+
+#: The states ``bell_step``'s canonical map starts with. The lone ones are
+#: the only lone operands whose tables the memo keeps; any other is one-shot.
+_CANON_SEED = {amps: amps for amps in (PHI_PLUS, *NAMED_STATES.values())}
+#: State value -> the one object of that value that memo keys name
+_canon = dict(_CANON_SEED)
 
 #: The Bell outcomes (m_a, m_b), indexed by 2 m_a + m_b
 _OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -243,8 +245,8 @@ class Simulator:
     the lone dict alone and read the pair dict only to choose a refusal.
 
     ``bell_memo`` is the ``bell_step`` memo for this simulator's qubits and
-    its callers' tuples: a dict that several simulators may share, since a
-    table is a pure function of its key; by default a private one.
+    its callers' tuples, by default a private dict; simulators may share
+    one, since an entry is a pure function of the states its key names.
     """
 
     __slots__ = ("_lone", "_pairs", "_next_id", "bell_memo")
@@ -424,13 +426,20 @@ def bell_step(memo: dict, q_amps: tuple, q_first: bool, near_amps: tuple,
     joint norm has drifted are refused with ``SimulationError`` before any
     draw, leaving ``memo`` as it was.
 
-    The outcome table (``_bell_table``) is memoised in ``memo``, keyed on
-    the arguments before ``rng``: a pure function of the key, so a hit
-    returns what a miss computes and needs no norm check. Keys compare with
-    ``==``, so 0.0 and -0.0 share an entry, which changes the sign of a zero
-    only, never a weight, draw or output. The memo is emptied when it holds
-    ``BELL_CACHE_MAX`` entries. Equal inputs and draws share the table's
-    survivor tuple.
+    The outcome table (``_bell_table``) is memoised in ``memo``, a pure
+    function of the operands' values, so a hit returns what a miss computes
+    and needs no norm check. Keys are the ids of the two tuples and the two
+    flags, so a read hashes no amplitude; each entry holds its operands, so
+    no id in a key is reused while it lives. A canonical map, which all
+    memos share, makes equal states one object: it starts with ``PHI_PLUS``
+    and the ``NAMED_STATES`` tuples and takes each new entry's operands and
+    survivors. An id miss looks both operands up in it by value, so an
+    equal copy is served its canonical states' entry; a table is built,
+    from the operands at hand, only for values the memo has not met. As
+    under ``==``, 0.0 and -0.0 are one state: this changes the sign of a
+    zero only, never a weight, draw or output. The memo and the map are
+    emptied together when the memo holds ``BELL_CACHE_MAX`` entries (or the
+    map six times that). Equal inputs and draws share a survivor tuple.
 
     Only inputs that recur enter the memo: a pair-half q (a swap) and a
     lone q holding a ``NAMED_STATES`` tuple (auth qubits, named payloads,
@@ -439,16 +448,24 @@ def bell_step(memo: dict, q_amps: tuple, q_first: bool, near_amps: tuple,
     drawn outcome's survivor, bit for bit, with no table built and the memo
     untouched.
     """
-    key = (q_amps, q_first, near_amps, near_first)
-    table = memo.get(key)
-    if table is None:
-        if len(q_amps) == 2 and q_amps not in _NAMED_AMPS:
+    entry = memo.get((id(q_amps), q_first, id(near_amps), near_first))
+    if entry is None:
+        if len(q_amps) == 2 and q_amps not in _CANON_SEED:
             return _bell_once(q_amps, near_amps, near_first, rng)
-        table = _bell_table(_halves(q_amps, q_first), _halves(near_amps, near_first))
-        if len(memo) >= BELL_CACHE_MAX:
-            memo.clear()
-        memo[key] = table
-    pa1, pb1s, corrected = table
+        canon = _canon  # a state missing from it is None, whose id keys no entry
+        entry = memo.get((id(canon.get(q_amps)), q_first, id(canon.get(near_amps)), near_first))
+        if entry is None:
+            table = _bell_table(_halves(q_amps, q_first), _halves(near_amps, near_first))
+            # an entry adds at most six states: only other memos fill the map first
+            if len(memo) >= BELL_CACHE_MAX or len(canon) > 6 * BELL_CACHE_MAX:
+                memo.clear()
+                canon.clear()
+                canon.update(_CANON_SEED)
+            add = canon.setdefault
+            cq, cn = add(q_amps, q_amps), add(near_amps, near_amps)
+            entry = memo[id(cq), q_first, id(cn), near_first] = (
+                *table[:2], tuple(s and add(s, s) for s in table[2]), (cq, cn))
+    pa1, pb1s, corrected, _ = entry
     m_a = rng.random() < pa1
     o = 2 * m_a + (rng.random() < pb1s[m_a])  # the outcome's index
     return o, corrected[o]

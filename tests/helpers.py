@@ -42,6 +42,18 @@ def load_group(sim, amps):
     return qubits
 
 
+def memo_by_value(memo):
+    """A Bell memo keyed as an ``==``-keyed memo would be: each entry's
+    operand tuples and flags, mapped to its table. Each key must hold the
+    ids of its entry's own operands, and no two entries equal values."""
+    tables = {}
+    for (iq, q_first, inear, near_first), (pa1, pb1s, corrected, (q, near)) in memo.items():
+        assert (iq, inear) == (id(q), id(near))
+        tables[q, q_first, near, near_first] = pa1, pb1s, corrected
+    assert len(tables) == len(memo)
+    return tables
+
+
 def registry(sim):
     """A snapshot of every live qubit: the amplitudes of each lone qubit, and
     the (qubit ids, amplitudes) of each pair half's group."""

@@ -10,6 +10,7 @@ purpose updates these values and says why.
 import hashlib
 import json
 
+import pytest
 from helpers import run_cli
 
 COMMON = ["-T", "1", "2", "3", "4", "5", "--seed", "7", "--key-length", "1024"]
@@ -74,6 +75,19 @@ CHAIN3 = {
 }
 
 
+#: honest paths whose every transfer crosses one segment, by whether a swap
+#: joins it: no repeater, and one repeater that swaps once
+ONE_SEGMENT = {
+    "direct": {"nodes": ["alice", "bob"], "edges": [["alice", "bob"]], "path": ["alice", "bob"]},
+    "chain1": {"nodes": ["alice", "r1", "bob"], "edges": [["alice", "r1"], ["r1", "bob"]],
+               "path": ["alice", "r1", "bob"]},
+}
+ONE_SEGMENT_TRACE_SHA256 = {
+    "direct": "f73948f613a1c65c0bcfa93cd9ab4c49c331cd0c4de061fab6d88a93e9a9b3a8",
+    "chain1": "973817dcf28544ee8b74cd61f60448c9bcb2e44c27c765872d065e00cb0ec572",
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -103,6 +117,18 @@ def test_three_repeater_haar_reverse_auth_json_and_trace(tmp_path):
     )
     assert sha256(out.encode()) == CHAIN3_JSON_SHA256
     assert sha256(trace.read_bytes()) == CHAIN3_TRACE_SHA256
+
+
+@pytest.mark.parametrize("path", sorted(ONE_SEGMENT))
+def test_one_segment_haar_reverse_auth_trace(tmp_path, path):
+    # Transfers in both directions over one segment, with no swap or one:
+    # the teleport events of each direction and the swap event between them.
+    config = tmp_path / "topology.json"
+    config.write_text(json.dumps(ONE_SEGMENT[path]))
+    trace = tmp_path / "trace.jsonl"
+    run(["custom", "--config", str(config), "--adversary", "honest", "--payload", "haar",
+         "--reverse-auth", "--trials", "4", "--format", "json", "--trace", str(trace)])
+    assert sha256(trace.read_bytes()) == ONE_SEGMENT_TRACE_SHA256[path]
 
 
 def test_mitm_trace_and_intercept_log(tmp_path):

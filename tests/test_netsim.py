@@ -15,6 +15,7 @@ from helpers import (
     busy_forever,
     decoded,
     honest_windows,
+    memo_by_value,
     one_window_more,
     pair_group,
     run_cli,
@@ -265,7 +266,7 @@ def test_a_shared_bell_memo_changes_no_trial(case):
             runs.append((record, trace, log))
         assert runs[0] == runs[1], seed
         sizes.append(len(memo))
-        assert all(len(q_amps) == 4 or q_amps in named for q_amps, *_ in memo)
+        assert all(len(q_amps) == 4 or q_amps in named for q_amps, *_ in memo_by_value(memo))
     assert 0 < max(sizes) <= BELL_CACHE_MAX
 
 

@@ -15,6 +15,7 @@ from helpers import (
     assert_teleports_intact,
     group_of,
     load_group,
+    memo_by_value,
     registry,
     teleport,
 )
@@ -24,6 +25,7 @@ from qauthsim.qsim import (
     DeadQubitError,
     Draws,
     NAMED_STATES,
+    PHI_PLUS,
     Simulator,
     SimulationError,
     derive_seed,
@@ -356,7 +358,7 @@ def test_fused_bell_measure_matches_gate_sequence(case):
     # The gate sequence's outcomes from the same draws, with q and near
     # gone and q's partner, then far, left in one group. The pure kernel
     # on the two groups' tuples gives the same bits, draws and survivor,
-    # and fills its memo as bell_measure fills its own.
+    # and fills its memo, read by value, as bell_measure fills its own.
     sim, group_q, q, near, far, (got, bits), (rng, ref_rng), _ = measure_case(case)
     assert got == bits
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
@@ -368,7 +370,8 @@ def test_fused_bell_measure_matches_gate_sequence(case):
     memo, step_rng = {}, make_rng(seed)
     o, survivor = qsim.bell_step(memo, tuple(map(complex, state_q)), iq == 0,
                                  tuple(map(complex, state_pair)), inear == 0, step_rng)
-    assert (divmod(o, 2), survivor, memo) == (got, sim.amplitudes(far), sim.bell_memo)
+    assert (divmod(o, 2), survivor, memo_by_value(memo)) == (
+        got, sim.amplitudes(far), memo_by_value(sim.bell_memo))
     assert step_rng.bit_generator.state == rng.bit_generator.state
 
 
@@ -508,6 +511,74 @@ def test_bell_memo_is_bounded_and_per_simulator(monkeypatch):
         assert runs[0] == runs[1]
         sizes.append(len(sim.bell_memo))
     assert max(sizes) == 4 and sizes[-1] < 4  # reached the bound, then emptied
+
+
+def unit_pair_state(state_rng):
+    """A random two-qubit state as a tuple of four Python complex values."""
+    v = state_rng.normal(size=4) + 1j * state_rng.normal(size=4)
+    a, b, c, d = (v / np.linalg.norm(v)).tolist()
+    return a, b, c, d
+
+
+def test_a_memo_entry_keeps_its_operands_alive():
+    # The memo keys an entry by its operands' ids, so the entry holds both
+    # operands: after the caller drops them, the key's ids are still theirs,
+    # and fresh tuples of other values, made where the dropped ones would
+    # have been freed, each get a table of their own, as a cold memo does.
+    state_rng = np.random.default_rng(31)
+    memo = {}
+    q, near = unit_pair_state(state_rng), unit_pair_state(state_rng)
+    qsim.bell_step(memo, q, True, near, False, make_rng(0))
+    (key, entry), = memo.items()
+    assert entry[3][0] is q and entry[3][1] is near
+    del near, q  # q's memory is the first reused
+    assert (key[0], key[2]) == tuple(map(id, entry[3]))
+    for seed in range(20):
+        q, near = unit_pair_state(state_rng), unit_pair_state(state_rng)
+        cold = qsim.bell_step({}, q, True, near, False, make_rng(seed))
+        assert qsim.bell_step(memo, q, True, near, False, make_rng(seed)) == cold
+        assert len(memo) == seed + 2 and memo[key] is entry
+
+
+def test_an_equal_copy_gets_the_same_entry_and_survivor():
+    # A copy of a memoised operand, equal in value but another object, is
+    # served the entry of the first: no table is built, and each seed gives
+    # the same outcome and the same survivor object. A copy of PHI_PLUS
+    # meets the entry of PHI_PLUS itself, whose survivors are canonical:
+    # a swap survivor equal to PHI_PLUS is PHI_PLUS.
+    state_rng = np.random.default_rng(32)
+    first = unit_pair_state(state_rng)
+    canonical = []
+    for q, near in ((first, PHI_PLUS), (PHI_PLUS, PHI_PLUS)):
+        copies = (tuple(list(q)), tuple(list(near)))
+        assert copies[0] is not q and copies[1] is not near
+        memo = {}
+        for seed in range(16):
+            o, survivor = qsim.bell_step(memo, q, False, near, True, make_rng(seed))
+            assert len(memo) == 1
+            o2, survivor2 = qsim.bell_step(memo, copies[0], False, copies[1], True,
+                                           make_rng(seed))
+            assert (o2, len(memo)) == (o, 1) and survivor2 is survivor
+            canonical.append(survivor == PHI_PLUS)
+            assert (survivor is PHI_PLUS) == canonical[-1]
+    assert any(canonical)
+
+
+def test_memo_and_canonical_map_stay_bounded(monkeypatch):
+    # With the bound at 4, forty distinct pair-half inputs through one memo,
+    # each beside an input through a fresh memo that also adds its states to
+    # the shared canonical map: the memo never holds more than 4 entries and
+    # the map never more than 6 * (4 + 1) states, and both are emptied.
+    monkeypatch.setattr(qsim, "BELL_CACHE_MAX", 4)
+    state_rng = np.random.default_rng(33)
+    memo, sizes, canon = {}, [], []
+    for seed in range(40):
+        for m in (memo, {}):
+            qsim.bell_step(m, unit_pair_state(state_rng), True, PHI_PLUS, False, make_rng(seed))
+            sizes.append(len(memo))
+            canon.append(len(qsim._canon))
+    assert max(sizes) == 4 and min(sizes[8:]) == 1
+    assert max(canon) <= 30 and min(canon[8:]) <= 11
 
 
 def test_drifted_input_is_refused_before_any_draw():
@@ -692,16 +763,18 @@ def test_teleports_share_the_corrected_survivor():
 
 
 def test_a_correction_leaves_a_shared_survivor_alone():
-    # Measuring one holder of the shared corrected tuple in X replaces its
+    # Measuring one holder of the shared corrected tuple in Z replaces its
     # tuple, and a third teleport of equal operands with that seed, a memo
     # hit, hands out the same tuple again: the other holder keeps it
-    # unchanged, and the memo is unchanged.
+    # unchanged, and the memo is unchanged. (The survivor equals |+>, so it
+    # is the canonical NAMED_STATES["+"], which an X measurement would
+    # leave in place.)
     sim = Simulator()
     seed, bits, fars = shared_teleports(sim)
     shared = sim.amplitudes(fars[0])
     before = tuple(complex(x) for x in shared)
     table = dict(sim.bell_memo)
-    sim.measure(fars[1], Basis.X, make_rng(seed))
+    sim.measure(fars[1], Basis.Z, make_rng(seed))
     assert sim.amplitudes(fars[1]) is not shared
     q, (near, far) = sim.prepare(0, Basis.X), sim.make_bell_pair()
     assert sim.bell_measure(q, near, make_rng(seed)) == bits
@@ -1008,7 +1081,8 @@ def run_registry_refusals(name):
 def test_hop_is_bell_step_in_place(forward):
     # Simulator.hop is bell_step on a lone qubit's entry over a pair tuple,
     # with the simulator's memo: the same outcome, draws and survivor, kept
-    # under the qubit's own id, for named (memoised) and one-shot operands.
+    # under the qubit's own id, and the same memo read by value, for named
+    # (memoised) and one-shot operands.
     pair = (0.6 + 0j, 0j, 0.48j, 0.64 + 0j)
     lone = [*NAMED_STATES.values(), (0.6 + 0j, 0.8j)]
     for seed, amps in itertools.product(range(8), lone):
@@ -1017,7 +1091,7 @@ def test_hop_is_bell_step_in_place(forward):
         rng, step_rng = make_rng(seed), make_rng(seed)
         o = sim.hop(q, pair, forward, rng)
         assert (o, sim.amplitudes(q)) == qsim.bell_step(memo, amps, True, pair, forward, step_rng)
-        assert (sim.live_count(), sim.bell_memo) == (1, memo)
+        assert (sim.live_count(), memo_by_value(sim.bell_memo)) == (1, memo_by_value(memo))
         assert rng.bit_generator.state == step_rng.bit_generator.state
 
 
