@@ -188,10 +188,13 @@ class _JsonlSink:
     and trial index. An entry is the text of one non-empty JSON object
     without a tag key, and its line is what ``json.dumps({**tags,
     **json.loads(entry)})`` gives: the tags are spliced in after its brace.
+    Each ``write`` takes a block of at most ``BLOCK`` lines, a few tens of KB.
 
     The file is opened at the first trial, so a campaign that fails before
     it leaves no file behind.
     """
+
+    BLOCK = 256
 
     def __init__(self, path: str, key: str):
         self.path = path
@@ -203,9 +206,10 @@ class _JsonlSink:
             self._fh = open(self.path, "w", encoding="utf-8")
         head = (f'{{"transfer_length": {entry["transfer_length"]}, '
                 f'"trial_index": {entry["trial_index"]}, ')
-        write = self._fh.write
-        for line in entry[self.key]:
-            write(head + line[1:] + "\n")
+        write, sep = self._fh.write, "\n" + head
+        lines, block = entry[self.key], self.BLOCK
+        for i in range(0, len(lines), block):
+            write(head + sep.join([line[1:] for line in lines[i:i + block]]) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

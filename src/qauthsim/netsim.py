@@ -112,7 +112,7 @@ class EntanglementFabric:
     """
 
     __slots__ = ("sim", "topology", "repeater", "rng", "trace", "_interior", "_hop_texts",
-                 "pairs_created", "teleports", "swaps")
+                 "_unswapped", "pairs_created", "teleports", "swaps")
 
     def __init__(
         self,
@@ -142,6 +142,8 @@ class EntanglementFabric:
                 [_event_texts(f'"teleport", "from": {a}, "to": {b}') for a, b in zip(way, way[1:])]
                 for way in (stops[::-1], stops))
         self._interior = tuple(zip(interior, swapping, swap_texts))
+        # where no node swaps, every provision's segments are one fresh pair per edge
+        self._unswapped = None if any(swapping) else list(zip(path, repeat(PHI_PLUS), path[1:]))
         self.pairs_created = 0
         self.teleports = 0
         self.swaps = 0
@@ -154,9 +156,13 @@ class EntanglementFabric:
         retaining node ends the current segment instead, so the result is one
         segment per stretch of the path between non-swapping boundaries, each
         a ``(left_node, pair_amps, right_node)`` tuple, the left node's half
-        first in ``pair_amps``. No qubit is registered.
+        first in ``pair_amps``. No qubit is registered. A fabric where no
+        node swaps returns a copy of the list it built at construction.
         """
         path = self.topology.path
+        if self._unswapped is not None:
+            self.pairs_created += len(path) - 1
+            return self._unswapped.copy()
         memo = self.sim.bell_memo
         rng = self.rng
         trace = self.trace
@@ -343,7 +349,8 @@ def run_trial(
             # turn: the rest of the window goes out at one turn a qubit.
             while True:
                 data_delivered += 1
-                data_intact += states_equal(amplitudes(arrived), truth)
+                amps = amplitudes(arrived)
+                data_intact += amps is truth or states_equal(amps, truth)
                 if pb is not sending:  # the responder's session is over
                     release(arrived)
                     break

@@ -81,6 +81,22 @@ _UNIFORM4 = tuple(
 )
 #: the same entries by label, for a ``fixed`` payload
 _FIXED = dict(zip("".join(EIGENSTATE_LABELS), _UNIFORM4))
+#: the members of a ``prepare_auth`` event by [base bit][encoding bit], and of
+#: a ``verdict`` event after its round by [base bit][encoding bit][measured]
+_PREPARE_TEXTS = tuple(tuple(f'"event": "prepare_auth", "state": "{label}"' for label in labels)
+                       for labels in EIGENSTATE_LABELS)
+_VERDICT_TEXTS = tuple(tuple(tuple(
+    f', "passed": {"true" if m == e else "false"}, "measured": {m}, "expected": {e}, '
+    f'"basis": "{basis.value}"' for m in (0, 1)) for e in (0, 1)) for basis in AUTH_BASES)
+
+
+def _fma_sq(a: float, c: float) -> float:
+    """``a * a + c`` rounded once, as a fused multiply-add gives it, for
+    ``|a|`` from 1e-100 to 1e100: Dekker's split makes the square's error exact."""
+    p, t = a * a, a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    lo = a - hi
+    return math.fsum((p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo, c))
 
 
 def sample_payload(
@@ -96,18 +112,19 @@ def sample_payload(
     payload one ``rng.normal(size=4)``: the real parts, then the imaginary
     parts. A named state is made by ``Simulator.prepare``, and its truth is
     its ``NAMED_STATES`` entry. A haar payload's qubit holds its truth
-    tuple, which is unit norm by construction."""
+    tuple, unit norm by construction; ``_fma_sq`` rounds its squared norms
+    in Python, so its bits never depend on a host's BLAS kernel."""
     kind = dist.kind
     if kind == "uniform4":
         bit, basis, truth = _UNIFORM4[rng.integers(0, 4)]
     elif kind == "fixed":
         bit, basis, truth = _FIXED[dist.state]
     else:  # haar: a normalized complex gaussian pair
-        g = rng.normal(size=4)
-        # bit for bit numpy's v / norm(v), v = g[:2] + 1j * g[2:]: the same
-        # norm, and numpy divides by multiplying with the reciprocal
-        s = 1.0 / math.sqrt(float(g[:2].dot(g[:2])) + float(g[2:].dot(g[2:])))
-        g0, g1, g2, g3 = g.tolist()
+        g0, g1, g2, g3 = rng.normal(size=4).tolist()
+        # v / norm(v), v = (g0 + 1j g2, g1 + 1j g3): each part's squared norm
+        # is fma(g1, g1, g0 * g0), what numpy's two-term dot gives with an FMA
+        # kernel, and numpy divides by multiplying with the reciprocal
+        s = 1.0 / math.sqrt(_fma_sq(g1, g0 * g0) + _fma_sq(g3, g2 * g2))
         truth = (complex(g0 * s, g2 * s), complex(g1 * s, g3 * s))
         return sim.allocate_unit(truth), truth
     return sim.prepare(bit, basis), truth
@@ -154,7 +171,9 @@ class _Endpoint:
     call sits behind a ``self.trace is not None`` test, so an untraced
     session builds no event. An event is the text of its JSON object, what
     ``json.dumps`` gives for it: its role, state, basis and reason come
-    from fixed ASCII vocabularies and need no escaping.
+    from fixed ASCII vocabularies and need no escaping. Each role's
+    ``_head`` (its events' text through ``role``), each ``prepare_auth``'s
+    members and each ``verdict``'s members after its round are built at import.
     """
 
     role = ""
@@ -177,7 +196,7 @@ class _Endpoint:
 
     def _emit(self, fields: str) -> None:
         """Append the event whose JSON members after ``role`` are ``fields``."""
-        self.trace.append(f'{{"role": "{self.role}", {fields}}}')
+        self.trace.append(f'{self._head}{fields}}}')
 
     def terminate(self, reason: str) -> None:
         self.state.phase = _TERMINATED
@@ -203,7 +222,7 @@ class _Endpoint:
         qubit = self.sim.prepare(plan.encoding_bit, AUTH_BASES[plan.base_bit])
         self.auth_qubits_sent += 1
         if self.trace is not None:
-            self._emit(f'"event": "prepare_auth", "state": "{plan.expected_state}"')
+            self._emit(_PREPARE_TEXTS[plan.base_bit][plan.encoding_bit])
         return qubit
 
     def _verify(self, qubit: QubitRef) -> bool:
@@ -212,15 +231,13 @@ class _Endpoint:
         passed."""
         round_index = self.state.round
         plan = self.schedule.plans[round_index - 1]
-        basis = AUTH_BASES[plan.base_bit]
-        measured = self.sim.measure(qubit, basis, self.rng)
+        encoding_bit, base_bit = plan.encoding_bit, plan.base_bit
+        measured = self.sim.measure(qubit, AUTH_BASES[base_bit], self.rng)
         self.sim.release(qubit)
-        passed = measured == plan.encoding_bit
+        passed = measured == encoding_bit
         if self.trace is not None:
-            self._emit(f'"event": "verdict", "round": {round_index}, '
-                       f'"passed": {"true" if passed else "false"}, '
-                       f'"measured": {measured}, "expected": {plan.encoding_bit}, '
-                       f'"basis": "{basis.value}"')
+            self._emit(f'"event": "verdict", "round": {round_index}'
+                       f'{_VERDICT_TEXTS[base_bit][encoding_bit][measured]}')
         if not passed:
             self.failed_round = round_index
             self.terminate("authentication failed")
@@ -236,6 +253,7 @@ class Initiator(_Endpoint):
     """Data sender and verifier of the peer's authentication qubits."""
 
     role = "initiator"
+    _head = '{"role": "initiator", '
     __slots__ = ("payload_truth",)
 
     def __init__(self, config, schedule, sim, rng, trace=None):
@@ -287,6 +305,7 @@ class Responder(_Endpoint):
     """Data receiver and prover; verifier too when reverse auth is on."""
 
     role = "responder"
+    _head = '{"role": "responder", '
     __slots__ = ()
 
     def receive(self, qubit: QubitRef) -> None:

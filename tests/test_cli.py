@@ -703,6 +703,38 @@ def test_sink_lines_equal_json_dumps(tmp_path_factory, trials):
         assert path.read_text(encoding="utf-8") == expected
 
 
+class WriteLog(list):
+    """A file stand-in that keeps each ``write`` as one item."""
+
+    write = list.append
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("entries", [0, 1, 255, 256, 257, 600])
+def test_sink_blocks_equal_the_per_line_form(tmp_path, entries):
+    # A trial's lines go out in blocks of at most BLOCK lines, one write
+    # each, and the file reads byte for byte as one tagged line per entry.
+    records = [json.dumps({"event": "e", "seq": k, "s": "é\n"[: k % 3]}) for k in range(entries)]
+    trials = [{"transfer_length": t, "trial_index": i, "records": records}
+              for t, i in ((1, 0), (16, 7))]
+    lines = ["".join(f'{{"transfer_length": {trial["transfer_length"]}, '
+                     f'"trial_index": {trial["trial_index"]}, {r[1:]}\n' for r in records)
+             for trial in trials]
+    path = tmp_path / "sink.jsonl"
+    sink = cli._JsonlSink(str(path), "records")
+    for trial in trials:
+        sink.append(trial)
+    sink.close()
+    assert path.read_bytes() == "".join(lines).encode("utf-8")
+    sink._fh = writes = WriteLog()
+    sink.append(trials[1])
+    assert len(writes) == -(-entries // cli._JsonlSink.BLOCK)
+    assert all(w.count("\n") <= cli._JsonlSink.BLOCK for w in writes)
+    assert "".join(writes) == lines[1]
+
+
 def test_trial_records_carry_no_sink_tag():
     # The sink writes its tags once and splices each entry after them, which
     # is json.dumps({**tags, **json.loads(entry)}) only while no entry has a

@@ -129,6 +129,21 @@ def test_mitm_pair_layout_on_two_edge_path():
     assert sim.live_count() == 0
 
 
+def test_a_fabric_that_swaps_nowhere_hands_out_fresh_copies():
+    # The segments of an intercepted 1-repeater path never change: each call
+    # returns its own list, equal to the last, and counts its pairs; a
+    # transfer's reversal of one list leaves the next alone.
+    sim = Simulator()
+    repeater = RepeaterState(InterceptResend("random_zx"), "r1", 1)
+    fabric = EntanglementFabric(sim, CHAIN, repeater, make_rng(1))
+    first = fabric.provision()
+    first.reverse()
+    second, third = fabric.provision(), fabric.provision()
+    assert second == third == [("alice", qsim.PHI_PLUS, "r1"), ("r1", qsim.PHI_PLUS, "bob")]
+    assert first == second[::-1] and second is not third
+    assert fabric.pairs_created == 6 and fabric.swaps == 0
+
+
 def honest_fabric(topology):
     """A traced honest fabric over ``topology`` and its simulator and trace,
     with world stream ``Draws(3)``."""

@@ -1,15 +1,25 @@
 """Session state machine tests: auth qubit preparation, the schedule-driven
 send/verify loop, payload sourcing, and trace shape."""
 
+import json
+import math
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import qauthsim as qa
 from helpers import decoded, honest_windows, session_config
 from qauthsim.keyschedule import AUTH_BASES, AuthPlan
 from qauthsim.protocol import (
+    Initiator,
     PayloadDistribution,
+    Responder,
     _Endpoint,
+    _fma_sq,
     sample_payload,
 )
 from qauthsim.qsim import (
@@ -203,10 +213,31 @@ def test_payload_draws_equal_the_generator_stream():
     assert truth == tuple((v / np.linalg.norm(v)).tolist())
 
 
+def exact_fma_sq(a, c):
+    """``a * a + c`` rounded once, from exact rationals."""
+    return float(Fraction(a) ** 2 + Fraction(c))
+
+
+#: zero, and magnitudes whose square's rounding error a double holds exactly
+fma_operands = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-100, 1e100),
+                         st.floats(-1e100, -1e-100))
+
+
+@given(fma_operands, st.floats(-1e200, 1e200))
+@example(0.0, 0.0)
+@example(-3.0, -9.0)
+@example(1.0 + 2.0**-52, -(1.0 + 2.0**-51))  # the sum is the square's rounding error
+def test_fma_sq_rounds_once(a, c):
+    assert _fma_sq(a, c) == exact_fma_sq(a, c)
+
+
 def test_haar_payload_equals_numpy_normalisation_bit_for_bit():
     # The haar truth is built from Python floats, scaled by the reciprocal
-    # of numpy's norm; every real and imaginary part, sign of zero
-    # included, equals numpy's v / |v| of the same draw.
+    # of its norm, each part's squared norm a * a + c rounded once: the real
+    # parts' fma(g1, g1, g0 * g0), the imaginary parts' fma(g3, g3, g2 * g2).
+    # Every real and imaginary part, sign of zero included, equals that
+    # exact reference on any host, and numpy's v / |v| of the same draw on
+    # a host whose two-term dot is that fma.
     sim = Simulator()
     draws, gen = Draws(12), make_rng(12)
 
@@ -217,6 +248,9 @@ def test_haar_payload_equals_numpy_normalisation_bit_for_bit():
         q, truth = sample_payload(sim, PayloadDistribution("haar"), draws)
         sim.release(q)
         g = gen.normal(size=4)
+        g0, g1, g2, g3 = g.tolist()
+        s = 1.0 / math.sqrt(exact_fma_sq(g1, g0 * g0) + exact_fma_sq(g3, g2 * g2))
+        assert parts(truth) == parts((complex(g0 * s, g2 * s), complex(g1 * s, g3 * s)))
         v = g[:2] + 1j * g[2:]
         assert parts(truth) == parts((v / np.linalg.norm(v)).tolist())
 
@@ -318,6 +352,32 @@ def test_untraced_trial_builds_no_trace_event(monkeypatch):
     monkeypatch.setattr(_Endpoint, "_emit", refuse)
     for behavior, seed in cases:
         assert qa.run_trial(CHAIN, behavior, cfg, seed) == traced[behavior.name, seed]
+
+
+@pytest.mark.parametrize("cls", [Initiator, Responder])
+def test_auth_event_texts_are_the_json_of_their_events(cls):
+    # prepare_auth and verdict texts come from tables built at import: each
+    # of the 4 plans' prepare_auth and the 8 (plan, outcome) verdicts is the
+    # json.dumps text of its event's dict, the role first.
+    trace, sim = [], Simulator()
+    endpoint = cls(session_config(1, 4, KEY), None, sim, Draws(0), trace)
+    for enc in (0, 1):
+        for base, basis in enumerate(AUTH_BASES):
+            plan = AuthPlan(enc, base)
+            trace.clear()
+            sim.release(endpoint._prove(plan))
+            assert trace == [json.dumps({"role": cls.role, "event": "prepare_auth",
+                                         "state": plan.expected_state})]
+            endpoint.schedule = SimpleNamespace(plans=[None, plan])
+            for measured in (0, 1):
+                trace.clear()
+                endpoint.state.round = 2
+                passed = endpoint._verify(sim.prepare(measured, basis))
+                assert passed == (measured == enc)
+                assert trace[0] == json.dumps({
+                    "role": cls.role, "event": "verdict", "round": 2, "passed": passed,
+                    "measured": measured, "expected": enc, "basis": basis.value})
+    assert sim.live_count() == 0
 
 
 # -- reverse authentication --------------------------------------------------------
