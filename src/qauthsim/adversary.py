@@ -53,6 +53,13 @@ class InterceptResend:
 
 Behavior = Honest | InterceptResend
 
+
+def draws_bases(behavior: Behavior) -> bool:
+    """Whether a repeater of ``behavior`` draws each intercept's basis from
+    a stream of its own: under ``random_zx`` only."""
+    return isinstance(behavior, InterceptResend) and behavior.basis_policy not in _FIXED_BASES
+
+
 #: the --adversary labels; a behavior's ``name`` (the output field) differs
 BEHAVIOR_LABELS = {
     "honest": Honest(),
@@ -73,14 +80,14 @@ def parse_behavior(label: str) -> Behavior:
 
 class RepeaterState:
     """Per-trial adversary state: behavior, position, basis policy resolved
-    once, own random stream (a ``Draws`` of ``seed``, made only under
-    ``random_zx``, the one policy that draws a basis; None otherwise), and
-    the intercept log, if one is kept."""
+    once, own random stream (a ``Draws`` of ``seed``, made only when the
+    behavior ``draws_bases``; None otherwise, and ``seed`` may be None
+    then), and the intercept log, if one is kept."""
 
     __slots__ = ("behavior", "node", "basis", "rng", "log")
 
     def __init__(
-        self, behavior: Behavior, node: str | None, seed: int, log: list | None = None
+        self, behavior: Behavior, node: str | None, seed: int | None, log: list | None = None
     ):
         intercepts = isinstance(behavior, InterceptResend)
         if intercepts and node is None:
@@ -90,7 +97,7 @@ class RepeaterState:
         # the basis of every intercept under always_z or always_x; None for
         # an honest repeater and under random_zx, which draws one each time
         self.basis = _FIXED_BASES.get(behavior.basis_policy) if intercepts else None
-        self.rng = Draws(seed) if intercepts and self.basis is None else None
+        self.rng = Draws(seed) if draws_bases(behavior) else None
         # None, or one JSON object text per intercepted qubit: seq, direction
         # ("forward" is initiator to responder, or "reverse"), basis, outcome
         self.log = log

@@ -256,6 +256,20 @@ def intercept_node(
     return node
 
 
+def stream_seeds(
+    seed: int, behavior: adv.Behavior, config: proto.SessionConfig
+) -> tuple[int, int | None, int | None]:
+    """The seeds of the numpy streams a trial of ``seed`` makes, each
+    ``derive_seed(seed, index)``: the world's (index 0), the repeater's
+    (index 1; None unless the behavior ``draws_bases``) and the key's
+    (index 2; None when the session fixes the key). The one list of them,
+    which ``run_trial`` and the pre-hash of ``experiments.run_experiment``
+    both read."""
+    return (derive_seed(seed, 0),
+            derive_seed(seed, 1) if adv.draws_bases(behavior) else None,
+            None if config.key is not None else derive_seed(seed, 2))
+
+
 def run_trial(
     topology: Topology,
     behavior: adv.Behavior,
@@ -274,7 +288,8 @@ def run_trial(
     ``Responder.receive`` and an auth qubit as the peer's next step's
     argument. When neither can move, whoever still waits times out.
     Deterministic: the world, repeater, and key streams are all derived from
-    ``seed``, so identical arguments give an identical record (and trace).
+    ``seed`` (``stream_seeds``), so identical arguments give an identical
+    record (and trace), whether or not their seeds were pre-hashed.
     The world and repeater streams, drawn one value at a time, are
     ``qsim.Draws`` (an honest repeater draws nothing and gets none); the key
     stream, one vectorised draw per key, is a numpy Generator.
@@ -288,18 +303,19 @@ def run_trial(
     and SimulationError when the session outsteps the schedule's ``guard``,
     opens a round past its honest end, or a qubit outlives the trial.
     """
-    rng_world = Draws(derive_seed(seed, 0))
+    world_seed, repeater_seed, key_seed = stream_seeds(seed, behavior, config)
+    rng_world = Draws(world_seed)
     key = config.key
     if key is None:
         # A fresh key is drawn until it is non-zero: an all-zero key never
         # schedules a data window. At 1024 bits the first draw always is.
-        key_rng = make_rng(derive_seed(seed, 2))
+        key_rng = make_rng(key_seed)
         while key is None or not any(key.bits):
             key = KeyMaterial.random(config.key_length, key_rng)
     node = intercept_node(topology, behavior, malicious_node)
     # a per-trial log, so that seq restarts at 0 in every trial
     log = None if intercept_log is None else []
-    repeater = adv.RepeaterState(behavior, node, derive_seed(seed, 1), log)
+    repeater = adv.RepeaterState(behavior, node, repeater_seed, log)
 
     sim = Simulator(bell_memo)
     fabric = EntanglementFabric(sim, topology, repeater, rng_world, trace)

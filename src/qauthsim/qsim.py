@@ -31,6 +31,7 @@ returning a float in [0, 1): a numpy Generator, or a :class:`Draws` stream.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -116,14 +117,114 @@ def derive_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first ``n`` multipliers of a numpy ``SeedSequence`` hash, as a
+    column: each is the last times ``mult`` mod 2**32, whatever the data."""
+    out = [init]
+    while len(out) < n:
+        out.append(out[-1] * mult & _LOW32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+#: numpy's ``SeedSequence`` constants: the pool-mixing multipliers, the
+#: state-output multipliers and the mix of two pool words
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _hashmix(words: np.ndarray, k: int, n: int) -> np.ndarray:
+    """``SeedSequence``'s hashmix as its k-th to (k + n - 1)-th calls, one
+    row of ``words`` each (uint32 products wrap mod 2**32)."""
+    words = words ^ _HASH_A[k:k + n]
+    words *= _HASH_A[k + 1:k + n + 1]
+    words ^= words >> _XSHIFT
+    return words
+
+
+def seed_state(seeds) -> np.ndarray:
+    """Row i is ``np.random.SeedSequence(seeds[i]).generate_state(4,
+    np.uint64)``, the words ``PCG64(seeds[i])`` is seeded with, for seeds in
+    [0, 2**64): numpy's hash run on every seed at once.
+
+    A seed is two 32-bit words, low first, in a pool of four (numpy pads a
+    one-word seed with hashmix of 0, the same as a high word of 0). The
+    hash multipliers depend on the call count alone, so each pool row, and
+    each source's three mixes into the other rows, is one array operation.
+    """
+    seeds = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds.astype(np.uint32)  # the low words
+    pool[1] = (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = _hashmix(pool, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], 4 + 3 * src, 3) * _MIX_R
+        mixed ^= mixed >> _XSHIFT
+        pool[dst] = mixed
+    out = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8]
+    out *= _HASH_B[1:]
+    out ^= out >> _XSHIFT
+    # consecutive 32-bit words, low first, make each 64-bit word
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+#: Seeds already hashed, by masked seed: the one ``make_rng`` call of each
+#: takes its entry. ``prehash_seeds`` replaces what is left.
+_prehashed: dict = {}
+
+
+@functools.cache
+def _prehashed_seed_class():
+    # numpy's ISeedSequence is imported here, at the first pre-hash, not
+    # with qsim: a run that never pre-hashes does not pay for it.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PrehashedSeed(ISeedSequence):
+        """Words from ``seed_state``, which PCG64 seeds itself with. Not a
+        ``SeedSequence``: a Generator built on one cannot ``spawn``."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("a pre-hashed seed holds PCG64's 4 uint64 words only")
+            return self.words
+
+    return PrehashedSeed
+
+
+def prehash_seeds(seeds) -> None:
+    """Hash ``seeds`` in one pass (``seed_state``) for the ``make_rng``
+    calls to come, dropping what the last call left unused. An entry only
+    saves time: ``make_rng`` gives the same stream with it or without."""
+    masked = [seed & _MASK64 for seed in seeds]
+    _prehashed.clear()
+    _prehashed.update(zip(masked, map(_prehashed_seed_class(), seed_state(masked))))
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic random stream: same seed, same outcome sequence."""
-    return np.random.default_rng(seed & _MASK64)
+    """Deterministic random stream: same seed, same outcome sequence.
+
+    ``np.random.default_rng(seed mod 2**64)``, bit for bit. A seed that
+    ``prehash_seeds`` hashed builds its PCG64 from those words and uses up
+    the entry; any other is hashed by numpy itself. A pre-hashed
+    Generator's ``bit_generator.seed_seq`` is not a ``SeedSequence``, so it
+    cannot ``spawn``.
+    """
+    seed &= _MASK64
+    hashed = _prehashed.pop(seed, None)
+    if hashed is None:
+        return np.random.default_rng(seed)
+    return np.random.Generator(np.random.PCG64(hashed))
 
 
 class Draws:
     """The random stream of ``make_rng(seed)``, with scalar draws read from
-    blocks of raw 64-bit words instead of one numpy call each.
+    blocks of raw 64-bit words instead of one numpy call each. It is built
+    through ``make_rng``, so a seed that ``prehash_seeds`` hashed gives the
+    same stream, and uses up its entry.
 
     ``random()`` and ``integers(low, high)`` replay what the Generator
     computes from the same words, so a Draws stream and a Generator of one

@@ -3,10 +3,13 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from helpers import parse_campaign_csv
+from qauthsim import netsim, qsim
 from qauthsim.experiments import (
+    PREHASH_TRIALS,
     ConfigError,
     ExperimentConfig,
     aggregate,
@@ -21,6 +24,7 @@ from qauthsim.experiments import (
     run_experiment,
     trial_seed,
 )
+from qauthsim.qsim import SimulationError
 
 
 def small_campaign(**overrides) -> ExperimentConfig:
@@ -146,6 +150,47 @@ def test_trace_and_intercept_sinks():
     assert [t["trial_index"] for t in traces] == [0, 1, 2]
     assert all(t["records"] for t in traces)
     assert all(e["events"] for e in intercepts)
+
+
+def test_prehashed_chunks_give_the_records_of_lone_trials(monkeypatch):
+    # One chunk plus three trials per T, all three streams per trial: every
+    # stream comes from the pre-hash, and each record is that of run_trial
+    # called alone with nothing pre-hashed.
+    cfg = small_campaign(trials=PREHASH_TRIALS + 3, data_target=2, key_length=8)
+    behavior, node, sessions = cfg.campaign()
+    expected = {}
+    for t, session in sessions.items():
+        expected[t] = []
+        for i in range(cfg.trials):
+            qsim._prehashed.clear()
+            expected[t].append(netsim.run_trial(cfg.topology, behavior, session,
+                                                trial_seed(cfg.master_seed, t, i),
+                                                malicious_node=node))
+
+    def unhashed(seed):
+        raise AssertionError(f"stream seed {seed} was not pre-hashed")
+
+    monkeypatch.setattr(np.random, "default_rng", unhashed)
+    assert run_experiment(cfg).records == expected
+    assert not qsim._prehashed  # every entry was taken
+
+
+def test_a_failed_trial_leaves_at_most_one_chunk_hashed(monkeypatch):
+    run_trial = netsim.run_trial
+
+    def fails_fifth(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise SimulationError("fifth trial")
+        return run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, "run_trial", fails_fifth)
+    for seed in (7, 8):  # the second campaign's chunk replaces the first's
+        calls = []
+        with pytest.raises(SimulationError, match="fifth trial"):
+            run_experiment(small_campaign(trials=PREHASH_TRIALS + 3, master_seed=seed))
+        # of one chunk, three streams a trial: the four trials that ran took theirs
+        assert len(qsim._prehashed) == 3 * (PREHASH_TRIALS - 4)
 
 
 # -- emitters ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ and swap chains, checked against independent dense-matrix oracles."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from qauthsim.qsim import (
     SimulationError,
     derive_seed,
     make_rng,
+    prehash_seeds,
     states_equal,
 )
 from qauthsim.protocol import PayloadDistribution, sample_payload
@@ -902,6 +906,56 @@ def test_draws_replay_the_generator_value_for_value(seed, calls):
     # boundaries.
     draws, gen = Draws(seed), make_rng(seed)
     assert replay(draws, calls + TAIL) == replay(gen, calls + TAIL)
+    # a pre-hashed stream, against numpy's own seeding
+    prehash_seeds([seed])
+    draws = Draws(seed)
+    assert seed not in qsim._prehashed  # test-only: the entry was taken
+    assert replay(draws, calls + TAIL) == replay(np.random.default_rng(seed), calls + TAIL)
+
+
+#: seeds at the edges of numpy's one- and two-word seed forms
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+@given(st.lists(st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64 - 1)),
+                min_size=1, max_size=300))
+@settings(max_examples=60)
+def test_seed_state_is_numpys_seed_hash(seeds):
+    words = qsim.seed_state(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words):
+        assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+
+@given(st.lists(st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64 - 1)),
+                min_size=1, max_size=40, unique=True))
+@settings(max_examples=30)
+def test_make_rng_is_default_rng_with_or_without_a_prehash(seeds):
+    prehash_seeds(seeds)
+    for seed in seeds:
+        for hashed in (True, False):  # the first call takes the entry
+            assert (seed in qsim._prehashed) is hashed
+            rng = make_rng(seed)
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+    assert make_rng(2**64 + 5).bit_generator.state == make_rng(5).bit_generator.state
+    prehash_seeds([2**64 + 5])
+    rng = make_rng(5)
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        rng.spawn(1)
+    with pytest.raises(ValueError, match="4 uint64 words only"):
+        rng.bit_generator.seed_seq.generate_state(4)
+
+
+def test_importing_qauthsim_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random at first use. Binding it when qsim is
+    # imported moves that load ahead of compiling the rest of the package,
+    # which raised a fig2 campaign's peak RSS by about 0.5 MB.
+    code = "import sys, qauthsim.cli; print('numpy.random' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(qsim.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 #: checks after a segment of a call mix: the Generator keeps the high half
