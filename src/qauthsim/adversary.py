@@ -11,6 +11,8 @@ reading (``PAPER.md`` holds only the abstract) the responder teleports its
 auth qubit back against the data, so with reverse authentication off every
 reverse transfer is an auth qubit. The fig2 detection result holds against
 a repeater that measures every transiting qubit, as ``InterceptResend`` does.
+Where a repeater swaps depends on its behavior and node alone: ``netsim``'s
+fabric plan reads it once per campaign, not a trial's ``RepeaterState``.
 """
 
 from __future__ import annotations
@@ -102,18 +104,6 @@ class RepeaterState:
         # ("forward" is initiator to responder, or "reverse"), basis, outcome
         self.log = log
 
-    def swaps_at(self, node: str) -> bool:
-        """Whether this node performs its entanglement swap honestly."""
-        if isinstance(self.behavior, InterceptResend):
-            return node != self.node
-        return True
-
-    def choose_basis(self) -> Basis:
-        basis = self.basis
-        if basis is None:
-            return _X if self.rng.integers(0, 2) else _Z
-        return basis
-
 
 def handle_arrival(
     state: RepeaterState,
@@ -124,11 +114,15 @@ def handle_arrival(
 ) -> QubitRef:
     """Measure a qubit that landed on the repeater and return the resend.
 
-    The basis comes from the repeater's own stream; the Born-rule collapse
-    draws from the world stream, any object with ``random()``. The resend
-    is the measured qubit itself, left in the observed eigenstate.
+    The basis is the policy's fixed one, or under ``random_zx`` X when one
+    ``integers(0, 2)`` of the repeater's own stream gives 1 and Z when it
+    gives 0; the Born-rule collapse draws from the world stream, any object
+    with ``random()``. The resend is the measured qubit itself, left in the
+    observed eigenstate.
     """
-    basis = state.choose_basis()
+    basis = state.basis
+    if basis is None:
+        basis = _X if state.rng.integers(0, 2) else _Z
     outcome = sim.measure(qubit, basis, world_rng)
     log = state.log
     if log is not None:

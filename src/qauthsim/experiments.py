@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple
 from . import adversary as adv
 from . import netsim
 from . import protocol as proto
-from .keyschedule import MAX_KEY_LENGTH, ScheduleConfig, capacity, parse_key
+from .keyschedule import (MAX_FIXED_KEY_ROUNDS, MAX_KEY_LENGTH, ScheduleConfig, capacity,
+                          honest_rounds, parse_key)
 from .qsim import derive_seed, prehash_seeds
 
 
@@ -152,9 +153,14 @@ class ExperimentConfig:
                 f"key_bits must be in [2, {MAX_KEY_LENGTH}], got {self.key_bits}"
             )
         try:
-            self.campaign()  # for every experiment, tables included
+            sessions = self.campaign()[2]  # for every experiment, tables included
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        for t, session in sessions.items():
+            if session.key is not None and (rounds := honest_rounds(
+                    session.key, session.sched, self.data_target)) > MAX_FIXED_KEY_ROUNDS:
+                raise ConfigError(f"the fixed key needs {rounds} rounds a session at T = {t}, "
+                                  f"more than the cap of {MAX_FIXED_KEY_ROUNDS}")
 
     def campaign(self) -> tuple[adv.Behavior, str | None, dict[int, proto.SessionConfig]]:
         """The one path from this config to what a campaign runs: the

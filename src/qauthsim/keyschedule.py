@@ -2,7 +2,8 @@
 round's transfer window (``next_r``) and authentication qubit
 (``next_auth_pair``) as pure functions of the round index, the one
 schedule per session that both endpoints read them through
-(``RoundSchedule``), and the capacity formula.
+(``RoundSchedule``) with the honest round count that bounds it
+(``honest_rounds``), and the capacity formula.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ MAX_TRANSFER_LENGTH = 16
 #: Longest key, in bits, that a key length, a hex key's bit count or a 0/1
 #: key may give: a longer one is refused before anything is allocated.
 MAX_KEY_LENGTH = 1 << 20
+#: the most rounds a campaign may give one session of a fixed key at any T:
+#: about 7 s a trial, and about 16 MB of ``RoundSchedule`` lists
+MAX_FIXED_KEY_ROUNDS = 10**6
 
 
 def _check_key_length(length: int, what: str) -> None:
@@ -30,23 +34,30 @@ def _check_key_length(length: int, what: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class KeyMaterial:
-    """Immutable shared secret bit string."""
+    """Immutable shared secret bit string: ``bits`` holds one byte, 0 or 1,
+    per bit. Any sequence of 0/1 ints is taken and stored as ``bytes``, so
+    equal keys compare and hash equal however they were built."""
 
-    bits: tuple[int, ...]
+    bits: bytes
 
     def __post_init__(self):
-        if len(self.bits) < 2:
+        try:  # iter: an array's items, never its buffer
+            object.__setattr__(self, "bits", bits := bytes(iter(self.bits)))
+        except (TypeError, ValueError):
+            raise ValueError("key bits must be 0 or 1") from None
+        if len(bits) < 2:
             raise ValueError("key needs at least 2 bits")
-        if not set(self.bits) <= {0, 1}:
+        if bits.translate(None, b"\0\1"):
             raise ValueError("key bits must be 0 or 1")
 
     @classmethod
     def random(cls, length: int, rng: np.random.Generator) -> "KeyMaterial":
-        """``length`` bits of ``rng.integers(0, 2)``. They are 0 or 1 by
-        construction, so only the length is checked, not every bit."""
+        """``length`` bits of ``rng.integers(0, 2)``, as bytes. They are 0
+        or 1 by construction, so only the length is checked, not every bit."""
         _check_key_length(length, "key length")
         key = object.__new__(cls)
-        object.__setattr__(key, "bits", tuple(rng.integers(0, 2, size=length).tolist()))
+        bits = rng.integers(0, 2, size=length).astype(np.uint8).tobytes()
+        object.__setattr__(key, "bits", bits)
         return key
 
 
@@ -64,11 +75,11 @@ def parse_key(text: str, bit_length: int | None = None) -> KeyMaterial:
             raise ValueError(f"hex key {text!r} needs hex digits after 0x") from None
         if value >= (1 << bit_length):
             raise ValueError(f"hex value does not fit in {bit_length} bits")
-        return KeyMaterial(tuple(map(int, format(value, f"0{bit_length}b"))))
-    if not text or set(text) - {"0", "1"}:
+        text = format(value, f"0{bit_length}b")
+    elif not text or set(text) - {"0", "1"}:
         raise ValueError("key must be a 0/1 string or 0x-prefixed hex")
     _check_key_length(len(text), "key length")
-    return KeyMaterial(tuple(int(c) for c in text))
+    return KeyMaterial(text.encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,6 +178,28 @@ class RoundSchedule:
             self.reach += r
             self.guard = self.slack * (min(self.reach, self.target) + 4 * len(rs) + 2)
         return rs[index]
+
+
+def honest_rounds(key: KeyMaterial, cfg: ScheduleConfig, target: int) -> int:
+    """The rounds an honest session of ``target`` data qubits reads: those
+    ``RoundSchedule.window`` reads before it refuses one. Round i's window
+    starts at key bit i T mod L, so it depends only on i mod L, and whole
+    passes of L rounds plus one partial walk give the count in O(L T).
+    Raises ValueError for an all-zero key and a target above 0, which no
+    count of rounds reaches."""
+    if target <= 0:
+        return 0
+    bits = np.frombuffer(key.bits, np.uint8)
+    n, t = len(bits), cfg.transfer_length
+    wrapped = np.resize(bits, n + t - 1).astype(np.int64)
+    # the window starting at each bit, MSB first
+    starts = sum(wrapped[j:j + n] << (t - 1 - j) for j in range(t))
+    reach = np.cumsum(starts[np.arange(n) * t % n])
+    total = int(reach[-1])
+    if not total:
+        raise ValueError("all-zero key never schedules a data window")
+    passes, rest = divmod(target - 1, total)
+    return passes * n + int(np.searchsorted(reach, rest + 1)) + 1
 
 
 def capacity(key_length: int, transfer_length: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product, repeat
 
 from . import adversary as adv
@@ -36,11 +37,18 @@ class Topology:
     path: tuple[str, ...]
 
     def __post_init__(self):
+        known = set(self.nodes)
+        if len(known) != len(self.nodes):
+            raise ValueError("topology nodes must not repeat")
+        for u, v in self.edges:
+            if not {u, v} <= known:
+                raise ValueError(f"edge ({u}, {v}) names a node missing from nodes")
+            if u == v:
+                raise ValueError(f"edge ({u}, {v}) joins a node to itself")
         if len(self.path) < 2:
             raise ValueError("path needs at least two nodes")
         if len(set(self.path)) != len(self.path):
             raise ValueError("path must not revisit a node")
-        known = set(self.nodes)
         if not set(self.path) <= known:
             raise ValueError("path mentions unknown nodes")
         edge_set = {frozenset(e) for e in self.edges}
@@ -99,6 +107,31 @@ def _event_texts(fields: str) -> tuple[str, ...]:
                  for m_a, m_b in product((0, 1), repeat=2))
 
 
+@lru_cache
+def _fabric_plan(topology: Topology, behavior: adv.Behavior, node: str | None, traced: bool):
+    """A fabric's fixed plan, tuples only, shared by a campaign's fabrics:
+    per interior node its name, whether it swaps (all but an intercepting
+    ``node``) and, traced, its swap texts; where no node swaps, the segments
+    every provision copies, else None; traced, by forward, each segment's
+    teleport texts in the transfer's order, else None."""
+    path = topology.path
+    interior = path[1:-1]
+    if not isinstance(behavior, adv.InterceptResend):
+        node = None
+    swapping = tuple(n != node for n in interior)
+    swap_texts = hop_texts = None
+    if traced:
+        names = {n: json.dumps(n) for n in path}
+        swap_texts = [_event_texts(f'"swap", "node": {names[n]}, "applied_at": {names[at]}')
+                      for n, at in zip(interior, path[2:])]
+        stops = [names[n] for n, s in zip(path, (False, *swapping, False)) if not s]
+        hop_texts = tuple(
+            tuple(_event_texts(f'"teleport", "from": {a}, "to": {b}') for a, b in zip(way, way[1:]))
+            for way in (stops[::-1], stops))
+    unswapped = None if any(swapping) else tuple(zip(path, repeat(PHI_PLUS), path[1:]))
+    return tuple(zip(interior, swapping, swap_texts or repeat(None))), unswapped, hop_texts
+
+
 class EntanglementFabric:
     """Provisioning of end-to-end entanglement plus correction-bit routing.
 
@@ -107,8 +140,10 @@ class EntanglementFabric:
     ``bell_memo``; its two correction bits are the step's classical message.
     The trace numbers those messages in order, swaps and teleports alike,
     each the JSON object text ``json.dumps`` gives for its event dict. Which
-    nodes swap is fixed for the fabric's life, and so are the segments: a
-    traced fabric builds each event's text once, up to its seq.
+    nodes swap is fixed by the topology and the repeater, and so are the
+    segments: a fabric reads them, and a traced one each event's text up to
+    its seq, from a plan shared by every fabric of that topology, behavior,
+    malicious node and tracing (``_fabric_plan``).
     """
 
     __slots__ = ("sim", "topology", "repeater", "rng", "trace", "_interior", "_hop_texts",
@@ -127,23 +162,8 @@ class EntanglementFabric:
         self.repeater = repeater
         self.rng = rng_world
         self.trace = trace
-        # the plan provision walks: per interior node, whether it swaps and its event texts
-        path = topology.path
-        interior = path[1:-1]
-        swapping = tuple(map(repeater.swaps_at, interior))
-        swap_texts = repeat(None)
-        if trace is not None:
-            names = {node: json.dumps(node) for node in path}
-            swap_texts = [_event_texts(f'"swap", "node": {names[node]}, "applied_at": {names[at]}')
-                          for node, at in zip(interior, path[2:])]
-            # by forward: each segment's teleport texts, in the transfer's order
-            stops = [names[node] for node, s in zip(path, (False, *swapping, False)) if not s]
-            self._hop_texts = tuple(
-                [_event_texts(f'"teleport", "from": {a}, "to": {b}') for a, b in zip(way, way[1:])]
-                for way in (stops[::-1], stops))
-        self._interior = tuple(zip(interior, swapping, swap_texts))
-        # where no node swaps, every provision's segments are one fresh pair per edge
-        self._unswapped = None if any(swapping) else list(zip(path, repeat(PHI_PLUS), path[1:]))
+        self._interior, self._unswapped, self._hop_texts = _fabric_plan(
+            topology, repeater.behavior, repeater.node, trace is not None)
         self.pairs_created = 0
         self.teleports = 0
         self.swaps = 0
@@ -157,12 +177,12 @@ class EntanglementFabric:
         segment per stretch of the path between non-swapping boundaries, each
         a ``(left_node, pair_amps, right_node)`` tuple, the left node's half
         first in ``pair_amps``. No qubit is registered. A fabric where no
-        node swaps returns a copy of the list it built at construction.
+        node swaps returns a fresh list of its plan's segments.
         """
         path = self.topology.path
         if self._unswapped is not None:
             self.pairs_created += len(path) - 1
-            return self._unswapped.copy()
+            return list(self._unswapped)
         memo = self.sim.bell_memo
         rng = self.rng
         trace = self.trace
@@ -208,13 +228,17 @@ class EntanglementFabric:
             return payload
         if not forward:
             segments.reverse()
-        for i, (_, pair, _) in enumerate(segments):
-            if i:
-                adv.handle_arrival(self.repeater, sim, payload, direction, rng)
-            o = sim.hop(payload, pair, forward, rng)
+        repeater, texts, seq = self.repeater, self._hop_texts, self.swaps + self.teleports
+        o = sim.hop(payload, segments[0][1], forward, rng)
+        if trace is not None:
+            texts = texts[forward]
+            trace.append(f'{texts[0][o]}{seq}}}')
+        for i in range(1, len(segments)):
+            adv.handle_arrival(repeater, sim, payload, direction, rng)
+            o = sim.hop(payload, segments[i][1], forward, rng)
             if trace is not None:
-                trace.append(f'{self._hop_texts[forward][i][o]}{self.swaps + self.teleports}}}')
-            self.teleports += 1
+                trace.append(f'{texts[i][o]}{seq + i}}}')
+        self.teleports += len(segments)
         return payload
 
 
@@ -268,6 +292,11 @@ def stream_seeds(
     return (derive_seed(seed, 0),
             derive_seed(seed, 1) if adv.draws_bases(behavior) else None,
             None if config.key is not None else derive_seed(seed, 2))
+
+
+#: the phases ``run_trial`` reads on every step, read from the Enum once
+_LOOP_PHASES = (proto.Phase.COMPUTE_R, proto.Phase.DATA_TRANSFER, proto.Phase.AUTH_PREPARE,
+                proto.Phase.AUTH_AWAIT)
 
 
 def run_trial(
@@ -325,8 +354,7 @@ def run_trial(
     a_state, a_step = alice.state, alice.step
     b_state, b_step, receive = bob.state, bob.step, bob.receive
     absorbing = proto.ABSORBING
-    computing, sending, preparing, awaiting = (proto.Phase.COMPUTE_R, proto.Phase.DATA_TRANSFER,
-                                               proto.Phase.AUTH_PREPARE, proto.Phase.AUTH_AWAIT)
+    computing, sending, preparing, awaiting = _LOOP_PHASES
     transfer, amplitudes, release = fabric.transfer, sim.amplitudes, sim.release
 
     # Each endpoint moves on its next turn, ta or tb, the initiator first at

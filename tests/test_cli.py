@@ -13,7 +13,8 @@ from qauthsim import cli, netsim, protocol, qsim
 from qauthsim import experiments as exp
 from qauthsim.adversary import BEHAVIOR_LABELS
 from qauthsim.cli import build_config, build_parser
-from qauthsim.keyschedule import MAX_KEY_LENGTH, RoundSchedule, ScheduleConfig, parse_key
+from qauthsim.keyschedule import (MAX_FIXED_KEY_ROUNDS, MAX_KEY_LENGTH, RoundSchedule,
+                                  ScheduleConfig, parse_key)
 from helpers import busy_forever, decoded, one_window_more, run_cli
 
 
@@ -265,6 +266,29 @@ REFUSALS = {
              "hex key '0xZZ' needs hex digits"),
         ])
     ],
+    # A fixed key sets every session's length: one whose honest session
+    # reads more rounds than the cap, at any T, would run for hours a trial.
+    # This 0x1 key gives one data qubit every 2^20 rounds at T = 1.
+    "fixed_key_over_the_round_cap": [
+        Refusal(["custom", "--adversary", "honest", "--key", "0x1", "--key-bits", "1048576"],
+                "the fixed key needs 157286400 rounds a session at T = 1, more than the "
+                f"cap of {MAX_FIXED_KEY_ROUNDS}"),
+    ],
+    # A topology edge must join two distinct nodes of its list, whose names
+    # do not repeat.
+    "bad_topology_nodes_or_edges": [
+        Refusal(["custom", "-T", "1", "--trials", "1", "--data-qubits", "2"], message,
+                {"nodes": nodes, "edges": edges, "path": ["alice", "r1", "bob"]}, id=label)
+        for label, nodes, edges, message in [
+            ("edge_to_a_missing_node", ["alice", "r1", "bob"],
+             [["alice", "r1"], ["r1", "bob"], ["zed", "nowhere"]],
+             "edge (zed, nowhere) names a node missing from nodes"),
+            ("edge_to_itself", ["alice", "r1", "bob"],
+             [["alice", "r1"], ["r1", "bob"], ["r1", "r1"]], "edge (r1, r1) joins a node to itself"),
+            ("repeated_node", ["alice", "r1", "bob", "alice"], [["alice", "r1"], ["r1", "bob"]],
+             "topology nodes must not repeat"),
+        ]
+    ],
     # Every analytic value past about 50 rounds prints as 1, and each row
     # costs time and memory before the first is printed.
     "oversized_analytic_table": [
@@ -422,6 +446,16 @@ def test_key_bits_without_hex_key_exits_2(tmp_path, monkeypatch, key_flags):
 
 @pytest.mark.parametrize("row", REFUSALS["oversized_or_malformed_key"], ids=row_id)
 def test_oversized_or_malformed_key_exits_2(tmp_path, monkeypatch, row):
+    assert_refused(tmp_path, monkeypatch, row)
+
+
+def test_fixed_key_over_the_round_cap_exits_2(tmp_path, monkeypatch):
+    for row in REFUSALS["fixed_key_over_the_round_cap"]:
+        assert_refused(tmp_path, monkeypatch, row)
+
+
+@pytest.mark.parametrize("row", REFUSALS["bad_topology_nodes_or_edges"], ids=row_id)
+def test_bad_topology_nodes_or_edges_exits_2(tmp_path, monkeypatch, row):
     assert_refused(tmp_path, monkeypatch, row)
 
 

@@ -6,6 +6,7 @@ and capacity against exhaustive enumeration of all keys for small lengths.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +20,12 @@ from qauthsim.keyschedule import (
     RoundSchedule,
     ScheduleConfig,
     capacity,
+    honest_rounds,
     next_auth_pair,
     next_r,
     parse_key,
 )
-from qauthsim.qsim import make_rng
+from qauthsim.qsim import SimulationError, make_rng
 
 
 def test_worked_example_windows():
@@ -116,6 +118,39 @@ def test_cursors_are_independent(bits, t, e, order):
     assert len(schedule.rs) == len(schedule.plans) == max(cursors)
 
 
+@st.composite
+def sparse_or_dense_bits(draw):
+    """A nonzero key of 2-48 bits: a few ones among zeros, a few zeros among
+    ones, or uniform bits."""
+    n = draw(st.integers(2, 48))
+    kind = draw(st.sampled_from(["sparse", "dense", "uniform"]))
+    if kind == "uniform":
+        bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        few = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+        bits = [int((i in few) == (kind == "sparse")) for i in range(n)]
+    return bits if any(bits) else [1] + bits[1:]
+
+
+@given(bits=sparse_or_dense_bits(), t=st.integers(1, 16), target=st.integers(0, 60))
+@settings(max_examples=300)
+def test_honest_rounds_counts_the_rounds_the_schedule_reads(bits, t, target):
+    # The count is the number of rounds RoundSchedule.window reads before it
+    # refuses the next one as past the honest end.
+    key, cfg = key_from_bits(bits), ScheduleConfig(t)
+    schedule = RoundSchedule(key, cfg, target)
+    with pytest.raises(SimulationError, match="past the end of the session"):
+        for i in range(10**6):
+            schedule.window(i)
+    assert honest_rounds(key, cfg, target) == len(schedule.rs)
+
+
+def test_honest_rounds_of_an_all_zero_key_is_refused():
+    assert honest_rounds(parse_key("00"), ScheduleConfig(1), 0) == 0
+    with pytest.raises(ValueError, match="all-zero key"):
+        honest_rounds(parse_key("0000"), ScheduleConfig(3), 1)
+
+
 @given(
     bits=st.lists(st.integers(0, 1), min_size=2, max_size=24),
     t=st.integers(1, 8),
@@ -160,34 +195,48 @@ def test_capacity_equals_exhaustive_mean(length):
 
 
 def test_parse_key_binary():
-    assert parse_key("1101").bits == (1, 1, 0, 1)
+    assert parse_key("1101").bits == bytes((1, 1, 0, 1))
 
 
 def test_parse_key_hex_with_length():
-    assert parse_key("0xd", bit_length=4).bits == (1, 1, 0, 1)
-    assert parse_key("0x0d", bit_length=6).bits == (0, 0, 1, 1, 0, 1)
+    assert parse_key("0xd", bit_length=4).bits == bytes((1, 1, 0, 1))
+    assert parse_key("0x0d", bit_length=6).bits == bytes((0, 0, 1, 1, 0, 1))
 
 
 @given(data=st.data(), n=st.integers(2, 96))
 @settings(max_examples=200)
 def test_parse_key_hex_reads_bits_msb_first(data, n):
     value = data.draw(st.integers(0, (1 << n) - 1))
-    expected = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+    expected = bytes((value >> (n - 1 - i)) & 1 for i in range(n))
     assert parse_key(hex(value), bit_length=n).bits == expected
 
 
 @pytest.mark.parametrize("length", [2, 3, 17, 1024])
 def test_a_drawn_key_is_the_generator_draw(length):
     # A drawn key skips the per-bit check, so it must be the draw itself:
-    # the bits integers(0, 2) gives a twin generator, as Python ints, with
-    # both generators left in one state.
+    # the bits integers(0, 2) gives a twin generator, one byte each, read
+    # back as Python ints 0 and 1, with both generators left in one state.
     for seed in range(6):
         rng, twin = make_rng(seed), make_rng(seed)
         key = KeyMaterial.random(length, rng)
-        assert key.bits == tuple(twin.integers(0, 2, size=length).tolist())
-        assert {type(b) for b in key.bits} == {int}
+        assert key.bits == bytes(twin.integers(0, 2, size=length).tolist())
+        assert {type(b) for b in key.bits} == {int} and set(key.bits) <= {0, 1}
         assert key == KeyMaterial(key.bits) and len(key.bits) == length
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("length", [2, 5, 64, 1023])
+def test_one_key_is_equal_and_hashes_equal_however_built(length):
+    # Drawn, parsed from 0/1 text or from hex, or built from a tuple, a list
+    # or an array of ints: one key, one hash, and its bits are bytes.
+    for seed in range(4):
+        drawn = KeyMaterial.random(length, make_rng(seed))
+        text = "".join(map(str, drawn.bits))
+        keys = [drawn, parse_key(text), parse_key(hex(int(text, 2)), bit_length=length),
+                KeyMaterial(tuple(drawn.bits)), KeyMaterial([int(c) for c in text]),
+                KeyMaterial(np.frombuffer(drawn.bits, np.uint8).astype(np.int64))]
+        assert all(type(key.bits) is bytes for key in keys)
+        assert len(set(keys)) == 1 and {hash(key) for key in keys} == {hash(drawn)}
 
 
 def test_a_key_out_of_length_bounds_is_refused_before_any_draw():

@@ -2,6 +2,8 @@
 end-of-session bookkeeping."""
 
 import json
+import operator
+from dataclasses import astuple
 from itertools import product
 from unittest.mock import patch
 
@@ -142,6 +144,45 @@ def test_a_fabric_that_swaps_nowhere_hands_out_fresh_copies():
     assert second == third == [("alice", qsim.PHI_PLUS, "r1"), ("r1", qsim.PHI_PLUS, "bob")]
     assert first == second[::-1] and second is not third
     assert fabric.pairs_created == 6 and fabric.swaps == 0
+
+
+def plan_leaves(obj):
+    """The non-tuple values of a nest of tuples."""
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from plan_leaves(item)
+    else:
+        yield obj
+
+
+def test_one_fabric_plan_per_topology_behavior_node_and_tracing():
+    # Fabrics of equal topologies (built apart), behavior, malicious node
+    # and tracing read one plan object; an intercepting plan differs from
+    # the honest one; only a traced plan holds event texts; a plan is
+    # tuples of names, swap flags, texts, segments and None.
+    chain3 = Topology.chain(3)
+    cases = {"honest": (CHAIN, Honest(), None),
+             "intercept": (CHAIN, InterceptResend("random_zx"), "r1"),
+             "honest3": (chain3, Honest(), None),
+             "intercept3": (chain3, InterceptResend("always_z"), "r2")}
+    plans = {}
+    for label, (topology, behavior, node) in cases.items():
+        for traced in (False, True):
+            plan = netsim._fabric_plan(topology, behavior, node, traced)
+            for _ in range(2):
+                fabric = EntanglementFabric(Simulator(), Topology(*astuple(topology)),
+                                            RepeaterState(behavior, node, 1), Draws(1),
+                                            [] if traced else None)
+                members = (fabric._interior, fabric._unswapped, fabric._hop_texts)
+                assert all(map(operator.is_, members, plan))
+            texts = [plan[2]] + [t for _, _, t in plan[0]]
+            assert all(texts) if traced else not any(texts)
+            assert {type(v) for v in plan_leaves(plan)} <= {str, bool, complex, type(None)}
+            plans[label, traced] = plan
+    for traced in (False, True):
+        assert plans["honest", traced] != plans["intercept", traced]
+        assert plans["honest3", traced] != plans["intercept3", traced]
+    assert [swaps for _, swaps, _ in plans["intercept3", True][0]] == [True, False, True]
 
 
 def honest_fabric(topology):
