@@ -262,11 +262,11 @@ def run_experiment(
     runs or any sink is written. Each sink, when given, receives one
     ``append`` per trial as the trial ends: a dict with ``transfer_length``,
     ``trial_index`` and that trial's ``records`` (trace) or ``events``
-    (intercept log), each the JSON object text ``run_trial`` gives. Every
-    trial of the campaign shares one Bell memo. Before each run of
-    ``PREHASH_TRIALS`` trials, ``qsim.prehash_seeds`` hashes their streams'
-    seeds (``netsim.stream_seeds``) in one pass; the streams are the same
-    as without it, so no output changes.
+    (intercept log), each the JSON object text ``run_trial`` gives. Trials
+    share one Bell memo, and those of one T a fixed key's rounds. Before
+    each run of ``PREHASH_TRIALS`` trials, ``qsim.prehash_seeds`` hashes
+    their streams' seeds (``netsim.stream_seeds``) in one pass; the streams
+    are the same as without it, so no output changes.
     """
     if EXPERIMENT_SPECS[cfg.experiment].table is not None:
         raise ConfigError(f"{cfg.experiment} is not a trial campaign")
@@ -277,6 +277,7 @@ def run_experiment(
     bell_memo: dict = {}
     for t, session in sessions.items():
         batch: list[netsim.TrialRecord] = []
+        key_rounds: dict = {}
         for i in range(cfg.trials):
             if i % PREHASH_TRIALS == 0:
                 seeds = [trial_seed(cfg.master_seed, t, j)
@@ -296,6 +297,7 @@ def run_experiment(
                 trace=trace,
                 intercept_log=intercepts,
                 bell_memo=bell_memo,
+                key_rounds=key_rounds,
             )
             batch.append(record)
             if trace_sink is not None:

@@ -8,7 +8,9 @@ schedule per session that both endpoints read them through
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -115,8 +117,11 @@ class AuthPlan:
         return EIGENSTATE_LABELS[self.base_bit][self.encoding_bit]
 
 
-#: The four plans, by [encoding_bit][base_bit]; every round shares them.
-_AUTH_PLANS = tuple(tuple(AuthPlan(e, b) for b in (0, 1)) for e in (0, 1))
+#: The plans by encoding index e, then by a round's key bit pair as
+#: 2 first + second: bit e of the pair is the encoding bit, the other the base bit.
+_PLANS_BY_PAIR = tuple(tuple(AuthPlan(p >> 1 - e & 1, p >> e & 1) for p in range(4))
+                       for e in (0, 1))
+_PLAN_ARRAYS = tuple(np.array(plans, dtype=object) for plans in _PLANS_BY_PAIR)
 
 
 def next_r(key: KeyMaterial, cfg: ScheduleConfig, index: int) -> int:
@@ -137,68 +142,97 @@ def next_auth_pair(key: KeyMaterial, cfg: ScheduleConfig, index: int) -> AuthPla
     bits = key.bits
     n = len(bits)
     c = 2 * index % n
-    pair = (bits[c], bits[(c + 1) % n])
-    e = cfg.encoding_index
-    return _AUTH_PLANS[pair[e]][pair[1 - e]]
+    return _PLANS_BY_PAIR[cfg.encoding_index][bits[c] << 1 | bits[(c + 1) % n]]
+
+
+#: the rounds read one at a time, by ``next_r`` and ``next_auth_pair``
+FIRST_BLOCK = 8
+#: the most rounds one block reads, which bounds its numpy arrays
+MAX_BLOCK = 1 << 12
+#: a T-bit window's bit weights, MSB first, by T
+_WEIGHTS = [1 << np.arange(t - 1, -1, -1) for t in range(MAX_TRANSFER_LENGTH + 1)]
+
+
+def _windows(key: KeyMaterial, t: int, start: int, count: int) -> np.ndarray:
+    """``next_r`` of rounds ``start`` to ``start + count``, in one numpy pass."""
+    n = len(key.bits)
+    first = start * t % n
+    bits = key.bits * ((first + count * t - 1) // n + 1)
+    return np.frombuffer(bits, np.uint8, count * t, first).reshape(count, t) @ _WEIGHTS[t]
+
+
+def _block(key: KeyMaterial, cfg: ScheduleConfig, start: int, size: int,
+           short: int) -> tuple[list[int], list[AuthPlan]]:
+    """The windows and plans of rounds ``start`` to ``start + size``, cut after
+    the one whose window brings their data to ``short``. Pairs are T = 2 windows."""
+    rs = _windows(key, cfg.transfer_length, start, size).tolist()
+    rs = rs[:bisect_left(list(accumulate(rs)), short) + 1]
+    pairs = _windows(key, 2, start, len(rs))
+    return rs, _PLAN_ARRAYS[cfg.encoding_index][pairs].tolist()
 
 
 class RoundSchedule:
-    """One session's rounds, held by both endpoints: ``window(i)`` reads
-    round i's window R into ``rs[i]`` and its plan into ``plans[i]`` the
-    first time either endpoint opens round i, each opening them in order.
-    It refuses a round whose earlier windows already hold the data target,
-    which no session opens, honest or not. ``guard`` is ``slack`` times the
-    most endpoint steps the rounds read can take: per round its data qubits
-    and four more (verify, open, prove, reverse verify), and two completions.
-    """
+    """One session's rounds, which both endpoints open in order with
+    ``window(i)``: round i's window R is ``rs[i]``, its plan ``plans[i]``.
+    The first ``FIRST_BLOCK`` are read as they open, later ones ahead in
+    blocks of at most twice the rounds read, cut at the honest end; a round
+    past it is refused. ``guard`` is ``slack`` times the most endpoint steps
+    the rounds opened can take: per round its data qubits and four more
+    (verify, open, prove, reverse verify), and two completions. A fixed
+    key's trials may share the ``held`` lists ``rs`` and ``plans``."""
 
     slack = 2
 
-    __slots__ = ("key", "cfg", "target", "rs", "plans", "reach", "guard")
+    __slots__ = ("key", "cfg", "target", "rs", "plans", "opened", "reach", "guard")
 
-    def __init__(self, key: KeyMaterial, cfg: ScheduleConfig, target: int):
+    def __init__(self, key: KeyMaterial, cfg: ScheduleConfig, target: int,
+                 held: tuple[list[int], list[AuthPlan]] | None = None):
         self.key = key
         self.cfg = cfg
         self.target = target
-        self.rs: list[int] = []
-        self.plans: list[AuthPlan] = []
-        self.reach = 0  # the data qubits of the windows read
+        self.rs, self.plans = ([], []) if held is None else held
+        self.opened = 0  # the rounds opened
+        self.reach = 0  # the data qubits of the windows opened
         self.guard = self.slack * 2
 
     def window(self, index: int) -> int:
-        """Round ``index``'s window R, read with its plan on the first ask.
+        """Round ``index``'s window R, opening it on the first ask.
         Raises SimulationError for a round past the honest end."""
         rs = self.rs
-        if index == len(rs):
-            if self.reach >= self.target:
-                raise SimulationError(f"round {index + 1} is past the end of the session")
-            # module globals, so that a wrapper set on the module sees each read
-            rs.append(r := next_r(self.key, self.cfg, index))
-            self.plans.append(next_auth_pair(self.key, self.cfg, index))
-            self.reach += r
-            self.guard = self.slack * (min(self.reach, self.target) + 4 * len(rs) + 2)
-        return rs[index]
+        if index != self.opened:
+            return rs[index]
+        reach, target = self.reach, self.target
+        if reach >= target:
+            raise SimulationError(f"round {index + 1} is past the end of the session")
+        if index == len(rs):  # every round read is open, so reach is theirs
+            if index < FIRST_BLOCK:
+                # module globals, so that a wrapper set on the module sees each read
+                rs.append(next_r(self.key, self.cfg, index))
+                self.plans.append(next_auth_pair(self.key, self.cfg, index))
+            else:
+                block = _block(self.key, self.cfg, index, min(2 * index, MAX_BLOCK), target - reach)
+                rs += block[0]
+                self.plans += block[1]
+        self.opened = opened = index + 1
+        self.reach = reach = reach + (r := rs[index])
+        self.guard = self.slack * ((reach if reach < target else target) + 4 * opened + 2)
+        return r
 
 
 def honest_rounds(key: KeyMaterial, cfg: ScheduleConfig, target: int) -> int:
     """The rounds an honest session of ``target`` data qubits reads: those
-    ``RoundSchedule.window`` reads before it refuses one. Round i's window
+    ``RoundSchedule.window`` opens before it refuses one. Round i's window
     starts at key bit i T mod L, so it depends only on i mod L, and whole
     passes of L rounds plus one partial walk give the count in O(L T).
     Raises ValueError for an all-zero key and a target above 0, which no
     count of rounds reaches."""
     if target <= 0:
         return 0
-    bits = np.frombuffer(key.bits, np.uint8)
-    n, t = len(bits), cfg.transfer_length
-    wrapped = np.resize(bits, n + t - 1).astype(np.int64)
-    # the window starting at each bit, MSB first
-    starts = sum(wrapped[j:j + n] << (t - 1 - j) for j in range(t))
-    reach = np.cumsum(starts[np.arange(n) * t % n])
-    total = int(reach[-1])
-    if not total:
+    n = len(key.bits)
+    reach = np.cumsum(_windows(key, cfg.transfer_length, 0, n))
+    if not reach[-1]:
         raise ValueError("all-zero key never schedules a data window")
-    passes, rest = divmod(target - 1, total)
+    passes, rest = divmod(target - 1, int(reach[-1]))
     return passes * n + int(np.searchsorted(reach, rest + 1)) + 1
 
 

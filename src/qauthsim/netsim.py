@@ -309,6 +309,7 @@ def run_trial(
     trace: list | None = None,
     intercept_log: list | None = None,
     bell_memo: dict | None = None,
+    key_rounds: dict | None = None,
 ) -> TrialRecord:
     """Drive one session end to end and summarize it.
 
@@ -327,7 +328,8 @@ def run_trial(
     ``json.loads`` of an entry gives the event's dict. ``bell_memo`` is
     handed to the trial's ``Simulator``; the memo it holds changes no result,
     only how many Bell tables are built.
-    Both endpoints read the key's rounds from one ``keyschedule.RoundSchedule``.
+    Both endpoints read the key's rounds from one ``keyschedule.RoundSchedule``;
+    ``key_rounds`` holds a fixed key's, read once for all the trials given it.
     Raises ValueError when ``intercept_node`` refuses the malicious node,
     and SimulationError when the session outsteps the schedule's ``guard``,
     opens a round past its honest end, or a qubit outlives the trial.
@@ -348,7 +350,9 @@ def run_trial(
 
     sim = Simulator(bell_memo)
     fabric = EntanglementFabric(sim, topology, repeater, rng_world, trace)
-    schedule = RoundSchedule(key, config.sched, config.data_qubit_target)
+    held = None if key_rounds is None or config.key is None else key_rounds.setdefault(
+        config, ([], []))
+    schedule = RoundSchedule(key, config.sched, config.data_qubit_target, held)
     alice = proto.Initiator(config, schedule, sim, rng_world, trace)
     bob = proto.Responder(config, schedule, sim, rng_world, trace)
     a_state, a_step = alice.state, alice.step

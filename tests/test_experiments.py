@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import parse_campaign_csv
-from qauthsim import netsim, qsim
+from qauthsim import keyschedule, netsim, qsim
 from qauthsim.experiments import (
     PREHASH_TRIALS,
     ConfigError,
@@ -191,6 +191,33 @@ def test_a_failed_trial_leaves_at_most_one_chunk_hashed(monkeypatch):
             run_experiment(small_campaign(trials=PREHASH_TRIALS + 3, master_seed=seed))
         # of one chunk, three streams a trial: the four trials that ran took theirs
         assert len(qsim._prehashed) == 3 * (PREHASH_TRIALS - 4)
+
+
+def test_a_fixed_keys_rounds_are_read_once_per_transfer_length(monkeypatch):
+    # The trials of one T share a fixed key's rounds, the same two lists,
+    # and each block of them is read once; the records are those of trials
+    # run alone. A fresh-key campaign shares nothing.
+    cfg = small_campaign(adversary="honest", key="1" + "0" * 20 + "1" * 3 + "0" * 40,
+                         t_values=(1, 3), trials=4, data_target=40)
+    behavior, node, sessions = cfg.campaign()
+    alone = {t: [netsim.run_trial(cfg.topology, behavior, session, trial_seed(cfg.master_seed, t, i))
+                 for i in range(cfg.trials)] for t, session in sessions.items()}
+    schedules, blocks, key_rounds = [], [], []
+    block, schedule, run_trial = keyschedule._block, netsim.RoundSchedule, netsim.run_trial
+    monkeypatch.setattr(keyschedule, "_block", lambda key, c, start, *rest: blocks.append(
+        (c.transfer_length, start)) or block(key, c, start, *rest))
+    monkeypatch.setattr(netsim, "RoundSchedule", lambda *args: schedules.append(
+        schedule(*args)) or schedules[-1])
+    monkeypatch.setattr(netsim, "run_trial", lambda *args, **kwargs: key_rounds.append(
+        kwargs["key_rounds"]) or run_trial(*args, **kwargs))
+    assert run_experiment(cfg).records == alone
+    for group in (schedules[:4], schedules[4:]):
+        assert {(id(s.rs), id(s.plans)) for s in group} == {(id(group[0].rs), id(group[0].plans))}
+    assert schedules[0].rs is not schedules[4].rs
+    assert len(set(blocks)) == len(blocks) > 1
+    schedules.clear()
+    run_experiment(small_campaign(adversary="honest", t_values=(1,), trials=3, data_target=40))
+    assert len({id(s.rs) for s in schedules}) == 3 and key_rounds[-1] == {}
 
 
 # -- emitters ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_cursors_are_independent(bits, t, e, order):
     # Two readers of one schedule, each opening its rounds in order and
     # interleaved arbitrarily, see the same rounds: each round's window is
     # the index oracle's, its plan the round's pair of key bits, and the
-    # schedule holds each round once, whichever reader comes first.
+    # schedule opens each round once, whichever reader comes first.
     key = key_from_bits(bits)
     schedule = RoundSchedule(key, ScheduleConfig(t, e), target=10**9)
     cursors = [0, 0]
@@ -115,7 +115,7 @@ def test_cursors_are_independent(bits, t, e, order):
         pair = (bits[2 * i % len(bits)], bits[(2 * i + 1) % len(bits)])
         assert schedule.plans[i] == AuthPlan(pair[e], pair[1 - e])
         cursors[reader] += 1
-    assert len(schedule.rs) == len(schedule.plans) == max(cursors)
+    assert schedule.opened == max(cursors) <= len(schedule.rs) == len(schedule.plans)
 
 
 @st.composite
@@ -143,6 +143,34 @@ def test_honest_rounds_counts_the_rounds_the_schedule_reads(bits, t, target):
         for i in range(10**6):
             schedule.window(i)
     assert honest_rounds(key, cfg, target) == len(schedule.rs)
+
+
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=2, max_size=64),
+    t=st.integers(1, 16),
+    e=st.integers(0, 1),
+    target=st.integers(0, 200),
+)
+@settings(max_examples=300)
+def test_blocks_read_what_next_r_and_next_auth_pair_give(bits, t, e, target):
+    # Rounds from FIRST_BLOCK on are read in blocks that wrap the key, yet
+    # each opened round has next_r's window and next_auth_pair's plan; no
+    # round past the honest end is held, and it is refused; the guard
+    # counts the rounds opened.
+    bits[0] |= not any(bits)
+    key, cfg = key_from_bits(bits), ScheduleConfig(t, e)
+    schedule = RoundSchedule(key, cfg, target)
+    end = honest_rounds(key, cfg, target)
+    data = 0
+    for i in range(end):
+        assert schedule.window(i) == next_r(key, cfg, i)
+        assert schedule.plans[i] is next_auth_pair(key, cfg, i)
+        data += schedule.rs[i]
+        assert schedule.guard == schedule.slack * (min(data, target) + 4 * (i + 1) + 2)
+        assert len(schedule.rs) == len(schedule.plans) <= end
+    with pytest.raises(SimulationError, match=f"^round {end + 1} is past the end of the session$"):
+        schedule.window(end)
+    assert len(schedule.rs) == end
 
 
 def test_honest_rounds_of_an_all_zero_key_is_refused():

@@ -524,9 +524,10 @@ def test_a_round_past_the_honest_end_is_refused(monkeypatch):
 
 
 def counted_trial(topo, behavior, session, seed):
-    """``run_trial``'s record, the role of each endpoint step and each key
-    read, as (round index, ``keyschedule`` function name)."""
-    steps, reads = [], []
+    """``run_trial``'s record, the role of each endpoint step, each key
+    read, as (round index, ``keyschedule`` function name, or "block" for
+    each round a block read), and the rounds the schedule opened."""
+    steps, reads, schedules = [], [], []
 
     def counted(cls):
         return lambda self, arrival, _step=cls.step: steps.append(self.role) or _step(self, arrival)
@@ -534,11 +535,31 @@ def counted_trial(topo, behavior, session, seed):
     def read(name, _inner):
         return lambda key, cfg, index: reads.append((index, name)) or _inner(key, cfg, index)
 
+    def block(key, cfg, start, size, short, _inner=keyschedule._block):
+        rs, plans = _inner(key, cfg, start, size, short)
+        reads.extend((i, "block") for i in range(start, start + len(rs)))
+        return rs, plans
+
+    def schedule(*args):
+        schedules.append(RoundSchedule(*args))
+        return schedules[-1]
+
     with patch.object(Initiator, "step", counted(Initiator)), \
             patch.object(Responder, "step", counted(Responder)), \
+            patch.object(netsim, "RoundSchedule", schedule), \
             patch.multiple(keyschedule, next_r=read("next_r", keyschedule.next_r),
-                           next_auth_pair=read("next_auth_pair", keyschedule.next_auth_pair)):
-        return run_trial(topo, behavior, session, seed), steps, reads
+                           next_auth_pair=read("next_auth_pair", keyschedule.next_auth_pair),
+                           _block=block):
+        record = run_trial(topo, behavior, session, seed)
+    return record, steps, reads, schedules[0].opened
+
+
+def key_reads(rounds):
+    """The reads of the first ``rounds`` rounds, each read once and in
+    order: the first ``FIRST_BLOCK`` by ``next_r`` and ``next_auth_pair``,
+    each later one by a block."""
+    return [(i, name) for i in range(rounds) for name in (
+        ("next_r", "next_auth_pair") if i < keyschedule.FIRST_BLOCK else ("block",))]
 
 
 @pytest.mark.parametrize("behavior, reverse", product(["honest", "intercept_random"],
@@ -546,15 +567,16 @@ def counted_trial(topo, behavior, session, seed):
 def test_each_round_is_read_from_the_key_once(behavior, reverse):
     # Both endpoints open every round they reach, the responder at T = 1
     # running ahead through r = 0 windows without reverse auth, yet each
-    # round is read from the key once: all of an honest session's rounds,
-    # and a prefix of them for one cut short.
+    # round is read from the key once, by next_r and next_auth_pair or by
+    # a block: all of an honest session's rounds, and a prefix of them for
+    # one cut short.
     for t, seed in product((1, 2, 3), range(4)):
         bits = KeyMaterial.random(64, make_rng(seed)).bits
         cfg = session_config(t, 30, "".join(map(str, bits)), reverse_auth=reverse)
         reads = counted_trial(CHAIN, parse_behavior(behavior), cfg, seed)[2]
         honest = len(honest_windows(bits, t, 30))
-        rounds = honest if behavior == "honest" else len(reads) // 2
-        assert reads == list(product(range(rounds), ("next_r", "next_auth_pair")))
+        rounds = honest if behavior == "honest" else len({i for i, _ in reads})
+        assert reads == key_reads(rounds)
         assert 0 < rounds <= honest
 
 
@@ -595,15 +617,16 @@ def test_random_trials_keep_invariants(case):
 @settings(max_examples=200)
 def test_random_trials_keep_the_step_budget(case):
     # run_trial steps the endpoints at most transfers + 2 rounds + 2 times,
-    # and at most the read rounds' data + 4 rounds + 2, half the guard. Each
-    # round is read once, and only the honest session's rounds are, so the
-    # guard is at most twice the honest session's own count.
-    record, steps, reads = counted_trial(*case)
+    # and at most the opened rounds' data + 4 rounds + 2, half the guard.
+    # Each round is read once, and only the honest session's rounds are, so
+    # the guard is at most twice the honest session's own count.
+    record, steps, reads, opened = counted_trial(*case)
     session = case[2]
     target = session.data_qubit_target
     honest = honest_windows(session.key.bits, session.sched.transfer_length, target)
-    rounds = honest[:len(reads) // 2]
-    assert reads == list(product(range(len(rounds)), ("next_r", "next_auth_pair")))
+    rounds = honest[:opened]
+    read = len({i for i, _ in reads})
+    assert reads == key_reads(read) and opened <= read <= len(honest)
     transfers = record.data_qubits_delivered + record.auth_qubits_sent
     assert len(steps) <= transfers + 2 * len(rounds) + 2
 
