@@ -217,6 +217,12 @@ class _JsonlSink:
             self._fh.close()
 
 
+def one_line(err: Exception) -> str:
+    """The error's message on one line: a character that would break or hide
+    it, such as a newline in a node name, is written as its escape."""
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in str(err))
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -228,10 +234,10 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
     except ValueError as err:  # ConfigError included
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {one_line(err)}", file=sys.stderr)
         return 2
     except (OSError, SimulationError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {one_line(err)}", file=sys.stderr)
         return 1
     return 0
 

@@ -287,6 +287,10 @@ REFUSALS = {
              [["alice", "r1"], ["r1", "bob"], ["r1", "r1"]], "edge (r1, r1) joins a node to itself"),
             ("repeated_node", ["alice", "r1", "bob", "alice"], [["alice", "r1"], ["r1", "bob"]],
              "topology nodes must not repeat"),
+            # a line break in a name is escaped, so the refusal stays one line
+            ("node_name_with_a_line_break", ["alice", "r1", "bob"],
+             [["alice", "r1"], ["r1", "bob"], ["r1", "a\nb"]],
+             "edge (r1, a\\nb) names a node missing from nodes"),
         ]
     ],
     # Every analytic value past about 50 rounds prints as 1, and each row
